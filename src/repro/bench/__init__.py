@@ -13,12 +13,9 @@ emits a machine-readable ``BENCH_<date>.json`` report:
   workload threads, the contention-heavy configuration;
 * ``grid_sweep`` — grid throughput (points/second) on a fig8-shaped
   64-point grid, comparing the pre-optimization reference path against
-  warm-worker serial, per-point pool, chunked pool, and lane-backend
-  dispatch, with a bit-identity check across all modes and the
-  schema-v2 vs legacy cache entry sizes;
-* ``lane_sweep`` — the lane backend (:mod:`repro.sim.lanes`) against
-  the chunked pool on the same grid, serial and pool-composed, gated
-  on bit-identity and a minimum speedup floor;
+  warm-worker serial, per-point pool and chunked pool dispatch, with a
+  bit-identity check across all modes and the schema-v2 vs legacy
+  cache entry sizes;
 * ``service_sweep`` — two overlapping grids submitted concurrently to
   the experiment service (:mod:`repro.service`), gated on the
   fleet-wide dedupe ratio (each unique point executes exactly once)
@@ -44,7 +41,6 @@ for how to run and read the reports, and how CI gates on them.
 """
 
 from repro.bench.harness import (
-    LANE_MIN_SPEEDUP,
     SEGMENT_OVERHEAD_LIMIT,
     SERVICE_MIN_DEDUPE,
     STREAMING_OVERHEAD_LIMIT,
@@ -54,7 +50,6 @@ from repro.bench.harness import (
     engine_micro,
     fig8_point,
     grid_sweep,
-    lane_sweep,
     load_report,
     noise_point,
     run_all,
@@ -66,7 +61,6 @@ from repro.bench.harness import (
 )
 
 __all__ = [
-    "LANE_MIN_SPEEDUP",
     "SEGMENT_OVERHEAD_LIMIT",
     "SERVICE_MIN_DEDUPE",
     "STREAMING_OVERHEAD_LIMIT",
@@ -76,7 +70,6 @@ __all__ = [
     "engine_micro",
     "fig8_point",
     "grid_sweep",
-    "lane_sweep",
     "load_report",
     "noise_point",
     "run_all",

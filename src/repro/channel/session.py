@@ -60,12 +60,6 @@ from repro.kernel.workloads import spawn_kernel_build
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.obs import MachineTap, RunManifest, TraceRecorder, trace_enabled
 from repro.sim.engine import Simulator
-from repro.sim.lanes import (
-    LaneSimulator,
-    lanes_enabled,
-    note_bypass,
-    session_bypass_reason,
-)
 from repro.sim.rng import RngStreams
 
 
@@ -317,24 +311,14 @@ class SessionBase:
         if self.recorder is not None:
             self.tap = MachineTap(self.machine, self.recorder)
             self.tap.attach()
-        # Lane backend selection (see repro.sim.lanes): eligible
-        # sessions get a LaneSimulator that drives the known channel
-        # programs without generator dispatch, bit-identical to the
-        # reference engine; ineligible ones record why and run the
-        # unchanged reference path.
-        if lanes_enabled():
-            lane_reason = session_bypass_reason(config, traced=traced)
-            if lane_reason is None:
-                self.sim: Simulator = LaneSimulator(self.machine.stats)
-            else:
-                note_bypass(lane_reason)
-                self.sim = Simulator(self.machine.stats)
-        else:
-            self.sim = Simulator(self.machine.stats)
+        self.sim = Simulator(self.machine.stats)
         # Decided before the first spawn: replay logs must cover every
         # spec-bearing thread from its first op or a checkpoint cannot
-        # re-drive it.
+        # re-drive it, and a stood-down simulator attaches no drivers.
         self.sim.checkpointing = segments_enabled()
+        reason = self._stand_down_reason(traced)
+        if reason is not None:
+            self.sim.stand_down(reason)
         #: Optional :class:`repro.checkpoint.SegmentStore` — when set,
         #: transmissions pause at segment boundaries and store resumable
         #: checkpoints (see :meth:`_run_transmission`).
@@ -368,6 +352,22 @@ class SessionBase:
         self._faults_installed = False
 
     # -- setup ----------------------------------------------------------
+
+    def _stand_down_reason(self, traced: bool) -> str | None:
+        """Why this session's channel threads must run as generators.
+
+        ``"trace"``: the recorder interposes on the machine.
+        ``"segments"``: checkpoints need the replay logs that only the
+        generator path writes.  ``"faults"``: simulation-plane fault
+        plans perturb the threads in ways the drivers do not model.
+        """
+        if traced:
+            return "trace"
+        if self.sim.checkpointing:
+            return "segments"
+        if FaultPlan.from_json(self.config.faults).simulation_events:
+            return "faults"
+        return None
 
     def _phase(self, name: str, mark: str, **data) -> None:
         """Emit a channel phase mark (``B``/``E``) at the current clock."""
@@ -697,11 +697,10 @@ class ChannelSession(SessionBase):
                 except SyncTimeoutError:
                     self._phase("attempt", "E", outcome="sync-timeout")
                     self._reap_attempt(tag)
-                    if isinstance(self.sim, LaneSimulator):
-                        # A lost handshake means thread interleaving the
-                        # drivers cannot retrace; the session finishes on
-                        # the reference path.
-                        self.sim.lane_stand_down("resync")
+                    # A lost handshake means thread interleaving the
+                    # drivers cannot retrace; the session finishes on
+                    # the generator path.
+                    self.sim.stand_down("resync")
                     if attempt >= cfg.resync_attempts:
                         raise
                     self.resyncs += 1

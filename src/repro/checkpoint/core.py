@@ -286,6 +286,7 @@ def restore(blob: bytes | Checkpoint):
 
     sim = Simulator(machine.stats)
     sim.checkpointing = True
+    sim.stand_down("segments")
     sim.global_clock = state["clock"]
 
     kernel = Kernel(machine, sim, rng)

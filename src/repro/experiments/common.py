@@ -120,15 +120,6 @@ def runner_arguments(parser: argparse.ArgumentParser) -> None:
              "1 restores one-future-per-point dispatch)",
     )
     group.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="lane-batch width: group compatible cache-miss points into "
-             "batches of N and run them on the vectorized lane backend "
-             "(repro.sim.lanes; bit-identical to the reference engine; "
-             "default: $REPRO_LANES, off when unset; 0 disables; sets "
-             "REPRO_LANES so worker processes inherit it; cache keys "
-             "are unaffected)",
-    )
-    group.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="extra attempts per failed point, with deterministic "
              "exponential backoff (default: fail fast)",
@@ -178,14 +169,13 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
 
     Builds a :class:`~repro.runner.Runner` from the options
     :func:`runner_arguments` added (``--jobs``, ``--no-cache``,
-    ``--cache-dir``, ``--no-progress``, ``--chunk-size``, ``--lanes``,
-    ``--retries``, ``--timeout``, ``--keep-going``, ``--inject-faults``),
-    emits
-    per-point progress and
-    an end-of-sweep timing summary on stderr, and returns the values in
-    grid order.  Under ``--keep-going`` with failures, the per-point
-    errors are printed to stderr and the process exits 1 — completed
-    values are already cached, so re-running resumes the sweep.
+    ``--cache-dir``, ``--no-progress``, ``--chunk-size``, ``--retries``,
+    ``--timeout``, ``--keep-going``, ``--inject-faults``), emits
+    per-point progress and an end-of-sweep timing summary on stderr,
+    and returns the values in grid order.  Under ``--keep-going`` with
+    failures, the per-point errors are printed to stderr and the process
+    exits 1 — completed values are already cached, so re-running
+    resumes the sweep.
     """
     import os
     import sys
@@ -207,15 +197,6 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
         # environment instead of the cache key.
         os.environ["REPRO_SEGMENT_CYCLES"] = repr(float(segment_cycles))
         spec.meta.setdefault("segment_cycles", float(segment_cycles))
-    lanes = getattr(args, "lanes", None)
-    if lanes is not None:
-        if lanes < 0:
-            raise SystemExit("--lanes must be >= 0")
-        # Same propagation rationale as --trace: the lane backend changes
-        # how a point executes, never what it computes (bit-identical by
-        # construction), so it rides the environment instead of the
-        # cache key and pool workers inherit it on fork/spawn.
-        os.environ["REPRO_LANES"] = str(lanes)
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None:
         # Checkpoint segments build their own ResultCache inside worker
@@ -254,8 +235,7 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
         )
     runner = Runner(jobs=getattr(args, "jobs", 1), cache=cache,
                     progress=progress, policy=policy, injector=injector,
-                    chunk_size=getattr(args, "chunk_size", None),
-                    lanes=lanes)
+                    chunk_size=getattr(args, "chunk_size", None))
     report = runner.run(spec)
     if progress is not None:
         progress.summarize(report)

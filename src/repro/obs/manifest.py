@@ -47,6 +47,10 @@ class RunManifest:
     segment_cycles: float = 0.0
     segments_stored: int = 0
     resumed_from: int | None = None
+    #: Which path ran the channel threads: ``"driven"`` (the
+    #: generator-free drivers of :mod:`repro.sim.drivers`),
+    #: ``"generator:<reason>"`` after a stand-down, or ``"generator"``.
+    engine: str = "generator"
 
     def to_json(self) -> dict:
         """Plain-dict form (JSON-safe; inverse of :meth:`from_json`)."""
@@ -85,6 +89,7 @@ class RunManifest:
             segment_cycles=store.cycles if store is not None else 0.0,
             segments_stored=store.segments_stored if store is not None else 0,
             resumed_from=store.resumed_from if store is not None else None,
+            engine=session.sim.engine_path,
         )
 
 

@@ -54,7 +54,7 @@ import warnings
 from collections.abc import Callable, Mapping
 from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -73,15 +73,6 @@ from repro.runner.spec import (
     Point,
     chunk_pending,
     resolve_callable,
-)
-from repro.sim.lanes import (
-    LaneState,
-    consume_bypass_notes,
-    lane_fingerprint,
-    lane_scope,
-    lane_width,
-    lanes_enabled,
-    point_bypass_reason,
 )
 from repro.sim.rng import derive_seed
 
@@ -329,80 +320,6 @@ def _timed_chunk(
     return out
 
 
-def _timed_lane_batch(
-    items: list[tuple[int, str, Mapping[str, Any], Mapping[str, Any] | None]],
-    timeout: float | None = None,
-) -> tuple[list[tuple[int, bool, Any, float]], dict, list[dict]]:
-    """Worker entry: execute one lane-compatible batch of points.
-
-    Same item shape and per-point failure isolation as
-    :func:`_timed_chunk`, but the batch runs under
-    :func:`repro.sim.lanes.lane_scope`, so every eligible session inside
-    is built on the lane backend — and struct-of-arrays
-    :class:`~repro.sim.lanes.LaneState` bookkeeping (per-lane clocks,
-    event counts, bypass mask) is filled as the lanes retire, giving the
-    parent a single batch-level audit record.
-
-    Returns ``(results, lane_summary, bypass_notes)`` where *results*
-    matches ``_timed_chunk`` and *bypass_notes* are the lane fall-outs
-    recorded inside the batch (sessions that stood down mid-flight).
-    """
-    consume_bypass_notes()  # a reused pool worker may hold stale notes
-    out: list[tuple[int, bool, Any, float]] = []
-    state = LaneState(len(items))
-    with lane_scope(True):
-        for lane, (index, fn_path, params, fault) in enumerate(items):
-            try:
-                value, seconds = _timed_point(fn_path, params, timeout, fault)
-            except Exception as exc:  # noqa: BLE001 - shipped to the parent
-                out.append((index, False, exc, 0.0))
-                state.drop(lane)
-            else:
-                out.append((index, True, value, seconds))
-                manifest = getattr(value, "manifest", None)
-                stats = getattr(manifest, "stats", None) or {}
-                state.record(
-                    lane,
-                    float(getattr(value, "cycles", 0.0) or 0.0),
-                    int(stats.get("engine.events", 0)),
-                )
-    return out, state.summary(), consume_bypass_notes()
-
-
-def lane_batches(
-    points: list[Point], pending: list[int], width: int, injector: Any = None
-) -> tuple[list[list[int]], list[tuple[int, str]]]:
-    """Split cache-miss indices into lane batches plus bypassed leftovers.
-
-    Points are grouped by :func:`repro.sim.lanes.lane_fingerprint` —
-    same point function, same non-vectorizing parameters — and each
-    group is cut into batches of at most *width*.  Points that must not
-    take the lane path (declared fault parameters, or a harness fault
-    planned by *injector* for their first attempt) come back in the
-    second list with their bypass reason; they dispatch through the
-    ordinary chunk path.  Grouping is deterministic: first-seen
-    fingerprint order, pending order within a group.
-    """
-    groups: dict[str, list[int]] = {}
-    bypassed: list[tuple[int, str]] = []
-    for index in pending:
-        point = points[index]
-        reason = point_bypass_reason(point)
-        if reason is None and injector is not None:
-            if injector.event_for(index, 0) is not None:
-                reason = "injected-fault"
-        if reason is not None:
-            bypassed.append((index, reason))
-            continue
-        groups.setdefault(lane_fingerprint(point), []).append(index)
-    batches = [
-        group[start:start + width]
-        for group in groups.values()
-        for start in range(0, len(group), width)
-    ]
-    return batches, bypassed
-
-
 #: Upper bound on auto-sized chunks: big enough to amortize dispatch and
 #: calibration, small enough that one straggler chunk cannot idle the
 #: rest of the pool at the tail of a grid.
@@ -445,14 +362,6 @@ class Runner:
         :func:`auto_chunk_size` — unless ``REPRO_CHUNK_SIZE`` is set,
         which then supplies the default.  Ignored when ``jobs=1``
         (the serial path has no dispatch to amortize).
-    lanes:
-        Lane-batch width: cache-miss points are grouped by
-        :func:`repro.sim.lanes.lane_fingerprint` into batches of at
-        most this many compatible points, each batch executed on the
-        lane backend (see :mod:`repro.sim.lanes`).  ``None`` (default)
-        takes the width from ``REPRO_LANES`` when that enables lanes;
-        ``0`` disables lane dispatch.  ``REPRO_LANES=0`` is the global
-        kill switch and wins over an explicit width.
     wait_timeout:
         With a *single-flight* cache (``cache.single_flight`` true, e.g.
         :class:`repro.service.RemoteCache`), how long to wait for a
@@ -472,7 +381,6 @@ class Runner:
         policy: FailurePolicy | None = None,
         injector: Any = None,
         chunk_size: int | None = None,
-        lanes: int | None = None,
         wait_timeout: float | None = None,
     ):
         if jobs is None or jobs <= 0:
@@ -489,13 +397,6 @@ class Runner:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        if lanes is None and lanes_enabled():
-            lanes = lane_width()
-        if os.environ.get("REPRO_LANES") == "0":
-            lanes = 0  # kill switch beats an explicit Runner(lanes=...)
-        if lanes is not None and lanes < 0:
-            raise ValueError(f"lanes must be >= 0, got {lanes}")
-        self.lanes = lanes or 0
         self.wait_timeout = (
             self.DEFAULT_WAIT_TIMEOUT if wait_timeout is None
             else float(wait_timeout)
@@ -601,8 +502,6 @@ class Runner:
         total: int,
         waiting: list[int] | None = None,
     ) -> None:
-        if self.lanes:
-            consume_bypass_notes()  # stale notes from an earlier in-process run
         for index in pending:
             self._serial_point(spec, index, slots, total)
         for index in waiting or ():
@@ -633,30 +532,11 @@ class Runner:
     ) -> None:
         policy = self.policy
         point = spec.points[index]
-        static_reason = (
-            point_bypass_reason(point) if self.lanes else None
-        )
-        if static_reason is not None:
-            self._emit("lane_bypass", index=index, reason=static_reason)
         for attempt in range(policy.retries + 1):
             event = self._fault_for(index, attempt)
             fault = event.to_json() if event is not None else None
-            use_lane = (
-                bool(self.lanes)
-                and static_reason is None
-                and fault is None
-            )
-            if (
-                self.lanes
-                and fault is not None
-                and static_reason is None
-            ):
-                self._emit(
-                    "lane_bypass", index=index, reason="injected-fault",
-                )
             self._emit(
-                "dispatch", index=index, attempt=attempt + 1,
-                mode="lane" if use_lane else "serial",
+                "dispatch", index=index, attempt=attempt + 1, mode="serial",
             )
             try:
                 if fault is not None and fault["kind"] == "worker_kill":
@@ -667,19 +547,9 @@ class Runner:
                         f"injected worker_kill on point {index} "
                         f"(serial mode: degraded to transient)"
                     )
-                try:
-                    scope = (
-                        lane_scope(True) if use_lane
-                        else nullcontext()
-                    )
-                    with scope:
-                        value, seconds = _timed_point(
-                            point.fn, point.params, policy.timeout, fault
-                        )
-                finally:
-                    if use_lane:
-                        for note in consume_bypass_notes():
-                            self._emit("lane_bypass", index=index, **note)
+                value, seconds = _timed_point(
+                    point.fn, point.params, policy.timeout, fault
+                )
             except PointExecutionError:
                 raise
             except Exception as exc:
@@ -729,13 +599,12 @@ class Runner:
         # if a dedupe wait falls through to a local takeover.
         attempts = dict.fromkeys([*pending, *waiting], 0)
         futures: dict[Any, list[int]] = {}  # future -> chunk grid indices
-        lane_futures: set[Any] = set()  # futures running _timed_lane_batch
         misfired: list[int] = []  # dispatches that hit an already-broken pool
         first_error: PointExecutionError | None = None
         aborting = False
         pool = ProcessPoolExecutor(max_workers=workers)
 
-        def submit(indices: list[int], lane: bool = False) -> None:
+        def submit(indices: list[int]) -> None:
             items = []
             for index in indices:
                 point = spec.points[index]
@@ -743,13 +612,9 @@ class Runner:
                 fault = event.to_json() if event is not None else None
                 attempts[index] += 1
                 items.append((index, point.fn, dict(point.params), fault))
-            self._emit(
-                "dispatch", indices=list(indices),
-                mode="lane" if lane else "pool",
-            )
-            entry = _timed_lane_batch if lane else _timed_chunk
+            self._emit("dispatch", indices=list(indices), mode="pool")
             try:
-                future = pool.submit(entry, items, policy.timeout)
+                future = pool.submit(_timed_chunk, items, policy.timeout)
             except BrokenExecutor:
                 # The pool broke between crash detection and this dispatch
                 # (a worker died moments ago).  The attempts are charged;
@@ -757,8 +622,6 @@ class Runner:
                 misfired.extend(indices)
                 return
             futures[future] = list(indices)
-            if lane:
-                lane_futures.add(future)
 
         def retriable(index: int) -> bool:
             return not aborting and attempts[index] <= policy.retries
@@ -795,20 +658,8 @@ class Runner:
                 terminal(index, error)
 
         try:
-            if self.lanes:
-                batches, bypassed = lane_batches(
-                    spec.points, pending, self.lanes, self.injector
-                )
-                for index, reason in bypassed:
-                    self._emit("lane_bypass", index=index, reason=reason)
-                for batch in batches:
-                    submit(batch, lane=True)
-                leftovers = [index for index, _ in bypassed]
-                for chunk in chunk_pending(spec.points, leftovers, size):
-                    submit(chunk)
-            else:
-                for chunk in chunk_pending(spec.points, pending, size):
-                    submit(chunk)
+            for chunk in chunk_pending(spec.points, pending, size):
+                submit(chunk)
             while futures or misfired or waiting:
                 if futures:
                     # With dedupe waits outstanding, poll instead of
@@ -826,8 +677,6 @@ class Runner:
                 retry: list[tuple[int, PointExecutionError]] = []
                 for future in done:
                     indices = futures.pop(future)
-                    lane = future in lane_futures
-                    lane_futures.discard(future)
                     try:
                         results = future.result()
                     except CancelledError:
@@ -841,14 +690,6 @@ class Runner:
                         for index in indices:
                             point_failed(index, exc, retry)
                     else:
-                        if lane:
-                            results, lane_summary, notes = results
-                            self._emit(
-                                "lane-batch", indices=list(indices),
-                                **lane_summary,
-                            )
-                            for note in notes:
-                                self._emit("lane_bypass", **note)
                         for index, ok, payload, seconds in results:
                             if not ok:
                                 point_failed(index, payload, retry)
@@ -866,7 +707,6 @@ class Runner:
                     for indices in futures.values():
                         crashed.extend(indices)
                     futures.clear()
-                    lane_futures.clear()
                     pool.shutdown(wait=False)
                     report.pool_respawns += 1
                     self._emit("pool-respawn", lost=sorted(crashed))

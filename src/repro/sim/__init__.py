@@ -2,7 +2,8 @@
 
 Public surface:
 
-* :class:`~repro.sim.engine.Simulator` — time-ordered thread interleaving.
+* :class:`~repro.sim.engine.Simulator` — time-ordered thread interleaving,
+  running the channel programs through :mod:`repro.sim.drivers`.
 * :class:`~repro.sim.thread.Cpu` / :class:`~repro.sim.thread.SimThread` —
   the op API thread programs use, and the schedulable thread object.
 * :mod:`repro.sim.events` — primitive ops and :class:`OpResult`.

@@ -1,66 +1,55 @@
-"""The lane backend: drive channel threads without generator dispatch.
+"""Generator-free drivers for the three channel programs.
 
-The reference engine (:class:`repro.sim.engine.Simulator`) pays a fixed
-per-event Python toll — a generator resume, an executor call, an
-``OpResult`` allocation and a heap push — for every executed op.  For
-the covert-channel workloads that toll dominates: the trojan workers,
-the spy and the controller issue millions of ops per transmission from
-three small, fully-known programs.
+The event loop (:meth:`repro.sim.engine.Simulator.run`) pays a fixed
+per-event Python toll on the generator path — a generator resume, an
+executor call, an ``OpResult`` allocation and a heap push — for every
+executed op.  For the covert-channel workloads that toll dominates: the
+trojan workers, the spy and the controller issue millions of ops per
+transmission from three small, fully-known programs (Algorithms 1 and 2).
 
-:class:`LaneSimulator` removes the toll for exactly those threads.  At
-spawn time it recognizes the three channel programs by their
-:class:`~repro.checkpoint.spec.ProgramSpec` factory path and attaches a
-*driver* — a flat state machine that issues the same op sequence the
-generator would, against the same machine model, drawing the same RNG
-streams in the same order.  The run loop then advances a driven thread
-with an **inline run**: when the thread pops off the event heap, its
-driver keeps executing ops while each completion time stays strictly
-below the next heap entry's clock, and the thread is pushed back once.
-Because the elided intermediate heap pushes would all have been strict
-minima popped straight back (and the fresh-sequence tie-break at the
-boundary resolves the ``==`` case the same way), the global interleaving
-of machine mutations, RNG draws, event counts and clock updates is
-**bit-identical** to the reference loop — the golden digests and the
-randomized equivalence suite in ``tests/test_lanes.py`` pin this.
+A *driver* removes the toll for exactly those threads.  At spawn time
+:meth:`Simulator.spawn` recognizes the three programs by their
+:class:`~repro.checkpoint.spec.ProgramSpec` factory path
+(:data:`DRIVERS`) and attaches a driver to the thread's ``driver`` slot:
+a flat state machine that issues the same op sequence the generator
+would, against the same machine model, drawing the same RNG streams in
+the same order.  The run loop advances a driven thread with an **inline
+run**: when the thread pops off the event heap, its driver keeps
+executing ops while each completion time stays strictly below the next
+heap entry's clock, and the thread is pushed back once.  Because the
+elided intermediate heap pushes would all have been strict minima popped
+straight back (and the fresh-sequence tie-break at the boundary resolves
+the ``==`` case the same way), the global interleaving of machine
+mutations, RNG draws, event counts and clock updates is **bit-identical**
+to the generator path — ``tests/test_engine_paths.py`` pins this.
 
-Divergent workloads fall out of the lane into the unchanged reference
-path, the same bypass pattern ``calibrate_memoized`` uses:
+The generator programs stay the reference and the only path for
+workloads the drivers do not model.  :meth:`Simulator.stand_down` puts a
+simulator back on them for good, and fires on observable conditions
+only:
 
 * at session build: tracing sessions, segmented (checkpointing) runs
-  and simulation-plane fault plans never get a :class:`LaneSimulator`
-  (:func:`session_bypass_reason`);
+  and simulation-plane fault plans;
 * at run entry: an installed obfuscation policy or a detection tap that
-  interposed on ``machine.load/store/flush`` stands the lane down
-  (:meth:`LaneSimulator.lane_stand_down`) — partially-driven worker
-  threads are re-materialized as ordinary generators at their exact
-  park position, and the reference loop takes over;
-* mid-session: a resync (lost handshake) stands the lane down for the
-  session's remainder.
+  interposed on ``machine.load/store/flush`` (:func:`run_entry_reason`)
+  — partially-driven worker threads are re-materialized as ordinary
+  generators at their exact park position;
+* mid-session: a resync (lost handshake).
 
-Every fall-out is recorded via :func:`note_bypass` so sweeps can audit
-their vectorization coverage (the runner emits these as ``lane_bypass``
-events, see :mod:`repro.runner.executor`).
-
-``REPRO_LANES=0`` is the kill switch: it forces the reference path
-everywhere regardless of CLI flags or runner configuration.  Any other
-non-empty value enables lanes (and doubles as the lane-batch width for
-the runner); unset defers to the process-local :func:`lane_scope`
-context the runner's lane dispatch installs in pool workers.
+The reason is kept on the simulator and recorded in every result's
+:attr:`repro.obs.RunManifest.engine`.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-from contextlib import contextmanager
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError, SyncTimeoutError
-from repro.sim.engine import Simulator
 from repro.sim.events import AccessPath, OpResult
 from repro.sim.thread import SimThread, ThreadState
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 _READY = ThreadState.READY
 _DONE = ThreadState.DONE
@@ -68,240 +57,20 @@ _FAILED = ThreadState.FAILED
 _INF = float("inf")
 _L1_HIT = AccessPath.L1_HIT
 
-__all__ = [
-    "LaneSimulator",
-    "LaneState",
-    "consume_bypass_notes",
-    "lane_fingerprint",
-    "lane_scope",
-    "lane_width",
-    "lanes_enabled",
-    "note_bypass",
-    "session_bypass_reason",
-]
+__all__ = ["DRIVERS", "driver_for", "run_entry_reason"]
 
 
-# ----------------------------------------------------------------------
-# gating: environment kill switch + process-local context
-# ----------------------------------------------------------------------
-
-class _LaneContext:
-    """Process-local default used when ``REPRO_LANES`` is unset."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = False
-
-
-_context = _LaneContext()
-
-#: Default lane-batch width when ``REPRO_LANES`` does not carry one.
-DEFAULT_LANE_WIDTH = 8
-
-
-def lanes_enabled() -> bool:
-    """Whether sessions built now should use the lane backend.
-
-    ``REPRO_LANES=0`` always wins (kill switch); any other non-empty
-    value forces lanes on; unset defers to :func:`lane_scope`.
-    """
-    raw = os.environ.get("REPRO_LANES")
-    if raw:
-        return raw != "0"
-    return _context.enabled
-
-
-def lane_width(default: int = DEFAULT_LANE_WIDTH) -> int:
-    """Lane-batch width carried by ``REPRO_LANES`` (or *default*)."""
-    raw = os.environ.get("REPRO_LANES")
-    try:
-        value = int(raw) if raw else 0
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-@contextmanager
-def lane_scope(enabled: bool = True):
-    """Enable (or disable) the lane backend for sessions built inside.
-
-    The runner's lane dispatch wraps each lane-batch point execution in
-    ``lane_scope(True)`` so cache keys and point params stay untouched —
-    lanes ride the environment/context, never the point identity,
-    exactly like ``REPRO_TRACE`` and ``REPRO_SEGMENT_CYCLES``.
-    """
-    previous = _context.enabled
-    _context.enabled = enabled
-    try:
-        yield
-    finally:
-        _context.enabled = previous
-
-
-# ----------------------------------------------------------------------
-# bypass audit trail
-# ----------------------------------------------------------------------
-
-_bypass_notes: list[dict[str, Any]] = []
-
-
-def note_bypass(reason: str, **detail: Any) -> None:
-    """Record one lane fall-out (session bypass or mid-flight stand-down)."""
-    note = {"reason": reason}
-    if detail:
-        note.update(detail)
-    _bypass_notes.append(note)
-
-
-def consume_bypass_notes() -> list[dict[str, Any]]:
-    """Drain and return the bypass notes recorded since the last call."""
-    notes = _bypass_notes[:]
-    del _bypass_notes[:]
-    return notes
-
-
-def session_bypass_reason(config: Any, traced: bool = False) -> str | None:
-    """Why a session about to be built cannot use the lane backend.
-
-    Returns ``None`` when the lane backend is safe, else one of
-    ``"trace"`` (recorder sessions interpose on the machine),
-    ``"segments"`` (checkpointing needs replay logs the drivers do not
-    write) or ``"faults"`` (simulation-plane fault plans perturb thread
-    programs in ways the drivers do not model).
-    """
-    if traced:
-        return "trace"
-    from repro.checkpoint.segments import segments_enabled
-
-    if segments_enabled():
-        return "segments"
-    faults = getattr(config, "faults", None)
-    if faults:
-        from repro.faults.plan import FaultPlan
-
-        if FaultPlan.from_json(faults).simulation_events:
-            return "faults"
-    return None
-
-
-# ----------------------------------------------------------------------
-# lane-batch compatibility fingerprint (runner grouping)
-# ----------------------------------------------------------------------
-
-#: Point parameters that vectorize across lanes: points differing only
-#: in these still share a lane batch (same scenario cell, same machine
-#: shape, different seed/payload/operating point).
-_LANE_VARIANT_KEYS = frozenset({
-    "seed", "rate", "rate_kbps", "bits", "payload", "n_bits", "index",
-})
-
-
-def lane_fingerprint(point: Any) -> str:
-    """Compatibility key grouping cache-miss points into lane batches.
-
-    Two points are lane-compatible when they run the same point
-    function with the same non-vectorizing parameters — the same
-    ``ScenarioSpec`` cell, machine fingerprint, sharing mode and flush
-    method — differing only in seed/payload/rate, which vectorize.
-    """
-    from repro.runner.spec import canonical_json
-
-    params = {
-        key: value
-        for key, value in dict(point.params).items()
-        if key not in _LANE_VARIANT_KEYS
-    }
-    return canonical_json({"fn": point.fn, "params": params})
-
-
-def point_bypass_reason(point: Any) -> str | None:
-    """Why a grid point must skip lane dispatch entirely (or ``None``).
-
-    Fault-injected points diverge mid-flight by design; keeping them on
-    the reference dispatch path avoids a guaranteed stand-down.
-    """
-    params = point.params
-    if params.get("faults") or params.get("fault_rate"):
-        return "faults"
-    return None
-
-
-# ----------------------------------------------------------------------
-# struct-of-arrays batch bookkeeping
-# ----------------------------------------------------------------------
-
-class LaneState:
-    """Struct-of-arrays bookkeeping for one lane batch.
-
-    One row per lane (grid point).  The runner's lane dispatch fills
-    the arrays as points complete: per-lane clocks, executed-event
-    counts, the live/bypassed masks, and the per-path base-latency
-    table broadcast per lane (every lane shares a machine fingerprint,
-    so the broadcast is exact).  The arrays make batch-level audits —
-    total events, slowest lane, vectorization coverage — single numpy
-    reductions instead of per-point dict walks.
-    """
-
-    __slots__ = (
-        "width", "clocks", "events", "active", "bypassed", "base_latency",
-        "paths",
-    )
-
-    def __init__(self, width: int, base_latency: dict | None = None):
-        self.width = width
-        self.clocks = np.zeros(width, dtype=np.float64)
-        self.events = np.zeros(width, dtype=np.int64)
-        self.active = np.ones(width, dtype=bool)
-        self.bypassed = np.zeros(width, dtype=bool)
-        if base_latency:
-            self.paths = sorted(base_latency, key=lambda p: p.value)
-            row = np.array(
-                [float(base_latency[p]) for p in self.paths], dtype=np.float64
-            )
-            self.base_latency = np.broadcast_to(
-                row, (width, len(row))
-            ).copy()
-        else:
-            self.paths = []
-            self.base_latency = np.zeros((width, 0), dtype=np.float64)
-
-    def record(self, lane: int, clock: float, events: int) -> None:
-        """Record a completed lane's final clock and event count."""
-        self.clocks[lane] = clock
-        self.events[lane] = events
-        self.active[lane] = False
-
-    def drop(self, lane: int) -> None:
-        """Mark a lane as having fallen out to the reference path."""
-        self.active[lane] = False
-        self.bypassed[lane] = True
-
-    def summary(self) -> dict[str, Any]:
-        """Batch-level aggregates for audit events and benchmarks."""
-        return {
-            "width": int(self.width),
-            "events": int(self.events.sum()),
-            "max_clock": float(self.clocks.max()) if self.width else 0.0,
-            "bypassed": int(self.bypassed.sum()),
-        }
-
-
-# ----------------------------------------------------------------------
-# the drivers
-# ----------------------------------------------------------------------
-
-class _LaneIneligible(Exception):
+class _Ineligible(Exception):
     """A driver constructor refusing a thread it cannot drive exactly."""
 
 
 class _Runtime:
     """Hot-loop accounting shared between the run loop and a driver.
 
-    The run loop hoists ``events``/``global_clock`` into locals exactly
-    like the reference; around each driver advance they are spilled
-    into this object so an exception mid-advance (a spy sync timeout,
-    the ``max_events`` guard) leaves the counts exact.
+    The run loop hoists ``events``/``global_clock`` into locals; around
+    each driver advance they are spilled into this object so an
+    exception mid-advance (a spy sync timeout, the ``max_events`` guard)
+    leaves the counts exact.
     """
 
     __slots__ = (
@@ -360,10 +129,10 @@ class _WorkerDriver:
         "started", "state", "load_latency", "poll", "parked", "_hoist",
     )
 
-    def __init__(self, sim: "LaneSimulator", thread: SimThread, kernel: Any,
+    def __init__(self, sim: "Simulator", thread: SimThread, kernel: Any,
                  spec: Any):
         if len(spec.args) != 4 or spec.kwargs:
-            raise _LaneIneligible("unexpected worker_program spec shape")
+            raise _Ineligible("unexpected worker_program spec shape")
         self.sim = sim
         self.thread = thread
         self.kernel = kernel
@@ -398,7 +167,7 @@ class _WorkerDriver:
         needed, owned, _ = _channel_consts()
         # Everything frozen at spawn time, unpacked in one sequence per
         # advance().  Anything that can change between spawn and run —
-        # obfuscation, machine interposition — stands the whole lane
+        # obfuscation, machine interposition — stands the simulator
         # down at run entry, before any advance happens; translations
         # are deliberately NOT hoisted (KSM merges and our own COW-
         # breaking store can remap the page mid-run).
@@ -529,7 +298,7 @@ class _WorkerDriver:
                         # control state cannot change while this driver
                         # runs — so step straight to the bound in a
                         # tight loop.  The iterative += accumulation
-                        # reproduces the reference's per-op float math
+                        # reproduces the generator's per-op float math
                         # bit-for-bit (a closed form would not).
                         latency = reload_period
                         value = 0
@@ -640,13 +409,13 @@ class _WorkerDriver:
     def rebuild(self) -> None:
         """Re-materialize the thread's generator at the parked position.
 
-        Used by lane stand-down: the thread's real generator was never
-        advanced (the driver executed its ops), so a fresh one is built
-        with the worker's checkpoint ``cursor`` — the iteration's poll
-        — and fast-forwarded past the ops the driver already executed.
-        The result of the op the thread parked on (deferred as a plain
-        tuple at park time) is re-delivered by the reference loop
-        exactly as it would have been.
+        Used by :meth:`Simulator.stand_down`: the thread's real
+        generator was never advanced (the driver executed its ops), so a
+        fresh one is built with the worker's checkpoint ``cursor`` — the
+        iteration's poll — and fast-forwarded past the ops the driver
+        already executed.  The result of the op the thread parked on
+        (deferred as a plain tuple at park time) is re-delivered by the
+        generator path exactly as it would have been.
         """
         from repro.channel.trojan import worker_program
 
@@ -694,14 +463,14 @@ class _SpyDriver:
     # FSM states: which primitive executes next.
     PROCESS, RDTSC, PACE, FLUSH, EVICT, WAIT, FENCE1, LOAD, FENCE2 = range(9)
 
-    def __init__(self, sim: "LaneSimulator", thread: SimThread, kernel: Any,
+    def __init__(self, sim: "Simulator", thread: SimThread, kernel: Any,
                  spec: Any):
         if len(spec.args) != 4:
-            raise _LaneIneligible("unexpected spy_program spec shape")
+            raise _Ineligible("unexpected spy_program spec shape")
         kwargs = dict(spec.kwargs)
         eviction = kwargs.pop("eviction_set", None)
         if kwargs:
-            raise _LaneIneligible("unexpected spy_program kwargs")
+            raise _Ineligible("unexpected spy_program kwargs")
         self.sim = sim
         self.thread = thread
         self.kernel = kernel
@@ -973,13 +742,14 @@ class _SpyDriver:
         thread.ops_executed += ops
 
     def rebuild(self) -> None:
-        # Unreachable by construction: the spy is a non-daemon, so a
-        # run only returns once it is DONE/FAILED, and the resync
+        # Reached only when a run was cut short (stop_when, a limit)
+        # and a stand-down follows before the spy finishes: a completed
+        # run leaves the non-daemon spy DONE/FAILED, and the resync
         # stand-down happens after the attempt reap killed it.  A spy
         # parked mid-slot holds its fence-bracketed measurement in
         # driver state that no generator cursor can reproduce.
         raise SimulationError(
-            f"lane stand-down cannot rebuild partially-driven spy "
+            f"stand-down cannot rebuild partially-driven spy "
             f"thread {self.thread.name!r}"
         )
 
@@ -1007,10 +777,10 @@ class _ControllerDriver:
     LEAD_IN_SLOTS = 4
     TAIL_SLOTS = 4
 
-    def __init__(self, sim: "LaneSimulator", thread: SimThread, kernel: Any,
+    def __init__(self, sim: "Simulator", thread: SimThread, kernel: Any,
                  spec: Any):
         if len(spec.args) != 5 or spec.kwargs:
-            raise _LaneIneligible("unexpected controller_program spec shape")
+            raise _Ineligible("unexpected controller_program spec shape")
         self.sim = sim
         self.thread = thread
         self.kernel = kernel
@@ -1167,238 +937,58 @@ class _ControllerDriver:
         thread.ops_executed += ops
 
     def rebuild(self) -> None:
-        # Unreachable by construction: the controller is a non-daemon
-        # (runs end only once it is DONE) and the resync reap kills it
-        # before the stand-down.  A controller parked mid-step cannot
-        # be rebuilt without re-executing its flush.
+        # Reached only after a cut-short run, as for the spy: a
+        # completed run leaves the non-daemon controller DONE, and the
+        # resync reap kills it before the stand-down.  A controller
+        # parked mid-step cannot be rebuilt without re-executing its
+        # flush.
         raise SimulationError(
-            f"lane stand-down cannot rebuild partially-driven controller "
+            f"stand-down cannot rebuild partially-driven controller "
             f"thread {self.thread.name!r}"
         )
 
 
 #: ProgramSpec factory path -> driver class.  Only these three programs
 #: are ever driven; everything else (noise workloads, ksmd, fault
-#: injectors, ad-hoc programs) runs on the unchanged reference path.
-_DRIVER_FACTORIES = {
+#: injectors, ad-hoc programs) runs on the generator path.
+DRIVERS = {
     "repro.channel.trojan:worker_program": _WorkerDriver,
     "repro.channel.spy:spy_program": _SpyDriver,
     "repro.channel.trojan:controller_program": _ControllerDriver,
 }
 
 
-# ----------------------------------------------------------------------
-# the simulator
-# ----------------------------------------------------------------------
+def driver_for(sim: "Simulator", thread: SimThread, executor: Any,
+               spec: Any) -> Any | None:
+    """The driver for a freshly spawned *thread*, or ``None``.
 
-class LaneSimulator(Simulator):
-    """A :class:`Simulator` that lane-drives the known channel programs.
-
-    Drop-in compatible: threads without a recognized
-    :class:`~repro.checkpoint.spec.ProgramSpec` run through the exact
-    reference loop, and :meth:`lane_stand_down` converts the whole
-    simulator back to the reference path mid-session.
+    Only threads running one of the :data:`DRIVERS` programs through a
+    kernel executor, with the spec shape the session spawns, get one.
     """
-
-    def __init__(self, stats: Any | None = None):
-        super().__init__(stats)
-        self._drivers: dict[int, Any] = {}
-        self._lane_down = False
-        self._rt = _Runtime()
-        #: Bypass/stand-down reasons recorded on this simulator (the
-        #: module-level notes aggregate across sessions for the runner).
-        self.lane_bypasses: list[str] = []
-
-    # -- spawn: driver attach -------------------------------------------
-
-    def spawn(self, name, program, core_id, executor, start_time=None,
-              daemon=False, process=None, spec=None):
-        thread = super().spawn(
-            name, program, core_id, executor, start_time=start_time,
-            daemon=daemon, process=process, spec=spec,
-        )
-        if spec is not None and not self._lane_down and not self.checkpointing:
-            factory = _DRIVER_FACTORIES.get(getattr(spec, "fn", None))
-            if factory is not None:
-                kernel = _kernel_of(executor)
-                if kernel is not None:
-                    try:
-                        self._drivers[thread.tid] = factory(
-                            self, thread, kernel, spec
-                        )
-                    except _LaneIneligible:
-                        pass
-        return thread
-
-    # -- divergence handling --------------------------------------------
-
-    def _dynamic_bypass_reason(self) -> str | None:
-        """Run-entry check for conditions the drivers do not model.
-
-        Both only change between runs: obfuscation policies are
-        installed by mitigation experiments on a built session, and
-        detection monitors interpose on the machine's bound methods
-        from outside the event loop.
-        """
-        kernel = None
-        for driver in self._drivers.values():
-            kernel = driver.kernel
-            break
-        if kernel is None:
-            return None
-        machine = kernel.machine
-        if machine.obfuscation is not None:
-            return "obfuscation"
-        instance = machine.__dict__
-        if "load" in instance or "store" in instance or "flush" in instance:
-            return "interposition"
+    factory = DRIVERS.get(getattr(spec, "fn", None))
+    if factory is None:
+        return None
+    kernel = _kernel_of(executor)
+    if kernel is None:
+        return None
+    try:
+        return factory(sim, thread, kernel, spec)
+    except _Ineligible:
         return None
 
-    def lane_stand_down(self, reason: str) -> None:
-        """Fall out of the lane into the reference path permanently.
 
-        Every partially-driven live thread is re-materialized as an
-        ordinary generator at its exact park position (see
-        ``_WorkerDriver.rebuild``); unstarted drivers are simply
-        dropped — their generators were never touched.
-        """
-        if self._lane_down:
-            return
-        self._lane_down = True
-        self.lane_bypasses.append(reason)
-        note_bypass(reason)
-        drivers, self._drivers = self._drivers, {}
-        for driver in drivers.values():
-            if driver.started and driver.thread.state is _READY:
-                driver.rebuild()
+def run_entry_reason(machine: Any) -> str | None:
+    """Why the drivers cannot model *machine* right now (or ``None``).
 
-    # -- the run loop ----------------------------------------------------
-
-    def run(self, max_cycles=None, max_events=50_000_000, stop_when=None,
-            kill_daemons=False, pause_at=None):
-        drivers = self._drivers
-        if (
-            self._lane_down
-            or not drivers
-            or stop_when is not None
-            or pause_at is not None
-            or self.checkpointing
-        ):
-            return super().run(
-                max_cycles=max_cycles, max_events=max_events,
-                stop_when=stop_when, kill_daemons=kill_daemons,
-                pause_at=pause_at,
-            )
-        reason = self._dynamic_bypass_reason()
-        if reason is not None:
-            self.lane_stand_down(reason)
-            return super().run(
-                max_cycles=max_cycles, max_events=max_events,
-                stop_when=stop_when, kill_daemons=kill_daemons,
-                pause_at=pause_at,
-            )
-
-        # The reference loop verbatim (see Simulator.run), with one
-        # addition: a popped thread with a driver takes the inline-run
-        # path instead of the generator resume.
-        events = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        seq_next = self._seq.__next__
-        global_clock = self.global_clock
-        op_types = SimThread._OP_TYPES
-        valid_ops = SimThread._VALID_OPS
-        event_limit = float("inf") if max_events is None else max_events
-        cycle_limit = float("inf") if max_cycles is None else max_cycles
-        rt = self._rt
-        rt.event_limit = event_limit
-        rt.cycle_limit = cycle_limit
-        rt.max_events = max_events
-        rt.max_cycles = max_cycles
-        get_driver = drivers.get
-        try:
-            while heap:
-                if self._live_count == 0:
-                    break
-                clock, _seq, thread = heappop(heap)
-                if thread.state is not _READY:
-                    drivers.pop(thread.tid, None)
-                    continue
-                tclock = thread.clock
-                if clock < tclock:
-                    heappush(heap, (tclock, seq_next(), thread))
-                    continue
-                driver = get_driver(thread.tid)
-                if driver is not None:
-                    bound = heap[0][0] if heap else _INF
-                    rt.events = events
-                    rt.global_clock = global_clock
-                    try:
-                        driver.advance(bound, rt)
-                    finally:
-                        events = rt.events
-                        if rt.global_clock > global_clock:
-                            global_clock = rt.global_clock
-                            self.global_clock = global_clock
-                    if thread.state is _READY:
-                        heappush(heap, (thread.clock, seq_next(), thread))
-                    else:
-                        del drivers[thread.tid]
-                    continue
-                # -- reference inlined step ----------------------------
-                pending = thread._pending_result
-                log = thread.replay_log
-                if log is not None and pending is not None:
-                    log.append(pending)
-                try:
-                    op = thread._generator.send(pending)
-                except StopIteration as stop:
-                    thread.state = _DONE
-                    thread.result = stop.value
-                    thread._fire_exit()
-                    continue
-                except BaseException:
-                    thread.state = _FAILED
-                    thread._fire_exit()
-                    raise
-                if type(op) not in op_types and not isinstance(op, valid_ops):
-                    thread.state = _FAILED
-                    thread._fire_exit()
-                    from repro.errors import ThreadProgramError
-
-                    raise ThreadProgramError(
-                        f"thread {thread.name!r} yielded {op!r}; "
-                        "expected a simulator op"
-                    )
-                result = thread.executor(thread, op)
-                tclock = result.timestamp
-                thread.clock = tclock
-                thread.ops_executed += 1
-                thread._pending_result = result
-                if tclock > global_clock:
-                    global_clock = tclock
-                    self.global_clock = tclock
-                heappush(heap, (tclock, seq_next(), thread))
-                events += 1
-                if events >= event_limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"(global clock {global_clock:.0f})"
-                    )
-                if global_clock > cycle_limit:
-                    raise SimulationError(
-                        f"exceeded max_cycles={max_cycles}"
-                    )
-            else:
-                if self._live_count > 0:
-                    from repro.errors import DeadlockError
-
-                    raise DeadlockError(
-                        "event heap empty but non-daemon threads remain READY"
-                    )
-        finally:
-            self._events_counter.value += events
-        if kill_daemons:
-            self.kill_daemons()
-        return False
+    Both conditions only change between runs: obfuscation policies are
+    installed by mitigation experiments on a built session, and
+    detection monitors interpose on the machine's bound methods from
+    outside the event loop.  The drivers hoist the bound methods at
+    spawn, so either would be silently skipped.
+    """
+    if machine.obfuscation is not None:
+        return "obfuscation"
+    instance = machine.__dict__
+    if "load" in instance or "store" in instance or "flush" in instance:
+        return "interposition"
+    return None

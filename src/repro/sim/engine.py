@@ -14,6 +14,11 @@ The inner loop is amortized O(1) per event: liveness is a counter
 maintained at spawn/exit (not a scan over the thread list, which grows
 with every transmission on a long-lived session), name lookup is a dict,
 and the event counter is a bound handle flushed once per run.
+
+Threads running one of the three channel programs carry a driver
+(:mod:`repro.sim.drivers`) that executes their ops without generator
+dispatch, bit-identically; :meth:`Simulator.stand_down` returns them to
+their generators when the drivers cannot model the run.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import DeadlockError, SimulationError, ThreadProgramError
+from repro.sim.drivers import _Runtime, driver_for, run_entry_reason
 from repro.sim.events import Op
 from repro.sim.stats import StatsRegistry
 from repro.sim.thread import Cpu, Executor, SimThread, ThreadState
@@ -31,6 +37,7 @@ from repro.sim.thread import Cpu, Executor, SimThread, ThreadState
 _READY = ThreadState.READY
 _DONE = ThreadState.DONE
 _FAILED = ThreadState.FAILED
+_INF = float("inf")
 
 
 class Simulator:
@@ -59,6 +66,14 @@ class Simulator:
         #: position can be checkpointed (see :mod:`repro.checkpoint`).
         #: Off by default: the log costs one list append per event.
         self.checkpointing = False
+        #: Why this simulator put its channel threads back on their
+        #: generator programs (see :meth:`stand_down`); ``None`` while
+        #: drivers may still be attached.
+        self.stand_down_reason: str | None = None
+        #: Kernel of the first driven thread: the run-entry check reads
+        #: its machine.  ``None`` until a driver is attached.
+        self._driver_kernel: Any = None
+        self._rt = _Runtime()
 
     def spawn(
         self,
@@ -99,6 +114,9 @@ class Simulator:
             how to rebuild *program* from plain data; threads without
             one cannot be checkpointed (a session falls back to an
             unsegmented run when any live thread lacks a spec).
+            A spec naming a channel program attaches a driver (see
+            :mod:`repro.sim.drivers`) unless the simulator stood down
+            or is checkpointing.
         """
         existing = self._by_name.get(name)
         if existing is not None and existing.state is _READY:
@@ -129,7 +147,47 @@ class Simulator:
         if not daemon:
             self._live_count += 1
         self._push(thread)
+        if (
+            spec is not None
+            and self.stand_down_reason is None
+            and not self.checkpointing
+        ):
+            driver = driver_for(self, thread, executor, spec)
+            if driver is not None:
+                thread.driver = driver
+                self._driver_kernel = driver.kernel
         return thread
+
+    def stand_down(self, reason: str) -> None:
+        """Run every channel thread on its generator program from now on.
+
+        Idempotent; the first *reason* is kept in
+        :attr:`stand_down_reason`.  Partially-driven live threads are
+        re-materialized as generators at their exact park position;
+        unstarted drivers are simply dropped (their generators were
+        never touched).
+        """
+        if self.stand_down_reason is not None:
+            return
+        self.stand_down_reason = reason
+        for thread in self.threads:
+            driver = thread.driver
+            if driver is not None:
+                thread.driver = None
+                if driver.started and thread.state is _READY:
+                    driver.rebuild()
+
+    @property
+    def engine_path(self) -> str:
+        """Which path ran the channel threads, for run manifests.
+
+        ``"driven"`` once a driver was attached and the simulator never
+        stood down, ``"generator:<reason>"`` after a stand-down, and
+        ``"generator"`` when no thread ever had a driver.
+        """
+        if self.stand_down_reason is not None:
+            return f"generator:{self.stand_down_reason}"
+        return "driven" if self._driver_kernel is not None else "generator"
 
     def _thread_exited(self, thread: SimThread) -> None:
         """Exit hook fired exactly once per thread (done/killed/failed)."""
@@ -176,7 +234,17 @@ class Simulator:
             state :func:`repro.checkpoint.capture` snapshots.  Resuming
             is just calling :meth:`run` again — the pause is invisible
             to the simulation.
+
+        A driven thread popping off the heap takes an *inline run*: its
+        driver keeps executing ops while each completion stays strictly
+        below the next heap entry's clock.  Under ``stop_when`` or
+        ``pause_at`` every advance executes exactly one op instead, so
+        the per-event checks see every event as on the generator path.
         """
+        if self._driver_kernel is not None and self.stand_down_reason is None:
+            reason = run_entry_reason(self._driver_kernel.machine)
+            if reason is not None:
+                self.stand_down(reason)
         events = 0
         paused = False
         # Hoisted hot-loop state: bound methods, the heap list and the
@@ -196,6 +264,12 @@ class Simulator:
         event_limit = float("inf") if max_events is None else max_events
         cycle_limit = float("inf") if max_cycles is None else max_cycles
         pause_limit = float("inf") if pause_at is None else pause_at
+        stepwise = stop_when is not None or pause_at is not None
+        rt = self._rt
+        rt.event_limit = event_limit
+        rt.cycle_limit = cycle_limit
+        rt.max_events = max_events
+        rt.max_cycles = max_cycles
         try:
             while heap:
                 if self._live_count == 0:
@@ -207,6 +281,37 @@ class Simulator:
                 if clock < tclock:
                     # Stale heap entry (thread was rescheduled); reinsert.
                     heappush(heap, (tclock, seq_next(), thread))
+                    continue
+                driver = thread.driver
+                if driver is not None:
+                    # -- inline run ------------------------------------
+                    # The driver checks the event and cycle limits
+                    # itself.  Stepwise, an advance that ends the thread
+                    # executes no op, so like a StopIteration below it
+                    # skips the per-event checks.
+                    if stepwise:
+                        bound = -_INF
+                    else:
+                        bound = heap[0][0] if heap else _INF
+                    rt.events = events
+                    rt.global_clock = global_clock
+                    try:
+                        driver.advance(bound, rt)
+                    finally:
+                        events = rt.events
+                        if rt.global_clock > global_clock:
+                            global_clock = rt.global_clock
+                            self.global_clock = global_clock
+                    if thread.state is not _READY:
+                        thread.driver = None
+                        continue
+                    heappush(heap, (thread.clock, seq_next(), thread))
+                    if stepwise:
+                        if global_clock >= pause_limit:
+                            paused = True
+                            break
+                        if stop_when is not None and stop_when(self):
+                            break
                     continue
                 # -- inlined SimThread.step() --------------------------
                 # send(None) on a fresh generator is next(), so one send

@@ -179,7 +179,7 @@ class SimThread:
         "tid", "name", "core_id", "executor", "process", "clock", "state",
         "result", "failure", "ops_executed", "cpu", "daemon", "on_exit",
         "_exit_fired", "_engine_exit", "_generator", "_pending_result",
-        "replay_log", "cursor", "program_spec",
+        "replay_log", "cursor", "program_spec", "driver",
     )
 
     _VALID_OPS = (Load, Store, Flush, Delay, Rdtsc, Fence, Burst)
@@ -229,6 +229,9 @@ class SimThread:
         self.replay_log: list[OpResult] | None = None
         self.cursor: Any = None
         self.program_spec: Any = None
+        #: Generator-free driver (see :mod:`repro.sim.drivers`) that the
+        #: engine runs instead of ``_generator`` while set.
+        self.driver: Any = None
 
     @property
     def done(self) -> bool:

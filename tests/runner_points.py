@@ -59,20 +59,11 @@ def slow_point(*, x, seconds):
     return x
 
 
-def square_marked(*, x, fault_rate=None):
-    """Like :func:`square`, accepting a lane-ineligibility marker."""
-    return x * x
-
-
-def transmit_point(*, cell, seed, bits, fault_rate=None):
+def transmit_point(*, cell, seed, bits):
     """One real transmission on a registered scenario cell.
 
-    Returns the full :class:`TransmissionResult` so the lane tests can
-    compare pickles byte-for-byte.  *fault_rate* is accepted purely as
-    a lane-ineligibility marker (see
-    :func:`repro.sim.lanes.point_bypass_reason`); it does not change the
-    computation, so lane and reference dispatch of the same params must
-    produce identical bytes.
+    Returns the full :class:`TransmissionResult` so tests can compare
+    pickles byte-for-byte and read its manifest.
     """
     from repro.channel.session import ChannelSession, SessionConfig
     from repro.experiments.common import payload_bits
@@ -83,36 +74,23 @@ def transmit_point(*, cell, seed, bits, fault_rate=None):
     return session.transmit(payload_bits(bits, seed=seed + 77))
 
 
-def transmit_opts(*, cell, seed, bits, trace=None):
-    """Like :func:`transmit_point` with an explicit trace override.
+def transmit_opts(*, cell, seed, bits, trace=None, faults=None,
+                  obfuscate=False):
+    """Like :func:`transmit_point`, with the session options that make
+    the simulator stand down.
 
-    ``trace=False`` keeps a session lane-eligible under ``REPRO_TRACE``
-    (the bypass-event tests need the runner recorder on while the
-    session itself stays untraced); ``trace=True`` forces a recorder
-    session regardless of the environment.
-    """
-    from repro.channel.session import ChannelSession, SessionConfig
-    from repro.experiments.common import payload_bits
-
-    session = ChannelSession(SessionConfig(
-        spec=cell, seed=seed, calibration_samples=120, trace=trace,
-    ))
-    return session.transmit(payload_bits(bits, seed=seed + 77))
-
-
-def transmit_obfuscated(*, cell, seed, bits):
-    """A transmission whose machine is obfuscated *after* session build.
-
-    The session is lane-eligible at construction; the obfuscation policy
-    appears before the first run, forcing the lane simulator's dynamic
-    stand-down — the mid-flight divergence path, not the static one.
+    *trace* and *faults* go to :class:`SessionConfig` (stand-down at
+    build); *obfuscate* attaches an obfuscator after the session is
+    built, so the stand-down happens at the first run's entry.
     """
     from repro.channel.session import ChannelSession, SessionConfig
     from repro.experiments.common import payload_bits
     from repro.mitigation.hardware import attach_obfuscator
 
     session = ChannelSession(SessionConfig(
-        spec=cell, seed=seed, calibration_samples=120, trace=False,
+        spec=cell, seed=seed, calibration_samples=120, trace=trace,
+        faults=faults,
     ))
-    attach_obfuscator(session.machine, suspicious_cores=range(16))
+    if obfuscate:
+        attach_obfuscator(session.machine, suspicious_cores=range(16))
     return session.transmit(payload_bits(bits, seed=seed + 77))

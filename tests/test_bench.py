@@ -20,10 +20,11 @@ def quick_report():
 def test_run_all_shape(quick_report):
     assert quick_report["schema"] == SCHEMA
     assert quick_report["quick"] is True
+    assert quick_report["cpus"] >= 1
     bench = quick_report["benchmarks"]
     assert set(bench) == {
         "engine_micro", "fig8_point", "noise_point", "grid_sweep",
-        "lane_sweep", "service_sweep", "trace_overhead",
+        "service_sweep", "trace_overhead",
         "streaming_overhead", "segment_overhead",
     }
     micro = bench["engine_micro"]
@@ -38,7 +39,7 @@ def test_run_all_shape(quick_report):
     grid = bench["grid_sweep"]
     assert grid["bit_identical"] is True
     assert set(grid["modes"]) == {
-        "reference", "serial", "jobs", "chunked", "lanes",
+        "reference", "serial", "jobs", "chunked",
     }
     for mode, info in grid["modes"].items():
         assert info["points_per_sec"] > 0
@@ -49,17 +50,6 @@ def test_run_all_shape(quick_report):
             if mode != "reference")
     )
     assert 0 < grid["cache_bytes"] <= grid["cache_bytes_legacy"]
-    lane = bench["lane_sweep"]
-    assert lane["bit_identical"] is True
-    assert set(lane["modes"]) == {"chunked", "lanes", "lanes_pool"}
-    for mode, info in lane["modes"].items():
-        assert info["points_per_sec"] > 0
-        if mode != "chunked":
-            assert info["speedup_vs_chunked"] > 0
-    assert lane["speedup_vs_chunked"] == pytest.approx(
-        max(info["speedup_vs_chunked"]
-            for mode, info in lane["modes"].items() if mode != "chunked")
-    )
     svc = bench["service_sweep"]
     assert svc["bit_identical"] is True
     # Single-flight makes the dedupe ratio deterministic: every unique
@@ -165,40 +155,6 @@ def test_check_regression_segment_overhead_gate():
     for overhead in (0.02, -0.01):
         current["benchmarks"]["segment_overhead"] = {"overhead": overhead}
         assert check_regression(current, _report(100_000.0)) == []
-
-
-def test_check_regression_lane_sweep_gates():
-    from repro.bench import LANE_MIN_SPEEDUP
-
-    baseline = _report(100_000.0)
-    current = _report(100_000.0)
-    # Bit-identity failure gates regardless of speed.
-    current["benchmarks"]["lane_sweep"] = {
-        "bit_identical": False, "speedup_vs_chunked": 3.0,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "bit-identical" in problems[0]
-    # Below the absolute floor gates.
-    current["benchmarks"]["lane_sweep"] = {
-        "bit_identical": True,
-        "speedup_vs_chunked": LANE_MIN_SPEEDUP - 0.1,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "floor" in problems[0]
-    # Above the floor but regressed >20% vs the pinned baseline gates.
-    current["benchmarks"]["lane_sweep"] = {
-        "bit_identical": True, "speedup_vs_chunked": 1.5,
-    }
-    baseline["benchmarks"]["lane_sweep"] = {
-        "bit_identical": True, "speedup_vs_chunked": 2.5,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "lane_sweep regressed" in problems[0]
-    # Healthy report passes.
-    current["benchmarks"]["lane_sweep"] = {
-        "bit_identical": True, "speedup_vs_chunked": 2.4,
-    }
-    assert check_regression(current, baseline) == []
 
 
 def test_check_regression_service_sweep_gates():
