@@ -3,7 +3,10 @@
 Two locks in one file:
 
 * ``GOLDEN_TRACE`` pins the exact event stream (count, order, payloads)
-  that one fixed-seed MESI transmission records.  A change here means the
+  that one fixed-seed MESI transmission records, and ``BACKEND_TRACES``
+  does the same for the MOESI O-state cell and the home-node directory
+  backend, whose transitions the tap reads from a different holder
+  record.  A change here means the
   tracing subsystem observed something different — either the simulator's
   behavior moved (check ``test_golden_determinism`` first) or the tap
   changed what it records.  Regenerate with
@@ -36,10 +39,18 @@ GOLDEN_TRACE = (
     "f4916c5b557d3af2c5f327c976d99892f1f7f1030203e6cdede5d56e4a2b8df6"
 )
 
+#: registry cell -> trace digest of the same fixed-seed transmission.
+BACKEND_TRACES = {
+    "moesi-ostate":
+        "bd5c2b1752352db0de8c8ee32b78d015f88164ff94ddaf2ebdd153fcd85c5eb4",
+    "dir-es":
+        "9bb36d6af9bcf5972e7d76ecc98ff5632286e779c8c5eee6b2a24295d4df9570",
+}
 
-def make_session(trace) -> ChannelSession:
+
+def make_session(trace, spec="LExclc-LSharedb") -> ChannelSession:
     return ChannelSession(SessionConfig(
-        spec="LExclc-LSharedb",
+        spec=spec,
         seed=7,
         calibration_samples=150,
         calibration_memo=False,
@@ -62,6 +73,20 @@ def test_golden_trace_digest(traced_session):
     assert session.recorder.digest() == GOLDEN_TRACE, (
         "the recorded event stream changed; if the change is intended, "
         "regenerate GOLDEN_TRACE"
+    )
+
+
+@pytest.mark.parametrize("spec", sorted(BACKEND_TRACES))
+def test_backend_trace_digest(spec):
+    session = make_session(trace=True, spec=spec)
+    session.transmit(list(PAYLOAD))
+    assert session.recorder.dropped == 0
+    assert session.recorder.select("coherence"), (
+        "the pinned stream must contain coherence transitions"
+    )
+    assert session.recorder.digest() == BACKEND_TRACES[spec], (
+        f"the {spec} event stream changed; if the change is intended, "
+        "regenerate BACKEND_TRACES"
     )
 
 
