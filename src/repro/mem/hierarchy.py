@@ -975,6 +975,37 @@ class Machine:
         line = domain.private_line(domain.core(core_id), paddr)
         return CoherenceState.INVALID if line is None else line.state
 
+    def private_states(self, paddr: int) -> dict[int, CoherenceState]:
+        """Private coherence state of the line, per holding core id.
+
+        Peeks (LRU untouched) only the cores the backend records as
+        holders: each socket's core-valid bits in snoop mode, which are
+        exact, and the home entry's sharer mask in directory mode, a
+        superset whose stale bits peek an empty cache.  L2 is inclusive
+        of L1, so the L2 peek finds every private copy.  The result
+        equals :func:`~repro.mem.invariants.walk_private_states`, which
+        peeks every core, as long as those records cover every holder —
+        an invariant :func:`~repro.mem.invariants.check_machine` checks.
+        """
+        base = paddr & ~63
+        cores = self.cores
+        states: dict[int, CoherenceState] = {}
+        if self._dir_mode:
+            entry = self.home_directory.get(base)
+            holders = () if entry is None else entry.sharer_ids()
+        else:
+            holders = [
+                core_id
+                for domain in self.sockets
+                if (entry := domain.directory.get(base)) is not None
+                for core_id in entry.core_valid
+            ]
+        for core_id in holders:
+            line = cores[core_id].l2.lookup(base, False)
+            if line is not None:
+                states[core_id] = line.state
+        return states
+
     def llc_entry(self, socket_id: int, paddr: int) -> LlcLine | None:
         """Directory entry for the line in a socket (None if absent)."""
         return self.sockets[socket_id].directory.get(line_addr(paddr))
@@ -992,12 +1023,7 @@ class Machine:
             CoherenceState.FORWARD,
             CoherenceState.SHARED,
         ]
-        states = set()
-        for domain in self.sockets:
-            for core in domain.cores:
-                line = domain.private_line(core, paddr)
-                if line is not None:
-                    states.add(line.state)
+        states = set(self.private_states(paddr).values())
         for state in order:
             if state in states:
                 return state

@@ -42,7 +42,11 @@ def check_machine(machine: Machine) -> None:
     * **Directory precision**: a socket's core-valid bits equal the set of
       its cores privately holding the line, and ``owner`` points at a core
       actually holding a forwardable (E/M/O) copy.
-    * **LLC inclusion** (inclusive mode): a private copy implies a
+    * **Holder records**: every private holder is recorded where
+      :meth:`Machine.private_states` looks for it — its bit in its
+      socket's core-valid set (snoop backends) or in the home entry's
+      sharer mask (directory backend).
+    * **LLC inclusion** (inclusive snoop mode): a private copy implies a
       data-valid LLC entry in the same socket.
     * **Value coherence**: all clean private copies of a line agree with
       the LLC copy.
@@ -69,6 +73,23 @@ def check_machine(machine: Machine) -> None:
             if bad:
                 raise CoherenceError(
                     f"line {addr:#x}: O coexists with {bad[0].value}"
+                )
+
+    directory_mode = machine.config.coherence == "directory"
+    for addr, entries in holders.items():
+        for core_id, _state in entries:
+            if directory_mode:
+                entry = machine.home_directory.get(addr)
+                recorded = entry is not None and entry.sharers >> core_id & 1
+                record = "home sharer mask"
+            else:
+                entry = machine.socket_of(core_id).directory.get(addr)
+                recorded = entry is not None and core_id in entry.core_valid
+                record = "socket core-valid bits"
+            if not recorded:
+                raise CoherenceError(
+                    f"line {addr:#x}: core {core_id} holds a private copy "
+                    f"missing from the {record}"
                 )
 
     for domain in machine.sockets:
@@ -106,7 +127,8 @@ def check_machine(machine: Machine) -> None:
                         f"holds non-forwardable state {owner_line.state.value}"
                     )
 
-        if domain.inclusive:
+        # The directory backend keeps no per-socket LLC entries.
+        if domain.inclusive and not directory_mode:
             for core in domain.cores:
                 seen = set()
                 for cache in (core.l1, core.l2):
@@ -211,17 +233,28 @@ def check_transition_events(events) -> None:
                 )
 
 
-def check_line(machine: Machine, paddr: int) -> None:
-    """Check the invariants relevant to one line (cheaper than full walk)."""
+def walk_private_states(machine: Machine, paddr: int) -> dict[int, CoherenceState]:
+    """Private state of one line per holding core, peeking every core.
+
+    The exhaustive reference for :meth:`Machine.private_states`, which
+    peeks only the cores the coherence backend records as holders.
+    """
     base = line_addr(paddr)
-    holders: list[tuple[int, CoherenceState]] = []
+    states: dict[int, CoherenceState] = {}
     for domain in machine.sockets:
         for core in domain.cores:
             line = domain.private_line(core, base)
             if line is not None:
-                holders.append((core.core_id, line.state))
-    strong = [s for _c, s in holders if s.sole_copy]
-    if strong and len(holders) > 1:
+                states[core.core_id] = line.state
+    return states
+
+
+def check_line(machine: Machine, paddr: int) -> None:
+    """Check the invariants relevant to one line (cheaper than full walk)."""
+    states = walk_private_states(machine, paddr)
+    strong = [s for s in states.values() if s.sole_copy]
+    if strong and len(states) > 1:
         raise CoherenceError(
-            f"line {base:#x}: sole-copy state with {len(holders)} holders"
+            f"line {line_addr(paddr):#x}: sole-copy state with "
+            f"{len(states)} holders"
         )

@@ -124,15 +124,15 @@ class TraceRecorder:
     ) -> None:
         """Record one event (overwriting the oldest when full)."""
         event = TraceEvent(ts, category, name, data if data is not None else {})
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(event)
+        buffer = self._buffer
+        if len(buffer) < self.capacity:
+            buffer.append(event)
         else:
-            self._buffer[self._head] = event
+            buffer[self._head] = event
             self._head = (self._head + 1) % self.capacity
         self.emitted += 1
-        if self._sinks:
-            for sink in self._sinks:
-                sink(event)
+        for sink in self._sinks:
+            sink(event)
 
     @property
     def dropped(self) -> int:

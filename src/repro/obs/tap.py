@@ -11,11 +11,18 @@ pass-through wrappers that record each hop.
 
 Coherence-state transitions are **derived, not instrumented**: around
 each op the tap snapshots the accessed line's private-state map with
-:meth:`~repro.mem.coherence.SocketDomain.private_line` (a ``touch=False``
-peek) and emits a ``"coherence"`` event for every core whose state
-changed, carrying the full post-op state map.  The walk draws no RNG and
-mutates no simulated state, so an attached tap is provably inert — the
-golden determinism digests are identical with and without it.  Victim
+:meth:`~repro.mem.hierarchy.Machine.private_states` and emits a
+``"coherence"`` event for every core whose state changed, carrying the
+full post-op state map.  That query reads the holder record the
+coherence backend already keeps — the core-valid bits of each socket's
+LLC directory (Section VI), or the home entry's sharer mask on the
+directory backend — and peeks only those cores, so a snapshot costs a
+few dict probes rather than a walk over every private cache.  A load
+that hits in the requesting core's private caches changes no core's
+state for that line on any backend, so the tap takes no snapshot
+around it.  Snapshots draw no RNG, touch no LRU state and mutate
+nothing, so an attached tap is provably inert — the golden
+determinism digests are identical with and without it.  Victim
 traffic (lines evicted as a side effect of an access to a *different*
 set) is intentionally out of scope: the tap follows the accessed line's
 causal chain, which is the one the covert channel modulates.
@@ -29,6 +36,12 @@ from __future__ import annotations
 
 from repro.mem.cacheline import CoherenceState
 from repro.obs.recorder import TraceRecorder
+
+_INVALID = CoherenceState.INVALID
+
+# Payloads read enum values through ``_value_``, the plain attribute
+# behind the ``Enum.value`` descriptor: these paths run once per
+# simulated op, and the descriptor adds a Python-level call per read.
 
 
 class MachineTap:
@@ -50,16 +63,6 @@ class MachineTap:
 
     # -- state snapshots ------------------------------------------------
 
-    def _line_states(self, base: int) -> dict[int, CoherenceState]:
-        """Private coherence state per holding core for one line."""
-        states: dict[int, CoherenceState] = {}
-        for domain in self.machine.sockets:
-            for core in domain.cores:
-                line = domain.private_line(core, base)
-                if line is not None:
-                    states[core.core_id] = line.state
-        return states
-
     def _emit_transitions(
         self,
         base: int,
@@ -67,19 +70,21 @@ class MachineTap:
         after: dict[int, CoherenceState],
         now: float,
     ) -> None:
+        if before == after:
+            return
         changed = []
         for core_id in sorted(before.keys() | after.keys()):
-            src = before.get(core_id, CoherenceState.INVALID)
-            dst = after.get(core_id, CoherenceState.INVALID)
+            src = before.get(core_id, _INVALID)
+            dst = after.get(core_id, _INVALID)
             if src is not dst:
-                changed.append([core_id, src.value, dst.value])
+                changed.append([core_id, src._value_, dst._value_])
         if not changed:
             return
         self.recorder.emit(now, "coherence", "transition", {
             "line": base,
             "changed": changed,
             "states": {
-                str(core_id): state.value
+                str(core_id): state._value_
                 for core_id, state in sorted(after.items())
             },
         })
@@ -99,35 +104,42 @@ class MachineTap:
         orig_load, orig_store, orig_flush = (
             self._orig_load, self._orig_store, self._orig_flush
         )
-        line_states = self._line_states
+        private_states = machine.private_states
         emit_transitions = self._emit_transitions
+        emit = recorder.emit
+        cores = machine.cores
 
         def load(core_id: int, paddr: int, now: float = 0.0):
             base = paddr & ~63
-            before = line_states(base)
-            value, latency, path = orig_load(core_id, paddr, now)
-            emit_transitions(base, before, line_states(base), now)
-            recorder.emit(now, "load", path.value, {
+            # L2 is inclusive of L1: an L2 peek finds any private copy,
+            # and a private hit changes no core's state for the line.
+            if cores[core_id].l2.lookup(base, False) is not None:
+                value, latency, path = orig_load(core_id, paddr, now)
+            else:
+                before = private_states(base)
+                value, latency, path = orig_load(core_id, paddr, now)
+                emit_transitions(base, before, private_states(base), now)
+            emit(now, "load", path._value_, {
                 "core": core_id, "line": base, "latency": latency,
             })
             return value, latency, path
 
         def store(core_id: int, paddr: int, value: int, now: float = 0.0):
             base = paddr & ~63
-            before = line_states(base)
+            before = private_states(base)
             latency, path = orig_store(core_id, paddr, value, now)
-            emit_transitions(base, before, line_states(base), now)
-            recorder.emit(now, "store", path.value, {
+            emit_transitions(base, before, private_states(base), now)
+            emit(now, "store", path._value_, {
                 "core": core_id, "line": base, "latency": latency,
             })
             return latency, path
 
         def flush(core_id: int, paddr: int, now: float = 0.0):
             base = paddr & ~63
-            before = line_states(base)
+            before = private_states(base)
             latency = orig_flush(core_id, paddr, now)
-            emit_transitions(base, before, line_states(base), now)
-            recorder.emit(now, "flush", "clflush", {
+            emit_transitions(base, before, private_states(base), now)
+            emit(now, "flush", "clflush", {
                 "core": core_id, "line": base, "latency": latency,
             })
             return latency
@@ -140,7 +152,7 @@ class MachineTap:
         def hop_wrapper(name: str, register):
             def wrapped(now: float, weight: float) -> float:
                 contribution = register(now, weight)
-                recorder.emit(now, "hop", name, {
+                emit(now, "hop", name, {
                     "contribution": contribution,
                 })
                 return contribution
@@ -170,9 +182,9 @@ class MachineTap:
         def dir_trace(now: float, kind: str, base: int, entry) -> None:
             if orig_dir_trace is not None:
                 orig_dir_trace(now, kind, base, entry)
-            recorder.emit(now, "directory", kind, {
+            emit(now, "directory", kind, {
                 "line": base,
-                "state": entry.state.value,
+                "state": entry.state._value_,
                 "sharers": entry.sharers,
                 "owner": entry.owner(),
                 "dirty": entry.dirty,

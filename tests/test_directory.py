@@ -15,7 +15,9 @@ import pytest
 from repro.channel.config import LCOLD, LMRU
 from repro.mem.cache import SetAssocCache
 from repro.mem.directory import DirectoryEntry, DirectoryState
+from repro.errors import CoherenceError
 from repro.mem.hierarchy import AccessPath, Machine, MachineConfig
+from repro.mem.invariants import check_machine
 from repro.mem.latency import NoiseModel
 from repro.sim.rng import RngStreams
 
@@ -140,6 +142,27 @@ def test_flush_returns_line_to_memory_fill():
     value, _latency, path = machine.load(4, addr, now=200.0)
     assert value == 42          # dirty data survived the flush
     assert path is AccessPath.DRAM
+
+
+def test_check_machine_accepts_stale_sharer_bits():
+    machine = directory_machine()
+    addr = 0x300_0000
+    machine.load(0, addr, now=0.0)
+    machine.load(4, addr, now=100.0)
+    check_machine(machine)
+    # A silent private eviction leaves a stale bit: still coherent.
+    machine.sockets[0].private_invalidate(machine.cores[0], addr)
+    check_machine(machine)
+
+
+def test_check_machine_flags_holder_missing_from_sharer_mask():
+    machine = directory_machine()
+    addr = 0x300_0000
+    machine.load(0, addr, now=0.0)
+    machine.load(4, addr, now=100.0)
+    machine.home_directory[addr].drop_sharer(4)
+    with pytest.raises(CoherenceError, match="home sharer mask"):
+        check_machine(machine)
 
 
 # -- LRU-order probe encoding -----------------------------------------

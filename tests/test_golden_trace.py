@@ -27,6 +27,7 @@ from repro.channel.config import scenario_by_name
 from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
 from repro.detection import StreamingDetector
 from repro.mem.hierarchy import MachineConfig
+from repro.mem.invariants import walk_private_states
 
 from tests.test_golden_determinism import (
     CONFIGS,
@@ -88,6 +89,30 @@ def test_backend_trace_digest(spec):
         f"the {spec} event stream changed; if the change is intended, "
         "regenerate BACKEND_TRACES"
     )
+
+
+@pytest.mark.parametrize("spec", ["LExclc-LSharedb", *sorted(BACKEND_TRACES)])
+def test_tap_snapshots_match_full_walk(spec):
+    """Every snapshot the tap takes equals a peek at every core."""
+    session = make_session(trace=True, spec=spec)
+    machine = session.machine
+    fast = machine.private_states
+    checked = 0
+
+    def private_states(paddr):
+        nonlocal checked
+        states = fast(paddr)
+        assert states == walk_private_states(machine, paddr)
+        checked += 1
+        return states
+
+    session.tap.detach()
+    machine.private_states = private_states
+    session.tap.attach()
+    session.transmit(list(PAYLOAD))
+    assert checked > 0
+    expected = BACKEND_TRACES.get(spec, GOLDEN_TRACE)
+    assert session.recorder.digest() == expected
 
 
 def test_trace_covers_every_category(traced_session):

@@ -213,3 +213,18 @@ def test_llc_direct_e_response_merges_bands(rng):
     _v, lat_e, path = m.load(0, ADDR)
     assert path is AccessPath.LOCAL_EXCL
     assert lat_e == pytest.approx(m.config.latency.local_shared, abs=1.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a socket's directory grants E from its LLC copy "
+    "without knowing that another socket still holds the line in S"
+))
+def test_llc_refill_after_private_eviction_keeps_swmr(m):
+    m.load(1, ADDR)                      # socket 0: E
+    m.load(7, ADDR)                      # socket 1 copies it; both S
+    # Core 7 evicts its copy; socket 1's LLC keeps a data-valid entry.
+    m.sockets[1].private_invalidate(m.core(7), ADDR)
+    m.load(8, ADDR)                      # served by socket 1's LLC
+    assert m.private_state(1, ADDR) is CoherenceState.SHARED
+    assert m.private_state(8, ADDR) is not CoherenceState.EXCLUSIVE
+    check_machine(m)

@@ -19,13 +19,14 @@ N_LINES = 6
 BASE = 0x100_0000
 
 
-def tiny_machine(protocol="mesi"):
+def tiny_machine(protocol="mesi", coherence="snoop"):
     config = MachineConfig(
         cores_per_socket=3,
         l1_sets=4, l1_assoc=2,
         l2_sets=8, l2_assoc=2,
         llc_sets=16, llc_assoc=4,
         protocol=protocol,
+        coherence=coherence,
         noise=NoiseModel(enabled=False),
     )
     return Machine(config, RngStreams(0))
@@ -81,6 +82,14 @@ def test_mesif_random_ops_hold_invariants(ops):
 @given(ops=ops_strategy)
 def test_moesi_random_ops_hold_invariants(ops):
     machine = tiny_machine("moesi")
+    apply_ops(machine, ops)
+    check_machine(machine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=ops_strategy)
+def test_directory_random_ops_hold_invariants(ops):
+    machine = tiny_machine("mesi", coherence="directory")
     apply_ops(machine, ops)
     check_machine(machine)
 
