@@ -8,7 +8,10 @@ run and between code versions — wall clock is the only free variable.
 Benchmarks are repeated ``repeats`` times and the minimum wall time is
 kept: the minimum is the run least disturbed by the host (GC pauses,
 scheduler preemption), which is the quantity a code change actually
-moves.
+moves.  The overhead benchmarks compare variants of one workload
+instead: they run interleaved pairs (``repeats`` of them, and at least
+:data:`OVERHEAD_PAIRS` in a full run) and gate on the median per-pair
+ratio, which a single disturbed run cannot move.
 
 ``engine_micro`` times only the transmission (session construction and
 calibration excluded) and divides the engine's executed-event count by
@@ -19,9 +22,11 @@ latency a grid sweep pays per point.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 from typing import Any
@@ -65,8 +70,8 @@ TRACE_OVERHEAD_LIMIT = 0.02
 
 #: Allowed wall-time overhead of the *disabled* streaming-detection
 #: path vs the baseline.  With no sink subscribed the recorder's
-#: notify loop is skipped behind one truthiness check, and with tracing
-#: off the recorder does not exist at all — so, like disabled tracing,
+#: notify loop runs over an empty tuple, and with tracing off the
+#: recorder does not exist at all — so, like disabled tracing,
 #: this is an A/B of identical work and the gate bounds noise plus any
 #: accidental per-event cost added to the unsubscribed path.
 STREAMING_OVERHEAD_LIMIT = 0.02
@@ -80,9 +85,47 @@ STREAMING_OVERHEAD_LIMIT = 0.02
 SEGMENT_OVERHEAD_LIMIT = 0.05
 
 
+#: Least number of interleaved pairs behind a full run's overhead
+#: gates.  On a 2-vCPU Xeon VM one pair's ratio of two identical ~50 ms
+#: transmissions spreads by 10-20% (interquartile), so a median over a
+#: handful of pairs still swings by more than the 2% caps; 15 pairs
+#: cost about 11 s over the three benchmarks.
+OVERHEAD_PAIRS = 15
+
+
 def _payload(bits: int) -> list[int]:
     reps = (bits + len(_PAYLOAD) - 1) // len(_PAYLOAD)
     return (_PAYLOAD * reps)[:bits]
+
+
+def _paired_walls(variants: dict[str, Any], pairs: int) -> dict[str, list[float]]:
+    """Wall times of every variant over ``pairs`` interleaved pairs.
+
+    Each pair runs every variant once, back to back, in the declared
+    order on even pairs and reversed on odd ones, so host drift and
+    warm-up land on every variant alike.  A full collection before each
+    run keeps one variant's garbage (a traced run leaves thousands of
+    events behind) out of the next one's timing.  *variants* maps a name
+    to a zero-argument callable returning one wall time in seconds.
+    """
+    walls: dict[str, list[float]] = {name: [] for name in variants}
+    order = list(variants)
+    for index in range(max(1, pairs)):
+        for name in order if index % 2 == 0 else order[::-1]:
+            gc.collect()
+            walls[name].append(variants[name]())
+    return walls
+
+
+def _overhead(walls: dict[str, list[float]], name: str, base: str) -> float:
+    """Median over pairs of ``walls[name] / walls[base]``, minus one.
+
+    A per-pair ratio cancels the drift both runs of a pair share, and
+    the median ignores the odd pair a GC pause or preemption spoiled.
+    """
+    return statistics.median(
+        a / b for a, b in zip(walls[name], walls[base])
+    ) - 1.0
 
 
 def engine_micro(
@@ -171,11 +214,12 @@ def trace_overhead(
       default production path (must resolve to the same untraced code);
     * ``enabled`` — ``trace=True``, full recording.
 
-    Variants are interleaved within each repeat so host drift hits all
-    three equally, and the best wall per variant is kept.  The report
-    carries ``disabled_overhead`` (gated at
-    :data:`TRACE_OVERHEAD_LIMIT` by :func:`check_regression`) and
-    ``enabled_overhead`` (informational — the price of turning the
+    The variants run in ``repeats`` interleaved pairs
+    (:func:`_paired_walls`); walls are per-variant medians and each
+    overhead is the median per-pair ratio to the baseline
+    (:func:`_overhead`).  The report carries ``disabled_overhead``
+    (gated at :data:`TRACE_OVERHEAD_LIMIT` by :func:`check_regression`)
+    and ``enabled_overhead`` (informational — the price of turning the
     feature on).
     """
     import os
@@ -183,8 +227,10 @@ def trace_overhead(
     from repro.channel.session import ChannelSession, SessionConfig
 
     payload = _payload(bits)
+    traced_events = 0
 
-    def one(trace: bool | None) -> tuple[float, int]:
+    def one(trace: bool | None) -> float:
+        nonlocal traced_events
         session = ChannelSession(SessionConfig(
             spec="LExclc-LSharedb",
             seed=seed,
@@ -194,33 +240,30 @@ def trace_overhead(
         t0 = time.perf_counter()
         session.transmit(payload)
         wall = time.perf_counter() - t0
-        emitted = session.recorder.emitted if session.recorder else 0
-        return wall, emitted
+        if session.recorder is not None:
+            traced_events = session.recorder.emitted
+        return wall
 
     # The "disabled" variant must see the real default, even when the
     # harness itself runs under a REPRO_TRACE=1 CI leg.
     saved = os.environ.pop("REPRO_TRACE", None)
-    best = {"baseline": float("inf"), "disabled": float("inf"),
-            "enabled": float("inf")}
-    traced_events = 0
     try:
-        for _ in range(max(1, repeats)):
-            for name, flag in (("baseline", False), ("disabled", None),
-                               ("enabled", True)):
-                wall, emitted = one(flag)
-                best[name] = min(best[name], wall)
-                if name == "enabled":
-                    traced_events = emitted
+        walls = _paired_walls({
+            "baseline": lambda: one(False),
+            "disabled": lambda: one(None),
+            "enabled": lambda: one(True),
+        }, repeats)
     finally:
         if saved is not None:
             os.environ["REPRO_TRACE"] = saved
     return {
         "bits": bits,
-        "baseline_wall_s": best["baseline"],
-        "disabled_wall_s": best["disabled"],
-        "enabled_wall_s": best["enabled"],
-        "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
-        "enabled_overhead": best["enabled"] / best["baseline"] - 1.0,
+        "pairs": len(walls["baseline"]),
+        "baseline_wall_s": statistics.median(walls["baseline"]),
+        "disabled_wall_s": statistics.median(walls["disabled"]),
+        "enabled_wall_s": statistics.median(walls["enabled"]),
+        "disabled_overhead": _overhead(walls, "disabled", "baseline"),
+        "enabled_overhead": _overhead(walls, "enabled", "baseline"),
         "traced_events": traced_events,
     }
 
@@ -244,13 +287,12 @@ def streaming_overhead(
       to the session recorder, interim scans included — the live
       monitoring configuration the arena driver runs.
 
-    Variants are interleaved within each repeat so host drift hits all
-    four equally; the best wall per variant is kept.  The report
-    carries ``disabled_overhead`` (gated at
-    :data:`STREAMING_OVERHEAD_LIMIT` by :func:`check_regression`),
-    ``streaming_overhead`` (live monitoring vs baseline) and
-    ``sink_overhead`` (the detector's marginal cost over tracing
-    alone), both informational.
+    The variants run in ``repeats`` interleaved pairs, as in
+    :func:`trace_overhead`.  The report carries ``disabled_overhead``
+    (gated at :data:`STREAMING_OVERHEAD_LIMIT` by
+    :func:`check_regression`), ``streaming_overhead`` (live monitoring
+    vs baseline) and ``sink_overhead`` (the detector's marginal cost
+    over tracing alone), both informational.
     """
     import os
 
@@ -258,8 +300,11 @@ def streaming_overhead(
     from repro.detection.streaming import StreamingDetector
 
     payload = _payload(bits)
+    events = 0
+    flagged = False
 
-    def one(trace: bool | None, subscribe: bool) -> tuple[float, int, bool]:
+    def one(trace: bool | None, subscribe: bool) -> float:
+        nonlocal events, flagged
         session = ChannelSession(SessionConfig(
             spec="LExclc-LSharedb",
             seed=seed,
@@ -273,39 +318,31 @@ def streaming_overhead(
         t0 = time.perf_counter()
         session.transmit(payload)
         wall = time.perf_counter() - t0
-        events = detector.events if detector else 0
-        flagged = bool(detector and detector.scan())
-        return wall, events, flagged
+        if detector is not None:
+            events, flagged = detector.events, bool(detector.scan())
+        return wall
 
     saved = os.environ.pop("REPRO_TRACE", None)
-    best = {"baseline": float("inf"), "disabled": float("inf"),
-            "traced": float("inf"), "streaming": float("inf")}
-    events = 0
-    flagged = False
     try:
-        for _ in range(max(1, repeats)):
-            for name, trace, subscribe in (
-                ("baseline", False, False),
-                ("disabled", None, False),
-                ("traced", True, False),
-                ("streaming", True, True),
-            ):
-                wall, n, hit = one(trace, subscribe)
-                best[name] = min(best[name], wall)
-                if name == "streaming":
-                    events, flagged = n, hit
+        walls = _paired_walls({
+            "baseline": lambda: one(False, False),
+            "disabled": lambda: one(None, False),
+            "traced": lambda: one(True, False),
+            "streaming": lambda: one(True, True),
+        }, repeats)
     finally:
         if saved is not None:
             os.environ["REPRO_TRACE"] = saved
     return {
         "bits": bits,
-        "baseline_wall_s": best["baseline"],
-        "disabled_wall_s": best["disabled"],
-        "traced_wall_s": best["traced"],
-        "streaming_wall_s": best["streaming"],
-        "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
-        "streaming_overhead": best["streaming"] / best["baseline"] - 1.0,
-        "sink_overhead": best["streaming"] / best["traced"] - 1.0,
+        "pairs": len(walls["baseline"]),
+        "baseline_wall_s": statistics.median(walls["baseline"]),
+        "disabled_wall_s": statistics.median(walls["disabled"]),
+        "traced_wall_s": statistics.median(walls["traced"]),
+        "streaming_wall_s": statistics.median(walls["streaming"]),
+        "disabled_overhead": _overhead(walls, "disabled", "baseline"),
+        "streaming_overhead": _overhead(walls, "streaming", "baseline"),
+        "sink_overhead": _overhead(walls, "streaming", "traced"),
         "streamed_events": events,
         "flagged": flagged,
     }
@@ -327,10 +364,12 @@ def segment_overhead(
       on all spec-bearing threads, cursor marks, the pause check) but no
       segment is ever captured or stored.
 
-    ``overhead`` is gated at :data:`SEGMENT_OVERHEAD_LIMIT` by
-    :func:`check_regression`: an unsegmented point must stay within 5%
-    of itself with the machinery armed, or segmentation is too expensive
-    to leave available by default.
+    The variants run in ``repeats`` interleaved pairs, as in
+    :func:`trace_overhead`.  ``overhead`` is gated at
+    :data:`SEGMENT_OVERHEAD_LIMIT` by :func:`check_regression`: an
+    unsegmented point must stay within 5% of itself with the machinery
+    armed, or segmentation is too expensive to leave available by
+    default.
     """
     import os
     import tempfile
@@ -370,16 +409,16 @@ def segment_overhead(
             else:
                 os.environ["REPRO_SEGMENT_CYCLES"] = saved
 
-    best = {"baseline": float("inf"), "armed": float("inf")}
-    for _ in range(max(1, repeats)):
-        # Interleaved so host drift hits both variants equally.
-        best["baseline"] = min(best["baseline"], one(False))
-        best["armed"] = min(best["armed"], one(True))
+    walls = _paired_walls(
+        {"baseline": lambda: one(False), "armed": lambda: one(True)},
+        repeats,
+    )
     return {
         "bits": bits,
-        "baseline_wall_s": best["baseline"],
-        "armed_wall_s": best["armed"],
-        "overhead": best["armed"] / best["baseline"] - 1.0,
+        "pairs": len(walls["baseline"]),
+        "baseline_wall_s": statistics.median(walls["baseline"]),
+        "armed_wall_s": statistics.median(walls["armed"]),
+        "overhead": _overhead(walls, "armed", "baseline"),
     }
 
 
@@ -655,9 +694,11 @@ def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
     if quick:
         micro_bits, fig8_bits, noise_bits = 16, 24, 8
         grid_points, grid_bits = 16, 8
+        pairs = repeats
     else:
         micro_bits, fig8_bits, noise_bits = 48, 100, 24
         grid_points, grid_bits = 64, 24
+        pairs = max(repeats, OVERHEAD_PAIRS)
     return {
         "schema": SCHEMA,
         "date": time.strftime("%Y-%m-%d"),
@@ -675,13 +716,13 @@ def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
                 points=grid_points, bits=grid_bits
             ),
             "trace_overhead": trace_overhead(
-                bits=noise_bits, repeats=repeats
+                bits=noise_bits, repeats=pairs
             ),
             "streaming_overhead": streaming_overhead(
-                bits=noise_bits, repeats=repeats
+                bits=noise_bits, repeats=pairs
             ),
             "segment_overhead": segment_overhead(
-                bits=noise_bits, repeats=repeats
+                bits=noise_bits, repeats=pairs
             ),
         },
     }

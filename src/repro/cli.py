@@ -135,7 +135,9 @@ def cmd_bench(argv: list[str]) -> None:
     """Run the performance harness and emit a BENCH_<date>.json report."""
     parser = argparse.ArgumentParser(prog="repro bench")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per benchmark; best wall time kept")
+                        help="runs per benchmark; best wall time kept "
+                             "(overhead benchmarks: interleaved pairs, "
+                             "median ratio)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller payloads (CI smoke / sanity runs)")
     parser.add_argument("--output", default=None, metavar="PATH",
