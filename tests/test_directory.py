@@ -13,9 +13,9 @@ Covers the two satellite units the scenario matrix leans on:
 import pytest
 
 from repro.channel.config import LCOLD, LMRU
+from repro.errors import CoherenceError
 from repro.mem.cache import SetAssocCache
 from repro.mem.directory import DirectoryEntry, DirectoryState
-from repro.errors import CoherenceError
 from repro.mem.hierarchy import AccessPath, Machine, MachineConfig
 from repro.mem.invariants import check_machine
 from repro.mem.latency import NoiseModel
