@@ -2,6 +2,7 @@
 
 from repro.channel.config import TABLE_I
 from repro.experiments import fig10_ecc
+from repro.experiments.common import run
 
 #: Two representative scenarios keep the bench tractable; the driver
 #: sweeps all six.
@@ -9,13 +10,12 @@ SCENARIOS = [TABLE_I[0], TABLE_I[3]]
 
 
 def test_fig10_reliable_transfer(once):
-    result = once(
-        fig10_ecc.run,
+    result = once(run, fig10_ecc.build_spec(
         seed=0,
         payload_bytes=16,
         packet_bytes=4,
         scenarios=SCENARIOS,
-    )
+    ))
     for name, per_noise in result["table"].items():
         base = per_noise["no-noise"]
         # 100% bit recovery is the scheme's guarantee (paper Sec VIII-C).

@@ -3,11 +3,13 @@
 from repro.channel.config import ProtocolParams, scenario_by_name
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.experiments import fig11_multibit
-from repro.experiments.common import payload_bits
+from repro.experiments.common import payload_bits, run
 
 
 def test_fig11_multibit_peak(once):
-    result = once(fig11_multibit.run, seed=0, bits=120, rates=(900, 1100))
+    result = once(run, fig11_multibit.build_spec(
+        seed=0, bits=120, rates=(900, 1100),
+    ))
     points = {p["rate_kbps"]: p for p in result["points"]}
     # The paper's peak: ~1.1 Mbps at high accuracy with 2-bit symbols.
     assert points[1100.0]["accuracy"] >= 0.95

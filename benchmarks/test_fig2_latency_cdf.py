@@ -1,10 +1,11 @@
 """Figure 2 / Section V bench: latency bands per (location, state) pair."""
 
 from repro.experiments import fig2_latency_cdf
+from repro.experiments.common import run
 
 
 def test_fig2_latency_bands(once):
-    result = once(fig2_latency_cdf.run, samples=1000, seed=0)
+    result = once(run, fig2_latency_cdf.build_spec(samples=1000, seed=0))
     medians = result["medians"]
     # Section V reference points: local S ~98 cycles, local E ~124.
     assert abs(medians["LShared"] - 98) < 5

@@ -4,12 +4,15 @@ import numpy as np
 
 from repro.channel.config import scenario_by_name
 from repro.experiments import fig8_bandwidth
+from repro.experiments.common import run
 
 RATES = (200, 500, 800, 1000)
 
 
 def test_fig8_accuracy_vs_rate(once):
-    result = once(fig8_bandwidth.run, seed=0, bits=100, rates=RATES)
+    result = once(
+        run, fig8_bandwidth.build_spec(seed=0, bits=100, rates=RATES),
+    )
     curves = result["curves"]
     assert len(curves) == 6
     for name, points in curves.items():

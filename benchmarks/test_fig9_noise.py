@@ -3,14 +3,15 @@
 import numpy as np
 
 from repro.experiments import fig9_noise
+from repro.experiments.common import run
 
 LEVELS = (0, 2, 8)
 
 
 def test_fig9_noise_degradation(once):
-    result = once(
-        fig9_noise.run, seed=0, bits=100, noise_levels=LEVELS, trials=2,
-    )
+    result = once(run, fig9_noise.build_spec(
+        seed=0, bits=100, noise_levels=LEVELS, trials=2,
+    ))
     curves = result["curves"]
     assert len(curves) == 6
     for name, points in curves.items():

@@ -1,10 +1,11 @@
 """Section VIII-E benches: mitigation effectiveness and design ablations."""
 
 from repro.experiments import ablations, mitigations
+from repro.experiments.common import run
 
 
 def test_mitigations_close_the_channel(once):
-    result = once(mitigations.run, seed=0, bits=60)
+    result = once(run, mitigations.build_spec(seed=0, bits=60))
     outcomes = result["outcomes"]
     assert outcomes["undefended"] >= 0.95
     # Every defense must cut the channel's accuracy drastically.

@@ -1,6 +1,7 @@
 """Section VII-A / Section IV benches: synchronization and KSM setup."""
 
 from repro.experiments import sync_handshake
+from repro.experiments.common import run
 from repro.kernel.syscalls import Kernel
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.sim.engine import Simulator
@@ -8,7 +9,7 @@ from repro.sim.rng import RngStreams
 
 
 def test_sync_handshake_duration(once):
-    result = once(sync_handshake.run, seed=0)
+    result = once(run, sync_handshake.build_spec(seed=0))
     assert result["synced"]
     # Paper: ~90 ms average at 2.67 GHz.
     assert 40 <= result["duration_ms"] <= 200

@@ -615,7 +615,7 @@ def service_sweep(
       two teammates sweeping overlapping grids;
     * ``service`` — both grids submitted concurrently to one
       :class:`~repro.service.ExperimentService` over HTTP, sharing the
-      sharded single-flight index and one warm worker pool.
+      single-flight index and one warm worker pool.
 
     ``dedupe_ratio`` (submitted / executed) is deterministic — the
     single-flight index executes each unique key exactly once whatever

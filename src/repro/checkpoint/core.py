@@ -226,7 +226,7 @@ def capture(session, ctx: TransmitContext | None = None,
         "repro_version": __version__,
         "machine_fingerprint": cfg.machine.fingerprint(),
         "seed": cfg.seed,
-        "scenario": cfg.scenario.name if cfg.scenario is not None else None,
+        "scenario": cfg.scenario.name,
         "clock": sim.global_clock,
         "threads": len(records),
         "transmissions": session._transmissions,

@@ -20,8 +20,6 @@ Environment knobs:
 
 * ``REPRO_SEGMENT_CYCLES`` — segment length in simulated cycles; unset
   or ``0`` disables segmentation entirely (today's behavior).
-* ``REPRO_SEGMENTS=0`` — kill switch: segmentation stays off even when
-  a segment length is configured.
 * ``REPRO_KILL_AT_SEGMENT=N`` — crash-injection hook: the process
   SIGKILLs itself after storing its N-th segment (CI crash-resume).
 * ``REPRO_CHECKPOINT_EXPORT=path`` — additionally write the newest
@@ -71,12 +69,8 @@ def segment_cycles() -> float:
 def segments_enabled() -> bool:
     """Whether segmented execution is active for new sessions.
 
-    Requires a positive ``REPRO_SEGMENT_CYCLES`` and survives the
-    ``REPRO_SEGMENTS=0`` kill switch, which restores the unsegmented
-    behavior exactly regardless of other settings.
+    Requires a positive ``REPRO_SEGMENT_CYCLES``.
     """
-    if os.environ.get("REPRO_SEGMENTS", "1") == "0":
-        return False
     return segment_cycles() > 0
 
 

@@ -22,12 +22,6 @@ from collections.abc import Callable
 
 from repro.experiments import REGISTRY
 
-#: Short command name -> experiments module name (derived from
-#: :data:`REGISTRY`; kept for backwards compatibility).
-EXPERIMENTS: dict[str, str] = {
-    name: info.module for name, info in REGISTRY.items()
-}
-
 
 def cmd_list(_argv: list[str]) -> None:
     """Print the available commands."""
@@ -252,7 +246,7 @@ def cmd_cache(argv: list[str]) -> None:
     )
     parser.add_argument(
         "action", choices=("stats", "gc"),
-        help="stats: entry counts/bytes/schemas per generation; "
+        help="stats: entry counts/bytes per generation; "
              "gc: delete entries keyed under stale version salts",
     )
     parser.add_argument(
@@ -283,12 +277,8 @@ def cmd_cache(argv: list[str]) -> None:
             print("(empty)")
         for name, info in sorted(stats["generations"].items()):
             mark = "  <- current" if info["current"] else "  (stale)"
-            schemas = ", ".join(
-                f"{schema}:{count}"
-                for schema, count in sorted(info["schemas"].items())
-            ) or "-"
             print(f"  {name:24s} {info['entries']:6d} entries  "
-                  f"{info['bytes'] / 1024:9.1f} KiB  [{schemas}]{mark}")
+                  f"{info['bytes'] / 1024:9.1f} KiB{mark}")
         return
     removed, freed = cache.gc(max_age_seconds=args.max_age)
     print(f"pruned {removed} stale entr{'y' if removed == 1 else 'ies'} "

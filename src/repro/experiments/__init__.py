@@ -8,11 +8,13 @@ Run any driver as a module, e.g.::
 or through the unified CLI (``python -m repro <name>``), which adds the
 shared runner options (``--jobs``, ``--no-cache``, ``--cache-dir``).
 
-Every driver self-describes through :data:`REGISTRY`: it exposes
-``build_spec(...)`` / ``spec_from_args(args)`` returning an
-:class:`~repro.runner.ExperimentSpec`, ``run(spec)``, ``collect(spec,
-values)``, ``render(result)`` and ``main(argv)``; see
-:mod:`repro.experiments.common` for the contract.
+Every driver self-describes through :data:`REGISTRY`, which also owns
+its one-line summary.  A driver module exposes ``build_spec(...)`` /
+``spec_from_args(args)`` returning an
+:class:`~repro.runner.ExperimentSpec`, ``collect(spec, values)`` and
+``render(result)``; the entry points ``run(spec)`` and ``main(name,
+argv)`` are written once in :mod:`repro.experiments.common`, which
+also documents the contract.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import importlib
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any
 
 # Drivers are imported lazily (``python -m`` would otherwise warn about
 # the module being pre-imported through the package, and ``repro list``
@@ -68,7 +69,9 @@ class ExperimentInfo:
         return module.build_spec(**kwargs)
 
     def run(self, spec) -> dict:
-        return self.load().run(spec)
+        from repro.experiments.common import run
+
+        return run(spec)
 
     def collect(self, spec, values: list) -> dict:
         return self.load().collect(spec, values)
@@ -76,8 +79,10 @@ class ExperimentInfo:
     def render(self, result: dict) -> str:
         return self.load().render(result)
 
-    def main(self, argv: list[str] | None = None) -> Any:
-        return self.load().main(argv)
+    def main(self, argv: list[str] | None = None) -> None:
+        from repro.experiments.common import main
+
+        main(self.name, argv)
 
 
 #: Short CLI name -> self-describing driver entry (paper order).

@@ -23,17 +23,12 @@ from repro.channel.config import TABLE_I, ProtocolParams
 from repro.channel.scenarios import scenario_spec_by_name
 from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
 from repro.errors import CalibrationError
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-)
+from repro.experiments.common import payload_bits
 from repro.mem.hierarchy import MachineConfig
 from repro.mem.protocols import PROTOCOLS as _PROTOCOL_REGISTRY
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "ablations"
-SUMMARY = "DESIGN.md design-choice ablations"
 POINT_FN = "repro.experiments.ablations:point"
 
 PROTOCOLS = tuple(sorted(_PROTOCOL_REGISTRY))
@@ -223,13 +218,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     }
 
 
-def run(spec: ExperimentSpec | None = None, **kwargs) -> dict:
-    """All ablation groups in one result dict (keyed per group)."""
-    if not isinstance(spec, ExperimentSpec):
-        spec = build_spec(**kwargs)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     parts = [ascii_table(
         ("protocol", "accuracy"),
@@ -279,16 +267,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(seed=args.seed)
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

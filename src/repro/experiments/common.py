@@ -1,28 +1,33 @@
 """Shared plumbing for the experiment drivers.
 
-Every driver speaks the unified :class:`~repro.runner.ExperimentSpec`
-API:
+Every driver module declares its grid and its presentation, nothing
+more:
 
+* ``NAME`` — its :data:`~repro.experiments.REGISTRY` key, and
+  ``POINT_FN`` — the ``"module:function"`` path of ``point``;
 * ``point(**params)`` — the top-level per-grid-point function the
   runner executes (in-process or in a worker);
 * ``build_spec(**kwargs) -> ExperimentSpec`` — declares the grid;
+* ``add_arguments(parser)`` / ``spec_from_args(args)`` — the driver's
+  CLI options and the grid they select;
 * ``collect(spec, values) -> dict`` — reassembles point values into the
   figure-shaped result dict;
-* ``run(spec) -> dict`` — the normalized entry point (legacy keyword
-  forms survive as deprecation shims);
-* ``render(result) -> str`` — the paper-style text table;
-* ``main(argv)`` — CLI glue with the shared ``--jobs``/``--no-cache``/
-  ``--cache-dir`` runner options.
+* ``render(result) -> str`` — the paper-style text table.
+
+The entry points are written once, here: :func:`run` executes a spec
+in-process and :func:`main` is the CLI glue that adds the shared
+runner options (``--jobs``, ``--no-cache``, ``--cache-dir``, ...).
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
+import os
 
 import numpy as np
 
 from repro.channel.config import TABLE_I, ProtocolParams, Scenario
+from repro.experiments import REGISTRY
 
 #: Bit rates swept in Figure 8 (Kbits/s).
 FIG8_RATES = (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
@@ -160,7 +165,7 @@ def runner_arguments(parser: argparse.ArgumentParser) -> None:
              "CYCLES simulated cycles so killed/timed-out points resume "
              "from their last segment instead of recomputing (sets "
              "REPRO_SEGMENT_CYCLES so worker processes inherit it; "
-             "cache keys are unaffected; REPRO_SEGMENTS=0 disables)",
+             "cache keys are unaffected; segmentation is off without it)",
     )
 
 
@@ -176,33 +181,32 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
     failures, the per-point errors are printed to stderr and the process
     exits 1 — completed values are already cached, so re-running
     resumes the sweep.
+
+    ``--trace``, ``--segment-cycles`` and ``--cache-dir`` reach pool
+    workers through the environment (set for the duration of the run,
+    then restored), never through point params, so cache keys are the
+    same with and without them.
     """
-    import os
     import sys
 
     from repro.runner import FailurePolicy, ResultCache, Runner, auto_progress
 
+    environ: dict[str, str] = {}
     if getattr(args, "trace", False):
-        # Environment propagation (not a Point param) keeps grid cache
-        # keys identical with and without tracing; pool workers inherit
-        # the variable on fork/spawn.
-        os.environ["REPRO_TRACE"] = "1"
+        environ["REPRO_TRACE"] = "1"
         spec.meta.setdefault("trace", True)
     segment_cycles = getattr(args, "segment_cycles", None)
     if segment_cycles is not None:
         if segment_cycles <= 0:
             raise SystemExit("--segment-cycles must be a positive cycle count")
-        # Same propagation rationale as --trace: segmentation changes
-        # how a point executes, never what it computes, so it rides the
-        # environment instead of the cache key.
-        os.environ["REPRO_SEGMENT_CYCLES"] = repr(float(segment_cycles))
+        environ["REPRO_SEGMENT_CYCLES"] = repr(float(segment_cycles))
         spec.meta.setdefault("segment_cycles", float(segment_cycles))
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None:
         # Checkpoint segments build their own ResultCache inside worker
         # processes from $REPRO_CACHE_DIR; an explicit --cache-dir must
         # reach them too, not just the parent's results cache.
-        os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
+        environ["REPRO_CACHE_DIR"] = str(cache_dir)
     cache = None if getattr(args, "no_cache", False) else ResultCache(
         cache_dir
     )
@@ -233,10 +237,20 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
             f"harness fault(s) (plan {plan.key()[:12]})",
             file=sys.stderr,
         )
-    runner = Runner(jobs=getattr(args, "jobs", 1), cache=cache,
-                    progress=progress, policy=policy, injector=injector,
-                    chunk_size=getattr(args, "chunk_size", None))
-    report = runner.run(spec)
+    saved = {name: os.environ.get(name) for name in environ}
+    os.environ.update(environ)
+    try:
+        # The runner binds its trace recorder at construction.
+        runner = Runner(jobs=getattr(args, "jobs", 1), cache=cache,
+                        progress=progress, policy=policy, injector=injector,
+                        chunk_size=getattr(args, "chunk_size", None))
+        report = runner.run(spec)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
     if progress is not None:
         progress.summarize(report)
     if report.errors:
@@ -257,12 +271,21 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
     return report.values
 
 
-def warn_legacy_run(module: str) -> None:
-    """Deprecation warning for the pre-ExperimentSpec ``run()`` forms."""
-    warnings.warn(
-        f"calling {module}.run() with legacy keyword arguments is "
-        f"deprecated; build a grid with {module}.build_spec(...) and pass "
-        f"the ExperimentSpec as the single positional argument",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def run(spec) -> dict:
+    """Execute *spec* in-process; returns its driver's collected result."""
+    from repro.runner import execute
+
+    return REGISTRY[spec.experiment].load().collect(spec, execute(spec))
+
+
+def main(name: str, argv: list[str] | None = None) -> None:
+    """CLI glue for the driver registered as *name*: parse, run, print."""
+    driver = REGISTRY[name].load()
+    parser = argparse.ArgumentParser(description=driver.__doc__)
+    driver.add_arguments(parser)
+    runner_arguments(parser)
+    args = parser.parse_args(argv)
+
+    spec = driver.spec_from_args(args)
+    values = execute_from_args(spec, args)
+    print(driver.render(driver.collect(spec, values)))

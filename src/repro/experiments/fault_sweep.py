@@ -24,19 +24,15 @@ from repro.channel.config import TABLE_I, ProtocolParams
 from repro.channel.session import execute_point
 from repro.experiments.common import (
     common_arguments,
-    execute_from_args,
     payload_bits,
-    runner_arguments,
     scenario_argument,
     selected_scenarios,
-    warn_legacy_run,
 )
 from repro.faults import FaultPlan
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 from repro.sim.rng import derive_seed
 
 NAME = "faults"
-SUMMARY = "robustness: accuracy vs injected fault rate"
 POINT_FN = "repro.experiments.fault_sweep:point"
 
 #: Expected simulation faults per million cycles (the swept axis).  A
@@ -148,21 +144,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"curves": curves, "fault_rates": list(rates)}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Accuracy per (scenario, fault rate), averaged over the trials.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=..., fault_rates=..., ...)`` keyword form warns
-    but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     headers = ["scenario"] + [
         f"{r:g}/Mcyc" for r in result["fault_rates"]
@@ -206,16 +187,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

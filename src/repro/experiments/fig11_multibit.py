@@ -14,16 +14,10 @@ import argparse
 
 from repro.analysis.reporting import ascii_table, bitstring
 from repro.channel.symbols import MultiBitSession, SymbolParams
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-    warn_legacy_run,
-)
-from repro.runner import ExperimentSpec, Point, execute
+from repro.experiments.common import payload_bits
+from repro.runner import ExperimentSpec, Point
 
 NAME = "fig11"
-SUMMARY = "Figure 11 2-bit symbol channel"
 POINT_FN = "repro.experiments.fig11_multibit:point"
 
 #: The 18-bit prefix of Figure 11's magnified view: all four symbols.
@@ -83,21 +77,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     }
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Accuracy/rate of the multi-bit channel across symbol rates.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=..., rates=...)`` keyword form warns but still
-    works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     rows = [
         (f"{p['rate_kbps']:.0f}", f"{p['achieved_kbps']:.0f}",
@@ -133,16 +112,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(seed=args.seed, bits=args.bits)
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

@@ -16,18 +16,12 @@ import numpy as np
 from repro.analysis.cdf import band_separation
 from repro.analysis.reporting import ascii_cdf, ascii_table
 from repro.channel.calibration import calibrate
-from repro.experiments.common import (
-    execute_from_args,
-    protocol_argument,
-    runner_arguments,
-    warn_legacy_run,
-)
+from repro.experiments.common import protocol_argument
 from repro.mem.hierarchy import Machine, MachineConfig
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 from repro.sim.rng import RngStreams
 
 NAME = "fig2"
-SUMMARY = "Figure 2 + Section V latency reference points"
 POINT_FN = "repro.experiments.fig2_latency_cdf:point"
 
 
@@ -78,20 +72,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return values[0]
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Measure all bands; returns raw samples, medians and separations.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(samples=..., seed=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("samples", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     parts = [ascii_cdf(result["raw"],
                        title="Figure 2: load-latency CDFs (cycles)"), ""]
@@ -126,16 +106,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                       protocol=args.protocol)
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

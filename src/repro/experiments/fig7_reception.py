@@ -17,17 +17,13 @@ from repro.channel.config import TABLE_I
 from repro.channel.session import execute_point
 from repro.experiments.common import (
     common_arguments,
-    execute_from_args,
     payload_bits,
-    runner_arguments,
     scenario_argument,
     selected_scenarios,
-    warn_legacy_run,
 )
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "fig7"
-SUMMARY = "Figures 6-7 transmission + reception traces"
 POINT_FN = "repro.experiments.fig7_reception:point"
 
 
@@ -41,8 +37,13 @@ def point(*, scenario: str, seed: int, bits: int,
 
 
 def build_spec(seed: int = 0, bits: int = 100, scenarios=None,
-               protocol: str | None = None) -> ExperimentSpec:
-    """One point (full reception trace) per scenario."""
+               protocol: str | None = None,
+               trace_samples: int = 40) -> ExperimentSpec:
+    """One point (full reception trace) per scenario.
+
+    ``trace_samples`` is a rendering choice (the magnified view's
+    length); it rides in ``meta``, so it never enters a cache key.
+    """
     names = [
         s if isinstance(s, str) else s.name
         for s in (scenarios if scenarios is not None else TABLE_I)
@@ -60,31 +61,22 @@ def build_spec(seed: int = 0, bits: int = 100, scenarios=None,
     )
     return ExperimentSpec(
         experiment=NAME, points=points,
-        meta={"scenarios": names, "bits": bits},
+        meta={"scenarios": names, "bits": bits,
+              "trace_samples": trace_samples},
     )
 
 
 def collect(spec: ExperimentSpec, values: list) -> dict:
     outcomes = dict(zip(spec.meta["scenarios"], values))
-    return {"payload": payload_bits(spec.meta["bits"]), "results": outcomes}
+    return {
+        "payload": payload_bits(spec.meta["bits"]),
+        "results": outcomes,
+        "trace_samples": spec.meta["trace_samples"],
+    }
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Transmit the Figure 6 pattern on each scenario; keep the traces.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=..., scenarios=...)`` keyword form warns but
-    still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
-def render(result: dict, trace_samples: int = 40) -> str:
+def render(result: dict) -> str:
+    trace_samples = result["trace_samples"]
     parts = ["Figure 6: bit pattern covertly transmitted by the trojan",
              bitstring(result["payload"]), ""]
     rows = []
@@ -129,19 +121,10 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         bits=args.bits,
         scenarios=selected_scenarios(args.scenario),
         protocol=args.protocol,
+        trace_samples=args.trace_samples,
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values), trace_samples=args.trace_samples))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

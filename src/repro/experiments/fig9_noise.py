@@ -17,17 +17,13 @@ from repro.channel.session import execute_point
 from repro.experiments.common import (
     FIG9_NOISE_LEVELS,
     common_arguments,
-    execute_from_args,
     payload_bits,
-    runner_arguments,
     scenario_argument,
     selected_scenarios,
-    warn_legacy_run,
 )
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "fig9"
-SUMMARY = "Figure 9 kernel-build noise sweep"
 POINT_FN = "repro.experiments.fig9_noise:point"
 
 #: Figure 9 is measured at a moderate transmission rate.
@@ -116,21 +112,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"curves": curves, "noise_levels": list(levels)}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Accuracy per (scenario, noise level), averaged over the trials.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=..., noise_levels=..., scenarios=...,
-    rate_kbps=..., trials=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     headers = ["scenario"] + [
         f"{n} kbuild" for n in result["noise_levels"]
@@ -162,16 +143,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

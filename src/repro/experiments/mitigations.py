@@ -14,19 +14,13 @@ from repro.analysis.reporting import ascii_table
 from repro.channel.config import TABLE_I, ProtocolParams
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.errors import CalibrationError, ChannelError, SyncTimeoutError
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-    warn_legacy_run,
-)
+from repro.experiments.common import payload_bits
 from repro.mitigation.hardware import attach_obfuscator, hardened_machine_config
 from repro.mitigation.ksm_policy import deploy_ksm_timeout
 from repro.mitigation.noise_injector import deploy_noise_injector
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "mitigations"
-SUMMARY = "Section VIII-E defenses"
 POINT_FN = "repro.experiments.mitigations:point"
 
 #: Grid order of the defense points; collect() preserves it.
@@ -140,21 +134,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"scenario": spec.meta["scenario"], "outcomes": outcomes}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Accuracy of the channel under each defense.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=..., scenario=...)`` keyword form warns but
-    still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     rows = []
     for name, value in result["outcomes"].items():
@@ -178,16 +157,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(seed=args.seed, bits=args.bits)
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

@@ -15,16 +15,12 @@ from repro.analysis.reporting import ascii_table
 from repro.channel.config import TABLE_I
 from repro.channel.session import execute_point, resolve_spec
 from repro.experiments.common import (
-    execute_from_args,
     payload_bits,
     protocol_argument,
-    runner_arguments,
-    warn_legacy_run,
 )
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "table1"
-SUMMARY = "Table I scenario/thread-placement check"
 POINT_FN = "repro.experiments.table1_scenarios:point"
 
 #: The paper's Table I thread columns, for cross-checking.
@@ -76,20 +72,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"rows": list(values)}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Run a short transmission per scenario; returns placement + accuracy.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     rows = []
     for row in result["rows"]:
@@ -122,16 +104,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                       protocol=args.protocol)
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.common import main
+    main(NAME)

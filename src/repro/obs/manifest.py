@@ -75,7 +75,7 @@ class RunManifest:
             repro_version=repro.__version__,
             python_version=platform.python_version(),
             seed=cfg.seed,
-            scenario=cfg.scenario.name if cfg.scenario is not None else "",
+            scenario=cfg.scenario.name,
             sharing=cfg.sharing,
             machine_fingerprint=machine_fingerprint(cfg.machine),
             calibration_samples=cfg.calibration_samples,

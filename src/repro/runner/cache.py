@@ -10,25 +10,25 @@ Values are arbitrary picklable Python objects (floats, result dicts,
 :class:`~repro.channel.session.TransmissionResult` instances, numpy
 arrays).  Entries are written atomically (temp file + rename) so a
 killed run never leaves a torn entry.  Corrupt entries (bad pickle
-bytes) are deleted and recomputed; transiently unreadable entries
-(``OSError``) are reported as misses but left in place.  Orphaned
-``*.tmp`` files from killed runs are swept on construction.
+bytes, or a blob without the entry frame) are deleted and recomputed;
+transiently unreadable entries (``OSError``) are reported as misses but
+left in place.  Orphaned ``*.tmp`` files from killed runs are swept on
+construction.
 
-Entry format (schema v2): a 4-byte magic ``RPC2`` + 1 flags byte +
-payload.  The payload is the value's pickle, zlib-compressed when it
-exceeds :data:`COMPRESS_THRESHOLD` (flag bit 0).  Lookup decodes
-transparently, including legacy schema-v1 entries (bare pickle bytes —
-pickles never start with ``RPC2``).
+Entry format: a 4-byte magic ``RPC2`` + 1 flags byte + payload.  The
+payload is the value's pickle, zlib-compressed when it exceeds
+:data:`COMPRESS_THRESHOLD` (flag bit 0).  This is the only format
+:func:`decode_entry` accepts.
 
 Layout::
 
     <cache_dir>/<salt-dir>/<key[:2]>/<key>.pkl
 
 where ``<salt-dir>`` names the version salt the entries were keyed
-under.  Pre-v2 caches stored entries directly under
-``<cache_dir>/<key[:2]>/``; grouping by salt makes stale generations
-enumerable, which is what :meth:`ResultCache.stats` and
-:meth:`ResultCache.gc` (the ``repro cache`` CLI) operate on.
+under.  Every top-level directory is one generation; grouping by salt
+makes stale generations enumerable, which is what
+:meth:`ResultCache.stats` and :meth:`ResultCache.gc` (the ``repro
+cache`` CLI) operate on.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ _MISS = object()
 #: Younger temps may belong to a store() in progress in another process.
 STALE_TMP_SECONDS = 60.0
 
-#: Magic prefix of schema-v2 entries.  Pickle streams begin with
-#: ``b"\x80"`` (any protocol >= 2), so the two formats cannot collide.
+#: Magic prefix of every cache entry.
 ENTRY_MAGIC = b"RPC2"
 
 #: Flags-byte bit: the payload is zlib-compressed.
@@ -63,25 +62,14 @@ FLAG_ZLIB = 0x01
 #: would dominate).
 COMPRESS_THRESHOLD = 4096
 
-#: Top-level directories of the pre-salt-dir layout: two hex chars.
-_LEGACY_SHARD = re.compile(r"^[0-9a-f]{2}$")
-
 
 def _salt_dirname(salt: str) -> str:
-    """A filesystem-safe directory name for *salt*.
-
-    Must never look like a legacy two-hex-char shard directory; real
-    salts (``repro-<version>``) never do, and the fallback keeps a
-    pathological salt distinguishable too.
-    """
-    name = re.sub(r"[^A-Za-z0-9._+-]", "_", salt) or "_"
-    if _LEGACY_SHARD.match(name):
-        name = f"salt-{name}"
-    return name
+    """A filesystem-safe directory name for *salt*."""
+    return re.sub(r"[^A-Za-z0-9._+-]", "_", salt) or "_"
 
 
 def encode_entry(value: Any) -> bytes:
-    """Serialize *value* into the schema-v2 on-disk entry format."""
+    """Serialize *value* into the on-disk entry format."""
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     flags = 0
     if len(payload) >= COMPRESS_THRESHOLD:
@@ -93,9 +81,9 @@ def encode_entry(value: Any) -> bytes:
 
 
 def decode_entry(blob: bytes) -> Any:
-    """Inverse of :func:`encode_entry`; legacy bare pickles also decode."""
+    """Inverse of :func:`encode_entry`; raises on an unframed blob."""
     if not blob.startswith(ENTRY_MAGIC):
-        return pickle.loads(blob)  # schema v1: bare pickle bytes
+        raise ValueError("not a framed cache entry")
     flags = blob[len(ENTRY_MAGIC)]
     payload = blob[len(ENTRY_MAGIC) + 1:]
     if flags & FLAG_ZLIB:
@@ -144,8 +132,6 @@ class ResultCache:
             return removed
         cutoff = time.time() - STALE_TMP_SECONDS
         try:
-            # rglob, not glob: temps live at either layout depth
-            # (<root>/<shard>/ legacy, <root>/<salt>/<shard>/ current).
             for tmp in self.root.rglob("*.tmp"):
                 try:
                     # The age guard protects a concurrent store() whose
@@ -263,11 +249,7 @@ class ResultCache:
     # -- maintenance (the ``repro cache`` CLI) --------------------------
 
     def _generations(self) -> dict[str, list[Path]]:
-        """Entry files grouped by generation directory name.
-
-        Keys are salt-dir names, plus ``"legacy"`` for entries stored by
-        the pre-salt-dir layout directly under two-hex shard dirs.
-        """
+        """Entry files grouped by top-level (generation) directory name."""
         generations: dict[str, list[Path]] = {}
         if not self.root.is_dir():
             return generations
@@ -278,19 +260,17 @@ class ResultCache:
         for child in children:
             if not child.is_dir():
                 continue
-            name = "legacy" if _LEGACY_SHARD.match(child.name) else child.name
-            files = [p for p in child.rglob("*.pkl") if p.is_file()]
-            generations.setdefault(name, []).extend(files)
+            generations[child.name] = [
+                p for p in child.rglob("*.pkl") if p.is_file()
+            ]
         return generations
 
     def stats(self) -> dict:
-        """Entry counts, byte totals, and schema mix per generation.
+        """Entry counts and byte totals per generation.
 
         The ``current`` generation is the one this cache reads and
-        writes (its salt's directory); every other generation — other
-        salts, the legacy flat layout — is dead weight :meth:`gc` can
-        reclaim.  Schema counts come from each entry's leading bytes
-        (``v2`` framed, ``v1`` bare pickle).
+        writes (its salt's directory); every other top-level directory
+        is a stale generation, dead weight :meth:`gc` can reclaim.
         """
         current = _salt_dirname(self.salt)
         out = {
@@ -301,22 +281,16 @@ class ResultCache:
             "generations": {},
         }
         for name, files in self._generations().items():
-            schemas: dict[str, int] = {}
-            total = 0
+            entries = total = 0
             for path in files:
                 try:
-                    size = path.stat().st_size
-                    with open(path, "rb") as fh:
-                        head = fh.read(len(ENTRY_MAGIC))
+                    total += path.stat().st_size
                 except OSError:
                     continue
-                total += size
-                schema = "v2" if head == ENTRY_MAGIC else "v1"
-                schemas[schema] = schemas.get(schema, 0) + 1
+                entries += 1
             info = {
-                "entries": sum(schemas.values()),
+                "entries": entries,
                 "bytes": total,
-                "schemas": schemas,
                 "current": name == current,
             }
             out["generations"][name] = info
@@ -327,15 +301,15 @@ class ResultCache:
     def gc(self, max_age_seconds: float | None = None) -> tuple[int, int]:
         """Prune every stale generation; returns (entries, bytes) freed.
 
-        Removes entries keyed under other version salts and the legacy
-        flat layout — both unreachable by this cache's lookups — along
-        with their emptied directories.  The current generation is never
-        touched by default; with ``max_age_seconds``, entries of *any*
-        generation (the current one included) whose mtime is older than
-        the cutoff are reaped too — the knob that keeps long-lived
-        caches (checkpoint segments especially, which are superseded but
-        never overwritten once a run completes) from growing without
-        bound.
+        Removes entries of every other generation (other version salts,
+        and any other top-level directory) — all unreachable by this
+        cache's lookups — along with their emptied directories.  The
+        current generation is never touched by default; with
+        ``max_age_seconds``, entries of *any* generation (the current one
+        included) whose mtime is older than the cutoff are reaped too —
+        the knob that keeps long-lived caches (checkpoint segments
+        especially, which are superseded but never overwritten once a
+        run completes) from growing without bound.
         """
         current = _salt_dirname(self.salt)
         cutoff = None

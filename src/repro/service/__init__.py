@@ -4,10 +4,10 @@ Many clients submitting overlapping grids collectively pay for each
 unique point **once**, fleet-wide.  Three cooperating layers, all on one
 asyncio event loop, all stdlib-only:
 
-* :mod:`repro.service.shards` — :class:`ShardedIndex`, a sharded
+* :mod:`repro.service.singleflight` — :class:`SingleFlightIndex`, an
   in-process single-flight index over the on-disk
-  :class:`~repro.runner.cache.ResultCache` (same keys, same blobs;
-  shards by ``key[:2]``).  ``reserve`` makes exactly one caller the
+  :class:`~repro.runner.cache.ResultCache` (same keys, same blobs).
+  ``reserve`` makes exactly one caller the
   executor of a missing key; everyone else awaits the published blob.
 * :mod:`repro.service.cacheserver` / :mod:`repro.service.cacheclient` —
   the index exposed over a local socket as newline-delimited JSON
@@ -30,7 +30,7 @@ from repro.service.cacheserver import CacheServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobManager
 from repro.service.server import ExperimentService, ServiceHandle
-from repro.service.shards import ShardedIndex
+from repro.service.singleflight import SingleFlightIndex
 
 __all__ = [
     "CacheServer",
@@ -41,5 +41,5 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceHandle",
-    "ShardedIndex",
+    "SingleFlightIndex",
 ]

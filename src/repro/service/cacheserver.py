@@ -1,4 +1,4 @@
-"""The cache server: :class:`ShardedIndex` over a local socket.
+"""The cache server: :class:`SingleFlightIndex` over a local socket.
 
 External runner processes (and the ``service_sweep`` benchmark's
 concurrent clients) join the service's single-flight domain through
@@ -24,7 +24,7 @@ import base64
 import json
 from typing import Any
 
-from repro.service.shards import ShardedIndex
+from repro.service.singleflight import SingleFlightIndex
 
 #: Reject absurd frames early (a blob is kilobytes; 64 MiB is a bug).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -46,9 +46,9 @@ def blob_from_wire(text: str | None) -> bytes | None:
 
 
 class CacheServer:
-    """Serve a :class:`ShardedIndex` on a localhost TCP socket."""
+    """Serve a :class:`SingleFlightIndex` on a localhost TCP socket."""
 
-    def __init__(self, index: ShardedIndex, host: str = "127.0.0.1",
+    def __init__(self, index: SingleFlightIndex, host: str = "127.0.0.1",
                  port: int = 0):
         self.index = index
         self.host = host

@@ -15,8 +15,9 @@ What the manager adds is *cross-job* scheduling:
 * **work stealing** — among equally-loaded jobs, the slot goes to the
   *longest* pending queue, draining backlogs first;
 * **global single-flight** — before a point is dispatched its key is
-  reserved in the shared :class:`~repro.service.shards.ShardedIndex`;
-  a key some other job (or a remote socket client) is already computing
+  reserved in the shared
+  :class:`~repro.service.singleflight.SingleFlightIndex`; a key some
+  other job (or a remote socket client) is already computing
   parks on an awaited future instead of burning a worker.
 
 Every per-point lifecycle step is emitted as a JSON-plain event dict:

@@ -1,10 +1,11 @@
 """:class:`ExperimentService`: cache server + job manager + HTTP API.
 
 One asyncio loop hosts all three layers, sharing a single
-:class:`~repro.service.shards.ShardedIndex` — which is exactly how the
-fleet-wide dedupe guarantee arises: every execution path (HTTP-submitted
-jobs on the shared pool, external runners on the socket protocol) must
-reserve a key in the same index before computing it.
+:class:`~repro.service.singleflight.SingleFlightIndex` — which is
+exactly how the fleet-wide dedupe guarantee arises: every execution
+path (HTTP-submitted jobs on the shared pool, external runners on the
+socket protocol) must reserve a key in the same index before computing
+it.
 
 :func:`ExperimentService.run_in_thread` hosts the whole service on a
 daemon thread for tests, the ``service_sweep`` benchmark, and the CI
@@ -23,7 +24,7 @@ from repro.runner.executor import FailurePolicy
 from repro.service.cacheserver import CacheServer
 from repro.service.http import HttpApi
 from repro.service.jobs import JobManager
-from repro.service.shards import ShardedIndex
+from repro.service.singleflight import SingleFlightIndex
 
 
 class ExperimentService:
@@ -39,7 +40,7 @@ class ExperimentService:
         policy: FailurePolicy | None = None,
     ):
         self.cache = cache if cache is not None else ResultCache()
-        self.index = ShardedIndex(self.cache)
+        self.index = SingleFlightIndex(self.cache)
         self.cache_server = CacheServer(
             self.index, host=host, port=cache_port
         )

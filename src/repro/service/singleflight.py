@@ -1,6 +1,6 @@
-"""The sharded single-flight index: one execution per unique key.
+"""The single-flight index: one execution per unique key.
 
-:class:`ShardedIndex` sits between every execution path in the service
+:class:`SingleFlightIndex` sits between every execution path in the service
 (local job scheduler, remote socket clients) and the on-disk
 :class:`~repro.runner.cache.ResultCache`.  It speaks raw content keys
 and opaque entry blobs — the exact bytes the cache stores — so a blob
@@ -13,11 +13,8 @@ and receives the published blob without executing anything.  If an owner
 fails or disconnects, the first waiter is *promoted* to owner — dedupe
 is an optimization, never a liveness dependency.
 
-The index is sharded by ``key[:2]`` (256 ways, matching the cache's
-on-disk fan-out) so reservation state and per-shard occupancy stats stay
-bounded and cheap to report.  Everything runs on one asyncio loop, so
-shard access needs no locks — sharding bounds dict sizes and gives the
-stats endpoint a cheap occupancy histogram, mirroring the disk layout.
+Everything runs on one asyncio loop, so the reservation dict needs no
+locks.
 """
 
 from __future__ import annotations
@@ -27,18 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.runner.cache import ResultCache
-
-#: Shard fan-out: first byte of the hex key, matching ``<root>/<key[:2]>/``.
-SHARD_COUNT = 256
-
-
-def shard_of(key: str) -> int:
-    """The shard index a content *key* lands in (by ``key[:2]``)."""
-    try:
-        return int(key[:2], 16) % SHARD_COUNT
-    except ValueError:
-        return 0
-
 
 @dataclass
 class _Reservation:
@@ -50,8 +35,8 @@ class _Reservation:
     waiters: list[tuple[str, asyncio.Future]] = field(default_factory=list)
 
 
-class ShardedIndex:
-    """Sharded single-flight reservations over a :class:`ResultCache`.
+class SingleFlightIndex:
+    """Single-flight reservations over a :class:`ResultCache`.
 
     Owners are opaque string tokens (a socket connection id, a job/point
     id) so one misbehaving client's reservations can be swept with
@@ -60,9 +45,7 @@ class ShardedIndex:
 
     def __init__(self, cache: ResultCache):
         self.cache = cache
-        self._shards: list[dict[str, _Reservation]] = [
-            {} for _ in range(SHARD_COUNT)
-        ]
+        self._reservations: dict[str, _Reservation] = {}
         self.counters: dict[str, int] = {
             "hits": 0,          # reserve/lookup found the blob on disk
             "misses": 0,        # reserve had to create a reservation
@@ -96,10 +79,9 @@ class ShardedIndex:
         if blob is not None:
             self.counters["hits"] += 1
             return "hit", blob
-        shard = self._shards[shard_of(key)]
-        reservation = shard.get(key)
+        reservation = self._reservations.get(key)
         if reservation is None:
-            shard[key] = _Reservation(owner=owner)
+            self._reservations[key] = _Reservation(owner=owner)
             self.counters["misses"] += 1
             self.counters["reserved"] += 1
             return "own", None
@@ -121,13 +103,12 @@ class ShardedIndex:
         blob = self.cache.lookup_blob(key)
         if blob is not None:
             return "hit", blob
-        shard = self._shards[shard_of(key)]
-        reservation = shard.get(key)
+        reservation = self._reservations.get(key)
         if reservation is None:
             # The owner vanished between this caller's reserve and wait
             # (published-then-evicted is indistinguishable from failed):
             # promote the caller rather than deadlock.
-            shard[key] = _Reservation(owner=owner)
+            self._reservations[key] = _Reservation(owner=owner)
             self.counters["promoted"] += 1
             return "own", None
         if reservation.owner == owner:
@@ -170,7 +151,7 @@ class ShardedIndex:
         """
         self.cache.store_blob(key, blob)
         self.counters["published"] += 1
-        reservation = self._shards[shard_of(key)].pop(key, None)
+        reservation = self._reservations.pop(key, None)
         if reservation is None:
             return
         for _, future in reservation.waiters:
@@ -184,8 +165,7 @@ class ShardedIndex:
         resolves ``("own", None)`` and it executes the point itself);
         with no waiters the reservation simply disappears.
         """
-        shard = self._shards[shard_of(key)]
-        reservation = shard.get(key)
+        reservation = self._reservations.get(key)
         if reservation is None or reservation.owner != owner:
             return
         self.counters["failed"] += 1
@@ -197,7 +177,7 @@ class ShardedIndex:
             self.counters["promoted"] += 1
             future.set_result(("own", None))
             return
-        del shard[key]
+        del self._reservations[key]
 
     def release_owner(self, owner: str) -> int:
         """Sweep every reservation and parked wait held by *owner*.
@@ -208,30 +188,27 @@ class ShardedIndex:
         released.
         """
         released = 0
-        for shard in self._shards:
-            for key, reservation in list(shard.items()):
-                reservation.waiters = [
-                    (who, future)
-                    for who, future in reservation.waiters
-                    if who != owner or future.done()
-                ]
-                if reservation.owner == owner:
-                    released += 1
-                    self.release(key, owner)
+        for key, reservation in list(self._reservations.items()):
+            reservation.waiters = [
+                (who, future)
+                for who, future in reservation.waiters
+                if who != owner or future.done()
+            ]
+            if reservation.owner == owner:
+                released += 1
+                self.release(key, owner)
         return released
 
     # -- stats -----------------------------------------------------------
 
     def in_flight(self) -> int:
-        """Active reservations across all shards."""
-        return sum(len(shard) for shard in self._shards)
+        """Active reservations."""
+        return len(self._reservations)
 
     def stats(self) -> dict[str, Any]:
-        """Counters plus reservation occupancy (the CI smoke's proof)."""
-        occupied = [i for i, shard in enumerate(self._shards) if shard]
+        """Counters plus in-flight reservations (the CI smoke's proof)."""
         return {
             **self.counters,
             "in_flight": self.in_flight(),
-            "occupied_shards": len(occupied),
             "cache_root": str(self.cache.root),
         }

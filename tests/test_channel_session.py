@@ -135,7 +135,7 @@ def test_eviction_based_flush_channel():
     from repro.channel.config import ProtocolParams
 
     session = ChannelSession(SessionConfig(
-        scenario=TABLE_I[0],
+        spec=TABLE_I[0].name,
         params=ProtocolParams.for_eviction_flush(),
         seed=13,
         flush_method="evict",
@@ -150,7 +150,7 @@ def test_eviction_based_flush_channel():
 
 def test_eviction_set_maps_to_target_llc_set():
     session = ChannelSession(SessionConfig(
-        scenario=TABLE_I[0],
+        spec=TABLE_I[0].name,
         seed=13,
         flush_method="evict",
         calibration_samples=200,
@@ -166,4 +166,4 @@ def test_eviction_set_maps_to_target_llc_set():
 
 def test_invalid_flush_method_rejected():
     with pytest.raises(ConfigError):
-        SessionConfig(scenario=TABLE_I[0], flush_method="magnets")
+        SessionConfig(spec=TABLE_I[0].name, flush_method="magnets")

@@ -7,7 +7,7 @@ stored segment finishes with the same result the original would have
 produced.  Covered across the three coherence backends (snoop MESI,
 MOESI, home-node directory), with noise workloads and a warmup prefix
 riding along, plus the blob format's integrity checks and the
-``REPRO_SEGMENTS=0`` kill switch.
+``REPRO_SEGMENT_CYCLES`` parsing that switches segmentation on.
 """
 
 import hashlib
@@ -71,9 +71,8 @@ def seg_cache(monkeypatch, tmp_path):
     """A private segment cache and a clean checkpoint environment."""
     root = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    for var in ("REPRO_SEGMENT_CYCLES", "REPRO_SEGMENTS",
-                "REPRO_KILL_AT_SEGMENT", "REPRO_CHECKPOINT_EXPORT",
-                "REPRO_TRACE"):
+    for var in ("REPRO_SEGMENT_CYCLES", "REPRO_KILL_AT_SEGMENT",
+                "REPRO_CHECKPOINT_EXPORT", "REPRO_TRACE"):
         monkeypatch.delenv(var, raising=False)
     clear_warm_state()
     yield root
@@ -104,22 +103,6 @@ def test_segmented_and_resumed_runs_are_bit_identical(
     resumed = execute_point(spec=spec, payload=list(PAYLOAD), **POINT)
     assert digest(resumed) == digest(baseline)
     assert resumed.manifest.resumed_from is not None
-
-
-def test_kill_switch_restores_unsegmented_behavior(seg_cache, monkeypatch):
-    kwargs = dict(spec="mesi-es", seed=7, calibration_samples=120)
-    baseline = execute_point(payload=list(PAYLOAD), **kwargs)
-
-    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
-    monkeypatch.setenv("REPRO_SEGMENTS", "0")
-    assert not segments_enabled()
-    clear_warm_state()
-    disabled = execute_point(payload=list(PAYLOAD), **kwargs)
-    assert digest(disabled) == digest(baseline)
-    assert disabled.manifest.segment_cycles == 0.0
-    assert disabled.manifest.segments_stored == 0
-    # the kill switch keeps the cache untouched too
-    assert not list(seg_cache.rglob("*.pkl"))
 
 
 # -- the blob format ----------------------------------------------------
@@ -211,7 +194,6 @@ def test_point_identity_is_stable_and_sensitive():
 
 def test_segment_cycles_env_parsing(monkeypatch):
     monkeypatch.delenv("REPRO_SEGMENT_CYCLES", raising=False)
-    monkeypatch.delenv("REPRO_SEGMENTS", raising=False)
     assert segment_cycles() == 0.0
     assert not segments_enabled()
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "2.5e5")
@@ -221,8 +203,7 @@ def test_segment_cycles_env_parsing(monkeypatch):
     assert segment_cycles() == 0.0
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "-5")
     assert segment_cycles() == 0.0
-    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "1e5")
-    monkeypatch.setenv("REPRO_SEGMENTS", "0")
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "0")
     assert not segments_enabled()
 
 

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 
 
 def test_list_command(capsys):
@@ -46,11 +51,34 @@ def test_experiment_dispatch(capsys):
 
 
 def test_experiment_names_resolve():
-    import importlib
+    from repro.experiments import REGISTRY
 
-    for module_name in EXPERIMENTS.values():
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        assert callable(module.main)
+    for info in REGISTRY.values():
+        assert callable(info.load().spec_from_args)
+
+
+def test_fig7_trace_samples_sets_magnified_view(capsys):
+    assert main(["fig7", "--bits", "8", "--trace-samples", "3",
+                 "--no-cache", "--no-progress"]) == 0
+    out = capsys.readouterr().out
+    assert "first 3 timed loads" in out
+    loads = [line for line in out.splitlines() if line.startswith("  t=")]
+    assert len(loads) == 3
+
+
+def test_driver_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.table1_scenarios",
+         "--bits", "8", "--no-cache", "--no-progress"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Table I" in proc.stdout
 
 
 def test_trace_export_chrome(tmp_path, capsys):

@@ -47,9 +47,8 @@ def channel_spec():
 @pytest.fixture
 def seg_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_SEGMENT_CYCLES", "REPRO_SEGMENTS",
-                "REPRO_KILL_AT_SEGMENT", "REPRO_CHECKPOINT_EXPORT",
-                "REPRO_TRACE"):
+    for var in ("REPRO_SEGMENT_CYCLES", "REPRO_KILL_AT_SEGMENT",
+                "REPRO_CHECKPOINT_EXPORT", "REPRO_TRACE"):
         monkeypatch.delenv(var, raising=False)
     clear_warm_state()
     yield monkeypatch

@@ -224,7 +224,6 @@ def test_trace_stands_down_at_build():
 
 def test_segments_stand_down_at_build(monkeypatch):
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
-    monkeypatch.setenv("REPRO_SEGMENTS", "1")
     session, result = on_path(True, transmit, "mesi-es")
     assert session.sim.stand_down_reason == "segments"
     assert result.manifest.engine == "generator:segments"

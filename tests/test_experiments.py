@@ -17,7 +17,7 @@ from repro.experiments import (
     sync_handshake,
     table1_scenarios,
 )
-from repro.experiments.common import payload_bits
+from repro.experiments.common import payload_bits, run
 
 
 def test_payload_bits_fixed_pattern():
@@ -27,7 +27,7 @@ def test_payload_bits_fixed_pattern():
 
 
 def test_fig2_medians_and_separation():
-    result = fig2_latency_cdf.run(samples=200, seed=1)
+    result = run(fig2_latency_cdf.build_spec(samples=200, seed=1))
     medians = result["medians"]
     assert medians["LShared"] < medians["LExcl"] < medians["RShared"] \
         < medians["RExcl"] < medians["dram"]
@@ -37,7 +37,7 @@ def test_fig2_medians_and_separation():
 
 
 def test_table1_placement_matches_paper():
-    result = table1_scenarios.run(seed=1, bits=12)
+    result = run(table1_scenarios.build_spec(seed=1, bits=12))
     for row in result["rows"]:
         paper = table1_scenarios.PAPER_TABLE_I[row["scenario"]]
         assert (row["total_threads"], row["local_threads"],
@@ -46,36 +46,36 @@ def test_table1_placement_matches_paper():
 
 
 def test_fig7_all_scenarios_decode_perfectly():
-    result = fig7_reception.run(seed=1, bits=30)
+    result = run(fig7_reception.build_spec(seed=1, bits=30))
     for name, outcome in result["results"].items():
         assert outcome.accuracy == 1.0, name
 
 
 def test_fig8_low_rates_accurate_high_rates_degrade():
-    result = fig8_bandwidth.run(
+    result = run(fig8_bandwidth.build_spec(
         seed=1, bits=60, rates=(200, 1000),
         scenarios=[scenario_by_name("RExclc-LSharedb")],
-    )
+    ))
     points = dict(result["curves"]["RExclc-LSharedb"])
     assert points[200.0] >= 0.97
     assert points[1000.0] <= points[200.0]
 
 
 def test_fig9_noise_degrades_accuracy():
-    result = fig9_noise.run(
+    result = run(fig9_noise.build_spec(
         seed=1, bits=60, noise_levels=(0, 8),
         scenarios=[TABLE_I[0]], trials=1,
-    )
+    ))
     points = dict(result["curves"][TABLE_I[0].name])
     assert points[0] >= 0.97
     assert points[8] <= points[0]
 
 
 def test_fig10_reliable_delivery():
-    result = fig10_ecc.run(
+    result = run(fig10_ecc.build_spec(
         seed=1, payload_bytes=16, packet_bytes=8,
         scenarios=[TABLE_I[0]], noise={"no-noise": 0, "medium": 2},
-    )
+    ))
     table = result["table"][TABLE_I[0].name]
     assert table["no-noise"]["intact"]
     assert table["medium"]["intact"]
@@ -84,7 +84,7 @@ def test_fig10_reliable_delivery():
 
 
 def test_fig11_multibit_beats_binary_peak():
-    result = fig11_multibit.run(seed=1, bits=40, rates=(1100,))
+    result = run(fig11_multibit.build_spec(seed=1, bits=40, rates=(1100,)))
     point = result["points"][0]
     assert point["accuracy"] >= 0.95
     assert point["achieved_kbps"] > 900
@@ -93,13 +93,13 @@ def test_fig11_multibit_beats_binary_peak():
 
 
 def test_sync_handshake_near_90ms():
-    result = sync_handshake.run(seed=1)
+    result = run(sync_handshake.build_spec(seed=1))
     assert result["synced"]
     assert 45 <= result["duration_ms"] <= 180  # paper: ~90 ms
 
 
 def test_mitigations_reduce_channel_quality():
-    result = mitigations.run(seed=1, bits=30)
+    result = run(mitigations.build_spec(seed=1, bits=30))
     outcomes = result["outcomes"]
     assert outcomes["undefended"] >= 0.95
     assert outcomes["noise injector"] <= 0.6
@@ -131,13 +131,13 @@ def test_ablation_band_gap_correlation():
 
 
 def test_detection_flags_attacks_not_benign():
-    result = detection_roc.run(seed=1, bits=24)
+    result = run(detection_roc.build_spec(seed=1, bits=24))
     assert result["true_positives"] == result["attacks"] == 6
     assert result["false_positives"] == 0
 
 
 def test_capacity_analysis_shape():
-    result = capacity_analysis.run(seed=1, bits=80)
+    result = run(capacity_analysis.build_spec(seed=1, bits=80))
     points = {p["label"]: p for p in result["points"]}
     clean = points["binary@400K noise=0"]
     assert clean["capacity_bits"] >= 0.95        # near-perfect binary
@@ -164,7 +164,7 @@ def test_ablation_home_agent_split():
 def test_leaderboard_scores_the_whole_matrix():
     from repro.experiments import leaderboard
 
-    result = leaderboard.run(seed=1, bits=16, noise=False)
+    result = run(leaderboard.build_spec(seed=1, bits=16, noise=False))
     cells = result["cells"]
     live = {n for n, row in cells.items() if row["status"] == "ok"}
     dead = {n for n, row in cells.items() if row["status"] == "dead"}
@@ -183,7 +183,7 @@ def test_leaderboard_scores_the_whole_matrix():
 def test_leaderboard_render_marks_every_cell_kind():
     from repro.experiments import leaderboard
 
-    result = leaderboard.run(seed=1, bits=16, noise=False)
+    result = run(leaderboard.build_spec(seed=1, bits=16, noise=False))
     text = leaderboard.render(result)
     assert "9 live cells" in text
     assert "dead" in text

@@ -294,21 +294,28 @@ def test_entry_encoding_roundtrip_and_compression():
     assert compressed[len(ENTRY_MAGIC)] & 0x01  # zlib flag
     assert decode_entry(compressed) == big
     assert len(compressed) < len(pickle.dumps(big))
-    # legacy (v1) entries are bare pickles and still decode
-    assert decode_entry(pickle.dumps(big)) == big
+    # a bare pickle carries no entry frame: not a cache entry
+    with pytest.raises(ValueError, match="not a framed cache entry"):
+        decode_entry(pickle.dumps(big))
 
 
-def test_cache_reads_legacy_bare_pickle_entry(tmp_path):
+def test_cache_drops_unframed_entry_and_recomputes(tmp_path):
     cache = ResultCache(tmp_path)
     point = Point(fn="tests.runner_points:square", params={"x": 2})
     path = cache.path_for(point)
     path.parent.mkdir(parents=True)
-    path.write_bytes(pickle.dumps(4))  # schema v1 bytes, v2 location
+    path.write_bytes(pickle.dumps(4))  # bare pickle, current generation
+    assert cache.lookup(point) == (False, None)
+    assert not path.exists()
+    spec = ExperimentSpec(experiment="unframed", points=(point,))
+    report = Runner(jobs=1, cache=cache).run(spec)
+    assert report.values == [4] and report.cache_hits == 0
+    assert path.read_bytes().startswith(ENTRY_MAGIC)
     assert cache.lookup(point) == (True, 4)
 
 
 def test_cache_stats_and_gc(tmp_path):
-    # a legacy flat-layout entry and a stale-salt generation
+    # a pre-salt flat-layout entry and a stale-salt generation
     legacy = tmp_path / "ab" / "ab00.pkl"
     legacy.parent.mkdir(parents=True)
     legacy.write_bytes(pickle.dumps(1.0))
@@ -323,8 +330,12 @@ def test_cache_stats_and_gc(tmp_path):
     stats = cache.stats()
     assert stats["entries"] == 3
     generations = stats["generations"]
-    assert generations["legacy"]["schemas"] == {"v1": 1}
-    assert generations["repro-0.9.0"]["schemas"] == {"v2": 1}
+    # the flat ``ab/`` directory is just another stale generation
+    assert generations["ab"] == {
+        "entries": 1, "bytes": legacy.stat().st_size, "current": False,
+    }
+    assert generations["repro-0.9.0"]["entries"] == 1
+    assert not generations["repro-0.9.0"]["current"]
     current = [g for g in generations.values() if g["current"]]
     assert len(current) == 1 and current[0]["entries"] == 1
 

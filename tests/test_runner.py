@@ -397,19 +397,6 @@ def test_fig8_parallel_byte_identical_to_serial(tmp_path):
     assert pickle.dumps(cached.values) == pickle.dumps(serial)
 
 
-def test_fig8_spec_path_matches_legacy_run():
-    from repro.experiments import fig8_bandwidth
-
-    spec = fig8_small_spec()
-    via_spec = fig8_bandwidth.run(spec)
-    with pytest.warns(DeprecationWarning):
-        legacy = fig8_bandwidth.run(
-            seed=3, bits=20, rates=(400.0, 1000.0),
-            scenarios=["RExclc-LSharedb", "RExclc-LExclb"],
-        )
-    assert via_spec == legacy
-
-
 # -- registry -------------------------------------------------------------
 
 
@@ -431,9 +418,9 @@ def test_registry_drivers_expose_unified_api():
 
     for info in REGISTRY.values():
         module = info.load()
-        for attr in ("NAME", "SUMMARY", "POINT_FN", "point", "build_spec",
-                     "spec_from_args", "collect", "run", "render",
-                     "add_arguments", "main"):
+        for attr in ("NAME", "POINT_FN", "point", "build_spec",
+                     "spec_from_args", "collect", "render",
+                     "add_arguments"):
             assert hasattr(module, attr), f"{info.module} lacks {attr}"
         assert module.NAME == info.name
 
@@ -479,3 +466,19 @@ def test_cli_experiment_uses_cache_dir(tmp_path, capsys):
     # Second run is served from cache and renders identically.
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_experiment_restores_environment(tmp_path, monkeypatch):
+    """--trace/--segment-cycles/--cache-dir reach pool workers through
+    the environment only for the duration of the run."""
+    from repro.cli import main
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_SEGMENT_CYCLES", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "outer"))
+    assert main(["table1", "--bits", "8", "--cache-dir", str(tmp_path),
+                 "--no-progress", "--trace", "--segment-cycles",
+                 "1e12"]) == 0
+    assert "REPRO_TRACE" not in os.environ
+    assert "REPRO_SEGMENT_CYCLES" not in os.environ
+    assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "outer")

@@ -1,4 +1,4 @@
-"""The experiment service: sharded single-flight index, cache server
+"""The experiment service: single-flight index, cache server
 socket protocol, job scheduling, and the HTTP job API.
 
 The load-bearing properties under test:
@@ -26,9 +26,8 @@ from repro.service import (
     ExperimentService,
     RemoteCache,
     ServiceClient,
-    ShardedIndex,
+    SingleFlightIndex,
 )
-from repro.service.shards import shard_of
 
 SQUARE = "tests.runner_points:square"
 RECORD = "tests.runner_points:record"
@@ -47,18 +46,12 @@ def grid(fn, xs, experiment="svc", **extra):
     )
 
 
-# -- ShardedIndex: the single-flight state machine ----------------------
-
-
-def test_shard_of_matches_disk_fanout():
-    assert shard_of(KEY_A) == int("ab", 16)
-    assert shard_of("") == 0
-    assert shard_of("zz-not-hex") == 0
+# -- SingleFlightIndex: the single-flight state machine -----------------
 
 
 def test_index_single_flight_lifecycle(tmp_path):
     async def scenario():
-        index = ShardedIndex(ResultCache(tmp_path, salt="s"))
+        index = SingleFlightIndex(ResultCache(tmp_path, salt="s"))
         # First caller owns; a second concurrent caller must wait.
         assert index.reserve(KEY_A, "one") == ("own", None)
         assert index.reserve(KEY_A, "one") == ("own", None)  # idempotent
@@ -80,7 +73,7 @@ def test_index_single_flight_lifecycle(tmp_path):
 
 def test_index_release_promotes_first_waiter(tmp_path):
     async def scenario():
-        index = ShardedIndex(ResultCache(tmp_path, salt="s"))
+        index = SingleFlightIndex(ResultCache(tmp_path, salt="s"))
         assert index.reserve(KEY_A, "owner") == ("own", None)
         assert index.reserve(KEY_A, "heir") == ("wait", None)
         waiter = asyncio.ensure_future(index.wait(KEY_A, "heir", timeout=5))
@@ -97,7 +90,7 @@ def test_index_release_promotes_first_waiter(tmp_path):
 
 def test_index_wait_timeout_keeps_reservation(tmp_path):
     async def scenario():
-        index = ShardedIndex(ResultCache(tmp_path, salt="s"))
+        index = SingleFlightIndex(ResultCache(tmp_path, salt="s"))
         index.reserve(KEY_A, "owner")
         index.reserve(KEY_A, "waiter")
         status, blob = await index.wait(KEY_A, "waiter", timeout=0.01)
@@ -110,7 +103,7 @@ def test_index_wait_timeout_keeps_reservation(tmp_path):
 
 def test_index_wait_self_promotes_when_owner_vanished(tmp_path):
     async def scenario():
-        index = ShardedIndex(ResultCache(tmp_path, salt="s"))
+        index = SingleFlightIndex(ResultCache(tmp_path, salt="s"))
         # No reservation, no blob: promote the caller rather than hang.
         assert await index.wait(KEY_A, "me", timeout=5) == ("own", None)
         assert index.counters["promoted"] == 1
@@ -120,7 +113,7 @@ def test_index_wait_self_promotes_when_owner_vanished(tmp_path):
 
 def test_index_release_owner_sweeps_disconnected_client(tmp_path):
     async def scenario():
-        index = ShardedIndex(ResultCache(tmp_path, salt="s"))
+        index = SingleFlightIndex(ResultCache(tmp_path, salt="s"))
         index.reserve(KEY_A, "conn-1")
         index.reserve(KEY_B, "conn-1")
         index.reserve(KEY_A, "conn-2")
