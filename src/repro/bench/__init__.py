@@ -20,19 +20,15 @@ emits a machine-readable ``BENCH_<date>.json`` report:
   the experiment service (:mod:`repro.service`), gated on the
   fleet-wide dedupe ratio (each unique point executes exactly once)
   and on the served blobs decoding bit-identical to local runs;
-* ``trace_overhead`` — the wall-time cost of structured tracing
-  (:mod:`repro.obs`): disabled-mode overhead is gated (< 2%, since the
-  disabled path is the unmodified hot code), enabled-mode cost is
-  reported for information;
-* ``streaming_overhead`` — the wall-time cost of live streaming
-  detection (:mod:`repro.detection.streaming` subscribed to the trace
-  feed): the unsubscribed path is gated (< 2%, same contract as
-  disabled tracing), the live-monitoring and marginal sink costs are
-  reported for information;
-* ``segment_overhead`` — the wall-time cost of arming segmented
-  checkpointing (:mod:`repro.checkpoint`) with a boundary the run never
-  reaches, gated (< 5%) so the crash-resume machinery stays cheap
-  enough to enable on any long run.
+* ``overhead`` — one transmission in six paired variants: the
+  default path with tracing and streaming detection off is gated
+  (< 2% over forcing both off, since the disabled path is the
+  unmodified hot code), and so is segmented checkpointing
+  (:mod:`repro.checkpoint`) armed with a boundary the run never reaches
+  (< 5% over the generator programs it always runs on); the cost of
+  tracing, of live streaming detection (:mod:`repro.detection.streaming`
+  subscribed to the trace feed) and of the detector alone is reported
+  for information.
 
 Every benchmark is deterministic (fixed seeds) so wall time is the only
 thing that varies between runs; each is repeated and the best (minimum)
@@ -41,10 +37,9 @@ for how to run and read the reports, and how CI gates on them.
 """
 
 from repro.bench.harness import (
-    SEGMENT_OVERHEAD_LIMIT,
+    ARMED_OVERHEAD_LIMIT,
+    DISABLED_OVERHEAD_LIMIT,
     SERVICE_MIN_DEDUPE,
-    STREAMING_OVERHEAD_LIMIT,
-    TRACE_OVERHEAD_LIMIT,
     check_regression,
     default_report_name,
     engine_micro,
@@ -52,19 +47,16 @@ from repro.bench.harness import (
     grid_sweep,
     load_report,
     noise_point,
+    overhead,
     run_all,
-    segment_overhead,
     service_sweep,
-    streaming_overhead,
-    trace_overhead,
     write_report,
 )
 
 __all__ = [
-    "SEGMENT_OVERHEAD_LIMIT",
+    "ARMED_OVERHEAD_LIMIT",
+    "DISABLED_OVERHEAD_LIMIT",
     "SERVICE_MIN_DEDUPE",
-    "STREAMING_OVERHEAD_LIMIT",
-    "TRACE_OVERHEAD_LIMIT",
     "check_regression",
     "default_report_name",
     "engine_micro",
@@ -72,10 +64,8 @@ __all__ = [
     "grid_sweep",
     "load_report",
     "noise_point",
+    "overhead",
     "run_all",
-    "segment_overhead",
     "service_sweep",
-    "streaming_overhead",
-    "trace_overhead",
     "write_report",
 ]

@@ -8,9 +8,9 @@ run and between code versions — wall clock is the only free variable.
 Benchmarks are repeated ``repeats`` times and the minimum wall time is
 kept: the minimum is the run least disturbed by the host (GC pauses,
 scheduler preemption), which is the quantity a code change actually
-moves.  The overhead benchmarks compare variants of one workload
-instead: they run interleaved pairs (``repeats`` of them, and at least
-:data:`OVERHEAD_PAIRS` in a full run) and gate on the median per-pair
+moves.  The ``overhead`` benchmark compares variants of one workload
+instead: it runs interleaved pairs (``repeats`` of them, and at least
+:data:`OVERHEAD_PAIRS` in a full run) and gates on the median per-pair
 ratio, which a single disturbed run cannot move.
 
 ``engine_micro`` times only the transmission (session construction and
@@ -22,6 +22,7 @@ latency a grid sweep pays per point.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import os
@@ -51,7 +52,9 @@ _PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 #: v8 dropped the lane benchmark and grid mode (the channel drivers
 #: now run in every untraced session) and records ``cpus``, the CPUs
 #: the harness may run on, since the pool modes' speedups depend on it.
-SCHEMA = 8
+#: v9 folded ``trace_overhead``, ``streaming_overhead`` and
+#: ``segment_overhead`` into one paired ``overhead`` benchmark.
+SCHEMA = 9
 
 #: Minimum fleet-wide dedupe ratio (points submitted / points actually
 #: executed) on the ``service_sweep`` workload.  The two grids overlap
@@ -61,35 +64,28 @@ SCHEMA = 8
 #: fails loudly if the service ever starts re-executing shared points.
 SERVICE_MIN_DEDUPE = 1.8
 
-#: Allowed wall-time overhead of *disabled* tracing vs the baseline.
-#: Disabled tracing attaches nothing to the machine — the hot path is
-#: byte-for-byte the untraced code — so this is an A/B of identical
-#: work and the gate bounds measurement noise plus any accidental
-#: reintroduction of per-event checks.
-TRACE_OVERHEAD_LIMIT = 0.02
+#: Allowed wall-time overhead of the ``overhead`` benchmark's
+#: ``disabled`` variant (tracing and streaming detection left at their
+#: defaults) vs ``baseline`` (both forced off).  Disabled tracing
+#: attaches nothing to the machine and no recorder exists for a sink to
+#: subscribe to, so this is an A/B of identical work and the gate bounds
+#: measurement noise plus any accidental per-event check.
+DISABLED_OVERHEAD_LIMIT = 0.02
 
-#: Allowed wall-time overhead of the *disabled* streaming-detection
-#: path vs the baseline.  With no sink subscribed the recorder's
-#: notify loop runs over an empty tuple, and with tracing off the
-#: recorder does not exist at all — so, like disabled tracing,
-#: this is an A/B of identical work and the gate bounds noise plus any
-#: accidental per-event cost added to the unsubscribed path.
-STREAMING_OVERHEAD_LIMIT = 0.02
-
-#: Allowed wall-time overhead of segmentation armed with a boundary the
-#: run never reaches.  This isolates the per-event bookkeeping the
-#: checkpoint plane adds (replay-log appends, mark truncation, the
-#: pause-boundary comparison) from the cost of actually storing
-#: segments, which is proportional to segment count and priced in
-#: EXPERIMENTS.md instead.
-SEGMENT_OVERHEAD_LIMIT = 0.05
+#: Allowed wall-time overhead of the ``armed`` variant (segmentation
+#: armed with a boundary the run never reaches) vs ``generator`` (the
+#: same session stood down, as a segmented session always is).  This
+#: isolates the per-event bookkeeping the checkpoint plane adds
+#: (replay-log appends, mark truncation, the pause-boundary comparison)
+#: from the cost of actually storing segments, which is proportional to
+#: segment count and priced in EXPERIMENTS.md instead.
+ARMED_OVERHEAD_LIMIT = 0.05
 
 
 #: Least number of interleaved pairs behind a full run's overhead
 #: gates.  On a 2-vCPU Xeon VM one pair's ratio of two identical ~50 ms
 #: transmissions spreads by 10-20% (interquartile), so a median over a
-#: handful of pairs still swings by more than the 2% caps; 15 pairs
-#: cost about 11 s over the three benchmarks.
+#: handful of pairs still swings by more than the 2% cap.
 OVERHEAD_PAIRS = 15
 
 
@@ -202,185 +198,58 @@ def noise_point(repeats: int = 3, bits: int = 24) -> dict[str, Any]:
     return {"wall_s": best_wall, "accuracy": accuracy}
 
 
-def trace_overhead(
+#: The ``overhead`` benchmark's variants: name -> session options.
+#: ``trace`` is the session's ``trace`` field (``None`` defers to
+#: ``REPRO_TRACE``, which the benchmark unsets), ``stream`` subscribes
+#: a :class:`~repro.detection.streaming.StreamingDetector` to the
+#: recorder, ``stand_down`` forces the generator programs and ``armed``
+#: arms segmentation with a boundary the run never reaches.
+OVERHEAD_VARIANTS: dict[str, dict[str, Any]] = {
+    "baseline": {"trace": False},
+    "disabled": {"trace": None},
+    "traced": {"trace": True},
+    "streaming": {"trace": True, "stream": True},
+    "generator": {"trace": False, "stand_down": True},
+    "armed": {"trace": False, "armed": True},
+}
+
+
+def overhead(
     seed: int = 0, bits: int = 24, repeats: int = 3
 ) -> dict[str, Any]:
-    """Tracing cost: disabled-mode (gated) and enabled-mode (reported).
+    """What the optional planes cost on one fixed transmission.
 
-    Three session variants transmit the same fixed payload:
+    Every :data:`OVERHEAD_VARIANTS` entry transmits the same payload in
+    ``repeats`` interleaved pairs (:func:`_paired_walls`); walls are
+    per-variant medians and each overhead is the median per-pair ratio
+    of two variants (:func:`_overhead`).  Two overheads gate in
+    :func:`check_regression`:
 
-    * ``baseline`` — ``trace=False``, tracing forced off;
-    * ``disabled`` — ``trace=None`` with ``REPRO_TRACE`` unset, the
-      default production path (must resolve to the same untraced code);
-    * ``enabled`` — ``trace=True``, full recording.
+    * ``disabled_overhead`` — ``disabled`` vs ``baseline``, under
+      :data:`DISABLED_OVERHEAD_LIMIT`: tracing and streaming detection
+      must be free when off;
+    * ``armed_overhead`` — ``armed`` vs ``generator``, under
+      :data:`ARMED_OVERHEAD_LIMIT`: a segmented session always runs the
+      generator programs, so this isolates the checkpoint bookkeeping
+      from the channel drivers' gain.
 
-    The variants run in ``repeats`` interleaved pairs
-    (:func:`_paired_walls`); walls are per-variant medians and each
-    overhead is the median per-pair ratio to the baseline
-    (:func:`_overhead`).  The report carries ``disabled_overhead``
-    (gated at :data:`TRACE_OVERHEAD_LIMIT` by :func:`check_regression`)
-    and ``enabled_overhead`` (informational — the price of turning the
-    feature on).
+    ``traced_overhead`` and ``streaming_overhead`` (each vs
+    ``baseline``) and ``sink_overhead`` (``streaming`` vs ``traced``:
+    the detector's marginal cost) are the price of turning a feature
+    on, reported but not gated.
     """
-    import os
-
-    from repro.channel.session import ChannelSession, SessionConfig
-
-    payload = _payload(bits)
-    traced_events = 0
-
-    def one(trace: bool | None) -> float:
-        nonlocal traced_events
-        session = ChannelSession(SessionConfig(
-            spec="LExclc-LSharedb",
-            seed=seed,
-            calibration_samples=200,
-            trace=trace,
-        ))
-        t0 = time.perf_counter()
-        session.transmit(payload)
-        wall = time.perf_counter() - t0
-        if session.recorder is not None:
-            traced_events = session.recorder.emitted
-        return wall
-
-    # The "disabled" variant must see the real default, even when the
-    # harness itself runs under a REPRO_TRACE=1 CI leg.
-    saved = os.environ.pop("REPRO_TRACE", None)
-    try:
-        walls = _paired_walls({
-            "baseline": lambda: one(False),
-            "disabled": lambda: one(None),
-            "enabled": lambda: one(True),
-        }, repeats)
-    finally:
-        if saved is not None:
-            os.environ["REPRO_TRACE"] = saved
-    return {
-        "bits": bits,
-        "pairs": len(walls["baseline"]),
-        "baseline_wall_s": statistics.median(walls["baseline"]),
-        "disabled_wall_s": statistics.median(walls["disabled"]),
-        "enabled_wall_s": statistics.median(walls["enabled"]),
-        "disabled_overhead": _overhead(walls, "disabled", "baseline"),
-        "enabled_overhead": _overhead(walls, "enabled", "baseline"),
-        "traced_events": traced_events,
-    }
-
-
-def streaming_overhead(
-    seed: int = 0, bits: int = 24, repeats: int = 3
-) -> dict[str, Any]:
-    """Streaming-detection cost: disabled (gated) and live (reported).
-
-    Four session variants transmit the same fixed payload:
-
-    * ``baseline`` — ``trace=False``: no recorder, no sink, the
-      untraced hot path;
-    * ``disabled`` — ``trace=None`` with ``REPRO_TRACE`` unset, the
-      default production path with the streaming machinery present but
-      dormant (must resolve to the same untraced code);
-    * ``traced`` — ``trace=True`` with no subscriber: recorder cost
-      alone;
-    * ``streaming`` — ``trace=True`` with a
-      :class:`~repro.detection.streaming.StreamingDetector` subscribed
-      to the session recorder, interim scans included — the live
-      monitoring configuration the arena driver runs.
-
-    The variants run in ``repeats`` interleaved pairs, as in
-    :func:`trace_overhead`.  The report carries ``disabled_overhead``
-    (gated at :data:`STREAMING_OVERHEAD_LIMIT` by
-    :func:`check_regression`), ``streaming_overhead`` (live monitoring
-    vs baseline) and ``sink_overhead`` (the detector's marginal cost
-    over tracing alone), both informational.
-    """
-    import os
-
-    from repro.channel.session import ChannelSession, SessionConfig
-    from repro.detection.streaming import StreamingDetector
-
-    payload = _payload(bits)
-    events = 0
-    flagged = False
-
-    def one(trace: bool | None, subscribe: bool) -> float:
-        nonlocal events, flagged
-        session = ChannelSession(SessionConfig(
-            spec="LExclc-LSharedb",
-            seed=seed,
-            calibration_samples=200,
-            trace=trace,
-        ))
-        detector = None
-        if subscribe:
-            detector = StreamingDetector(scan_interval=100_000.0)
-            session.recorder.subscribe(detector)
-        t0 = time.perf_counter()
-        session.transmit(payload)
-        wall = time.perf_counter() - t0
-        if detector is not None:
-            events, flagged = detector.events, bool(detector.scan())
-        return wall
-
-    saved = os.environ.pop("REPRO_TRACE", None)
-    try:
-        walls = _paired_walls({
-            "baseline": lambda: one(False, False),
-            "disabled": lambda: one(None, False),
-            "traced": lambda: one(True, False),
-            "streaming": lambda: one(True, True),
-        }, repeats)
-    finally:
-        if saved is not None:
-            os.environ["REPRO_TRACE"] = saved
-    return {
-        "bits": bits,
-        "pairs": len(walls["baseline"]),
-        "baseline_wall_s": statistics.median(walls["baseline"]),
-        "disabled_wall_s": statistics.median(walls["disabled"]),
-        "traced_wall_s": statistics.median(walls["traced"]),
-        "streaming_wall_s": statistics.median(walls["streaming"]),
-        "disabled_overhead": _overhead(walls, "disabled", "baseline"),
-        "streaming_overhead": _overhead(walls, "streaming", "baseline"),
-        "sink_overhead": _overhead(walls, "streaming", "traced"),
-        "streamed_events": events,
-        "flagged": flagged,
-    }
-
-
-def segment_overhead(
-    seed: int = 0, bits: int = 24, repeats: int = 3
-) -> dict[str, Any]:
-    """Cost of segmentation that is armed but never fires.
-
-    Two session variants transmit the same fixed payload:
-
-    * ``baseline`` — segmentation off, stood down to the generator
-      programs: a segmented session never runs the channel drivers, so
-      this isolates the checkpoint bookkeeping from the drivers' gain;
-    * ``armed`` — ``REPRO_SEGMENT_CYCLES`` set to a boundary far beyond
-      the run's end and a :class:`~repro.checkpoint.SegmentStore`
-      attached, so every per-event checkpoint cost is paid (replay logs
-      on all spec-bearing threads, cursor marks, the pause check) but no
-      segment is ever captured or stored.
-
-    The variants run in ``repeats`` interleaved pairs, as in
-    :func:`trace_overhead`.  ``overhead`` is gated at
-    :data:`SEGMENT_OVERHEAD_LIMIT` by :func:`check_regression`: an
-    unsegmented point must stay within 5% of itself with the machinery
-    armed, or segmentation is too expensive to leave available by
-    default.
-    """
-    import os
     import tempfile
 
     from repro.channel.session import ChannelSession, SessionConfig
+    from repro.checkpoint.segments import SegmentStore
+    from repro.detection.streaming import StreamingDetector
+    from repro.runner.cache import ResultCache
 
     payload = _payload(bits)
-    scratch = tempfile.mkdtemp(prefix="repro-bench-seg-")
+    scratch = tempfile.mkdtemp(prefix="repro-bench-overhead-")
+    counts = {"traced_events": 0, "streamed_events": 0, "flagged": False}
 
-    def one(armed: bool) -> float:
-        saved = os.environ.pop("REPRO_SEGMENT_CYCLES", None)
+    def one(trace=None, stream=False, stand_down=False, armed=False) -> float:
         if armed:
             os.environ["REPRO_SEGMENT_CYCLES"] = "1e15"
         try:
@@ -388,38 +257,58 @@ def segment_overhead(
                 spec="LExclc-LSharedb",
                 seed=seed,
                 calibration_samples=200,
+                trace=trace,
             ))
-            if armed:
-                from repro.checkpoint.segments import SegmentStore
-                from repro.runner.cache import ResultCache
-
-                session.segments = SegmentStore(
-                    "bench-segment-overhead",
-                    cache=ResultCache(scratch),
-                    cycles=1e15,
-                )
-            else:
-                session.sim.stand_down("bench-baseline")
-            t0 = time.perf_counter()
-            session.transmit(payload)
-            return time.perf_counter() - t0
         finally:
-            if saved is None:
-                os.environ.pop("REPRO_SEGMENT_CYCLES", None)
-            else:
-                os.environ["REPRO_SEGMENT_CYCLES"] = saved
+            os.environ.pop("REPRO_SEGMENT_CYCLES", None)
+        detector = None
+        if stream:
+            detector = StreamingDetector(scan_interval=100_000.0)
+            session.recorder.subscribe(detector)
+        if stand_down:
+            session.sim.stand_down("bench-baseline")
+        if armed:
+            session.segments = SegmentStore(
+                "bench-overhead", cache=ResultCache(scratch), cycles=1e15,
+            )
+        t0 = time.perf_counter()
+        session.transmit(payload)
+        wall = time.perf_counter() - t0
+        if detector is not None:
+            counts["streamed_events"] = detector.events
+            counts["flagged"] = bool(detector.scan())
+        elif session.recorder is not None:
+            counts["traced_events"] = session.recorder.emitted
+        return wall
 
-    walls = _paired_walls(
-        {"baseline": lambda: one(False), "armed": lambda: one(True)},
-        repeats,
-    )
-    return {
-        "bits": bits,
-        "pairs": len(walls["baseline"]),
-        "baseline_wall_s": statistics.median(walls["baseline"]),
-        "armed_wall_s": statistics.median(walls["armed"]),
-        "overhead": _overhead(walls, "armed", "baseline"),
+    # The defaults must be the real defaults, even when the harness
+    # itself runs under REPRO_TRACE=1 or with segmentation switched on.
+    saved = {
+        key: os.environ.pop(key, None)
+        for key in ("REPRO_TRACE", "REPRO_SEGMENT_CYCLES")
     }
+    try:
+        walls = _paired_walls({
+            name: functools.partial(one, **options)
+            for name, options in OVERHEAD_VARIANTS.items()
+        }, repeats)
+    finally:
+        for key, value in saved.items():
+            if value is not None:
+                os.environ[key] = value
+    report: dict[str, Any] = {"bits": bits, "pairs": len(walls["baseline"])}
+    for name in OVERHEAD_VARIANTS:
+        report[f"{name}_wall_s"] = statistics.median(walls[name])
+    for name, variant, base in (
+        ("disabled", "disabled", "baseline"),
+        ("traced", "traced", "baseline"),
+        ("streaming", "streaming", "baseline"),
+        ("sink", "streaming", "traced"),
+        ("armed", "armed", "generator"),
+    ):
+        report[f"{name}_overhead"] = _overhead(walls, variant, base)
+    report.update(counts)
+    return report
 
 
 def grid_point(
@@ -439,12 +328,16 @@ def grid_point(
     )
 
 
-def _grid_spec(points: int, bits: int, rate_offset: float = 0.0):
+def _grid_spec(
+    points: int, bits: int, rate_offset: float = 0.0,
+    fn: str = "repro.bench.harness:grid_point",
+):
     """A fig8-shaped scenario × rate grid of *points* full-result points.
 
     *rate_offset* shifts every rate by a constant, producing a second
     grid that overlaps the first on all but the shifted-out rates — the
-    ``service_sweep`` benchmark's workload shape.
+    ``service_sweep`` benchmark's workload shape.  *fn* is the point
+    function every point runs.
     """
     from repro.runner import ExperimentSpec, Point
 
@@ -453,7 +346,7 @@ def _grid_spec(points: int, bits: int, rate_offset: float = 0.0):
     rates = [100.0 + rate_offset + 25.0 * i for i in range(per)]
     grid = tuple(
         Point(
-            fn="repro.bench.harness:grid_point",
+            fn=fn,
             params={"scenario": name, "rate": rate, "seed": 0, "bits": bits},
             label=f"{name}@{rate:g}K",
         )
@@ -461,6 +354,15 @@ def _grid_spec(points: int, bits: int, rate_offset: float = 0.0):
         for rate in rates
     )
     return ExperimentSpec(experiment="bench-grid", points=grid)
+
+
+def cold_grid_point(**params) -> Any:
+    """:func:`grid_point` from a cold process: no pooled machine and no
+    memoized calibration — the ``grid_sweep`` reference path."""
+    from repro.channel.session import clear_warm_state
+
+    clear_warm_state()
+    return grid_point(**params)
 
 
 def _values_digest(values: list[Any]) -> str:
@@ -480,35 +382,19 @@ def _values_digest(values: list[Any]) -> str:
     return digest.hexdigest()
 
 
-def _run_grid_mode(
-    spec: Any, runner_kwargs: dict, env: dict[str, str] | None = None
-) -> tuple[list[Any], float]:
-    """Run *spec* once under *runner_kwargs* with *env* overrides.
+def _run_grid_mode(spec: Any, runner_kwargs: dict) -> tuple[list[Any], float]:
+    """Run *spec* once under *runner_kwargs*.
 
     Clears the warm machine/calibration state first so every mode pays
-    its own first-calibration cost, and restores the environment
-    afterwards.  Returns ``(values, wall_seconds)``.
+    its own first-calibration cost.  Returns ``(values, wall_seconds)``.
     """
-    import os
-
     from repro.channel.session import clear_warm_state
     from repro.runner import Runner
 
-    saved: dict[str, str | None] = {}
-    for key, value in (env or {}).items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
     clear_warm_state()
-    try:
-        t0 = time.perf_counter()
-        values = Runner(cache=None, **runner_kwargs).run(spec).values
-        return values, time.perf_counter() - t0
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
+    t0 = time.perf_counter()
+    values = Runner(cache=None, **runner_kwargs).run(spec).values
+    return values, time.perf_counter() - t0
 
 
 def grid_sweep(
@@ -519,8 +405,9 @@ def grid_sweep(
     Runs the same fig8-shaped grid four ways and reports each mode's
     points/s plus its speedup over ``reference``:
 
-    * ``reference`` — serial with the calibration memo and warm machine
-      pool disabled: the pre-optimization (PR 3) execution path;
+    * ``reference`` — serial through :func:`cold_grid_point`, which
+      clears the calibration memo and warm machine pool before every
+      point: the pre-optimization execution path;
     * ``jobs`` — the process pool with one future per point
       (``chunk_size=1``), warm workers + memo active;
     * ``chunked`` — the pool with auto-sized seed-grouped chunks, the
@@ -545,13 +432,8 @@ def grid_sweep(
     from repro.runner.cache import encode_entry
 
     spec = _grid_spec(points, bits)
-
-    optimizations_off = {
-        "REPRO_WARM_WORKERS": "0",
-        "REPRO_CALIBRATION_MEMO": "0",
-    }
-    ref_values, ref_wall = _run_grid_mode(spec, {"jobs": 1},
-                                          optimizations_off)
+    cold = _grid_spec(points, bits, fn="repro.bench.harness:cold_grid_point")
+    ref_values, ref_wall = _run_grid_mode(cold, {"jobs": 1})
     jobs_values, jobs_wall = _run_grid_mode(spec,
                                             {"jobs": jobs, "chunk_size": 1})
     chunk_values, chunk_wall = _run_grid_mode(spec, {"jobs": jobs})
@@ -715,15 +597,7 @@ def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
             "service_sweep": service_sweep(
                 points=grid_points, bits=grid_bits
             ),
-            "trace_overhead": trace_overhead(
-                bits=noise_bits, repeats=pairs
-            ),
-            "streaming_overhead": streaming_overhead(
-                bits=noise_bits, repeats=pairs
-            ),
-            "segment_overhead": segment_overhead(
-                bits=noise_bits, repeats=pairs
-            ),
+            "overhead": overhead(bits=noise_bits, repeats=pairs),
         },
     }
 
@@ -756,15 +630,12 @@ def check_regression(
 
     * engine events/second — the current run must reach at least
       ``(1 - max_regression)`` of the baseline's throughput;
-    * disabled-mode tracing — ``trace_overhead.disabled_overhead`` must
-      stay under :data:`TRACE_OVERHEAD_LIMIT` (an absolute bound, not
-      baseline-relative: disabled tracing is contractually free);
-    * unsubscribed streaming detection —
-      ``streaming_overhead.disabled_overhead`` must stay under
-      :data:`STREAMING_OVERHEAD_LIMIT` (same contract: with no sink
-      subscribed the feed hook must be free);
-    * armed-but-idle segmentation — ``segment_overhead.overhead`` must
-      stay under :data:`SEGMENT_OVERHEAD_LIMIT` (also absolute: the
+    * disabled tracing and streaming detection —
+      ``overhead.disabled_overhead`` must stay under
+      :data:`DISABLED_OVERHEAD_LIMIT` (an absolute bound, not
+      baseline-relative: both features are contractually free when off);
+    * armed-but-idle segmentation — ``overhead.armed_overhead`` must
+      stay under :data:`ARMED_OVERHEAD_LIMIT` (also absolute: the
       checkpoint plane's per-event bookkeeping must stay cheap enough
       to arm on any long run);
     * grid throughput — ``grid_sweep`` must report ``bit_identical``
@@ -795,31 +666,20 @@ def check_regression(
             f"engine_micro regressed: {cur_eps:,.0f} events/s < "
             f"{floor:,.0f} (baseline {base_eps:,.0f} - {max_regression:.0%})"
         )
-    trace = current["benchmarks"].get("trace_overhead")
-    if trace is not None:
-        overhead = trace.get("disabled_overhead", 0.0)
-        if overhead >= TRACE_OVERHEAD_LIMIT:
+    costs = current["benchmarks"].get("overhead")
+    if costs is not None:
+        overhead = costs.get("disabled_overhead", 0.0)
+        if overhead >= DISABLED_OVERHEAD_LIMIT:
             problems.append(
-                f"trace_overhead: disabled-mode tracing costs "
-                f"{overhead:.1%} >= {TRACE_OVERHEAD_LIMIT:.0%} "
+                f"overhead: disabled tracing and streaming detection cost "
+                f"{overhead:.1%} >= {DISABLED_OVERHEAD_LIMIT:.0%} "
                 f"(must be free when off)"
             )
-    streaming = current["benchmarks"].get("streaming_overhead")
-    if streaming is not None:
-        overhead = streaming.get("disabled_overhead", 0.0)
-        if overhead >= STREAMING_OVERHEAD_LIMIT:
+        overhead = costs.get("armed_overhead", 0.0)
+        if overhead >= ARMED_OVERHEAD_LIMIT:
             problems.append(
-                f"streaming_overhead: unsubscribed streaming path costs "
-                f"{overhead:.1%} >= {STREAMING_OVERHEAD_LIMIT:.0%} "
-                f"(must be free when no detector is attached)"
-            )
-    segment = current["benchmarks"].get("segment_overhead")
-    if segment is not None:
-        overhead = segment.get("overhead", 0.0)
-        if overhead >= SEGMENT_OVERHEAD_LIMIT:
-            problems.append(
-                f"segment_overhead: armed-but-idle segmentation costs "
-                f"{overhead:.1%} >= {SEGMENT_OVERHEAD_LIMIT:.0%} on an "
+                f"overhead: armed-but-idle segmentation costs "
+                f"{overhead:.1%} >= {ARMED_OVERHEAD_LIMIT:.0%} on an "
                 f"unsegmented point"
             )
     grid = current["benchmarks"].get("grid_sweep")

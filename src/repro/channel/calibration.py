@@ -24,7 +24,6 @@ bit-identical to a cold run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,15 +286,6 @@ def calibrate(
 #: construction: pool workers each grow their own copy, and forked
 #: children inherit a bit-identical one.
 _MEMO: dict[tuple, tuple[LatencyBands, dict[str, dict]]] = {}
-
-
-def calibration_memo_enabled() -> bool:
-    """Whether the process-local calibration memo is active.
-
-    ``REPRO_CALIBRATION_MEMO=0`` disables it globally (every session
-    then calibrates from scratch, the pre-memo behavior).
-    """
-    return os.environ.get("REPRO_CALIBRATION_MEMO", "1") != "0"
 
 
 def clear_calibration_memo() -> int:

@@ -14,7 +14,6 @@ mitigation experiments can reuse it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.channel.calibration import (
@@ -22,7 +21,6 @@ from repro.channel.calibration import (
     LatencyBands,
     calibrate,
     calibrate_memoized,
-    calibration_memo_enabled,
     clear_calibration_memo,
 )
 from repro.channel.config import (
@@ -111,15 +109,10 @@ class SessionConfig:
     #: dict, so plans ride inside JSON-plain grid params).  Its
     #: simulation-plane events are installed at the first transmission.
     faults: object = None
-    #: Reuse the process-local calibration memo
-    #: (:func:`repro.channel.calibration.calibrate_memoized`).  The
-    #: session still bypasses the memo on its own when calibration is
-    #: perturbed (obfuscation installed, simulation-plane fault plans);
-    #: set False to force a cold calibration unconditionally.
-    calibration_memo: bool = True
     #: Acquire the machine from the process-local warm pool (reset in
     #: place) instead of constructing a fresh one.  Off by default for
-    #: directly-built sessions; :func:`execute_point` turns it on so
+    #: directly-built sessions, which stay live and must not share a
+    #: machine; :func:`execute_point` runs one-shot and turns it on so
     #: grid workers amortize topology construction across points.
     reuse_machine: bool = False
     #: Structured tracing (:mod:`repro.obs`).  ``None`` (the default)
@@ -226,19 +219,11 @@ class TransmissionResult:
 _MACHINE_POOL: dict[str, Machine] = {}
 
 
-def warm_workers_enabled() -> bool:
-    """Whether grid workers may reuse pooled machines across points.
-
-    ``REPRO_WARM_WORKERS=0`` disables the pool globally, restoring the
-    build-a-fresh-Machine-per-point behavior.
-    """
-    return os.environ.get("REPRO_WARM_WORKERS", "1") != "0"
-
-
 def clear_warm_state() -> int:
     """Drop pooled machines *and* the calibration memo; returns count.
 
-    Test hook / escape hatch: after this, the next session in this
+    The differential harness's cold-path seam
+    (``tests/test_fast_paths.py``): after this, the next session in this
     process pays full construction and calibration cost again.
     """
     count = len(_MACHINE_POOL)
@@ -277,7 +262,7 @@ class SessionBase:
         self.recorder: TraceRecorder | None = TraceRecorder() if traced else None
         self.tap: MachineTap | None = None
         self.rng = RngStreams(config.seed)
-        if config.reuse_machine and warm_workers_enabled():
+        if config.reuse_machine:
             self.machine = _acquire_machine(config.machine, self.rng)
         else:
             self.machine = Machine(config.machine, self.rng)
@@ -434,14 +419,15 @@ class SessionBase:
         policy changes the measured latencies, and fault-injected
         sessions (simulation-plane events) opt out wholesale so a
         disturbed pass can neither poison the memo nor mask a fault's
-        interaction with calibration.
+        interaction with calibration.  Traced sessions run cold too: a
+        memo hit skips the calibration loads, so the recorded event
+        stream would depend on what ran earlier in the process.
         """
-        cfg = self.config
-        if not cfg.calibration_memo or not calibration_memo_enabled():
+        if self.recorder is not None:
             return False
         if self.machine.obfuscation is not None:
             return False
-        plan = FaultPlan.from_json(cfg.faults)
+        plan = FaultPlan.from_json(self.config.faults)
         return not plan.simulation_events
 
     def _calibrate(self) -> LatencyBands:
@@ -848,8 +834,8 @@ def execute_point(
     Grid points executed back-to-back in one worker process reuse the
     constructed machine (``reuse_machine=True`` + the process-local
     pool) and the calibration memo; both are bit-identical to the cold
-    path and can be disabled with ``REPRO_WARM_WORKERS=0`` /
-    ``REPRO_CALIBRATION_MEMO=0``.
+    path that :func:`clear_warm_state` restores
+    (``tests/test_fast_paths.py`` checks it).
 
     With segmented execution on (``REPRO_SEGMENT_CYCLES``), the session
     stores resumable checkpoints at segment boundaries under this

@@ -255,11 +255,7 @@ def restore(blob: bytes | Checkpoint):
     transmission with ``session.transmit(ctx.payload, _resume=ctx,
     _label=ctx.label)``.
     """
-    from repro.channel.session import (
-        ChannelSession,
-        _acquire_machine,
-        warm_workers_enabled,
-    )
+    from repro.channel.session import ChannelSession, _acquire_machine
     from repro.kernel.syscalls import Kernel
     from repro.mem.hierarchy import Machine
     from repro.sim.engine import Simulator
@@ -278,7 +274,7 @@ def restore(blob: bytes | Checkpoint):
     rng = RngStreams(config.seed)
     rng.restore(state["rng"])
 
-    if config.reuse_machine and warm_workers_enabled():
+    if config.reuse_machine:
         machine = _acquire_machine(config.machine, rng)
     else:
         machine = Machine(config.machine, rng)

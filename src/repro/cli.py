@@ -185,22 +185,14 @@ def cmd_bench(argv: list[str]) -> None:
               f"submitted, {svc['coalesced']} coalesced)")
         print(f"service_sweep bit-identity {identity}; "
               f"{svc['speedup_vs_local']:.2f}x vs back-to-back local")
-    trace = bench.get("trace_overhead")
-    if trace:
-        print(f"trace_overhead  disabled {trace['disabled_overhead']:+.1%}  "
-              f"enabled {trace['enabled_overhead']:+.1%} "
-              f"({trace['traced_events']} events)")
-    streaming = bench.get("streaming_overhead")
-    if streaming:
-        print(f"streaming_overhead  disabled "
-              f"{streaming['disabled_overhead']:+.1%}  "
-              f"live {streaming['streaming_overhead']:+.1%}  "
-              f"sink {streaming['sink_overhead']:+.1%} "
-              f"({streaming['streamed_events']} events)")
-    segment = bench.get("segment_overhead")
-    if segment:
-        print(f"segment_overhead  armed-idle {segment['overhead']:+.1%} "
-              f"(baseline {segment['baseline_wall_s']:.3f} s)")
+    costs = bench.get("overhead")
+    if costs:
+        print(f"overhead  disabled {costs['disabled_overhead']:+.1%}  "
+              f"traced {costs['traced_overhead']:+.1%}  "
+              f"streaming {costs['streaming_overhead']:+.1%}  "
+              f"sink {costs['sink_overhead']:+.1%}  "
+              f"armed-idle {costs['armed_overhead']:+.1%} "
+              f"({costs['traced_events']} events)")
     if not args.no_write:
         out = write_report(report, args.output or default_report_name())
         print(f"wrote {out}")

@@ -121,8 +121,8 @@ def runner_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
         help="points per worker dispatch when --jobs > 1 (default: "
-             "auto-sized from grid size and jobs, or $REPRO_CHUNK_SIZE; "
-             "1 restores one-future-per-point dispatch)",
+             "auto-sized from grid size and jobs; 1 restores "
+             "one-future-per-point dispatch)",
     )
     group.add_argument(
         "--retries", type=int, default=0, metavar="N",

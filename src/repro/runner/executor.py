@@ -11,8 +11,7 @@ was scheduled:
    several points back-to-back in the same worker, amortizing the IPC
    round-trip and letting the worker's process-local calibration memo
    and warm machine pool hit on every point after the chunk's first
-   (``chunk_size``, auto-sized from grid size and worker count;
-   ``REPRO_CHUNK_SIZE`` overrides);
+   (``chunk_size``, auto-sized from grid size and worker count);
 3. fresh values are written back to the cache and slotted into their
    original grid positions.
 
@@ -359,9 +358,8 @@ class Runner:
         deterministic harness faults (tests and ``--inject-faults``).
     chunk_size:
         Points per pool future.  ``None`` (default) auto-sizes via
-        :func:`auto_chunk_size` — unless ``REPRO_CHUNK_SIZE`` is set,
-        which then supplies the default.  Ignored when ``jobs=1``
-        (the serial path has no dispatch to amortize).
+        :func:`auto_chunk_size`.  Ignored when ``jobs=1`` (the serial
+        path has no dispatch to amortize).
     wait_timeout:
         With a *single-flight* cache (``cache.single_flight`` true, e.g.
         :class:`repro.service.RemoteCache`), how long to wait for a
@@ -390,10 +388,6 @@ class Runner:
         self.progress = progress
         self.policy = policy if policy is not None else FailurePolicy()
         self.injector = injector
-        if chunk_size is None:
-            env = os.environ.get("REPRO_CHUNK_SIZE")
-            if env:
-                chunk_size = int(env)
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size

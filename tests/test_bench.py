@@ -9,7 +9,7 @@ from repro.bench import (
     run_all,
     write_report,
 )
-from repro.bench.harness import SCHEMA
+from repro.bench.harness import OVERHEAD_VARIANTS, SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +24,7 @@ def test_run_all_shape(quick_report):
     bench = quick_report["benchmarks"]
     assert set(bench) == {
         "engine_micro", "fig8_point", "noise_point", "grid_sweep",
-        "service_sweep", "trace_overhead",
-        "streaming_overhead", "segment_overhead",
+        "service_sweep", "overhead",
     }
     micro = bench["engine_micro"]
     assert micro["events"] > 0
@@ -59,31 +58,20 @@ def test_run_all_shape(quick_report):
         svc["submitted"] / svc["unique"]
     )
     assert svc["local_wall_s"] > 0 and svc["service_wall_s"] > 0
-    trace = bench["trace_overhead"]
-    assert trace["baseline_wall_s"] > 0
-    assert trace["disabled_wall_s"] > 0
-    assert trace["enabled_wall_s"] > 0
-    assert trace["traced_events"] > 0
-    assert trace["disabled_overhead"] == pytest.approx(
-        trace["disabled_wall_s"] / trace["baseline_wall_s"] - 1.0
+    costs = bench["overhead"]
+    for name in OVERHEAD_VARIANTS:
+        assert costs[f"{name}_wall_s"] > 0
+    assert costs["traced_events"] > 0
+    assert costs["streamed_events"] > 0
+    assert costs["flagged"] is True
+    assert costs["disabled_overhead"] == pytest.approx(
+        costs["disabled_wall_s"] / costs["baseline_wall_s"] - 1.0
     )
-    streaming = bench["streaming_overhead"]
-    for key in ("baseline_wall_s", "disabled_wall_s", "traced_wall_s",
-                "streaming_wall_s"):
-        assert streaming[key] > 0
-    assert streaming["streamed_events"] > 0
-    assert streaming["flagged"] is True
-    assert streaming["disabled_overhead"] == pytest.approx(
-        streaming["disabled_wall_s"] / streaming["baseline_wall_s"] - 1.0
+    assert costs["sink_overhead"] == pytest.approx(
+        costs["streaming_wall_s"] / costs["traced_wall_s"] - 1.0
     )
-    assert streaming["sink_overhead"] == pytest.approx(
-        streaming["streaming_wall_s"] / streaming["traced_wall_s"] - 1.0
-    )
-    segment = bench["segment_overhead"]
-    assert segment["baseline_wall_s"] > 0
-    assert segment["armed_wall_s"] > 0
-    assert segment["overhead"] == pytest.approx(
-        segment["armed_wall_s"] / segment["baseline_wall_s"] - 1.0
+    assert costs["armed_overhead"] == pytest.approx(
+        costs["armed_wall_s"] / costs["generator_wall_s"] - 1.0
     )
 
 
@@ -118,43 +106,42 @@ def test_check_regression_custom_threshold():
     )
 
 
-def test_check_regression_trace_overhead_gate():
+def _assert_overhead_gate(key, limit):
     current = _report(100_000.0)
-    current["benchmarks"]["trace_overhead"] = {"disabled_overhead": 0.05}
+    current["benchmarks"]["overhead"] = {key: limit + 0.001}
     problems = check_regression(current, _report(100_000.0))
     assert len(problems) == 1
-    assert "trace_overhead" in problems[0]
-    current["benchmarks"]["trace_overhead"] = {"disabled_overhead": 0.005}
-    assert check_regression(current, _report(100_000.0)) == []
-    # Negative overhead (disabled faster than baseline: pure noise) passes.
-    current["benchmarks"]["trace_overhead"] = {"disabled_overhead": -0.01}
-    assert check_regression(current, _report(100_000.0)) == []
-
-
-def test_check_regression_streaming_overhead_gate():
-    current = _report(100_000.0)
-    current["benchmarks"]["streaming_overhead"] = {"disabled_overhead": 0.05}
-    problems = check_regression(current, _report(100_000.0))
-    assert len(problems) == 1
-    assert "streaming_overhead" in problems[0]
+    assert problems[0].startswith("overhead:")
     # Under the cap — or negative (host noise) — passes.
-    for overhead in (0.005, -0.01):
-        current["benchmarks"]["streaming_overhead"] = {
-            "disabled_overhead": overhead,
-        }
+    for value in (limit - 0.001, -0.01):
+        current["benchmarks"]["overhead"] = {key: value}
         assert check_regression(current, _report(100_000.0)) == []
 
 
-def test_check_regression_segment_overhead_gate():
-    current = _report(100_000.0)
-    current["benchmarks"]["segment_overhead"] = {"overhead": 0.08}
-    problems = check_regression(current, _report(100_000.0))
-    assert len(problems) == 1
-    assert "segment_overhead" in problems[0]
-    # Under the cap — or negative (armed faster: host noise) — passes.
-    for overhead in (0.02, -0.01):
-        current["benchmarks"]["segment_overhead"] = {"overhead": overhead}
-        assert check_regression(current, _report(100_000.0)) == []
+def test_check_regression_disabled_overhead_gate():
+    """Tracing and streaming detection left off: gated once, at 2%."""
+    _assert_overhead_gate("disabled_overhead", 0.02)
+
+
+def test_check_regression_armed_overhead_gate():
+    """Armed-but-idle segmentation vs the generator programs: 5%."""
+    _assert_overhead_gate("armed_overhead", 0.05)
+
+
+def test_check_regression_loads_committed_baseline():
+    """CI passes the newest committed report as ``--baseline``; a
+    current report must gate against it whatever its schema."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    baseline = load_report(sorted(root.glob("BENCH_*.json"))[-1])
+    current = _report(
+        baseline["benchmarks"]["engine_micro"]["events_per_sec"]
+    )
+    current["benchmarks"]["overhead"] = {
+        "disabled_overhead": 0.0, "armed_overhead": 0.0,
+    }
+    assert check_regression(current, baseline) == []
 
 
 def test_check_regression_service_sweep_gates():

@@ -1,0 +1,237 @@
+"""One differential harness for every fast path.
+
+Which (location, state) combination a load hits decides every result
+the reproduction reports, so each fast path must reproduce the plain
+reference bit for bit.  Each Hypothesis example draws a point — a
+registry cell, a seed, a rate in the cell's range, a 4–8-bit payload
+and, on the cells ``matrix_cold`` runs noisy, 0–2 noise threads with an
+8-bit warm-up when noisy — and runs it on the **reference** path:
+
+* :func:`clear_warm_state` first, so the machine is fresh and the
+  calibration cold;
+* the generator programs, reached by emptying ``drivers.DRIVERS``;
+* no tracing, no segmentation, in-process.
+
+Then one variant per fast path runs the same point:
+
+1. ``driven`` — the channel drivers;
+2. ``warm`` — a pooled machine, left behind by a prior point with
+   another seed on the same machine config;
+3. ``memo`` — the same point run twice: the second run hits the
+   calibration memo;
+4. ``segmented`` — segmentation armed (``REPRO_SEGMENT_CYCLES``, a
+   temporary segment store);
+5. ``streamed`` — tracing on, a :class:`StreamingDetector` subscribed;
+6. ``production`` — the default: drivers, warm machine and memo hit
+   together.
+
+Each variant's result must equal the reference's as a pickle with its
+``compare=False`` fields (the manifest) blanked, and by
+:func:`transmission_digest`; where the reference raises, the variant
+must raise the same exception type.  The five golden configs are
+explicit examples whose reference must also land on its pinned digest.
+:func:`test_pool_dispatch_matches_serial` covers chunked dispatch.
+
+Every variant is reached through a test seam — ``clear_warm_state``,
+``clear_calibration_memo``, the ``DRIVERS`` table, ``Runner(chunk_size=)``
+— never through an option of the product.
+"""
+
+import pickle
+import tempfile
+from contextlib import contextmanager
+from dataclasses import fields, replace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.channel import session as session_module
+from repro.channel.calibration import clear_calibration_memo
+from repro.channel.config import scenario_by_name
+from repro.channel.scenarios import SCENARIOS
+from repro.channel.session import clear_warm_state, execute_point, resolve_spec
+from repro.detection import StreamingDetector
+from repro.errors import ReproError
+from repro.experiments.common import payload_bits
+from repro.mem.hierarchy import MachineConfig
+from repro.obs import TraceRecorder
+from repro.runner import ExperimentSpec, Point, Runner, auto_chunk_size
+from repro.sim import drivers
+
+from tests.test_golden_determinism import (
+    CONFIGS,
+    GOLDEN,
+    PAYLOAD,
+    transmission_digest,
+)
+
+#: Calibration samples of a drawn point (the golden configs pin 150).
+SAMPLES = 120
+
+
+def golden_point(name: str) -> dict:
+    """The ``execute_point`` form of one golden config."""
+    config = CONFIGS[name]
+    if isinstance(config, str):
+        target = {"spec": config}
+    else:
+        machine_kwargs, scenario = config
+        target = {
+            "spec": resolve_spec(scenario_by_name(scenario)),
+            "machine": MachineConfig(**machine_kwargs),
+        }
+    return {**target, "payload": list(PAYLOAD), "seed": 7,
+            "calibration_samples": 150}
+
+
+@st.composite
+def points(draw) -> dict:
+    """One ``execute_point`` call on a registry cell.
+
+    Rates span half to one and a half times the cell's nominal rate.
+    LRU cells run clean, as in ``matrix_cold``: their eviction sweeps
+    stretch a point over ten times the cycles the noise workloads then
+    have to fill.
+    """
+    cell = draw(st.sampled_from(sorted(SCENARIOS)))
+    nominal = SCENARIOS[cell].default_params().nominal_rate_kbps
+    noise = 0 if cell.endswith("-lru") else draw(st.integers(0, 2))
+    return {
+        "spec": cell,
+        "seed": draw(st.integers(0, 10_000)),
+        "rate_kbps": float(draw(st.integers(
+            round(nominal / 2), round(nominal * 3 / 2)))),
+        "payload": draw(st.lists(st.integers(0, 1), min_size=4, max_size=8)),
+        "noise_threads": noise,
+        "warmup_bits": 8 if noise else 0,
+        "calibration_samples": SAMPLES,
+    }
+
+
+def run(point: dict, **overrides):
+    """``execute_point`` on *point*: its result, or the type it raised."""
+    try:
+        return execute_point(**{**point, **overrides})
+    except ReproError as exc:
+        return type(exc)
+
+
+def blanked(result) -> bytes:
+    """*result*'s pickle with its ``compare=False`` fields blanked."""
+    hidden = {f.name: None for f in fields(result) if not f.compare}
+    return pickle.dumps(replace(result, **hidden))
+
+
+def assert_matches(name: str, variant, reference) -> None:
+    if isinstance(reference, type):
+        assert variant is reference, f"{name}: expected {reference.__name__}"
+        return
+    assert not isinstance(variant, type), f"{name} raised {variant.__name__}"
+    assert transmission_digest(variant) == transmission_digest(reference), name
+    assert blanked(variant) == blanked(reference), name
+
+
+@contextmanager
+def streamed(detectors: list):
+    """Trace every new session, with a live detector on its feed."""
+    def recorder() -> TraceRecorder:
+        feed = TraceRecorder()
+        detectors.append(StreamingDetector(scan_interval=100_000.0))
+        feed.subscribe(detectors[-1])
+        return feed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(session_module, "TraceRecorder", recorder)
+        mp.setenv("REPRO_TRACE", "1")
+        yield
+
+
+def fast_path_results(point: dict) -> tuple[object, dict]:
+    """The reference outcome of *point* and each variant's outcome,
+    after asserting that every variant really took its fast path."""
+    variants: dict = {}
+    with pytest.MonkeyPatch.context() as generators:
+        generators.setattr(drivers, "DRIVERS", {})
+        clear_warm_state()
+        reference = run(point)
+        ok = not isinstance(reference, type)
+        variants["memo"] = run(point)
+        # One stored pass: the second run hit it instead of adding one.
+        memoized = clear_calibration_memo()
+        assert not ok or memoized == 1, "memo not hit"
+        clear_warm_state()
+        run(point, seed=point["seed"] + 1)
+        variants["warm"] = run(point)
+        pooled = clear_warm_state()
+        assert pooled == 1, "machine not pooled"
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        # A boundary inside every transmission, and no more: each
+        # capture pickles the whole session, noise workloads included.
+        cycles = reference.cycles if ok else 25_000.0
+        mp.setenv("REPRO_CACHE_DIR", tmp)
+        mp.setenv("REPRO_SEGMENT_CYCLES", str(cycles))
+        variants["segmented"] = run(point)
+    assert not ok or variants["segmented"].manifest.segments_stored > 0
+
+    detectors: list = []
+    clear_warm_state()
+    with streamed(detectors):
+        variants["streamed"] = run(point)
+    assert not ok or detectors[-1].events > 0, "detector saw no events"
+
+    clear_warm_state()
+    variants["driven"] = run(point)
+    variants["production"] = run(point)
+    clear_warm_state()
+    if ok:
+        assert variants["driven"].manifest.engine == "driven"
+        assert variants["production"].manifest.engine == "driven"
+    return reference, variants
+
+
+@settings(max_examples=3, deadline=None)
+@given(point=points(), golden=st.none())
+@example(point=golden_point("mesi_default"), golden=GOLDEN["mesi_default"])
+@example(point=golden_point("llc_direct_e_response"),
+         golden=GOLDEN["llc_direct_e_response"])
+@example(point=golden_point("home_agent"), golden=GOLDEN["home_agent"])
+@example(point=golden_point("directory_backend"),
+         golden=GOLDEN["directory_backend"])
+@example(point=golden_point("moesi_ostate"), golden=GOLDEN["moesi_ostate"])
+def test_every_fast_path_matches_reference(point, golden):
+    with pytest.MonkeyPatch.context() as env:
+        # No tracing or segmentation unless a variant arms it.
+        env.delenv("REPRO_TRACE", raising=False)
+        env.delenv("REPRO_SEGMENT_CYCLES", raising=False)
+        reference, variants = fast_path_results(point)
+    if golden is not None:
+        assert transmission_digest(reference) == golden
+    for name, variant in variants.items():
+        assert_matches(name, variant, reference)
+
+
+def test_pool_dispatch_matches_serial():
+    """One future per point and auto-sized seed-grouped chunks both
+    reproduce the serial grid, warm workers and memo hits included."""
+    grid = tuple(
+        Point(fn="repro.channel.session:execute_point", params={
+            "spec": cell, "payload": payload_bits(4, seed=seed),
+            "rate_kbps": rate, "seed": seed,
+            "calibration_samples": SAMPLES,
+        })
+        for cell in ("mesi-es", "dir-ostate")
+        for seed in (0, 1)
+        for rate in (300.0, 400.0, 500.0, 600.0)
+    )
+    assert auto_chunk_size(len(grid), 2) > 1
+    spec = ExperimentSpec(experiment="fast-paths", points=grid)
+    clear_warm_state()
+    serial = Runner(jobs=1).run(spec).values
+    for chunk_size in (1, None):
+        # Forked workers would inherit this process's warm state.
+        clear_warm_state()
+        pooled = Runner(jobs=2, chunk_size=chunk_size).run(spec).values
+        for one, other in zip(pooled, serial):
+            assert_matches(f"chunk_size={chunk_size}", one, other)

@@ -16,15 +16,20 @@ Two locks in one file:
   bit-for-bit observable behavior) is identical with tracing on and off.
   Tracing must never perturb what it observes.
 
-``calibration_memo`` is disabled so the calibration loads actually
-execute (the memo would skip them, and with it most of the event
-stream); that choice changes nothing about the simulated behavior.
+Traced sessions never use the calibration memo, so the calibration
+loads always execute and the stream does not depend on what ran
+earlier in the process (``test_trace_digest_independent_of_history``).
 """
 
 import pytest
 
 from repro.channel.config import scenario_by_name
-from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
+from repro.channel.session import (
+    ChannelSession,
+    SessionConfig,
+    clear_warm_state,
+    resolve_spec,
+)
 from repro.detection import StreamingDetector
 from repro.mem.hierarchy import MachineConfig
 from repro.mem.invariants import walk_private_states
@@ -54,7 +59,6 @@ def make_session(trace, spec="LExclc-LSharedb") -> ChannelSession:
         spec=spec,
         seed=7,
         calibration_samples=150,
-        calibration_memo=False,
         trace=trace,
     ))
 
@@ -113,6 +117,19 @@ def test_tap_snapshots_match_full_walk(spec):
     assert checked > 0
     expected = BACKEND_TRACES.get(spec, GOLDEN_TRACE)
     assert session.recorder.digest() == expected
+
+
+def test_trace_digest_independent_of_history():
+    """Two same-seed traced sessions in one process record the same
+    stream: the first must not leave a memoized calibration for the
+    second to skip (cold, the stream holds the calibration loads)."""
+    clear_warm_state()
+    digests = []
+    for _ in range(2):
+        session = make_session(trace=True)
+        session.transmit(list(PAYLOAD))
+        digests.append(session.recorder.digest())
+    assert digests == [GOLDEN_TRACE, GOLDEN_TRACE]
 
 
 def test_trace_covers_every_category(traced_session):

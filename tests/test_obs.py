@@ -402,7 +402,7 @@ def make_session(**kwargs) -> ChannelSession:
 
 @pytest.fixture(scope="module")
 def traced_result():
-    session = make_session(trace=True, calibration_memo=False)
+    session = make_session(trace=True)
     result = session.transmit([1, 0, 1, 1, 0, 0, 1, 0])
     return session, result
 
@@ -446,7 +446,7 @@ def test_manifest_records_fault_plan():
         seed=3, rate_per_mcycle=8.0, window_cycles=200_000.0,
         kinds=("latency_spike",),
     )
-    session = make_session(faults=plan.to_json(), calibration_memo=False)
+    session = make_session(faults=plan.to_json())
     result = session.transmit([1, 0, 1, 0])
     assert result.manifest.fault_plan == plan.to_json()
 
@@ -459,9 +459,7 @@ def test_fault_installation_emits_trace_events():
         kinds=("latency_spike", "third_party_touch"),
     )
     assert plan.events, "plan must schedule at least one event"
-    session = make_session(
-        faults=plan.to_json(), trace=True, calibration_memo=False
-    )
+    session = make_session(faults=plan.to_json(), trace=True)
     session.transmit([1, 0])
     faults = session.recorder.select("fault")
     assert len(faults) == len(plan.simulation_events)

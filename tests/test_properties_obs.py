@@ -87,7 +87,6 @@ def test_labeled_samples_match_their_band_path(seed, payload):
         seed=seed,
         calibration_samples=120,
         machine=MachineConfig(noise=NoiseModel(enabled=False)),
-        calibration_memo=False,
         trace=True,
     ))
     result = session.transmit(list(payload))
