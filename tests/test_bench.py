@@ -118,9 +118,33 @@ def _assert_overhead_gate(key, limit):
         assert check_regression(current, _report(100_000.0)) == []
 
 
-def test_check_regression_disabled_overhead_gate():
-    """Tracing and streaming detection left off: gated once, at 2%."""
+def test_check_regression_trace_overhead_gate():
+    """Tracing left off must be free: ``disabled_overhead`` gates at 2%.
+    Turning tracing on is a price, reported but not gated."""
     _assert_overhead_gate("disabled_overhead", 0.02)
+    current = _report(100_000.0)
+    current["benchmarks"]["overhead"] = {
+        "disabled_overhead": 0.0, "traced_overhead": 3.0,
+    }
+    assert check_regression(current, _report(100_000.0)) == []
+
+
+def test_check_regression_streaming_overhead_gate():
+    """Streaming detection shares the disabled path with tracing, so a
+    full entry gates the disabled-vs-baseline ratio once, not twice;
+    the detector's own cost is reported but not gated."""
+    current = _report(100_000.0)
+    costs = {
+        "disabled_overhead": 0.05, "traced_overhead": 3.0,
+        "streaming_overhead": 4.0, "sink_overhead": 0.3,
+        "armed_overhead": 0.0,
+    }
+    current["benchmarks"]["overhead"] = costs
+    problems = check_regression(current, _report(100_000.0))
+    assert len(problems) == 1
+    assert "disabled tracing and streaming detection" in problems[0]
+    current["benchmarks"]["overhead"] = dict(costs, disabled_overhead=0.005)
+    assert check_regression(current, _report(100_000.0)) == []
 
 
 def test_check_regression_armed_overhead_gate():

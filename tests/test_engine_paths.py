@@ -4,11 +4,13 @@
 controller and the spy through generator-free drivers
 (:mod:`repro.sim.drivers`) unless the simulator stood down.  The
 drivers are a pure performance play, so their one contract is
-bit-identity with the generator programs.  Registry cells, the five
-golden configs and noisy warmed points are the differential harness's
-job (``tests/test_fast_paths.py``); these tests pin what it does not
-draw:
+bit-identity with the generator programs.  The differential harness
+(``tests/test_fast_paths.py``) draws random points across every fast
+path; these tests pin fixed cases on the driver path alone:
 
+* every cell of the scenario registry, the five golden digests and the
+  noisy ``matrix_cold`` point shape transmit identically on both paths
+  (result pickles equal once ``manifest.engine`` is normalised);
 * the multi-bit symbol channel and every driver class actually run;
 * a run cut short and resumed under ``stop_when``/``pause_at`` carries
   on from where the drivers parked, as the generators do;
@@ -28,15 +30,16 @@ import pytest
 from repro.channel.calibration import clear_calibration_memo
 from repro.channel.config import ProtocolParams
 from repro.channel.decoder import BitDecoder
-from repro.channel.session import ChannelSession, SessionConfig
+from repro.channel.scenarios import SCENARIOS
+from repro.channel.session import ChannelSession, SessionConfig, execute_point
 from repro.channel.spy import SpyResult, spy_program
 from repro.channel.trojan import TrojanControl, controller_program, worker_roles
-from repro.errors import SimulationError, SyncTimeoutError
+from repro.errors import CalibrationError, SimulationError, SyncTimeoutError
 from repro.experiments.common import payload_bits
 from repro.runner import ExperimentSpec, Point, Runner
 from repro.sim import drivers
 
-from tests.test_golden_determinism import transmission_digest
+from tests.test_golden_determinism import GOLDEN, run_config, transmission_digest
 
 PAYLOAD = [1, 0, 1, 1, 0, 1]
 
@@ -73,7 +76,51 @@ def assert_same(driven, generator):
     assert normalised(driven) == normalised(generator)
 
 
-# -- driven == generator beyond the harness's draws -----------------------
+# -- driven == generator, every registry cell ------------------------------
+
+
+@pytest.mark.parametrize("cell", sorted(SCENARIOS))
+def test_driven_matches_generator_on_registry_cell(cell):
+    """Live cells transmit bit-identically; dead cells (e.g.
+    ``mesi-ostate``, whose O bands collapse) fail with the same
+    calibration error on both paths."""
+    try:
+        _, generator = on_path(False, transmit, cell)
+    except CalibrationError as exc:
+        with pytest.raises(CalibrationError) as driven_exc:
+            on_path(True, transmit, cell)
+        assert str(driven_exc.value) == str(exc)
+        return
+    session, driven = on_path(True, transmit, cell)
+    assert session.sim.stand_down_reason is None
+    assert driven.manifest.engine == "driven"
+    assert generator.manifest.engine == "generator"
+    assert_same(driven, generator)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("driven", [True, False], ids=["driven", "generator"])
+def test_golden_digests_on_both_paths(name, driven):
+    assert on_path(driven, run_config, name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("noise", [1, 2])
+@pytest.mark.parametrize("cell", ["mesi-es", "moesi-ostate", "dir-es"])
+def test_noisy_warmed_point_matches_generator(cell, noise):
+    """The ``matrix_cold`` point shape: kernel-build noise threads share
+    the machine with driven threads, after an 8-bit warm-up."""
+    def point():
+        return execute_point(
+            spec=cell, payload=payload_bits(24), seed=105,
+            noise_threads=noise, warmup_bits=8,
+        )
+
+    driven = on_path(True, point)
+    assert driven.manifest.engine == "driven"
+    assert_same(driven, on_path(False, point))
+
+
+# -- driven == generator, other channel shapes ----------------------------
 
 
 def test_multi_bit_channel_matches_generator():

@@ -5,8 +5,9 @@ warm-worker machine reuse, chunked pool dispatch, and compact sample
 transport.  Every one of those is a pure speedup — these tests pin the
 contract that none of them may change a single observable bit under
 injected faults and mid-grid worker kills, and that the transport layer
-actually shrinks what travels and what lands on disk.  Clean runs are
-the differential harness's job (``tests/test_fast_paths.py``).
+actually shrinks what travels and what lands on disk.  Clean-run
+identity across execution modes is the differential harness's job
+(``tests/test_fast_paths.py``).
 """
 
 from __future__ import annotations
@@ -178,6 +179,18 @@ def test_grid_bit_identical_after_mid_grid_worker_kill(
 
 
 # -- calibration memo --------------------------------------------------
+
+
+def test_calibration_memo_transparent(cold_process):
+    first = execute_point(
+        scenario="LExclc-LSharedb", payload=PAYLOAD, seed=3
+    )
+    # second run hits both the machine pool and the calibration memo
+    second = execute_point(
+        scenario="LExclc-LSharedb", payload=PAYLOAD, seed=3
+    )
+    assert result_digest(first) == result_digest(second)
+    assert clear_calibration_memo() >= 1
 
 
 def test_calibration_memo_keyed_by_seed(cold_process):
