@@ -129,9 +129,8 @@ def cmd_bench(argv: list[str]) -> None:
     """Run the performance harness and emit a BENCH_<date>.json report."""
     parser = argparse.ArgumentParser(prog="repro bench")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per benchmark; best wall time kept "
-                             "(overhead benchmarks: interleaved pairs, "
-                             "median ratio)")
+                        help="interleaved pairs of the overhead benchmark "
+                             "(median ratio; a full run takes at least 15)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller payloads (CI smoke / sanity runs)")
     parser.add_argument("--output", default=None, metavar="PATH",
@@ -144,7 +143,8 @@ def cmd_bench(argv: list[str]) -> None:
     )
     parser.add_argument(
         "--max-regression", type=float, default=0.20, metavar="FRAC",
-        help="allowed events/sec drop vs --baseline (default: 0.20)",
+        help="allowed drop in grid_sweep's best speedup vs --baseline "
+             "(default: 0.20)",
     )
     args = parser.parse_args(argv)
 
@@ -158,41 +158,18 @@ def cmd_bench(argv: list[str]) -> None:
 
     report = run_all(repeats=args.repeats, quick=args.quick)
     bench = report["benchmarks"]
-    micro = bench["engine_micro"]
-    print(f"engine_micro  {micro['events_per_sec']:>12,.0f} events/s "
-          f"({micro['events']} events, best of {args.repeats})")
-    print(f"fig8_point    {bench['fig8_point']['wall_s']:>12.3f} s wall "
-          f"(accuracy {bench['fig8_point']['accuracy']:.2f})")
-    print(f"noise_point   {bench['noise_point']['wall_s']:>12.3f} s wall "
-          f"(accuracy {bench['noise_point']['accuracy']:.2f})")
-    grid = bench.get("grid_sweep")
-    if grid:
-        for mode, info in grid["modes"].items():
-            speedup = (f"  ({info['speedup']:.2f}x)"
-                       if "speedup" in info else "")
-            print(f"grid_sweep    {info['points_per_sec']:>12.2f} points/s "
-                  f"[{mode}]{speedup}")
-        identity = "ok" if grid["bit_identical"] else "MISMATCH"
-        print(f"grid_sweep    bit-identity {identity}; cache entries "
-              f"{grid['cache_bytes'] / 1024:.0f} KiB v2 vs "
-              f"{grid['cache_bytes_legacy'] / 1024:.0f} KiB legacy "
-              f"(-{grid['cache_reduction']:.0%})")
-    svc = bench.get("service_sweep")
-    if svc:
-        identity = "ok" if svc["bit_identical"] else "MISMATCH"
-        print(f"service_sweep {svc['dedupe_ratio']:>12.2f}x dedupe "
-              f"({svc['executed']} executed of {svc['submitted']} "
-              f"submitted, {svc['coalesced']} coalesced)")
-        print(f"service_sweep bit-identity {identity}; "
-              f"{svc['speedup_vs_local']:.2f}x vs back-to-back local")
-    costs = bench.get("overhead")
-    if costs:
-        print(f"overhead  disabled {costs['disabled_overhead']:+.1%}  "
-              f"traced {costs['traced_overhead']:+.1%}  "
-              f"streaming {costs['streaming_overhead']:+.1%}  "
-              f"sink {costs['sink_overhead']:+.1%}  "
-              f"armed-idle {costs['armed_overhead']:+.1%} "
-              f"({costs['traced_events']} events)")
+    grid = bench["grid_sweep"]
+    for mode, info in grid["modes"].items():
+        speedup = f"  ({info['speedup']:.2f}x)" if "speedup" in info else ""
+        print(f"grid_sweep    {info['points_per_sec']:>12.2f} points/s "
+              f"[{mode}]{speedup}")
+    costs = bench["overhead"]
+    print(f"overhead  disabled {costs['disabled_overhead']:+.1%}  "
+          f"traced {costs['traced_overhead']:+.1%}  "
+          f"streaming {costs['streaming_overhead']:+.1%}  "
+          f"sink {costs['sink_overhead']:+.1%}  "
+          f"armed-idle {costs['armed_overhead']:+.1%} "
+          f"({costs['traced_events']} events)")
     if not args.no_write:
         out = write_report(report, args.output or default_report_name())
         print(f"wrote {out}")
@@ -205,9 +182,9 @@ def cmd_bench(argv: list[str]) -> None:
             for problem in problems:
                 print(f"REGRESSION: {problem}", file=sys.stderr)
             raise SystemExit(1)
-        base_eps = baseline["benchmarks"]["engine_micro"]["events_per_sec"]
-        print(f"no regression vs {args.baseline} "
-              f"({micro['events_per_sec'] / base_eps:.2f}x baseline)")
+        base_speedup = baseline["benchmarks"]["grid_sweep"]["best_speedup"]
+        print(f"no regression vs {args.baseline} (best speedup "
+              f"{grid['best_speedup'] / base_speedup:.2f}x baseline's)")
 
 
 def _parse_age(text: str) -> float:

@@ -273,11 +273,20 @@ class SocketDomain:
         self._maybe_collect_entry(base, entry)
         return None
 
-    def grant_to_local(self, entry: LlcLine, core: Core, value: int) -> CoherenceState:
-        """Register a local core as a sharer and fill its private caches."""
+    def grant_to_local(
+        self, entry: LlcLine, core: Core, value: int,
+        shared_elsewhere: bool = False,
+    ) -> CoherenceState:
+        """Register a local core as a sharer and fill its private caches.
+
+        *shared_elsewhere* (another socket holds the line) rules out an
+        E grant; see :meth:`ProtocolPolicy.fill_state_for_read`.
+        """
         entry.core_valid.add(core.core_id)
         previous_forwarder = entry.forwarder
-        state = self.policy.fill_state_for_read(entry, core.core_id)
+        state = self.policy.fill_state_for_read(
+            entry, core.core_id, shared_elsewhere
+        )
         if state is CoherenceState.EXCLUSIVE:
             entry.owner = core.core_id
         elif (

@@ -450,7 +450,16 @@ class Machine:
                 # twice as sensitive to ring congestion — the asymmetry
                 # the paper observes under kernel-build noise.
                 contention += ring_register(now, 1.0)
-            home.grant_to_local(service.entry, core, service.value)
+            entry = service.entry
+            # With no local holder left, this LLC copy may still be one
+            # of two: a cross-socket fill leaves a copy in each socket.
+            # Probe the other directories before the grant can hand out
+            # E, or the requester would hold E beside a remote S (SWMR).
+            shared = not entry.core_valid and any(
+                base in other.directory
+                for other in self.sockets if other is not home
+            )
+            home.grant_to_local(entry, core, service.value, shared)
             base_lat, counter = self._path_info[path]
             latency = (base_lat + home_hop + self._queueing(contention))
             latency = self._finish(core_id, latency, path)

@@ -28,12 +28,20 @@ class ProtocolPolicy:
     has_forward_state = False
     has_owned_state = False
 
-    def fill_state_for_read(self, entry: LlcLine, requester: int) -> CoherenceState:
+    def fill_state_for_read(
+        self, entry: LlcLine, requester: int, shared_elsewhere: bool = False
+    ) -> CoherenceState:
         """State granted to *requester* on a read fill.
 
         Called after the requester has been added to ``entry.core_valid``.
+        *shared_elsewhere* says another socket still holds the line, so
+        this socket's copy is not the sole one even with no local sharer.
         """
-        if entry.core_valid == {requester} and entry.owner in (None, requester):
+        if (
+            not shared_elsewhere
+            and entry.core_valid == {requester}
+            and entry.owner in (None, requester)
+        ):
             return CoherenceState.EXCLUSIVE
         return CoherenceState.SHARED
 
@@ -74,8 +82,10 @@ class MesifPolicy(ProtocolPolicy):
     name = "mesif"
     has_forward_state = True
 
-    def fill_state_for_read(self, entry: LlcLine, requester: int) -> CoherenceState:
-        state = super().fill_state_for_read(entry, requester)
+    def fill_state_for_read(
+        self, entry: LlcLine, requester: int, shared_elsewhere: bool = False
+    ) -> CoherenceState:
+        state = super().fill_state_for_read(entry, requester, shared_elsewhere)
         if state is CoherenceState.SHARED:
             entry.forwarder = requester
             return CoherenceState.FORWARD

@@ -1,7 +1,7 @@
 """The cache server: :class:`SingleFlightIndex` over a local socket.
 
-External runner processes (and the ``service_sweep`` benchmark's
-concurrent clients) join the service's single-flight domain through
+External runner processes (and the concurrent clients of
+``tests/test_service.py``) join the service's single-flight domain through
 this server — N worker pools and M concurrent jobs deduplicate points
 globally without sharing memory.
 

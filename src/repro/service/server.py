@@ -8,8 +8,8 @@ socket protocol) must reserve a key in the same index before computing
 it.
 
 :func:`ExperimentService.run_in_thread` hosts the whole service on a
-daemon thread for tests, the ``service_sweep`` benchmark, and the CI
-smoke job — the same code path ``repro serve`` runs in the foreground.
+daemon thread for tests and the CI smoke job — the same code path
+``repro serve`` runs in the foreground.
 """
 
 from __future__ import annotations

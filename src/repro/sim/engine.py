@@ -249,11 +249,10 @@ class Simulator:
         paused = False
         # Hoisted hot-loop state: bound methods, the heap list and the
         # sequence counter are locals so each event pays zero repeated
-        # attribute lookups.  The body of SimThread.step()/complete() is
-        # inlined below (those methods stay as the public per-thread API
-        # and must mirror any change made here): one executed op costs
-        # two Python method calls total (the generator resume and the
-        # executor) instead of four.
+        # attribute lookups.  Advancing a thread's program and recording
+        # its op result are inlined below: one executed op costs two
+        # Python method calls total (the generator resume and the
+        # executor).
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -313,7 +312,7 @@ class Simulator:
                         if stop_when is not None and stop_when(self):
                             break
                     continue
-                # -- inlined SimThread.step() --------------------------
+                # -- advance the program to its next op ----------------
                 # send(None) on a fresh generator is next(), so one send
                 # covers both the first and every later resume.
                 pending = thread._pending_result
@@ -343,7 +342,7 @@ class Simulator:
                         "expected a simulator op"
                     )
                 result = thread.executor(thread, op)
-                # -- inlined SimThread.complete() ----------------------
+                # -- record the result and advance the clock -----------
                 tclock = result.timestamp
                 thread.clock = tclock
                 thread.ops_executed += 1

@@ -25,7 +25,6 @@ import enum
 from collections.abc import Callable, Generator
 from typing import Any
 
-from repro.errors import ThreadProgramError
 from repro.sim.events import (
     Burst,
     Delay,
@@ -252,47 +251,6 @@ class SimThread:
             self.state = ThreadState.KILLED
             self._generator.close()
             self._fire_exit()
-
-    def step(self) -> Op | None:
-        """Advance the program to its next op.
-
-        Returns the op to execute, or ``None`` if the program finished.
-        Called only by the engine.
-        """
-        try:
-            pending = self._pending_result
-            if pending is None:
-                op = next(self._generator)
-            else:
-                log = self.replay_log
-                if log is not None:
-                    # Record the result being delivered *before* the send
-                    # so a checkpoint taken mid-iteration can re-drive a
-                    # fresh generator through the same result sequence.
-                    log.append(pending)
-                op = self._generator.send(pending)
-        except StopIteration as stop:
-            self.state = ThreadState.DONE
-            self.result = stop.value
-            self._fire_exit()
-            return None
-        except BaseException:
-            self.state = ThreadState.FAILED
-            self._fire_exit()
-            raise
-        if type(op) not in self._OP_TYPES and not isinstance(op, self._VALID_OPS):
-            self.state = ThreadState.FAILED
-            self._fire_exit()
-            raise ThreadProgramError(
-                f"thread {self.name!r} yielded {op!r}; expected a simulator op"
-            )
-        return op
-
-    def complete(self, result: OpResult) -> None:
-        """Record the result of the last op and advance the clock."""
-        self.clock = result.timestamp
-        self.ops_executed += 1
-        self._pending_result = result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

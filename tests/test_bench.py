@@ -22,42 +22,22 @@ def test_run_all_shape(quick_report):
     assert quick_report["quick"] is True
     assert quick_report["cpus"] >= 1
     bench = quick_report["benchmarks"]
-    assert set(bench) == {
-        "engine_micro", "fig8_point", "noise_point", "grid_sweep",
-        "service_sweep", "overhead",
-    }
-    micro = bench["engine_micro"]
-    assert micro["events"] > 0
-    assert micro["wall_s"] > 0
-    assert micro["events_per_sec"] == pytest.approx(
-        micro["events"] / micro["wall_s"]
-    )
-    for name in ("fig8_point", "noise_point"):
-        assert bench[name]["wall_s"] > 0
-        assert 0.0 <= bench[name]["accuracy"] <= 1.0
+    assert set(bench) == {"grid_sweep", "overhead"}
     grid = bench["grid_sweep"]
-    assert grid["bit_identical"] is True
     assert set(grid["modes"]) == {
         "reference", "serial", "jobs", "chunked",
     }
     for mode, info in grid["modes"].items():
         assert info["points_per_sec"] > 0
+        assert info["points_per_sec"] == pytest.approx(
+            grid["points"] / info["wall_s"]
+        )
         if mode != "reference":
             assert info["speedup"] > 0
     assert grid["best_speedup"] == pytest.approx(
         max(info["speedup"] for mode, info in grid["modes"].items()
             if mode != "reference")
     )
-    assert 0 < grid["cache_bytes"] <= grid["cache_bytes_legacy"]
-    svc = bench["service_sweep"]
-    assert svc["bit_identical"] is True
-    # Single-flight makes the dedupe ratio deterministic: every unique
-    # key executed exactly once, fleet-wide.
-    assert svc["executed"] == svc["unique"]
-    assert svc["dedupe_ratio"] == pytest.approx(
-        svc["submitted"] / svc["unique"]
-    )
-    assert svc["local_wall_s"] > 0 and svc["service_wall_s"] > 0
     costs = bench["overhead"]
     for name in OVERHEAD_VARIANTS:
         assert costs[f"{name}_wall_s"] > 0
@@ -81,70 +61,66 @@ def test_report_roundtrip(quick_report, tmp_path):
     assert load_report(path) == quick_report
 
 
-def _report(events_per_sec):
+def _report(best_speedup, **overheads):
+    costs = {"disabled_overhead": 0.0, "armed_overhead": 0.0}
+    costs.update(overheads)
     return {
         "schema": SCHEMA,
-        "benchmarks": {"engine_micro": {"events_per_sec": events_per_sec}},
+        "benchmarks": {
+            "grid_sweep": {"best_speedup": best_speedup},
+            "overhead": costs,
+        },
     }
 
 
 def test_check_regression_passes_within_budget():
-    assert check_regression(_report(90_000.0), _report(100_000.0)) == []
+    assert check_regression(_report(3.6), _report(4.0)) == []
     # Exactly at the floor is allowed.
-    assert check_regression(_report(80_000.0), _report(100_000.0)) == []
+    assert check_regression(_report(3.2), _report(4.0)) == []
 
 
 def test_check_regression_fails_below_floor():
-    problems = check_regression(_report(70_000.0), _report(100_000.0))
+    problems = check_regression(_report(2.8), _report(4.0))
     assert len(problems) == 1
-    assert "engine_micro regressed" in problems[0]
+    assert "grid_sweep regressed" in problems[0]
 
 
 def test_check_regression_custom_threshold():
-    assert check_regression(
-        _report(95_000.0), _report(100_000.0), max_regression=0.02
-    )
+    assert check_regression(_report(3.8), _report(4.0), max_regression=0.02)
 
 
 def _assert_overhead_gate(key, limit):
-    current = _report(100_000.0)
-    current["benchmarks"]["overhead"] = {key: limit + 0.001}
-    problems = check_regression(current, _report(100_000.0))
+    problems = check_regression(_report(4.0, **{key: limit + 0.001}),
+                                _report(4.0))
     assert len(problems) == 1
     assert problems[0].startswith("overhead:")
     # Under the cap — or negative (host noise) — passes.
     for value in (limit - 0.001, -0.01):
-        current["benchmarks"]["overhead"] = {key: value}
-        assert check_regression(current, _report(100_000.0)) == []
+        assert check_regression(_report(4.0, **{key: value}),
+                                _report(4.0)) == []
 
 
 def test_check_regression_trace_overhead_gate():
     """Tracing left off must be free: ``disabled_overhead`` gates at 2%.
     Turning tracing on is a price, reported but not gated."""
     _assert_overhead_gate("disabled_overhead", 0.02)
-    current = _report(100_000.0)
-    current["benchmarks"]["overhead"] = {
-        "disabled_overhead": 0.0, "traced_overhead": 3.0,
-    }
-    assert check_regression(current, _report(100_000.0)) == []
+    current = _report(4.0, traced_overhead=3.0)
+    assert check_regression(current, _report(4.0)) == []
 
 
 def test_check_regression_streaming_overhead_gate():
     """Streaming detection shares the disabled path with tracing, so a
     full entry gates the disabled-vs-baseline ratio once, not twice;
     the detector's own cost is reported but not gated."""
-    current = _report(100_000.0)
     costs = {
         "disabled_overhead": 0.05, "traced_overhead": 3.0,
         "streaming_overhead": 4.0, "sink_overhead": 0.3,
-        "armed_overhead": 0.0,
     }
-    current["benchmarks"]["overhead"] = costs
-    problems = check_regression(current, _report(100_000.0))
+    problems = check_regression(_report(4.0, **costs), _report(4.0))
     assert len(problems) == 1
     assert "disabled tracing and streaming detection" in problems[0]
-    current["benchmarks"]["overhead"] = dict(costs, disabled_overhead=0.005)
-    assert check_regression(current, _report(100_000.0)) == []
+    costs["disabled_overhead"] = 0.005
+    assert check_regression(_report(4.0, **costs), _report(4.0)) == []
 
 
 def test_check_regression_armed_overhead_gate():
@@ -154,47 +130,20 @@ def test_check_regression_armed_overhead_gate():
 
 def test_check_regression_loads_committed_baseline():
     """CI passes the newest committed report as ``--baseline``; a
-    current report must gate against it whatever its schema."""
+    current report matching its speedup must pass the gate."""
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     baseline = load_report(sorted(root.glob("BENCH_*.json"))[-1])
-    current = _report(
-        baseline["benchmarks"]["engine_micro"]["events_per_sec"]
-    )
-    current["benchmarks"]["overhead"] = {
-        "disabled_overhead": 0.0, "armed_overhead": 0.0,
-    }
-    assert check_regression(current, baseline) == []
-
-
-def test_check_regression_service_sweep_gates():
-    from repro.bench import SERVICE_MIN_DEDUPE
-
-    baseline = _report(100_000.0)
-    current = _report(100_000.0)
-    # Bit-identity failure gates regardless of the dedupe ratio.
-    current["benchmarks"]["service_sweep"] = {
-        "bit_identical": False, "dedupe_ratio": 2.0,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "bit-identical" in problems[0]
-    # A dedupe ratio below the floor means shared points re-executed.
-    current["benchmarks"]["service_sweep"] = {
-        "bit_identical": True,
-        "dedupe_ratio": SERVICE_MIN_DEDUPE - 0.1,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "dedupe ratio" in problems[0]
-    # Healthy report passes.
-    current["benchmarks"]["service_sweep"] = {
-        "bit_identical": True, "dedupe_ratio": 1.88,
-    }
-    assert check_regression(current, baseline) == []
+    assert baseline["schema"] == SCHEMA and baseline["cpus"] >= 1
+    assert set(baseline["benchmarks"]) == {"grid_sweep", "overhead"}
+    speedup = baseline["benchmarks"]["grid_sweep"]["best_speedup"]
+    assert check_regression(_report(speedup), baseline) == []
+    assert check_regression(_report(speedup * 0.7), baseline)
 
 
 def test_check_regression_malformed_baseline():
-    problems = check_regression(_report(100_000.0), {"benchmarks": {}})
+    problems = check_regression(_report(4.0), {"benchmarks": {}})
     assert problems and "malformed report" in problems[0]
 
 
@@ -203,5 +152,8 @@ def test_cli_bench_quick(capsys):
 
     assert main(["bench", "--quick", "--repeats", "1", "--no-write"]) == 0
     out = capsys.readouterr().out
-    assert "engine_micro" in out and "events/s" in out
+    for mode in ("reference", "serial", "jobs", "chunked"):
+        assert f"points/s [{mode}]" in out
+    assert out.count("grid_sweep") == 4
+    assert "overhead  disabled" in out and "armed-idle" in out
     assert "wrote" not in out

@@ -28,7 +28,9 @@ Then one variant per fast path runs the same point:
 Each variant's result must equal the reference's as a pickle with its
 ``compare=False`` fields (the manifest) blanked, and by
 :func:`transmission_digest`; where the reference raises, the variant
-must raise the same exception type.  The five golden configs are
+must raise the same exception type.  After the reference and after
+every variant, :func:`check_machine` must pass on the pooled machine
+the run leaves behind, on every protocol backend the draw reaches.  The five golden configs are
 explicit examples whose reference must also land on its pinned digest.
 :func:`test_pool_dispatch_matches_serial` covers chunked dispatch.
 
@@ -55,6 +57,7 @@ from repro.detection import StreamingDetector
 from repro.errors import ReproError
 from repro.experiments.common import payload_bits
 from repro.mem.hierarchy import MachineConfig
+from repro.mem.invariants import check_machine
 from repro.obs import TraceRecorder
 from repro.runner import ExperimentSpec, Point, Runner, auto_chunk_size
 from repro.sim import drivers
@@ -110,11 +113,19 @@ def points(draw) -> dict:
 
 
 def run(point: dict, **overrides):
-    """``execute_point`` on *point*: its result, or the type it raised."""
+    """``execute_point`` on *point*: its result, or the type it raised.
+
+    Postcondition: every coherence invariant holds on the machine the
+    run left in the pool (:func:`check_machine`).
+    """
     try:
-        return execute_point(**{**point, **overrides})
+        outcome = execute_point(**{**point, **overrides})
     except ReproError as exc:
-        return type(exc)
+        outcome = type(exc)
+    assert session_module._MACHINE_POOL, "no pooled machine to check"
+    for machine in session_module._MACHINE_POOL.values():
+        check_machine(machine)
+    return outcome
 
 
 def blanked(result) -> bytes:
@@ -200,6 +211,13 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
 @example(point=golden_point("directory_backend"),
          golden=GOLDEN["directory_backend"])
 @example(point=golden_point("moesi_ostate"), golden=GOLDEN["moesi_ostate"])
+@example(point={
+    # No golden config runs MESIF; this noisy point puts the fourth
+    # backend under the check_machine postcondition on every run.
+    "spec": "mesif-es", "seed": 11, "rate_kbps": 342.0,
+    "payload": payload_bits(8, seed=11), "noise_threads": 2,
+    "warmup_bits": 8, "calibration_samples": SAMPLES,
+}, golden=None)
 def test_every_fast_path_matches_reference(point, golden):
     with pytest.MonkeyPatch.context() as env:
         # No tracing or segmentation unless a variant arms it.

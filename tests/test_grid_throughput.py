@@ -78,9 +78,10 @@ def cold_process():
 def channel_spec(n: int = 4, bits: int = 6) -> ExperimentSpec:
     points = tuple(
         Point(
-            fn="repro.bench.harness:grid_point",
+            fn="repro.channel.session:execute_point",
             params={"scenario": "LExclc-LSharedb",
-                    "rate": 300.0 + 100.0 * i, "seed": 0, "bits": bits},
+                    "payload": PAYLOAD[:bits],
+                    "rate_kbps": 300.0 + 100.0 * i, "seed": 0},
         )
         for i in range(n)
     )

@@ -215,16 +215,21 @@ def test_llc_direct_e_response_merges_bands(rng):
     assert lat_e == pytest.approx(m.config.latency.local_shared, abs=1.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: a socket's directory grants E from its LLC copy "
-    "without knowing that another socket still holds the line in S"
-))
-def test_llc_refill_after_private_eviction_keeps_swmr(m):
+@pytest.mark.parametrize("protocol", ["mesi", "mesif", "moesi"])
+@pytest.mark.parametrize("evicter, reloader, keeper", [(7, 8, 1), (1, 2, 7)])
+def test_llc_refill_after_private_eviction_keeps_swmr(
+    rng, protocol, evicter, reloader, keeper
+):
+    """A socket's LLC copy with no local holder must not grant E while
+    the other socket still holds the line."""
+    m = Machine(MachineConfig(noise=NoiseModel(enabled=False),
+                              protocol=protocol), rng)
     m.load(1, ADDR)                      # socket 0: E
     m.load(7, ADDR)                      # socket 1 copies it; both S
-    # Core 7 evicts its copy; socket 1's LLC keeps a data-valid entry.
-    m.sockets[1].private_invalidate(m.core(7), ADDR)
-    m.load(8, ADDR)                      # served by socket 1's LLC
-    assert m.private_state(1, ADDR) is CoherenceState.SHARED
-    assert m.private_state(8, ADDR) is not CoherenceState.EXCLUSIVE
+    # The evicter drops its copy; its socket's LLC keeps a data-valid
+    # entry, which then serves the reloader in the same socket.
+    m.socket_of(evicter).private_invalidate(m.core(evicter), ADDR)
+    m.load(reloader, ADDR)
+    assert m.private_state(keeper, ADDR) is CoherenceState.SHARED
+    assert not m.private_state(reloader, ADDR).sole_copy
     check_machine(m)
