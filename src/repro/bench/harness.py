@@ -121,7 +121,9 @@ def _overhead(walls: dict[str, list[float]], name: str, base: str) -> float:
 #: ``REPRO_TRACE``, which the benchmark unsets), ``stream`` subscribes
 #: a :class:`~repro.detection.streaming.StreamingDetector` to the
 #: recorder, ``stand_down`` forces the generator programs and ``armed``
-#: arms segmentation with a boundary the run never reaches.
+#: arms segmentation with a boundary the run never reaches.  ``traced``
+#: and ``streaming`` run on the channel drivers like ``baseline``, so
+#: their overheads price the tap, recorder and sink alone.
 OVERHEAD_VARIANTS: dict[str, dict[str, Any]] = {
     "baseline": {"trace": False},
     "disabled": {"trace": None},

@@ -258,6 +258,8 @@ class SessionBase:
         # Tracing is decided once, here: either forced by the config or
         # taken from REPRO_TRACE.  When off, recorder and tap are None
         # and the machine hot path is byte-for-byte the untraced code.
+        # When on, the tap attaches before any spawn, so the channel
+        # drivers hoist its wrappers and traced sessions run driven.
         traced = config.trace if config.trace is not None else trace_enabled()
         self.recorder: TraceRecorder | None = TraceRecorder() if traced else None
         self.tap: MachineTap | None = None
@@ -274,7 +276,7 @@ class SessionBase:
         # spec-bearing thread from its first op or a checkpoint cannot
         # re-drive it, and a stood-down simulator attaches no drivers.
         self.sim.checkpointing = segments_enabled()
-        reason = self._stand_down_reason(traced)
+        reason = self._stand_down_reason()
         if reason is not None:
             self.sim.stand_down(reason)
         #: Optional :class:`repro.checkpoint.SegmentStore` — when set,
@@ -311,16 +313,13 @@ class SessionBase:
 
     # -- setup ----------------------------------------------------------
 
-    def _stand_down_reason(self, traced: bool) -> str | None:
+    def _stand_down_reason(self) -> str | None:
         """Why this session's channel threads must run as generators.
 
-        ``"trace"``: the recorder interposes on the machine.
         ``"segments"``: checkpoints need the replay logs that only the
         generator path writes.  ``"faults"``: simulation-plane fault
         plans perturb the threads in ways the drivers do not model.
         """
-        if traced:
-            return "trace"
         if self.sim.checkpointing:
             return "segments"
         if FaultPlan.from_json(self.config.faults).simulation_events:

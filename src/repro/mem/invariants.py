@@ -38,6 +38,10 @@ def check_machine(machine: Machine) -> None:
     * **SWMR**: at most one core holds a line in M or E, and if one does,
       no other core holds it at all (single-writer / multiple-reader).
     * **MOESI-O**: at most one O holder; co-holders must be in S.
+    * **No resident INVALID**: a line a private cache holds is never in
+      state I (invalidation removes it), so two
+      :meth:`Machine.private_states` maps differ exactly when some
+      core's state changed — the trace tap's transition test.
     * **L1/L2 inclusion**: every L1-resident line is L2-resident.
     * **Directory precision**: a socket's core-valid bits equal the set of
       its cores privately holding the line, and ``owner`` points at a core
@@ -94,6 +98,13 @@ def check_machine(machine: Machine) -> None:
 
     for domain in machine.sockets:
         for core in domain.cores:
+            for cache in (core.l1, core.l2):
+                for line in cache.lines():
+                    if line.state is CoherenceState.INVALID:
+                        raise CoherenceError(
+                            f"core {core.core_id}: line {line.addr:#x} "
+                            "resident in state I"
+                        )
             for line in core.l1.lines():
                 if core.l2.lookup(line.addr, touch=False) is None:
                     raise CoherenceError(

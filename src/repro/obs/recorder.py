@@ -3,7 +3,19 @@
 A :class:`TraceRecorder` is a ring buffer of typed :class:`TraceEvent`
 records.  Memory is bounded: past ``capacity`` events the oldest are
 overwritten and counted as *dropped*, so a runaway trace can never grow
-without limit.  The recorder follows the same bind-once discipline as
+without limit.
+
+High-rate producers (the :class:`~repro.obs.tap.MachineTap`, once per
+simulated op) hand the ring a raw ``(ts, category, name, builder,
+args)`` record through :meth:`TraceRecorder.record` instead of a built
+event: the :class:`TraceEvent` and its payload dict ``builder(*args)``
+are made on first read — :meth:`~TraceRecorder.events`,
+:meth:`~TraceRecorder.select`, :meth:`~TraceRecorder.digest`, the
+exporters — and replace the raw record in the ring, so every later read
+returns the same object.  A stream nobody reads (a traced session's
+calibration pass, say) never pays to build its events.
+
+The recorder follows the same bind-once discipline as
 :meth:`repro.sim.stats.StatsRegistry.counter_handle` — components check
 the enable predicate **once** (at session construction, at
 ``Runner.__init__``) and hold either a recorder reference or ``None``;
@@ -29,9 +41,11 @@ from typing import Callable
 DEFAULT_CAPACITY = 1 << 17
 
 #: A live consumer of the event feed: any callable taking one
-#: :class:`TraceEvent`.  Sinks observe the same object the ring buffer
-#: retains and must treat it as read-only — mutating ``event.data``
-#: would corrupt the recorded stream (and its digest).
+#: :class:`TraceEvent`.  While a sink is subscribed every event is built
+#: at emit, so sinks observe the same object the ring buffer retains
+#: (and :meth:`TraceRecorder.events` later returns); they must treat it
+#: as read-only — mutating ``event.data`` would corrupt the recorded
+#: stream (and its digest).
 TraceSink = Callable[["TraceEvent"], None]
 
 
@@ -88,14 +102,24 @@ class TraceEvent:
         )
 
 
+def _ready(data: dict | None) -> dict:
+    """Payload builder of :meth:`TraceRecorder.emit`."""
+    return data if data is not None else {}
+
+
 class TraceRecorder:
-    """A bounded ring buffer of :class:`TraceEvent` records."""
+    """A bounded ring buffer of :class:`TraceEvent` records.
+
+    The ring holds built events and raw ``(ts, category, name, builder,
+    args)`` records side by side, in emission order; reads build the raw
+    ones in place (see the module docstring).
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._buffer: list[TraceEvent] = []
+        self._buffer: list[TraceEvent | tuple] = []
         self._head = 0  # next overwrite slot once the buffer is full
         self.emitted = 0
         self._sinks: tuple[TraceSink, ...] = ()
@@ -103,8 +127,9 @@ class TraceRecorder:
     def subscribe(self, sink: TraceSink) -> None:
         """Attach a live :data:`TraceSink` to the feed (idempotent).
 
-        Every subsequent :meth:`emit` calls *sink* with the event, after
-        it has been placed in the ring — so a streaming consumer (e.g.
+        Every subsequent :meth:`emit` or :meth:`record` calls *sink*
+        with the built event, after it has been placed in the ring — so
+        a streaming consumer (e.g.
         :class:`repro.detection.streaming.StreamingDetector`) sees the
         identical feed a later replay of :meth:`events` would, without a
         second interposition layer on the machine.  Sinks never affect
@@ -122,17 +147,34 @@ class TraceRecorder:
     def emit(
         self, ts: float, category: str, name: str, data: dict | None = None
     ) -> None:
-        """Record one event (overwriting the oldest when full)."""
-        event = TraceEvent(ts, category, name, data if data is not None else {})
+        """Record one event with a ready payload (overwriting the oldest
+        when full)."""
+        self.record(ts, category, name, _ready, (data,))
+
+    def record(
+        self, ts: float, category: str, name: str,
+        builder: Callable[..., dict], args: tuple,
+    ) -> None:
+        """Record one event whose payload is ``builder(*args)``.
+
+        The event is built on first read; *args* must therefore be
+        immutable snapshots (or objects nothing mutates later).  While a
+        sink is subscribed it is built now and handed to every sink.
+        """
+        sinks = self._sinks
+        entry = (
+            TraceEvent(ts, category, name, builder(*args)) if sinks
+            else (ts, category, name, builder, args)
+        )
         buffer = self._buffer
         if len(buffer) < self.capacity:
-            buffer.append(event)
+            buffer.append(entry)
         else:
-            buffer[self._head] = event
+            buffer[self._head] = entry
             self._head = (self._head + 1) % self.capacity
         self.emitted += 1
-        for sink in self._sinks:
-            sink(event)
+        for sink in sinks:
+            sink(entry)
 
     @property
     def dropped(self) -> int:
@@ -143,8 +185,13 @@ class TraceRecorder:
         return len(self._buffer)
 
     def events(self) -> list[TraceEvent]:
-        """Retained events, oldest first."""
-        return self._buffer[self._head:] + self._buffer[:self._head]
+        """Retained events, oldest first (building any raw records)."""
+        buffer = self._buffer
+        for index, entry in enumerate(buffer):
+            if type(entry) is tuple:
+                ts, category, name, builder, args = entry
+                buffer[index] = TraceEvent(ts, category, name, builder(*args))
+        return buffer[self._head:] + buffer[:self._head]
 
     def select(self, *categories: str) -> list[TraceEvent]:
         """Retained events of the given categories, oldest first."""

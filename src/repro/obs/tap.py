@@ -11,9 +11,12 @@ pass-through wrappers that record each hop.
 
 Coherence-state transitions are **derived, not instrumented**: around
 each op the tap snapshots the accessed line's private-state map with
-:meth:`~repro.mem.hierarchy.Machine.private_states` and emits a
-``"coherence"`` event for every core whose state changed, carrying the
-full post-op state map.  That query reads the holder record the
+:meth:`~repro.mem.hierarchy.Machine.private_states` and records a
+``"coherence"`` event whenever the before and after maps differ,
+carrying the per-core changes and the full post-op state map.  No
+resident private line is ever INVALID
+(:func:`~repro.mem.invariants.check_machine`), so differing maps are
+exactly a transition.  That query reads the holder record the
 coherence backend already keeps — the core-valid bits of each socket's
 LLC directory (Section VI), or the home entry's sharer mask on the
 directory backend — and peeks only those cores, so a snapshot costs a
@@ -27,6 +30,15 @@ traffic (lines evicted as a side effect of an access to a *different*
 set) is intentionally out of scope: the tap follows the accessed line's
 causal chain, which is the one the covert channel modulates.
 
+Every event goes to the recorder as a raw record — a module-level
+payload builder and its arguments (:meth:`TraceRecorder.record`) — so
+the payload dicts, the ``changed`` list included, are built only when
+the stream is read or a live sink is subscribed.  The tap attaches
+before a session spawns its channel threads, and the channel drivers
+(:mod:`repro.sim.drivers`) hoist its wrappers at spawn: traced
+sessions run driven, and the worker's inline L1-hit path stands aside
+so the tap still records every load.
+
 When tracing is disabled no tap exists and the machine's hot path is the
 unmodified code — the disabled-mode overhead gated by ``repro bench`` is
 the absence of the feature, not a cheap branch.
@@ -39,9 +51,51 @@ from repro.obs.recorder import TraceRecorder
 
 _INVALID = CoherenceState.INVALID
 
-# Payloads read enum values through ``_value_``, the plain attribute
-# behind the ``Enum.value`` descriptor: these paths run once per
-# simulated op, and the descriptor adds a Python-level call per read.
+# Payload builders, called by the recorder when an event is first read
+# (or at once while a sink is subscribed).  Enum values are read
+# through ``_value_``, the plain attribute behind the ``Enum.value``
+# descriptor, on the paths that run once per simulated op.
+
+
+def _access_data(core_id: int, base: int, latency: float) -> dict:
+    return {"core": core_id, "line": base, "latency": latency}
+
+
+def _transition_data(
+    base: int,
+    before: dict[int, CoherenceState],
+    after: dict[int, CoherenceState],
+) -> dict:
+    changed = []
+    for core_id in sorted(before.keys() | after.keys()):
+        src = before.get(core_id, _INVALID)
+        dst = after.get(core_id, _INVALID)
+        if src is not dst:
+            changed.append([core_id, src._value_, dst._value_])
+    return {
+        "line": base,
+        "changed": changed,
+        "states": {
+            str(core_id): state._value_
+            for core_id, state in sorted(after.items())
+        },
+    }
+
+
+def _hop_data(contribution: float) -> dict:
+    return {"contribution": contribution}
+
+
+def _directory_data(
+    base: int, state: str, sharers: int, owner: int | None, dirty: bool
+) -> dict:
+    return {
+        "line": base,
+        "state": state,
+        "sharers": sharers,
+        "owner": owner,
+        "dirty": dirty,
+    }
 
 
 class MachineTap:
@@ -61,34 +115,6 @@ class MachineTap:
         self._dir_wrapper = None
         self._wrappers: dict[str, object] = {}
 
-    # -- state snapshots ------------------------------------------------
-
-    def _emit_transitions(
-        self,
-        base: int,
-        before: dict[int, CoherenceState],
-        after: dict[int, CoherenceState],
-        now: float,
-    ) -> None:
-        if before == after:
-            return
-        changed = []
-        for core_id in sorted(before.keys() | after.keys()):
-            src = before.get(core_id, _INVALID)
-            dst = after.get(core_id, _INVALID)
-            if src is not dst:
-                changed.append([core_id, src._value_, dst._value_])
-        if not changed:
-            return
-        self.recorder.emit(now, "coherence", "transition", {
-            "line": base,
-            "changed": changed,
-            "states": {
-                str(core_id): state._value_
-                for core_id, state in sorted(after.items())
-            },
-        })
-
     # -- attach / detach ------------------------------------------------
 
     def attach(self) -> None:
@@ -105,9 +131,16 @@ class MachineTap:
             self._orig_load, self._orig_store, self._orig_flush
         )
         private_states = machine.private_states
-        emit_transitions = self._emit_transitions
-        emit = recorder.emit
+        record = recorder.record
         cores = machine.cores
+
+        def transition(base: int, before: dict, now: float) -> None:
+            # A private map never holds an INVALID line (check_machine),
+            # so two maps differ exactly when some core's state changed.
+            after = private_states(base)
+            if before != after:
+                record(now, "coherence", "transition", _transition_data,
+                       (base, before, after))
 
         def load(core_id: int, paddr: int, now: float = 0.0):
             base = paddr & ~63
@@ -118,30 +151,27 @@ class MachineTap:
             else:
                 before = private_states(base)
                 value, latency, path = orig_load(core_id, paddr, now)
-                emit_transitions(base, before, private_states(base), now)
-            emit(now, "load", path._value_, {
-                "core": core_id, "line": base, "latency": latency,
-            })
+                transition(base, before, now)
+            record(now, "load", path._value_, _access_data,
+                   (core_id, base, latency))
             return value, latency, path
 
         def store(core_id: int, paddr: int, value: int, now: float = 0.0):
             base = paddr & ~63
             before = private_states(base)
             latency, path = orig_store(core_id, paddr, value, now)
-            emit_transitions(base, before, private_states(base), now)
-            emit(now, "store", path._value_, {
-                "core": core_id, "line": base, "latency": latency,
-            })
+            transition(base, before, now)
+            record(now, "store", path._value_, _access_data,
+                   (core_id, base, latency))
             return latency, path
 
         def flush(core_id: int, paddr: int, now: float = 0.0):
             base = paddr & ~63
             before = private_states(base)
             latency = orig_flush(core_id, paddr, now)
-            emit_transitions(base, before, private_states(base), now)
-            emit(now, "flush", "clflush", {
-                "core": core_id, "line": base, "latency": latency,
-            })
+            transition(base, before, now)
+            record(now, "flush", "clflush", _access_data,
+                   (core_id, base, latency))
             return latency
 
         machine.load = load
@@ -152,9 +182,7 @@ class MachineTap:
         def hop_wrapper(name: str, register):
             def wrapped(now: float, weight: float) -> float:
                 contribution = register(now, weight)
-                emit(now, "hop", name, {
-                    "contribution": contribution,
-                })
+                record(now, "hop", name, _hop_data, (contribution,))
                 return contribution
             return wrapped
 
@@ -182,13 +210,11 @@ class MachineTap:
         def dir_trace(now: float, kind: str, base: int, entry) -> None:
             if orig_dir_trace is not None:
                 orig_dir_trace(now, kind, base, entry)
-            emit(now, "directory", kind, {
-                "line": base,
-                "state": entry.state._value_,
-                "sharers": entry.sharers,
-                "owner": entry.owner(),
-                "dirty": entry.dirty,
-            })
+            # The entry mutates on later requests: snapshot its fields.
+            record(now, "directory", kind, _directory_data, (
+                base, entry.state._value_, entry.sharers, entry.owner(),
+                entry.dirty,
+            ))
 
         machine._dir_trace = dir_trace
         self._dir_wrapper = dir_trace

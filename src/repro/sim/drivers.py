@@ -23,17 +23,26 @@ the ``==`` case the same way), the global interleaving of machine
 mutations, RNG draws, event counts and clock updates is **bit-identical**
 to the generator path — ``tests/test_engine_paths.py`` pins this.
 
+Traced sessions run driven too: the session attaches its
+:class:`~repro.obs.MachineTap` before any spawn, so the drivers hoist
+the tap's ``load``/``flush`` wrappers (:func:`hoisted_bindings`) and
+issue every access through them, in the generator path's global order —
+the recorded event stream is byte-identical.  The worker's inline
+L1-hit path stands aside when ``machine.load`` is interposed.
+
 The generator programs stay the reference and the only path for
 workloads the drivers do not model.  :meth:`Simulator.stand_down` puts a
 simulator back on them for good, and fires on observable conditions
 only:
 
-* at session build: tracing sessions, segmented (checkpointing) runs
-  and simulation-plane fault plans;
-* at run entry: an installed obfuscation policy or a detection tap that
-  interposed on ``machine.load/store/flush`` (:func:`run_entry_reason`)
-  — partially-driven worker threads are re-materialized as ordinary
-  generators at their exact park position;
+* at session build: segmented (checkpointing) runs and
+  simulation-plane fault plans;
+* at run entry: an installed obfuscation policy, or a
+  ``machine.load/store/flush`` binding other than the one the drivers
+  hoisted — a detection monitor or a second tap attached after the
+  first spawn (:func:`run_entry_reason`) — partially-driven worker
+  threads are re-materialized as ordinary generators at their exact
+  park position;
 * mid-session: a resync (lost handshake).
 
 The reason is kept on the simulator and recorded in every result's
@@ -57,7 +66,7 @@ _FAILED = ThreadState.FAILED
 _INF = float("inf")
 _L1_HIT = AccessPath.L1_HIT
 
-__all__ = ["DRIVERS", "driver_for", "run_entry_reason"]
+__all__ = ["DRIVERS", "driver_for", "hoisted_bindings", "run_entry_reason"]
 
 
 class _Ineligible(Exception):
@@ -155,6 +164,11 @@ class _WorkerDriver:
         noise = machine._noise
         rng = machine._jitter_rng
         hit_base, hit_counter = machine._path_info[_L1_HIT]
+        buckets, set_mask = l1._sets, l1._set_mask
+        if "load" in machine.__dict__:
+            # Interposed load: one always-empty bucket sends every probe
+            # through it, at no per-probe cost to the plain path.
+            buckets, set_mask = ({},), 0
         reload_period = float(params.reload_period)
         if reload_period < 0.0:
             reload_period = 0.0
@@ -167,17 +181,17 @@ class _WorkerDriver:
         needed, owned, _ = _channel_consts()
         # Everything frozen at spawn time, unpacked in one sequence per
         # advance().  Anything that can change between spawn and run —
-        # obfuscation, machine interposition — stands the simulator
-        # down at run entry, before any advance happens; translations
-        # are deliberately NOT hoisted (KSM merges and our own COW-
-        # breaking store can remap the page mid-run).
+        # obfuscation, a machine binding other than the hoisted one —
+        # stands the simulator down at run entry, before any advance
+        # happens; translations are deliberately NOT hoisted (KSM merges
+        # and our own COW-breaking store can remap the page mid-run).
         # pair -> poll action (0 idle, 1 store, 2 probe), keyed by id:
         # a scenario holds at most four distinct StatePairs and the
         # values list pins them, so the ids stay valid.
         pair_actions: dict[int, int] = {}
         pair_refs: list[Any] = []
         self._hoist = (
-            l1._sets, l1._set_mask, hit_base, hit_counter,
+            buckets, set_mask, hit_base, hit_counter,
             noise.enabled, noise.sigma, noise.tail_probability,
             noise.tail_scale, rng.normal, rng.random, rng.exponential,
             machine.load, kernel._do_store, reload_period, spin, backoff,
@@ -977,18 +991,29 @@ def driver_for(sim: "Simulator", thread: SimThread, executor: Any,
         return None
 
 
-def run_entry_reason(machine: Any) -> str | None:
+def hoisted_bindings(machine: Any) -> tuple:
+    """The ``load``/``store``/``flush`` instance bindings of *machine*.
+
+    ``None`` where the class method stands.  A driver spawned now hoists
+    these (a trace tap attached before the spawn is simply driven
+    through); the kernel's store path reads ``machine.store`` per op.
+    """
+    instance = machine.__dict__
+    return (instance.get("load"), instance.get("store"), instance.get("flush"))
+
+
+def run_entry_reason(machine: Any, hoisted: tuple) -> str | None:
     """Why the drivers cannot model *machine* right now (or ``None``).
 
     Both conditions only change between runs: obfuscation policies are
     installed by mitigation experiments on a built session, and
-    detection monitors interpose on the machine's bound methods from
-    outside the event loop.  The drivers hoist the bound methods at
-    spawn, so either would be silently skipped.
+    detection monitors (or a second tap) interpose on the machine's
+    bound methods from outside the event loop.  The drivers hoist the
+    bindings they saw at spawn, *hoisted*, so any other binding would
+    be silently skipped.
     """
     if machine.obfuscation is not None:
         return "obfuscation"
-    instance = machine.__dict__
-    if "load" in instance or "store" in instance or "flush" in instance:
+    if hoisted_bindings(machine) != hoisted:
         return "interposition"
     return None

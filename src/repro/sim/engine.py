@@ -29,7 +29,12 @@ from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import DeadlockError, SimulationError, ThreadProgramError
-from repro.sim.drivers import _Runtime, driver_for, run_entry_reason
+from repro.sim.drivers import (
+    _Runtime,
+    driver_for,
+    hoisted_bindings,
+    run_entry_reason,
+)
 from repro.sim.events import Op
 from repro.sim.stats import StatsRegistry
 from repro.sim.thread import Cpu, Executor, SimThread, ThreadState
@@ -70,9 +75,11 @@ class Simulator:
         #: generator programs (see :meth:`stand_down`); ``None`` while
         #: drivers may still be attached.
         self.stand_down_reason: str | None = None
-        #: Kernel of the first driven thread: the run-entry check reads
-        #: its machine.  ``None`` until a driver is attached.
-        self._driver_kernel: Any = None
+        #: Machine of the first driven thread, and the ``load``/``store``/
+        #: ``flush`` bindings it had at that spawn: the run-entry check
+        #: stands down on any other.  ``None`` until a driver is attached.
+        self._driver_machine: Any = None
+        self._driver_bindings: tuple = ()
         self._rt = _Runtime()
 
     def spawn(
@@ -155,7 +162,11 @@ class Simulator:
             driver = driver_for(self, thread, executor, spec)
             if driver is not None:
                 thread.driver = driver
-                self._driver_kernel = driver.kernel
+                if self._driver_machine is None:
+                    self._driver_machine = driver.kernel.machine
+                    self._driver_bindings = hoisted_bindings(
+                        self._driver_machine
+                    )
         return thread
 
     def stand_down(self, reason: str) -> None:
@@ -187,7 +198,7 @@ class Simulator:
         """
         if self.stand_down_reason is not None:
             return f"generator:{self.stand_down_reason}"
-        return "driven" if self._driver_kernel is not None else "generator"
+        return "driven" if self._driver_machine is not None else "generator"
 
     def _thread_exited(self, thread: SimThread) -> None:
         """Exit hook fired exactly once per thread (done/killed/failed)."""
@@ -241,8 +252,10 @@ class Simulator:
         ``pause_at`` every advance executes exactly one op instead, so
         the per-event checks see every event as on the generator path.
         """
-        if self._driver_kernel is not None and self.stand_down_reason is None:
-            reason = run_entry_reason(self._driver_kernel.machine)
+        if self._driver_machine is not None and self.stand_down_reason is None:
+            reason = run_entry_reason(
+                self._driver_machine, self._driver_bindings
+            )
             if reason is not None:
                 self.stand_down(reason)
         events = 0

@@ -14,6 +14,9 @@ path; these tests pin fixed cases on the driver path alone:
 * the multi-bit symbol channel and every driver class actually run;
 * a run cut short and resumed under ``stop_when``/``pause_at`` carries
   on from where the drivers parked, as the generators do;
+* traced sessions run driven and record the generator path's event
+  stream, and a binding attached after the drivers hoisted theirs
+  stands them down;
 * every stand-down reason fires and is recorded in the manifest.
 
 The generator path is reached by emptying the driver table — a test
@@ -45,8 +48,8 @@ PAYLOAD = [1, 0, 1, 1, 0, 1]
 
 
 def on_path(driven, fn, *args, **kwargs):
-    """Call *fn* untraced, with a cold calibration memo, on the chosen
-    path (tracing would stand every session down)."""
+    """Call *fn* with ``REPRO_TRACE`` unset and a cold calibration
+    memo, on the chosen path."""
     clear_calibration_memo()
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("REPRO_TRACE", raising=False)
@@ -222,10 +225,18 @@ def _simulation_faults():
     return plan.to_json()
 
 
-def test_trace_stands_down_at_build():
-    session, result = on_path(True, transmit, "mesi-es", trace=True)
-    assert session.sim.stand_down_reason == "trace"
-    assert result.manifest.engine == "generator:trace"
+def test_traced_session_runs_driven():
+    """Tracing no longer stands a session down: the drivers issue every
+    access through the tap, so the recorded stream is the generator
+    path's, byte for byte."""
+    session, driven = on_path(True, transmit, "mesi-es", trace=True)
+    assert session.sim.stand_down_reason is None
+    assert driven.manifest.engine == "driven"
+    reference, generator = on_path(False, transmit, "mesi-es", trace=True)
+    assert generator.manifest.engine == "generator"
+    assert session.recorder.emitted > 0
+    assert session.recorder.digest() == reference.recorder.digest()
+    assert_same(driven, generator)
 
 
 def test_segments_stand_down_at_build(monkeypatch):
@@ -312,6 +323,57 @@ def test_stand_down_rebuilds_parked_workers(reason, prepare, monkeypatch):
     assert driven.machine.stats.counters() == generator.machine.stats.counters()
 
 
+def _attach_monitor(session):
+    from repro.detection.events import EventMonitor
+
+    EventMonitor(session.machine).attach()
+
+
+def _attach_second_tap(session):
+    from repro.obs import MachineTap, TraceRecorder
+
+    MachineTap(session.machine, TraceRecorder()).attach()
+
+
+@pytest.mark.parametrize("attach", [_attach_monitor, _attach_second_tap],
+                         ids=["monitor", "second-tap"])
+def test_late_interposition_stands_traced_session_down(attach, monkeypatch):
+    """A traced session's drivers hoisted the tap's wrappers at spawn.
+    A monitor or a second tap attached after a cut-short run is a
+    binding they never saw: the session stands down with
+    ``"interposition"`` — the inline L1 path must not skip it — and the
+    first tap still records the generator path's stream."""
+    def cut_then_attached():
+        session = ChannelSession(SessionConfig(
+            spec="mesi-es", seed=11, calibration_samples=120, trace=True,
+        ))
+        cfg = session.config
+        control = TrojanControl()
+        decoder = BitDecoder(session.bands, cfg.scenario, cfg.params)
+        spy_result = SpyResult()
+        session.spawn_workers(worker_roles(cfg.scenario), control, 0)
+        session.spawn_controller(controller_program(
+            control, cfg.scenario, cfg.params, session.trojan_va,
+            list(PAYLOAD),
+        ), 0)
+        session.kernel.spawn(
+            session.spy_proc, "spy-0",
+            spy_program(spy_result, decoder, cfg.params, session.spy_va),
+            core_id=cfg.spy_core,
+        )
+        session.sim.run(stop_when=lambda sim: sim.global_clock > 40_000.0)
+        attach(session)
+        session.sim.run()
+        return session, [(s.timestamp, s.latency) for s in spy_result.samples]
+
+    driven, driven_samples = on_path(True, cut_then_attached)
+    assert driven.sim.stand_down_reason == "interposition"
+    generator, generator_samples = on_path(False, cut_then_attached)
+    assert driven_samples == generator_samples
+    assert driven.recorder.digest() == generator.recorder.digest()
+    assert driven.machine.stats.counters() == generator.machine.stats.counters()
+
+
 def test_resync_stands_down_mid_session():
     """A lost handshake stands the session down before the retry."""
     def lost_handshake():
@@ -351,26 +413,38 @@ def runner_engine(point):
     return Runner(jobs=1, cache=None).run(spec).values[0]
 
 
-def test_runner_point_records_trace_env_stand_down(monkeypatch):
-    """``REPRO_TRACE`` makes a runner point's session stand down at
-    build, and its manifest says so."""
+def test_runner_point_traced_by_env_runs_driven(monkeypatch):
+    """``REPRO_TRACE`` traces a runner point's session and it still
+    runs driven, transmitting and recording as the generator path."""
     monkeypatch.setenv("REPRO_TRACE", "1")
-    result = runner_engine(Point(
+    point = Point(
         fn="tests.runner_points:transmit_point",
         params={"cell": "mesi-es", "seed": 5, "bits": 3},
-    ))
+    )
+    result = runner_engine(point)
     assert result.accuracy == 1.0
-    assert result.manifest.engine == "generator:trace"
+    assert result.manifest.engine == "driven"
+    assert result.manifest.traced_events > 0
+    monkeypatch.setattr(drivers, "DRIVERS", {})
+    generator = runner_engine(point)
+    assert generator.manifest.engine == "generator"
+    assert_same(result, generator)
 
 
-def test_runner_point_records_recorder_stand_down(monkeypatch):
-    """An explicit recorder session stands down with reason 'trace'."""
+def test_runner_point_with_recorder_runs_driven(monkeypatch):
+    """An explicit recorder session runs driven, as the generator path."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    result = runner_engine(Point(fn=TRANSMIT_OPTS, params={
+    point = Point(fn=TRANSMIT_OPTS, params={
         "cell": "mesi-es", "seed": 5, "bits": 3, "trace": True,
-    }))
+    })
+    result = runner_engine(point)
     assert result.accuracy == 1.0
-    assert result.manifest.engine == "generator:trace"
+    assert result.manifest.engine == "driven"
+    assert result.manifest.traced_events > 0
+    monkeypatch.setattr(drivers, "DRIVERS", {})
+    generator = runner_engine(point)
+    assert generator.manifest.engine == "generator"
+    assert_same(result, generator)
 
 
 def test_runner_point_records_faults_stand_down(monkeypatch):

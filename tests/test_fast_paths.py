@@ -21,7 +21,10 @@ Then one variant per fast path runs the same point:
    calibration memo;
 4. ``segmented`` — segmentation armed (``REPRO_SEGMENT_CYCLES``, a
    temporary segment store);
-5. ``streamed`` — tracing on, a :class:`StreamingDetector` subscribed;
+5. ``streamed`` — tracing on, a :class:`StreamingDetector` subscribed,
+   run driven and again on the generator programs: both runs must
+   record the same trace digest and give the detector the same events
+   and scores;
 6. ``production`` — the default: drivers, warm machine and memo hit
    together.
 
@@ -144,12 +147,14 @@ def assert_matches(name: str, variant, reference) -> None:
 
 
 @contextmanager
-def streamed(detectors: list):
-    """Trace every new session, with a live detector on its feed."""
+def streamed(feeds: list):
+    """Trace every new session, with a live detector on its feed;
+    each session's ``(recorder, detector)`` is appended to *feeds*."""
     def recorder() -> TraceRecorder:
         feed = TraceRecorder()
-        detectors.append(StreamingDetector(scan_interval=100_000.0))
-        feed.subscribe(detectors[-1])
+        detector = StreamingDetector(scan_interval=100_000.0)
+        feed.subscribe(detector)
+        feeds.append((feed, detector))
         return feed
 
     with pytest.MonkeyPatch.context() as mp:
@@ -186,19 +191,31 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
         variants["segmented"] = run(point)
     assert not ok or variants["segmented"].manifest.segments_stored > 0
 
-    detectors: list = []
-    clear_warm_state()
-    with streamed(detectors):
-        variants["streamed"] = run(point)
-    assert not ok or detectors[-1].events > 0, "detector saw no events"
+    streams = {}
+    for driven in (True, False):
+        feeds: list = []
+        clear_warm_state()
+        with pytest.MonkeyPatch.context() as mp, streamed(feeds):
+            if not driven:
+                mp.setattr(drivers, "DRIVERS", {})
+            outcome = run(point)
+        streams[driven] = (outcome, *feeds[-1])
+    variants["streamed"], feed, detector = streams[True]
+    variants["streamed-generator"], generator_feed, generator_detector = (
+        streams[False]
+    )
+    assert not ok or detector.events > 0, "detector saw no events"
+    assert feed.digest() == generator_feed.digest(), "streamed trace"
+    assert detector.events == generator_detector.events
+    assert detector.score_all() == generator_detector.score_all()
 
     clear_warm_state()
     variants["driven"] = run(point)
     variants["production"] = run(point)
     clear_warm_state()
     if ok:
-        assert variants["driven"].manifest.engine == "driven"
-        assert variants["production"].manifest.engine == "driven"
+        for name in ("driven", "production", "streamed"):
+            assert variants[name].manifest.engine == "driven", name
     return reference, variants
 
 

@@ -99,6 +99,62 @@ def test_recorder_digest_stable_and_sensitive():
     assert small.digest() != big.digest()
 
 
+def _payload(i):
+    return {"i": i}
+
+
+def test_recorder_sink_shares_the_retained_object():
+    rec = TraceRecorder()
+    rec.record(0.0, "load", "l1_hit", _payload, (0,))
+    seen = []
+    rec.subscribe(seen.append)
+    rec.record(1.0, "load", "dram", _payload, (1,))
+    rec.emit(2.0, "flush", "clflush", {"i": 2})
+    events = rec.events()
+    assert [e.data["i"] for e in events] == [0, 1, 2]
+    assert len(seen) == 2
+    assert seen[0] is events[1] and seen[1] is events[2]
+    # A read builds raw records once; later reads return the same objects.
+    assert all(a is b for a, b in zip(events, rec.events()))
+
+
+def test_recorder_ring_mixes_raw_and_built_entries():
+    rec = TraceRecorder(capacity=4)
+    for i in range(10):
+        if i % 2:
+            rec.emit(float(i), "load", "l1_hit", {"i": i})
+        else:
+            rec.record(float(i), "load", "l1_hit", _payload, (i,))
+        if i == 5:
+            # Build the ring mid-stream: later raw records overwrite
+            # built entries in place.
+            assert [e.data["i"] for e in rec.events()] == [2, 3, 4, 5]
+    assert rec.emitted == 10
+    assert rec.dropped == 6
+    assert [e.data["i"] for e in rec.events()] == [6, 7, 8, 9]
+    assert [e.ts for e in rec.select("load")] == [6.0, 7.0, 8.0, 9.0]
+
+
+def test_recorder_digest_independent_of_read_timing():
+    def fill(rec, read_every):
+        for i in range(12):
+            rec.record(float(i), "load", "l1_hit", _payload, (i,))
+            rec.emit(float(i), "phase", "p", {"mark": "i"})
+            if read_every and i % read_every == 0:
+                rec.events()
+                rec.digest()
+        return rec.digest()
+
+    assert fill(TraceRecorder(capacity=16), 0) == fill(
+        TraceRecorder(capacity=16), 5)
+    assert fill(TraceRecorder(), 0) == fill(TraceRecorder(), 3)
+    # A raw record digests as the equivalent emitted event.
+    raw, built = TraceRecorder(), TraceRecorder()
+    raw.record(1.0, "load", "l1_hit", _payload, (7,))
+    built.emit(1.0, "load", "l1_hit", {"i": 7})
+    assert raw.digest() == built.digest()
+
+
 def test_trace_event_to_json():
     event = TraceEvent(1.5, "phase", "calibrate", {"mark": "B"})
     assert event.to_json() == {

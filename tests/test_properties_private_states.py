@@ -10,7 +10,9 @@ keep it equal to :func:`walk_private_states`, which peeks every core.
 
 The tap also skips both snapshots around a load whose core already
 holds the line, so a private hit must leave every core's state for that
-line unchanged.
+line unchanged.  And it records a transition whenever two maps differ,
+so no resident private line may ever be INVALID: otherwise a map could
+differ from another with no core's state changed.
 
 The protocol invariants are not asserted here: cross-socket conflicts
 reach a known snoop-mode SWMR defect, pinned in ``test_mem_coherence``.
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mem.cacheline import CoherenceState
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.mem.invariants import walk_private_states
 from repro.mem.latency import NoiseModel
@@ -83,5 +86,8 @@ def test_private_states_matches_full_walk(backend, ops):
         else:
             machine.flush(core, addr)
         for line in LINES:
-            assert machine.private_states(line) == walk_private_states(
-                machine, line), f"{op} by core {core}: line {line:#x}"
+            walked = walk_private_states(machine, line)
+            assert machine.private_states(line) == walked, (
+                f"{op} by core {core}: line {line:#x}")
+            assert CoherenceState.INVALID not in walked.values(), (
+                f"{op} by core {core}: line {line:#x} resident in state I")
