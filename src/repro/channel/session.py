@@ -272,13 +272,15 @@ class SessionBase:
             self.tap = MachineTap(self.machine, self.recorder)
             self.tap.attach()
         self.sim = Simulator(self.machine.stats)
-        # Decided before the first spawn: replay logs must cover every
-        # spec-bearing thread from its first op or a checkpoint cannot
-        # re-drive it, and a stood-down simulator attaches no drivers.
-        self.sim.checkpointing = segments_enabled()
-        reason = self._stand_down_reason()
-        if reason is not None:
-            self.sim.stand_down(reason)
+        # The engine path is decided here, before the first spawn, and
+        # never changes.  A segmented session runs the generator
+        # programs: replay logs must cover every spec-bearing thread
+        # from its first op or a checkpoint cannot re-drive it.  A
+        # traced session never checkpoints (see _segmentable), so it
+        # is not armed and runs driven.
+        self.sim.checkpointing = self.recorder is None and segments_enabled()
+        if self.sim.checkpointing:
+            self.sim.stand_down("segments")
         #: Optional :class:`repro.checkpoint.SegmentStore` — when set,
         #: transmissions pause at segment boundaries and store resumable
         #: checkpoints (see :meth:`_run_transmission`).
@@ -312,19 +314,6 @@ class SessionBase:
         self._faults_installed = False
 
     # -- setup ----------------------------------------------------------
-
-    def _stand_down_reason(self) -> str | None:
-        """Why this session's channel threads must run as generators.
-
-        ``"segments"``: checkpoints need the replay logs that only the
-        generator path writes.  ``"faults"``: simulation-plane fault
-        plans perturb the threads in ways the drivers do not model.
-        """
-        if self.sim.checkpointing:
-            return "segments"
-        if FaultPlan.from_json(self.config.faults).simulation_events:
-            return "faults"
-        return None
 
     def _phase(self, name: str, mark: str, **data) -> None:
         """Emit a channel phase mark (``B``/``E``) at the current clock."""
@@ -655,10 +644,6 @@ class ChannelSession(SessionBase):
                 except SyncTimeoutError:
                     self._phase("attempt", "E", outcome="sync-timeout")
                     self._reap_attempt(tag)
-                    # A lost handshake means thread interleaving the
-                    # drivers cannot retrace; the session finishes on
-                    # the generator path.
-                    self.sim.stand_down("resync")
                     if attempt >= cfg.resync_attempts:
                         raise
                     self.resyncs += 1

@@ -49,7 +49,8 @@ class RunManifest:
     resumed_from: int | None = None
     #: Which path ran the channel threads: ``"driven"`` (the
     #: generator-free drivers of :mod:`repro.sim.drivers`),
-    #: ``"generator:<reason>"`` after a stand-down, or ``"generator"``.
+    #: ``"generator:segments"`` for a segmented session, which stands
+    #: down at build, or ``"generator"`` when no driver was attached.
     engine: str = "generator"
 
     def to_json(self) -> dict:

@@ -28,25 +28,19 @@ Traced sessions run driven too: the session attaches its
 the tap's ``load``/``flush`` wrappers (:func:`hoisted_bindings`) and
 issue every access through them, in the generator path's global order —
 the recorded event stream is byte-identical.  The worker's inline
-L1-hit path stands aside when ``machine.load`` is interposed.
+L1-hit path stands aside when ``machine.load`` is interposed.  A binding
+that changes between runs — a detection monitor or a second tap attached
+to a built session — is re-hoisted at the next run entry
+(:meth:`Simulator.run`), so live drivers issue through it from then on.
 
-The generator programs stay the reference and the only path for
-workloads the drivers do not model.  :meth:`Simulator.stand_down` puts a
-simulator back on them for good, and fires on observable conditions
-only:
-
-* at session build: segmented (checkpointing) runs and
-  simulation-plane fault plans;
-* at run entry: an installed obfuscation policy, or a
-  ``machine.load/store/flush`` binding other than the one the drivers
-  hoisted — a detection monitor or a second tap attached after the
-  first spawn (:func:`run_entry_reason`) — partially-driven worker
-  threads are re-materialized as ordinary generators at their exact
-  park position;
-* mid-session: a resync (lost handshake).
-
-The reason is kept on the simulator and recorded in every result's
-:attr:`repro.obs.RunManifest.engine`.
+Everything else the drivers meet is read live: scheduler assignments
+(forced preemption) at every advance, translations (KSM merges and
+unmerges) at every access, and an obfuscation policy inside
+``machine.load`` — it never applies to the L1-hit band the inline path
+serves.  The only session the drivers do not run is a segmented one:
+checkpoints need the replay logs that only the generator programs
+write, so it stands down at build (:meth:`Simulator.stand_down`) and
+records ``generator:segments`` in :attr:`repro.obs.RunManifest.engine`.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError, SyncTimeoutError
-from repro.sim.events import AccessPath, OpResult
+from repro.sim.events import AccessPath
 from repro.sim.thread import SimThread, ThreadState
 
 if TYPE_CHECKING:
@@ -66,7 +60,7 @@ _FAILED = ThreadState.FAILED
 _INF = float("inf")
 _L1_HIT = AccessPath.L1_HIT
 
-__all__ = ["DRIVERS", "driver_for", "hoisted_bindings", "run_entry_reason"]
+__all__ = ["DRIVERS", "driver_for", "hoisted_bindings"]
 
 
 class _Ineligible(Exception):
@@ -135,7 +129,7 @@ class _WorkerDriver:
 
     __slots__ = (
         "sim", "thread", "kernel", "control", "role", "block_va", "params",
-        "started", "state", "load_latency", "poll", "parked", "_hoist",
+        "started", "state", "load_latency", "_hoist",
     )
 
     def __init__(self, sim: "Simulator", thread: SimThread, kernel: Any,
@@ -151,13 +145,16 @@ class _WorkerDriver:
         #: next), 2 = after the load (backoff/spin decision next).
         self.state = 0
         self.load_latency = 0.0
-        #: The (running, pair) the current iteration's poll observed —
-        #: the worker_program checkpoint cursor, used by rebuild().
-        self.poll: tuple | None = None
-        #: (latency, clock, value, path) of the op the thread parked
-        #: on; materialized into an OpResult only if rebuild() needs it.
-        self.parked: tuple | None = None
+        self.hoist()
 
+    def hoist(self) -> None:
+        """Freeze what :meth:`advance` reads from the machine and kernel.
+
+        Called at spawn and again by :meth:`Simulator.run` when the
+        machine's ``load``/``store``/``flush`` bindings changed.
+        """
+        thread = self.thread
+        kernel = self.kernel
         params = self.params
         machine = kernel.machine
         l1 = machine.cores[thread.core_id].l1
@@ -179,12 +176,9 @@ class _WorkerDriver:
         if backoff < 0.0:
             backoff = 0.0
         needed, owned, _ = _channel_consts()
-        # Everything frozen at spawn time, unpacked in one sequence per
-        # advance().  Anything that can change between spawn and run —
-        # obfuscation, a machine binding other than the hoisted one —
-        # stands the simulator down at run entry, before any advance
-        # happens; translations are deliberately NOT hoisted (KSM merges
-        # and our own COW-breaking store can remap the page mid-run).
+        # Unpacked in one sequence per advance().  Translations are
+        # deliberately NOT hoisted (KSM merges and unmerges and our own
+        # COW-breaking store can remap the page mid-run).
         # pair -> poll action (0 idle, 1 store, 2 probe), keyed by id:
         # a scenario holds at most four distinct StatePairs and the
         # values list pins them, so the ids stay valid.
@@ -216,8 +210,8 @@ class _WorkerDriver:
 
         core = kernel._sched_thread_core.get(tid)
         # Static during one advance: assignments only change when
-        # another thread exits, and no other thread runs while this
-        # driver advances.
+        # another thread runs (an exit, a preemption fault), and no
+        # other thread runs while this driver advances.
         shared = (
             core is not None and len(kernel._sched_assignments[core]) > 1
         )
@@ -229,22 +223,19 @@ class _WorkerDriver:
         cycle_limit = rt.cycle_limit
         state = self.state
         ops = 0
-        value = 0
-        path = None
         latency = 0.0
         try:
             while True:
                 is_delay = False
                 if state == 0:
-                    running = control.running
-                    pair = control.active_pair
-                    if not running:
+                    if not control.running:
                         # The program would break and StopIteration:
                         # no op, no event, thread exits.
                         thread.state = _DONE
                         thread.result = None
                         thread._fire_exit()
                         return
+                    pair = control.active_pair
                     action = pair_actions.get(id(pair))
                     if action is None:
                         # First sighting of this pair: classify once
@@ -264,7 +255,6 @@ class _WorkerDriver:
                         pair_actions[id(pair)] = action
                         pair_refs.append(pair)
                     if action == 2:
-                        self.poll = (running, pair)
                         # Translated per probe: our own COW-breaking
                         # stores and ksmd merges can remap the page
                         # between ops.
@@ -277,8 +267,8 @@ class _WorkerDriver:
                         line = bucket.get(base)
                         if line is not None:
                             # Inline L1 hit: LRU touch + the exact
-                            # _finish draw sequence (obfuscation is
-                            # None by the run-entry check).
+                            # _finish draw sequence (obfuscation never
+                            # applies to the L1-hit band).
                             bucket.move_to_end(base)
                             if noise_on:
                                 sample = hit_base + normal(0.0, sigma)
@@ -292,19 +282,12 @@ class _WorkerDriver:
                                     hit_base if hit_base > 1.0 else 1.0
                                 )
                             hit_counter.value += 1
-                            value = line.value
-                            path = _L1_HIT
                         else:
-                            value, latency, path = mload(
-                                core_id, paddr, clock
-                            )
+                            latency = mload(core_id, paddr, clock)[1]
                         self.load_latency = latency
                         state = 2
                     elif action == 1:
-                        self.poll = (running, pair)
                         latency = do_store(thread, va, 1, clock)
-                        value = 0
-                        path = None
                         state = 1
                     elif not shared:
                         # Idle stretch on a private core: every poll has
@@ -315,8 +298,6 @@ class _WorkerDriver:
                         # reproduces the generator's per-op float math
                         # bit-for-bit (a closed form would not).
                         latency = reload_period
-                        value = 0
-                        path = None
                         while True:
                             clock += reload_period
                             ops += 1
@@ -325,11 +306,6 @@ class _WorkerDriver:
                                 global_clock = clock
                             if events >= event_limit:
                                 thread.clock = clock
-                                thread.ops_executed += ops
-                                self.parked = (
-                                    latency, clock, value, path
-                                )
-                                ops = 0
                                 self.sim._push(thread)
                                 raise SimulationError(
                                     f"exceeded max_events={rt.max_events} "
@@ -337,28 +313,15 @@ class _WorkerDriver:
                                 )
                             if global_clock > cycle_limit:
                                 thread.clock = clock
-                                thread.ops_executed += ops
-                                self.parked = (
-                                    latency, clock, value, path
-                                )
-                                ops = 0
                                 self.sim._push(thread)
                                 raise SimulationError(
                                     f"exceeded max_cycles={rt.max_cycles}"
                                 )
                             if clock >= bound:
-                                thread.clock = clock
-                                thread.ops_executed += ops
-                                self.parked = (
-                                    latency, clock, value, path
-                                )
-                                ops = 0
                                 return
                     else:
                         latency = reload_period
                         is_delay = True
-                        value = 0
-                        path = None
                         # state stays 0: idle poll, back to loop top.
                 elif state == 2:
                     if adaptive and self.load_latency >= refill_floor:
@@ -366,14 +329,10 @@ class _WorkerDriver:
                     else:
                         latency = spin
                     is_delay = True
-                    value = 0
-                    path = None
                     state = 0
                 else:  # state == 1: after the OWNED store
                     latency = reload_period
                     is_delay = True
-                    value = 0
-                    path = None
                     state = 0
 
                 if shared:
@@ -387,23 +346,19 @@ class _WorkerDriver:
                 if clock > global_clock:
                     global_clock = clock
                 if events >= event_limit:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
+                    thread.clock = clock
                     self.sim._push(thread)
                     raise SimulationError(
                         f"exceeded max_events={rt.max_events} "
                         f"(global clock {global_clock:.0f})"
                     )
                 if global_clock > cycle_limit:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
+                    thread.clock = clock
                     self.sim._push(thread)
                     raise SimulationError(
                         f"exceeded max_cycles={rt.max_cycles}"
                     )
                 if clock >= bound:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
                     return
         finally:
             rt.events = events
@@ -412,48 +367,6 @@ class _WorkerDriver:
             if ops:
                 thread.clock = clock
                 thread.ops_executed += ops
-
-    def _park(self, clock: float, latency: float, value: int,
-              path: Any, ops: int) -> None:
-        thread = self.thread
-        thread.clock = clock
-        thread.ops_executed += ops
-        self.parked = (latency, clock, value, path)
-
-    def rebuild(self) -> None:
-        """Re-materialize the thread's generator at the parked position.
-
-        Used by :meth:`Simulator.stand_down`: the thread's real
-        generator was never advanced (the driver executed its ops), so a
-        fresh one is built with the worker's checkpoint ``cursor`` — the
-        iteration's poll — and fast-forwarded past the ops the driver
-        already executed.  The result of the op the thread parked on
-        (deferred as a plain tuple at park time) is re-delivered by the
-        generator path exactly as it would have been.
-        """
-        from repro.channel.trojan import worker_program
-
-        thread = self.thread
-        thread._generator.close()
-        state = self.state
-        cursor = None if state == 0 else self.poll
-        program = worker_program(
-            self.control, self.role, self.block_va, self.params,
-            cursor=cursor,
-        )
-        thread._generator = program(thread.cpu)
-        if state == 0:
-            # Loop top: the program re-polls live on the next resume
-            # and ignores the delivered result of a delay/store op, so
-            # a fresh send(None) is exact.
-            thread._pending_result = None
-        else:
-            # Mid-iteration: replay the poll via the cursor, advance to
-            # the first op's yield (already executed by the driver) and
-            # let the loop deliver its parked result.
-            latency, clock, value, path = self.parked
-            thread._pending_result = OpResult(latency, clock, value, path)
-            next(thread._generator)
 
 
 class _SpyDriver:
@@ -501,16 +414,22 @@ class _SpyDriver:
         self.load_latency = 0.0
         self.load_timestamp = 0.0
         self.load_path: Any = None
+        self.hoist()
 
+    def hoist(self) -> None:
+        """Freeze what :meth:`advance` reads (see :meth:`_WorkerDriver.hoist`).
+
+        The probed block's translation stays per-access: in KSM mode the
+        shared page can be remapped by a merge or unmerge mid-run.
+        """
+        thread = self.thread
+        kernel = self.kernel
         params = self.params
         machine = kernel.machine
         _, _, sample_cls = _channel_consts()
         wait_cycles = float(params.spy_wait_cycles)
         if wait_cycles < 0.0:
             wait_cycles = 0.0
-        # Frozen at spawn time (see _WorkerDriver._hoist).  The probed
-        # block's translation stays per-advance: in KSM mode the shared
-        # page can be remapped by a merge mid-run.
         self._hoist = (
             machine.load, machine.flush, kernel._fence_cost,
             params.slot_cycles, wait_cycles, params.end_run,
@@ -569,8 +488,6 @@ class _SpyDriver:
         quiet = self.quiet
         next_slot = self.next_slot
         ops = 0
-        value = 0
-        path = None
         latency = 0.0
         try:
             while True:
@@ -626,8 +543,6 @@ class _SpyDriver:
 
                 if state == RDTSC:
                     latency = 0.0
-                    value = 0
-                    path = None
                     state = PACE
                 elif state == PACE:
                     # After rdtsc, ``now`` is the rdtsc completion time
@@ -637,8 +552,6 @@ class _SpyDriver:
                         next_slot = target + slot_cycles
                         latency = target - clock
                         is_delay = True
-                        value = 0
-                        path = None
                         state = FLUSH
                         # fall through to accounting: this is an op.
                     else:
@@ -656,20 +569,14 @@ class _SpyDriver:
                             else process.translate(va)
                         )
                         latency = mflush(core_id, paddr, clock)
-                        value = 0
-                        path = None
                         state = WAIT
                     else:
-                        value, latency, path = mload(
-                            core_id, evict[0], clock
-                        )
+                        latency = mload(core_id, evict[0], clock)[1]
                         self.evict_index = 1
                         state = WAIT if n_evict == 1 else EVICT
                 elif state == EVICT:
                     index = self.evict_index
-                    value, latency, path = mload(
-                        core_id, evict[index], clock
-                    )
+                    latency = mload(core_id, evict[index], clock)[1]
                     index += 1
                     self.evict_index = index
                     if index >= n_evict:
@@ -677,26 +584,20 @@ class _SpyDriver:
                 elif state == WAIT:
                     latency = wait_cycles
                     is_delay = True
-                    value = 0
-                    path = None
                     state = FENCE1
                 elif state == FENCE1:
                     latency = fence_cost
-                    value = 0
-                    path = None
                     state = LOAD
                 elif state == LOAD:
                     paddr = (
                         va if process is None
                         else process.translate(va)
                     )
-                    value, latency, path = mload(core_id, paddr, clock)
+                    _, latency, path = mload(core_id, paddr, clock)
                     is_load = True
                     state = FENCE2
                 else:  # FENCE2
                     latency = fence_cost
-                    value = 0
-                    path = None
                     state = PROCESS
 
                 if shared:
@@ -717,23 +618,19 @@ class _SpyDriver:
                 if clock > global_clock:
                     global_clock = clock
                 if events >= event_limit:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
+                    thread.clock = clock
                     self.sim._push(thread)
                     raise SimulationError(
                         f"exceeded max_events={rt.max_events} "
                         f"(global clock {global_clock:.0f})"
                     )
                 if global_clock > cycle_limit:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
+                    thread.clock = clock
                     self.sim._push(thread)
                     raise SimulationError(
                         f"exceeded max_cycles={rt.max_cycles}"
                     )
                 if clock >= bound:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
                     return
         finally:
             rt.events = events
@@ -746,26 +643,6 @@ class _SpyDriver:
             if ops:
                 thread.clock = clock
                 thread.ops_executed += ops
-
-    def _park(self, clock: float, latency: float, value: int,
-              path: Any, ops: int) -> None:
-        # No pending result: rebuild() below raises, so nothing ever
-        # resumes this thread's generator with one.
-        thread = self.thread
-        thread.clock = clock
-        thread.ops_executed += ops
-
-    def rebuild(self) -> None:
-        # Reached only when a run was cut short (stop_when, a limit)
-        # and a stand-down follows before the spy finishes: a completed
-        # run leaves the non-daemon spy DONE/FAILED, and the resync
-        # stand-down happens after the attempt reap killed it.  A spy
-        # parked mid-slot holds its fence-bracketed measurement in
-        # driver state that no generator cursor can reproduce.
-        raise SimulationError(
-            f"stand-down cannot rebuild partially-driven spy "
-            f"thread {self.thread.name!r}"
-        )
 
 
 class _ControllerDriver:
@@ -819,6 +696,10 @@ class _ControllerDriver:
         self.index = 0
         self.pending_bit: int | None = None
 
+    def hoist(self) -> None:
+        """Nothing to freeze: :meth:`advance` reads ``machine.flush``
+        afresh each time."""
+
     def advance(self, bound: float, rt: _Runtime) -> None:
         thread = self.thread
         kernel = self.kernel
@@ -855,8 +736,6 @@ class _ControllerDriver:
         state = self.state
         index = self.index
         ops = 0
-        value = 0
-        path = None
         latency = 0.0
         try:
             while True:
@@ -872,8 +751,6 @@ class _ControllerDriver:
                     pair, _slots, step_bit = steps[index]
                     control.set_pair(pair)
                     latency = mflush(core_id, paddr, clock)
-                    value = 0
-                    path = None
                     self.pending_bit = step_bit
                     state = STEP_DELAY
                 elif state == STEP_DELAY:
@@ -881,8 +758,6 @@ class _ControllerDriver:
                     if latency < 0.0:
                         latency = 0.0
                     is_delay = True
-                    value = 0
-                    path = None
                     index += 1
                     state = STEP_FLUSH if index < n_steps else TAIL
                 elif state == TAIL:
@@ -895,8 +770,6 @@ class _ControllerDriver:
                     if latency < 0.0:
                         latency = 0.0
                     is_delay = True
-                    value = 0
-                    path = None
                     state = self.EXIT
                 else:  # EXIT: the program returns — no op, no event.
                     thread.state = _DONE
@@ -915,23 +788,19 @@ class _ControllerDriver:
                 if clock > global_clock:
                     global_clock = clock
                 if events >= event_limit:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
+                    thread.clock = clock
                     self.sim._push(thread)
                     raise SimulationError(
                         f"exceeded max_events={rt.max_events} "
                         f"(global clock {global_clock:.0f})"
                     )
                 if global_clock > cycle_limit:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
+                    thread.clock = clock
                     self.sim._push(thread)
                     raise SimulationError(
                         f"exceeded max_cycles={rt.max_cycles}"
                     )
                 if clock >= bound:
-                    self._park(clock, latency, value, path, ops)
-                    ops = 0
                     return
         finally:
             rt.events = events
@@ -941,25 +810,6 @@ class _ControllerDriver:
             if ops:
                 thread.clock = clock
                 thread.ops_executed += ops
-
-    def _park(self, clock: float, latency: float, value: int,
-              path: Any, ops: int) -> None:
-        # No pending result: rebuild() below raises, so nothing ever
-        # resumes this thread's generator with one.
-        thread = self.thread
-        thread.clock = clock
-        thread.ops_executed += ops
-
-    def rebuild(self) -> None:
-        # Reached only after a cut-short run, as for the spy: a
-        # completed run leaves the non-daemon controller DONE, and the
-        # resync reap kills it before the stand-down.  A controller
-        # parked mid-step cannot be rebuilt without re-executing its
-        # flush.
-        raise SimulationError(
-            f"stand-down cannot rebuild partially-driven controller "
-            f"thread {self.thread.name!r}"
-        )
 
 
 #: ProgramSpec factory path -> driver class.  Only these three programs
@@ -996,24 +846,9 @@ def hoisted_bindings(machine: Any) -> tuple:
 
     ``None`` where the class method stands.  A driver spawned now hoists
     these (a trace tap attached before the spawn is simply driven
-    through); the kernel's store path reads ``machine.store`` per op.
+    through), and :meth:`Simulator.run` re-hoists on any change; the
+    kernel's store path reads ``machine.store`` per op.
     """
     instance = machine.__dict__
     return (instance.get("load"), instance.get("store"), instance.get("flush"))
 
-
-def run_entry_reason(machine: Any, hoisted: tuple) -> str | None:
-    """Why the drivers cannot model *machine* right now (or ``None``).
-
-    Both conditions only change between runs: obfuscation policies are
-    installed by mitigation experiments on a built session, and
-    detection monitors (or a second tap) interpose on the machine's
-    bound methods from outside the event loop.  The drivers hoist the
-    bindings they saw at spawn, *hoisted*, so any other binding would
-    be silently skipped.
-    """
-    if machine.obfuscation is not None:
-        return "obfuscation"
-    if hoisted_bindings(machine) != hoisted:
-        return "interposition"
-    return None

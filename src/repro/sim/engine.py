@@ -17,8 +17,9 @@ and the event counter is a bound handle flushed once per run.
 
 Threads running one of the three channel programs carry a driver
 (:mod:`repro.sim.drivers`) that executes their ops without generator
-dispatch, bit-identically; :meth:`Simulator.stand_down` returns them to
-their generators when the drivers cannot model the run.
+dispatch, bit-identically.  Whether they do is decided once, before the
+first spawn: :meth:`Simulator.stand_down` keeps a segmented session on
+the generator programs.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import DeadlockError, SimulationError, ThreadProgramError
-from repro.sim.drivers import (
-    _Runtime,
-    driver_for,
-    hoisted_bindings,
-    run_entry_reason,
-)
+from repro.sim.drivers import _Runtime, driver_for, hoisted_bindings
 from repro.sim.events import Op
 from repro.sim.stats import StatsRegistry
 from repro.sim.thread import Cpu, Executor, SimThread, ThreadState
@@ -71,13 +67,13 @@ class Simulator:
         #: position can be checkpointed (see :mod:`repro.checkpoint`).
         #: Off by default: the log costs one list append per event.
         self.checkpointing = False
-        #: Why this simulator put its channel threads back on their
+        #: Why this simulator runs its channel threads on their
         #: generator programs (see :meth:`stand_down`); ``None`` while
-        #: drivers may still be attached.
+        #: spawns attach drivers.
         self.stand_down_reason: str | None = None
         #: Machine of the first driven thread, and the ``load``/``store``/
-        #: ``flush`` bindings it had at that spawn: the run-entry check
-        #: stands down on any other.  ``None`` until a driver is attached.
+        #: ``flush`` bindings the live drivers hoisted: run entry
+        #: re-hoists on any other.  ``None`` until a driver is attached.
         self._driver_machine: Any = None
         self._driver_bindings: tuple = ()
         self._rt = _Runtime()
@@ -122,8 +118,7 @@ class Simulator:
             one cannot be checkpointed (a session falls back to an
             unsegmented run when any live thread lacks a spec).
             A spec naming a channel program attaches a driver (see
-            :mod:`repro.sim.drivers`) unless the simulator stood down
-            or is checkpointing.
+            :mod:`repro.sim.drivers`) unless the simulator stood down.
         """
         existing = self._by_name.get(name)
         if existing is not None and existing.state is _READY:
@@ -154,11 +149,7 @@ class Simulator:
         if not daemon:
             self._live_count += 1
         self._push(thread)
-        if (
-            spec is not None
-            and self.stand_down_reason is None
-            and not self.checkpointing
-        ):
+        if spec is not None and self.stand_down_reason is None:
             driver = driver_for(self, thread, executor, spec)
             if driver is not None:
                 thread.driver = driver
@@ -173,20 +164,23 @@ class Simulator:
         """Run every channel thread on its generator program from now on.
 
         Idempotent; the first *reason* is kept in
-        :attr:`stand_down_reason`.  Partially-driven live threads are
-        re-materialized as generators at their exact park position;
-        unstarted drivers are simply dropped (their generators were
-        never touched).
+        :attr:`stand_down_reason`.  Unstarted drivers are dropped (their
+        generators were never touched).  A live thread whose driver has
+        started cannot go back to its generator, so that raises
+        :class:`SimulationError` and changes nothing.
         """
         if self.stand_down_reason is not None:
             return
-        self.stand_down_reason = reason
         for thread in self.threads:
             driver = thread.driver
-            if driver is not None:
-                thread.driver = None
-                if driver.started and thread.state is _READY:
-                    driver.rebuild()
+            if driver is not None and driver.started and thread.state is _READY:
+                raise SimulationError(
+                    f"cannot stand down: thread {thread.name!r} is "
+                    "partially driven"
+                )
+        self.stand_down_reason = reason
+        for thread in self.threads:
+            thread.driver = None
 
     @property
     def engine_path(self) -> str:
@@ -251,13 +245,18 @@ class Simulator:
         below the next heap entry's clock.  Under ``stop_when`` or
         ``pause_at`` every advance executes exactly one op instead, so
         the per-event checks see every event as on the generator path.
+
+        A ``load``/``store``/``flush`` binding attached since the drivers
+        hoisted theirs (a detection monitor, a second tap) is re-hoisted
+        here, so live drivers issue through it from the first event on.
         """
-        if self._driver_machine is not None and self.stand_down_reason is None:
-            reason = run_entry_reason(
-                self._driver_machine, self._driver_bindings
-            )
-            if reason is not None:
-                self.stand_down(reason)
+        if self._driver_machine is not None:
+            bindings = hoisted_bindings(self._driver_machine)
+            if bindings != self._driver_bindings:
+                self._driver_bindings = bindings
+                for thread in self.threads:
+                    if thread.driver is not None:
+                        thread.driver.hoist()
         events = 0
         paused = False
         # Hoisted hot-loop state: bound methods, the heap list and the

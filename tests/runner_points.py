@@ -76,12 +76,12 @@ def transmit_point(*, cell, seed, bits):
 
 def transmit_opts(*, cell, seed, bits, trace=None, faults=None,
                   obfuscate=False):
-    """Like :func:`transmit_point`, with the session options that make
-    the simulator stand down.
+    """Like :func:`transmit_point`, with the session options the
+    channel drivers must run through.
 
-    *trace* and *faults* go to :class:`SessionConfig` (stand-down at
-    build); *obfuscate* attaches an obfuscator after the session is
-    built, so the stand-down happens at the first run's entry.
+    *trace* and *faults* go to :class:`SessionConfig`; *obfuscate*
+    attaches an obfuscator after the session is built, before the
+    first transmission.
     """
     from repro.channel.session import ChannelSession, SessionConfig
     from repro.experiments.common import payload_bits

@@ -14,10 +14,11 @@ path; these tests pin fixed cases on the driver path alone:
 * the multi-bit symbol channel and every driver class actually run;
 * a run cut short and resumed under ``stop_when``/``pause_at`` carries
   on from where the drivers parked, as the generators do;
-* traced sessions run driven and record the generator path's event
-  stream, and a binding attached after the drivers hoisted theirs
-  stands them down;
-* every stand-down reason fires and is recorded in the manifest.
+* traced, faulted, obfuscated, late-interposed and resynced sessions
+  run driven and identically — a binding attached after a cut-short
+  run is re-hoisted, under the inline L1 path too;
+* only segmentation stands a session down, at build, and a stand-down
+  refuses a thread its driver has started.
 
 The generator path is reached by emptying the driver table — a test
 seam, not a knob.  The calibration memo is process-local, so each run
@@ -26,6 +27,7 @@ calibration pass and the manifests (not the transmissions) drift apart.
 """
 
 import pickle
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -200,7 +202,11 @@ def test_resumed_run_continues_driven_threads(resume):
         assert_same(result, plain)
 
 
-# -- stand-down reasons ----------------------------------------------------
+# -- one engine path, decided at build -------------------------------------
+#
+# The machine changes below return what they observe, so a test can
+# check that a binding attached after the drivers spawned really sees
+# every access the generator path issues through it.
 
 
 def _obfuscate(session):
@@ -211,31 +217,72 @@ def _obfuscate(session):
 
 def _interpose(session):
     # Detection monitors interpose by binding wrappers into the
-    # machine's instance dict; the run-entry check must notice.
-    session.machine.load = session.machine.load
+    # machine's instance dict; run entry must re-hoist the binding.
+    machine = session.machine
+    load = machine.load
+    calls = []
+
+    def logged(core_id, paddr, now=0.0):
+        calls.append((core_id, paddr, now))
+        return load(core_id, paddr, now)
+
+    machine.load = logged
+    return lambda: calls
+
+
+def _attach_monitor(session):
+    from repro.detection.events import EventMonitor
+
+    monitor = EventMonitor(session.machine)
+    monitor.attach()
+    return lambda: monitor.events_seen
+
+
+def _attach_second_tap(session):
+    from repro.obs import MachineTap, TraceRecorder
+
+    recorder = TraceRecorder()
+    MachineTap(session.machine, recorder).attach()
+    return recorder.digest
 
 
 def _simulation_faults():
     from repro.faults import FaultPlan
+    from repro.faults.plan import SIMULATION_KINDS
 
     plan = FaultPlan.build_simulation(
-        seed=3, rate_per_mcycle=10.0, window_cycles=500_000.0,
+        seed=7, rate_per_mcycle=50.0, window_cycles=100_000.0,
+        kinds=SIMULATION_KINDS,
     )
     assert plan.simulation_events
     return plan.to_json()
 
 
+def assert_driven(session, result=None):
+    assert session.sim.stand_down_reason is None
+    assert session.sim.engine_path == "driven"
+    if result is not None:
+        assert result.manifest.engine == "driven"
+
+
+def assert_same_run(driven, generator):
+    """Two sessions left the simulator and machine in the same state."""
+    assert driven.sim.global_clock == generator.sim.global_clock
+    assert driven.machine.stats.counters() == generator.machine.stats.counters()
+    if driven.recorder is not None:
+        assert driven.recorder.emitted > 0
+        assert driven.recorder.digest() == generator.recorder.digest()
+
+
 def test_traced_session_runs_driven():
-    """Tracing no longer stands a session down: the drivers issue every
+    """Tracing does not stand a session down: the drivers issue every
     access through the tap, so the recorded stream is the generator
     path's, byte for byte."""
     session, driven = on_path(True, transmit, "mesi-es", trace=True)
-    assert session.sim.stand_down_reason is None
-    assert driven.manifest.engine == "driven"
+    assert_driven(session, driven)
     reference, generator = on_path(False, transmit, "mesi-es", trace=True)
     assert generator.manifest.engine == "generator"
-    assert session.recorder.emitted > 0
-    assert session.recorder.digest() == reference.recorder.digest()
+    assert_same_run(session, reference)
     assert_same(driven, generator)
 
 
@@ -246,12 +293,45 @@ def test_segments_stand_down_at_build(monkeypatch):
     assert result.manifest.engine == "generator:segments"
 
 
+def test_traced_segment_armed_point_runs_driven():
+    """A traced session never checkpoints, so ``REPRO_SEGMENT_CYCLES``
+    does not arm it: it runs driven and stores no segment, with the
+    untraced reference's result."""
+    def point():
+        return execute_point(
+            spec="mesi-es", payload=payload_bits(8, seed=7), seed=7,
+            calibration_samples=120,
+        )
+
+    reference = on_path(False, point)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setenv("REPRO_CACHE_DIR", tmp)
+        mp.setenv("REPRO_SEGMENT_CYCLES", "25000")
+        mp.setenv("REPRO_TRACE", "1")
+        clear_calibration_memo()
+        traced = point()
+    assert traced.manifest.engine == "driven"
+    assert traced.manifest.traced_events > 0
+    assert traced.manifest.segments_stored == 0
+    assert transmission_digest(traced) == transmission_digest(reference)
+    assert (pickle.dumps(replace(traced, manifest=None))
+            == pickle.dumps(replace(reference, manifest=None)))
+
+
 def test_simulation_faults_stand_down_at_build():
-    session, result = on_path(
+    """A simulation fault plan of all four kinds runs driven:
+    preemption tokens reach the drivers through the scheduler, KSM
+    unmerges through per-access translation, and the fault threads run
+    as generators beside them."""
+    session, driven = on_path(
         True, transmit, "mesi-es", faults=_simulation_faults(),
     )
-    assert session.sim.stand_down_reason == "faults"
-    assert result.manifest.engine == "generator:faults"
+    assert_driven(session, driven)
+    reference, generator = on_path(
+        False, transmit, "mesi-es", faults=_simulation_faults(),
+    )
+    assert_same_run(session, reference)
+    assert_same(driven, generator)
 
 
 RUN_ENTRY_REASONS = [
@@ -260,122 +340,155 @@ RUN_ENTRY_REASONS = [
 ]
 
 
+def observed(observe):
+    """What a machine change's observer saw (``None`` if it has none)."""
+    return None if observe is None else observe()
+
+
 @pytest.mark.parametrize("reason, prepare", RUN_ENTRY_REASONS)
 def test_run_entry_stands_down(reason, prepare):
     """A second transmission on a driven session finds the machine
-    changed and runs on the generator path, identically."""
+    changed (*reason*) and still runs driven, identically."""
     def two_transmissions():
         session, _ = transmit("mesi-es")
-        prepare(session)
-        return session, session.transmit([1, 0, 1])
+        observe = prepare(session)
+        return session, session.transmit([1, 0, 1]), observed(observe)
 
-    session, driven = on_path(True, two_transmissions)
-    assert session.sim.stand_down_reason == reason
-    assert driven.manifest.engine == f"generator:{reason}"
-    _, generator = on_path(False, two_transmissions)
+    session, driven, driven_seen = on_path(True, two_transmissions)
+    assert_driven(session, driven)
+    _, generator, generator_seen = on_path(False, two_transmissions)
+    assert driven_seen == generator_seen
     assert_same(driven, generator)
 
 
+def _parked(session):
+    """Names of the live threads whose drivers have started."""
+    return [
+        thread.name for thread in session.sim.threads
+        if thread.driver is not None and thread.driver.started
+        and not thread.done
+    ]
+
+
+def _cohort_cut_short(prepare, **config):
+    """Spawn one transmission's cohort by hand — driven workers, the
+    controller and spy as spec-less generators — run it for 40,000
+    cycles, apply *prepare* and finish the run.
+
+    Returns the session, the threads parked driven at the cut, and the
+    spy's samples with what *prepare*'s observer saw.
+    """
+    session = ChannelSession(SessionConfig(
+        spec="mesi-es", seed=11, calibration_samples=120, **config,
+    ))
+    cfg = session.config
+    control = TrojanControl()
+    decoder = BitDecoder(session.bands, cfg.scenario, cfg.params)
+    spy_result = SpyResult()
+    session.spawn_workers(worker_roles(cfg.scenario), control, 0)
+    session.spawn_controller(controller_program(
+        control, cfg.scenario, cfg.params, session.trojan_va,
+        list(PAYLOAD),
+    ), 0)
+    session.kernel.spawn(
+        session.spy_proc, "spy-0",
+        spy_program(spy_result, decoder, cfg.params, session.spy_va),
+        core_id=cfg.spy_core,
+    )
+    session.sim.run(stop_when=lambda sim: sim.global_clock > 40_000.0)
+    parked = _parked(session)
+    observe = prepare(session)
+    session.sim.run()
+    samples = [(s.timestamp, s.latency) for s in spy_result.samples]
+    return session, parked, (samples, observed(observe))
+
+
 @pytest.mark.parametrize("reason, prepare", RUN_ENTRY_REASONS)
-def test_stand_down_rebuilds_parked_workers(reason, prepare, monkeypatch):
-    """Workers parked mid-loop by a cut-short run go back to generators
-    rebuilt at their exact position.  The controller and spy run as
-    spec-less generators here: a parked spy or controller cannot be
-    rebuilt."""
-    rebuilds = []
-    real = drivers._WorkerDriver.rebuild
-
-    def counted(self):
-        rebuilds.append(self.state)
-        return real(self)
-
-    monkeypatch.setattr(drivers._WorkerDriver, "rebuild", counted)
-
-    def cut_then_changed():
-        session = ChannelSession(SessionConfig(
-            spec="mesi-es", seed=11, calibration_samples=120,
-        ))
-        cfg = session.config
-        control = TrojanControl()
-        decoder = BitDecoder(session.bands, cfg.scenario, cfg.params)
-        spy_result = SpyResult()
-        session.spawn_workers(worker_roles(cfg.scenario), control, 0)
-        session.spawn_controller(controller_program(
-            control, cfg.scenario, cfg.params, session.trojan_va,
-            list(PAYLOAD),
-        ), 0)
-        session.kernel.spawn(
-            session.spy_proc, "spy-0",
-            spy_program(spy_result, decoder, cfg.params, session.spy_va),
-            core_id=cfg.spy_core,
-        )
-        session.sim.run(stop_when=lambda sim: sim.global_clock > 40_000.0)
-        prepare(session)
-        session.sim.run()
-        return session, [(s.timestamp, s.latency) for s in spy_result.samples]
-
-    driven, driven_samples = on_path(True, cut_then_changed)
-    assert driven.sim.stand_down_reason == reason
-    assert rebuilds
-    generator, generator_samples = on_path(False, cut_then_changed)
-    assert driven_samples == generator_samples
-    assert driven.sim.global_clock == generator.sim.global_clock
-    assert driven.machine.stats.counters() == generator.machine.stats.counters()
-
-
-def _attach_monitor(session):
-    from repro.detection.events import EventMonitor
-
-    EventMonitor(session.machine).attach()
-
-
-def _attach_second_tap(session):
-    from repro.obs import MachineTap, TraceRecorder
-
-    MachineTap(session.machine, TraceRecorder()).attach()
+def test_stand_down_rebuilds_parked_workers(reason, prepare):
+    """Workers parked mid-loop by a cut-short run stay driven when the
+    machine changes (*reason*) before the run resumes."""
+    driven, parked, driven_seen = on_path(True, _cohort_cut_short, prepare)
+    assert_driven(driven)
+    assert parked and all(name.startswith("trojan-L") for name in parked)
+    generator, _, generator_seen = on_path(False, _cohort_cut_short, prepare)
+    assert driven_seen == generator_seen
+    assert_same_run(driven, generator)
 
 
 @pytest.mark.parametrize("attach", [_attach_monitor, _attach_second_tap],
                          ids=["monitor", "second-tap"])
-def test_late_interposition_stands_traced_session_down(attach, monkeypatch):
+def test_late_interposition_stands_traced_session_down(attach):
     """A traced session's drivers hoisted the tap's wrappers at spawn.
-    A monitor or a second tap attached after a cut-short run is a
-    binding they never saw: the session stands down with
-    ``"interposition"`` — the inline L1 path must not skip it — and the
-    first tap still records the generator path's stream."""
-    def cut_then_attached():
-        session = ChannelSession(SessionConfig(
-            spec="mesi-es", seed=11, calibration_samples=120, trace=True,
-        ))
-        cfg = session.config
-        control = TrojanControl()
-        decoder = BitDecoder(session.bands, cfg.scenario, cfg.params)
-        spy_result = SpyResult()
-        session.spawn_workers(worker_roles(cfg.scenario), control, 0)
-        session.spawn_controller(controller_program(
-            control, cfg.scenario, cfg.params, session.trojan_va,
-            list(PAYLOAD),
-        ), 0)
-        session.kernel.spawn(
-            session.spy_proc, "spy-0",
-            spy_program(spy_result, decoder, cfg.params, session.spy_va),
-            core_id=cfg.spy_core,
-        )
-        session.sim.run(stop_when=lambda sim: sim.global_clock > 40_000.0)
-        attach(session)
-        session.sim.run()
-        return session, [(s.timestamp, s.latency) for s in spy_result.samples]
+    A monitor or a second tap attached after a cut-short run is
+    re-hoisted at run entry — the inline L1 path must not skip it — so
+    it sees what it sees on the generator path, and the first tap still
+    records the generator path's stream."""
+    driven, parked, driven_seen = on_path(
+        True, _cohort_cut_short, attach, trace=True,
+    )
+    assert_driven(driven)
+    assert parked
+    generator, _, generator_seen = on_path(
+        False, _cohort_cut_short, attach, trace=True,
+    )
+    assert driven_seen == generator_seen
+    assert_same_run(driven, generator)
 
-    driven, driven_samples = on_path(True, cut_then_attached)
-    assert driven.sim.stand_down_reason == "interposition"
-    generator, generator_samples = on_path(False, cut_then_attached)
-    assert driven_samples == generator_samples
-    assert driven.recorder.digest() == generator.recorder.digest()
-    assert driven.machine.stats.counters() == generator.machine.stats.counters()
+
+def _transmission_cut_short(prepare, trace):
+    """One transmission whose run stops 40,000 cycles in, with every
+    channel thread parked mid-program, before *prepare* changes the
+    session and the run finishes.
+
+    Returns the session, its result, the threads parked driven at the
+    cut and what *prepare*'s observer saw.
+    """
+    parked, observers = [], []
+
+    def before(session):
+        sim = session.sim
+        run = sim.run
+
+        def cut_then_changed(**kwargs):
+            start = sim.global_clock
+            run(stop_when=lambda s: s.global_clock > start + 40_000.0)
+            parked.extend(_parked(session))
+            observers.append(prepare(session))
+            return run(**kwargs)
+
+        sim.run = cut_then_changed
+
+    session, result = transmit("mesi-es", trace=trace, before=before)
+    return session, result, parked, observed(observers[0])
+
+
+@pytest.mark.parametrize("trace, prepare", [
+    pytest.param(False, _obfuscate, id="obfuscation"),
+    pytest.param(False, _interpose, id="interposition"),
+    pytest.param(True, _attach_monitor, id="traced-monitor"),
+    pytest.param(True, _attach_second_tap, id="traced-second-tap"),
+])
+def test_cut_short_transmission_then_changed(trace, prepare):
+    """The whole cohort driven — workers, controller and spy all parked
+    mid-program — through a machine change between two runs."""
+    session, driven, parked, driven_seen = on_path(
+        True, _transmission_cut_short, prepare, trace,
+    )
+    assert_driven(session, driven)
+    # Names: trojan-<location><index>-<tag>, trojan-ctl-<tag>, spy-<tag>.
+    roles = {name.rsplit("-", 1)[0].rstrip("0123456789") for name in parked}
+    assert roles == {"trojan-L", "trojan-ctl", "spy"}, parked
+    reference, generator, _, generator_seen = on_path(
+        False, _transmission_cut_short, prepare, trace,
+    )
+    assert driven_seen == generator_seen
+    assert_same_run(session, reference)
+    assert_same(driven, generator)
 
 
 def test_resync_stands_down_mid_session():
-    """A lost handshake stands the session down before the retry."""
+    """A lost handshake reaps the attempt's cohort and retries with a
+    fresh one, spawned driven."""
     def lost_handshake():
         session = ChannelSession(SessionConfig(
             spec="mesi-es", seed=11, calibration_samples=120,
@@ -386,21 +499,59 @@ def test_resync_stands_down_mid_session():
         return session
 
     driven = on_path(True, lost_handshake)
-    assert driven.sim.stand_down_reason == "resync"
-    generator = on_path(False, lost_handshake)
-    assert driven.sim.global_clock == generator.sim.global_clock
-    assert driven.machine.stats.counters() == generator.machine.stats.counters()
+    assert_driven(driven)
+    assert_same_run(driven, on_path(False, lost_handshake))
+
+
+def test_recovering_resync_runs_driven():
+    """A severed shared page starves the first handshake; the retry
+    recovers on the drivers exactly as on the generator programs."""
+    from tests.test_faults import PAYLOAD as FAULT_PAYLOAD
+    from tests.test_faults import make_session, severed_page_plan
+
+    def severed():
+        session = make_session(faults=severed_page_plan(), resync_attempts=2)
+        return session, session.transmit(FAULT_PAYLOAD)
+
+    session, driven = on_path(True, severed)
+    assert_driven(session, driven)
+    reference, generator = on_path(False, severed)
+    assert driven.resyncs == generator.resyncs == 1
+    assert_same_run(session, reference)
+    assert_same(driven, generator)
+
+
+def _refuse_stand_down(session):
+    with pytest.raises(SimulationError, match="partially driven"):
+        session.sim.stand_down("test")
+    assert session.sim.stand_down_reason is None
+
+
+def test_stand_down_refuses_started_driver():
+    """A driver that has started cannot hand its live thread back to a
+    generator: the stand-down raises and changes nothing, and the run
+    finishes driven, as on the generator path."""
+    driven, parked, driven_seen = on_path(
+        True, _cohort_cut_short, _refuse_stand_down,
+    )
+    assert_driven(driven)
+    assert parked
+    generator, _, generator_seen = on_path(
+        False, _cohort_cut_short, lambda session: None,
+    )
+    assert driven_seen == generator_seen
+    assert_same_run(driven, generator)
 
 
 def test_stand_down_is_idempotent():
     session, _ = on_path(True, transmit, "mesi-es")
-    session.sim.stand_down("resync")
-    session.sim.stand_down("obfuscation")
-    assert session.sim.stand_down_reason == "resync"
+    session.sim.stand_down("first")
+    session.sim.stand_down("second")
+    assert session.sim.stand_down_reason == "first"
     # The session still transmits correctly on the generator path.
     result = session.transmit([1, 0, 1, 1])
     assert result.accuracy == 1.0
-    assert result.manifest.engine == "generator:resync"
+    assert result.manifest.engine == "generator:first"
 
 
 TRANSMIT_OPTS = "tests.runner_points:transmit_opts"
@@ -448,27 +599,34 @@ def test_runner_point_with_recorder_runs_driven(monkeypatch):
 
 
 def test_runner_point_records_faults_stand_down(monkeypatch):
-    """A point carrying a simulation fault plan stands down at build."""
+    """A point carrying a simulation fault plan runs driven, as the
+    generator path."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    result = runner_engine(Point(fn=TRANSMIT_OPTS, params={
+    point = Point(fn=TRANSMIT_OPTS, params={
         "cell": "mesi-es", "seed": 5, "bits": 3,
         "faults": _simulation_faults(),
-    }))
+    })
+    result = runner_engine(point)
     assert len(result.received) == 3
-    assert result.manifest.engine == "generator:faults"
+    assert result.manifest.engine == "driven"
+    monkeypatch.setattr(drivers, "DRIVERS", {})
+    assert_same(result, runner_engine(point))
 
 
 def test_runner_point_records_obfuscation_stand_down(monkeypatch):
-    """An obfuscator attached after build stands the session down at
-    run entry — distinct from every build-time reason above."""
+    """An obfuscator attached after build leaves the session driven, as
+    the generator path."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    result = runner_engine(Point(fn=TRANSMIT_OPTS, params={
+    point = Point(fn=TRANSMIT_OPTS, params={
         "cell": "mesi-es", "seed": 5, "bits": 3, "obfuscate": True,
-    }))
+    })
+    result = runner_engine(point)
     # The obfuscator is a defense: the transmission completes but the
     # channel is degraded, so only the payload sent is pinned.
     assert result.sent == [1, 1, 1]
-    assert result.manifest.engine == "generator:obfuscation"
+    assert result.manifest.engine == "driven"
+    monkeypatch.setattr(drivers, "DRIVERS", {})
+    assert_same(result, runner_engine(point))
 
 
 def test_runner_points_run_driven_without_opting_in(monkeypatch):

@@ -3,9 +3,9 @@
 Which (location, state) combination a load hits decides every result
 the reproduction reports, so each fast path must reproduce the plain
 reference bit for bit.  Each Hypothesis example draws a point — a
-registry cell, a seed, a rate in the cell's range, a 4–8-bit payload
-and, on the cells ``matrix_cold`` runs noisy, 0–2 noise threads with an
-8-bit warm-up when noisy — and runs it on the **reference** path:
+registry cell, a seed, a rate in the cell's range, a 4–8-bit payload,
+on the cells ``matrix_cold`` runs noisy 0–2 noise threads, and on some
+points a simulation fault plan — and runs it on the **reference** path:
 
 * :func:`clear_warm_state` first, so the machine is fresh and the
   calibration cold;
@@ -18,9 +18,10 @@ Then one variant per fast path runs the same point:
 2. ``warm`` — a pooled machine, left behind by a prior point with
    another seed on the same machine config;
 3. ``memo`` — the same point run twice: the second run hits the
-   calibration memo;
+   calibration memo (a faulted point calibrates cold both times);
 4. ``segmented`` — segmentation armed (``REPRO_SEGMENT_CYCLES``, a
-   temporary segment store);
+   temporary segment store): an unfaulted point stores segments, a
+   faulted one none (its fault threads carry no program spec);
 5. ``streamed`` — tracing on, a :class:`StreamingDetector` subscribed,
    run driven and again on the generator programs: both runs must
    record the same trace digest and give the detector the same events
@@ -33,8 +34,10 @@ Each variant's result must equal the reference's as a pickle with its
 :func:`transmission_digest`; where the reference raises, the variant
 must raise the same exception type.  After the reference and after
 every variant, :func:`check_machine` must pass on the pooled machine
-the run leaves behind, on every protocol backend the draw reaches.  The five golden configs are
-explicit examples whose reference must also land on its pinned digest.
+the run leaves behind, on every protocol backend the draw reaches.
+The five golden configs are explicit examples whose reference must also
+land on its pinned digest; a fixed faulted example puts every
+simulation fault kind through each variant.
 :func:`test_pool_dispatch_matches_serial` covers chunked dispatch.
 
 Every variant is reached through a test seam — ``clear_warm_state``,
@@ -59,6 +62,8 @@ from repro.channel.session import clear_warm_state, execute_point, resolve_spec
 from repro.detection import StreamingDetector
 from repro.errors import ReproError
 from repro.experiments.common import payload_bits
+from repro.faults import FaultPlan
+from repro.faults.plan import SIMULATION_KINDS
 from repro.mem.hierarchy import MachineConfig
 from repro.mem.invariants import check_machine
 from repro.obs import TraceRecorder
@@ -91,6 +96,20 @@ def golden_point(name: str) -> dict:
             "calibration_samples": 150}
 
 
+def faulted(seed: int, rate_per_mcycle: float, kinds=SIMULATION_KINDS) -> dict:
+    """The ``execute_point`` fault options of one simulation plan.
+
+    No warm-up and no retry: the plan is installed at the start of the
+    one transmission attempt, so its spec-less fault threads are live
+    whenever that attempt could be segmented.
+    """
+    plan = FaultPlan.build_simulation(
+        seed=seed, rate_per_mcycle=rate_per_mcycle,
+        window_cycles=100_000.0, kinds=tuple(kinds),
+    )
+    return {"faults": plan.to_json(), "warmup_bits": 0, "resync_attempts": 0}
+
+
 @st.composite
 def points(draw) -> dict:
     """One ``execute_point`` call on a registry cell.
@@ -98,12 +117,13 @@ def points(draw) -> dict:
     Rates span half to one and a half times the cell's nominal rate.
     LRU cells run clean, as in ``matrix_cold``: their eviction sweeps
     stretch a point over ten times the cycles the noise workloads then
-    have to fill.
+    have to fill.  Some points carry a simulation fault plan of 2–20
+    faults over one or more kinds.
     """
     cell = draw(st.sampled_from(sorted(SCENARIOS)))
     nominal = SCENARIOS[cell].default_params().nominal_rate_kbps
     noise = 0 if cell.endswith("-lru") else draw(st.integers(0, 2))
-    return {
+    point = {
         "spec": cell,
         "seed": draw(st.integers(0, 10_000)),
         "rate_kbps": float(draw(st.integers(
@@ -113,6 +133,14 @@ def points(draw) -> dict:
         "warmup_bits": 8 if noise else 0,
         "calibration_samples": SAMPLES,
     }
+    if draw(st.booleans()):
+        point.update(faulted(
+            seed=draw(st.integers(0, 10_000)),
+            rate_per_mcycle=float(draw(st.integers(20, 200))),
+            kinds=draw(st.lists(st.sampled_from(SIMULATION_KINDS),
+                                min_size=1, unique=True)),
+        ))
+    return point
 
 
 def run(point: dict, **overrides):
@@ -167,6 +195,7 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
     """The reference outcome of *point* and each variant's outcome,
     after asserting that every variant really took its fast path."""
     variants: dict = {}
+    faults = point.get("faults") is not None
     with pytest.MonkeyPatch.context() as generators:
         generators.setattr(drivers, "DRIVERS", {})
         clear_warm_state()
@@ -174,8 +203,9 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
         ok = not isinstance(reference, type)
         variants["memo"] = run(point)
         # One stored pass: the second run hit it instead of adding one.
+        # A faulted session calibrates cold and stores none.
         memoized = clear_calibration_memo()
-        assert not ok or memoized == 1, "memo not hit"
+        assert not ok or memoized == (0 if faults else 1), "memo not hit"
         clear_warm_state()
         run(point, seed=point["seed"] + 1)
         variants["warm"] = run(point)
@@ -189,7 +219,11 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
         mp.setenv("REPRO_CACHE_DIR", tmp)
         mp.setenv("REPRO_SEGMENT_CYCLES", str(cycles))
         variants["segmented"] = run(point)
-    assert not ok or variants["segmented"].manifest.segments_stored > 0
+    if ok:
+        # _segmentable: an attempt that starts with spec-less threads
+        # live (fault injectors) runs unsegmented and stores nothing.
+        stored = variants["segmented"].manifest.segments_stored
+        assert (stored == 0) if faults else (stored > 0), stored
 
     streams = {}
     for driven in (True, False):
@@ -234,6 +268,13 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
     "spec": "mesif-es", "seed": 11, "rate_kbps": 342.0,
     "payload": payload_bits(8, seed=11), "noise_threads": 2,
     "warmup_bits": 8, "calibration_samples": SAMPLES,
+}, golden=None)
+@example(point={
+    # Twenty faults of all four simulation kinds: forced preemption,
+    # KSM unmerges, third-party touches and latency spikes under every
+    # variant, the drivers included.
+    "spec": "mesi-es", "seed": 7, "payload": payload_bits(8, seed=7),
+    "calibration_samples": SAMPLES, **faulted(seed=7, rate_per_mcycle=200.0),
 }, golden=None)
 def test_every_fast_path_matches_reference(point, golden):
     with pytest.MonkeyPatch.context() as env:
