@@ -8,12 +8,12 @@ passes only — and emits a machine-readable ``BENCH_<date>.json`` report:
   64-point grid, comparing the cold reference path against warm-worker
   serial, per-point pool and chunked pool dispatch; the best
   self-relative speedup gates against a committed baseline;
-* ``overhead`` — one transmission in six paired variants: the
+* ``overhead`` — one transmission in five paired variants: the
   default path with tracing and streaming detection off is gated
   (< 2% over forcing both off, since the disabled path is the
   unmodified hot code), and so is segmented checkpointing
   (:mod:`repro.checkpoint`) armed with a boundary the run never reaches
-  (< 5% over the generator programs it always runs on); the cost of
+  (< 5% over the same forced-off baseline); the cost of
   tracing, of live streaming detection (:mod:`repro.detection.streaming`
   subscribed to the trace feed) and of the detector alone is reported
   for information.

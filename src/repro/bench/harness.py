@@ -54,7 +54,10 @@ _PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 #: v10 keeps only ``grid_sweep`` (without its bit-identity flag and
 #: cache byte counts) and ``overhead``: the engine, per-point and
 #: service benchmarks moved to ``bench/`` and the tier-1 tests.
-SCHEMA = 10
+#: v11 dropped the ``generator`` overhead variant: segmented sessions
+#: run on the channel drivers, so ``armed`` is priced against
+#: ``baseline``.
+SCHEMA = 11
 
 #: Allowed wall-time overhead of the ``overhead`` benchmark's
 #: ``disabled`` variant (tracing and streaming detection left at their
@@ -65,10 +68,9 @@ SCHEMA = 10
 DISABLED_OVERHEAD_LIMIT = 0.02
 
 #: Allowed wall-time overhead of the ``armed`` variant (segmentation
-#: armed with a boundary the run never reaches) vs ``generator`` (the
-#: same session stood down, as a segmented session always is).  This
-#: isolates the per-event bookkeeping the checkpoint plane adds
-#: (replay-log appends, mark truncation, the pause-boundary comparison)
+#: armed with a boundary the run never reaches) vs ``baseline``.  This
+#: isolates the per-event bookkeeping the checkpoint plane adds (the
+#: pause bound on every inline run, replay logs of undriven threads)
 #: from the cost of actually storing segments, which is proportional to
 #: segment count and priced in EXPERIMENTS.md instead.
 ARMED_OVERHEAD_LIMIT = 0.05
@@ -120,16 +122,14 @@ def _overhead(walls: dict[str, list[float]], name: str, base: str) -> float:
 #: ``trace`` is the session's ``trace`` field (``None`` defers to
 #: ``REPRO_TRACE``, which the benchmark unsets), ``stream`` subscribes
 #: a :class:`~repro.detection.streaming.StreamingDetector` to the
-#: recorder, ``stand_down`` forces the generator programs and ``armed``
-#: arms segmentation with a boundary the run never reaches.  ``traced``
-#: and ``streaming`` run on the channel drivers like ``baseline``, so
-#: their overheads price the tap, recorder and sink alone.
+#: recorder and ``armed`` arms segmentation with a boundary the run
+#: never reaches.  Every variant runs on the channel drivers, so each
+#: overhead prices the tap, recorder, sink or pause bound alone.
 OVERHEAD_VARIANTS: dict[str, dict[str, Any]] = {
     "baseline": {"trace": False},
     "disabled": {"trace": None},
     "traced": {"trace": True},
     "streaming": {"trace": True, "stream": True},
-    "generator": {"trace": False, "stand_down": True},
     "armed": {"trace": False, "armed": True},
 }
 
@@ -148,10 +148,9 @@ def overhead(
     * ``disabled_overhead`` — ``disabled`` vs ``baseline``, under
       :data:`DISABLED_OVERHEAD_LIMIT`: tracing and streaming detection
       must be free when off;
-    * ``armed_overhead`` — ``armed`` vs ``generator``, under
-      :data:`ARMED_OVERHEAD_LIMIT`: a segmented session always runs the
-      generator programs, so this isolates the checkpoint bookkeeping
-      from the channel drivers' gain.
+    * ``armed_overhead`` — ``armed`` vs ``baseline``, under
+      :data:`ARMED_OVERHEAD_LIMIT`: the checkpoint bookkeeping of a
+      segmented session that never reaches a boundary.
 
     ``traced_overhead`` and ``streaming_overhead`` (each vs
     ``baseline``) and ``sink_overhead`` (``streaming`` vs ``traced``:
@@ -169,7 +168,7 @@ def overhead(
     scratch = tempfile.mkdtemp(prefix="repro-bench-overhead-")
     counts = {"traced_events": 0, "streamed_events": 0, "flagged": False}
 
-    def one(trace=None, stream=False, stand_down=False, armed=False) -> float:
+    def one(trace=None, stream=False, armed=False) -> float:
         if armed:
             os.environ["REPRO_SEGMENT_CYCLES"] = "1e15"
         try:
@@ -185,8 +184,6 @@ def overhead(
         if stream:
             detector = StreamingDetector(scan_interval=100_000.0)
             session.recorder.subscribe(detector)
-        if stand_down:
-            session.sim.stand_down("bench-baseline")
         if armed:
             session.segments = SegmentStore(
                 "bench-overhead", cache=ResultCache(scratch), cycles=1e15,
@@ -224,7 +221,7 @@ def overhead(
         ("traced", "traced", "baseline"),
         ("streaming", "streaming", "baseline"),
         ("sink", "streaming", "traced"),
-        ("armed", "armed", "generator"),
+        ("armed", "armed", "baseline"),
     ):
         report[f"{name}_overhead"] = _overhead(walls, variant, base)
     report.update(counts)

@@ -272,15 +272,11 @@ class SessionBase:
             self.tap = MachineTap(self.machine, self.recorder)
             self.tap.attach()
         self.sim = Simulator(self.machine.stats)
-        # The engine path is decided here, before the first spawn, and
-        # never changes.  A segmented session runs the generator
-        # programs: replay logs must cover every spec-bearing thread
-        # from its first op or a checkpoint cannot re-drive it.  A
-        # traced session never checkpoints (see _segmentable), so it
-        # is not armed and runs driven.
+        # Checkpointing is armed here, before the first spawn: the
+        # undriven spec-bearing threads (noise workloads, ksmd) need
+        # replay logs from their first op.  A traced session never
+        # checkpoints (see _segmentable), so it is not armed.
         self.sim.checkpointing = self.recorder is None and segments_enabled()
-        if self.sim.checkpointing:
-            self.sim.stand_down("segments")
         #: Optional :class:`repro.checkpoint.SegmentStore` — when set,
         #: transmissions pause at segment boundaries and store resumable
         #: checkpoints (see :meth:`_run_transmission`).

@@ -60,7 +60,6 @@ def spy_program(
     block_va: int,
     flusher: Callable[[Cpu], Generator] | None = None,
     eviction_set: list[int] | None = None,
-    cursor: tuple | None = None,
 ) -> Callable[[Cpu], Generator]:
     """Build the spy's thread program.
 
@@ -72,13 +71,8 @@ def spy_program(
     ``flusher`` replaces the default clflush with an alternative flush
     primitive (see :func:`eviction_flusher`); ``eviction_set`` does the
     same from plain data (the flusher closure is built here), which is
-    the form a checkpointed spy records — closures don't pickle,
-    address lists do.
-
-    ``cursor`` resumes a checkpointed spy: ``(phase, polls, quiet,
-    next_slot)`` is the whole inter-slot state, so a re-driven program
-    re-enters the parked slot with the pacing grid and the phase
-    counters exactly where they were.
+    the form a spy's :class:`~repro.checkpoint.ProgramSpec` records —
+    closures don't pickle, address lists do.
     """
     if flusher is None and eviction_set is not None:
         flusher = eviction_flusher(list(eviction_set))
@@ -130,14 +124,9 @@ def spy_program(
         )
 
     def program(cpu: Cpu) -> Generator:
-        mark = cpu.mark
         phase, polls, quiet = 1, 0, 0
-        if cursor is not None:
-            phase, polls, quiet, next_slot = cursor
-            pacing["next_slot"] = next_slot
         # Phase 1: poll for the start of transmission.
         while phase == 1:
-            mark((1, polls, quiet, pacing["next_slot"]))
             sample = yield from sample_once(cpu)
             result.poll_samples.append(sample)
             if sample.label == "b":
@@ -153,7 +142,6 @@ def spy_program(
                 )
         # Phase 2: reception.
         while quiet < params.end_run:
-            mark((2, polls, quiet, pacing["next_slot"]))
             sample = yield from sample_once(cpu)
             result.samples.append(sample)
             quiet = quiet + 1 if sample.label == "x" else 0

@@ -58,27 +58,6 @@ class TrojanControl:
         self.running = False
         self.active_pair = None
 
-    def snapshot(self) -> tuple:
-        """Checkpoint cursor payload: every field a re-drive re-mutates.
-
-        Taken by the controller *before* each step's ``set_pair``; on
-        restore the re-driven controller re-applies the step's mutations
-        on top of this state, landing exactly on the parked values.
-        """
-        return (
-            self.active_pair, self.running, self.generation,
-            self.transitions, len(self.bits_sent),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (truncating ``bits_sent``)."""
-        pair, running, generation, transitions, n_bits = snap
-        self.active_pair = pair
-        self.running = running
-        self.generation = generation
-        self.transitions = transitions
-        del self.bits_sent[n_bits:]
-
     def is_active(self, role: WorkerRole) -> bool:
         """Whether a worker with *role* should be re-loading B now."""
         pair = self.active_pair
@@ -92,7 +71,6 @@ def worker_program(
     role: WorkerRole,
     block_va: int,
     params: ProtocolParams,
-    cursor: tuple | None = None,
 ) -> Callable[[Cpu], Generator]:
     """A trojan reader thread: keep B cached while my role is active.
 
@@ -130,20 +108,10 @@ def worker_program(
         role_index = role.index
         owned = LineState.OWNED
         needed = _THREADS_NEEDED
-        mark = cpu.mark
-        resume = cursor
         while True:
-            if resume is not None:
-                # Re-drive: replay the parked iteration's poll verbatim
-                # instead of re-polling the live control object (whose
-                # state may have moved past the park point).
-                running, pair = resume
-                resume = None
-            else:
-                # Inlined TrojanControl.is_active(role) — one poll per
-                # worker wakeup for the whole transmission.
-                running, pair = control.running, control.active_pair
-            mark((running, pair))
+            # Inlined TrojanControl.is_active(role) — one poll per
+            # worker wakeup for the whole transmission.
+            running, pair = control.running, control.active_pair
             if not running:
                 break
             if (
@@ -185,7 +153,6 @@ def controller_program(
     payload: list[int],
     lead_in_slots: int = 4,
     tail_slots: int = 4,
-    cursor: tuple | None = None,
 ) -> Callable[[Cpu], Generator]:
     """Algorithm 1: modulate B's coherence state to send *payload*.
 
@@ -195,11 +162,8 @@ def controller_program(
     all caches so the workers rebuild the new placement immediately;
     the spy's own flush-per-slot keeps the placement fresh afterwards.
 
-    The hold sequence is flattened into an indexed step list so the
-    program's position is one integer — the checkpoint ``cursor``
-    carries ``(step index, control snapshot)``; a re-driven controller
-    rewinds the shared control object and replays the parked step's
-    mutations on top, landing exactly on the park-time state.
+    The hold sequence is flattened into an indexed step list, as the
+    controller's driver (:mod:`repro.sim.drivers`) builds it too.
     """
 
     # One (pair, slots, bit-to-record) tuple per hold, in emission
@@ -219,24 +183,15 @@ def controller_program(
     steps.append((scenario.csb, params.cb, None))
     if scenario.terminator is not None:
         steps.append((scenario.terminator, params.end_run + 2, None))
-    n_steps = len(steps)
 
     def program(cpu: Cpu) -> Generator:
-        start = 0
-        if cursor is not None:
-            start, snap = cursor
-            control.restore(snap)
-        mark = cpu.mark
-        for index in range(start, n_steps):
-            pair, slots, bit = steps[index]
-            mark((index, control.snapshot()))
+        for pair, slots, bit in steps:
             control.set_pair(pair)
             yield from cpu.flush(block_va)
             yield from cpu.delay(slots * params.slot_cycles)
             if bit is not None:
                 control.bits_sent.append(bit)
         # Go dark: the spy sees out-of-band samples and ends reception.
-        mark((n_steps, control.snapshot()))
         control.stop()
         yield from cpu.delay(tail_slots * params.slot_cycles)
 

@@ -4,16 +4,21 @@ A checkpoint freezes a running :class:`~repro.channel.session.
 ChannelSession` between engine events: the machine (caches, coherence
 directories, interconnect windows, stats), the kernel (frame pool, KSM
 stable tree, processes, scheduler-visible threads), every RNG stream,
-the engine clock, and — the hard part — each live thread's *position*
-inside its generator program.
+the engine clock, and each live thread's *position* inside its
+program.
 
-Generators cannot be pickled, so positions are stored as re-drivable
-triples ``(cursor, replay_log, pending_result)`` per thread (see
-:meth:`repro.sim.thread.Cpu.mark`): restore rebuilds each program from
-its :class:`~repro.checkpoint.spec.ProgramSpec` with ``cursor=`` and
-re-sends the recorded op results, landing the fresh generator on the
-exact yield the original was parked at.  Threads are respawned in
-:meth:`~repro.sim.engine.Simulator.live_run_order` with
+The channel threads (trojan workers, controller, spy) run on drivers
+(:mod:`repro.sim.drivers`), whose position is a few plain fields listed
+in the driver class's ``POSITION``: capture stores them, and restore
+applies them to the fresh driver that spawning the thread from its
+:class:`~repro.checkpoint.spec.ProgramSpec` attaches.  The remaining
+spec-bearing threads (noise workloads, ksmd) are generators, which
+cannot be pickled, so their positions are re-drivable triples
+``(cursor, replay_log, pending_result)`` (see
+:meth:`repro.sim.thread.Cpu.mark`): restore rebuilds each program with
+``cursor=`` and re-sends the recorded op results, landing the fresh
+generator on the exact yield the original was parked at.  Threads are
+respawned in :meth:`~repro.sim.engine.Simulator.live_run_order` with
 ``start_time=thread.clock`` so the fresh heap's FIFO tie-breaking
 reproduces the original pop order — the resumed run is bit-identical to
 one that never paused (locked by the golden-determinism digests).
@@ -35,8 +40,10 @@ from repro.checkpoint.spec import ProgramSpec, RngRef, TransmitContext
 from repro.errors import CheckpointError
 
 #: Bump when the blob layout or the re-drive protocol changes; restore
-#: refuses blobs from other versions (state formats are not migrated).
-CHECKPOINT_VERSION = 1
+#: refuses blobs from other versions (state formats are not migrated),
+#: and segment identities hash it, so stale segments are never found.
+#: v2 stores driver positions instead of channel-program re-drives.
+CHECKPOINT_VERSION = 2
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
 BLOB_MAGIC = b"RCKP"
@@ -51,10 +58,14 @@ class _ThreadRecord:
     daemon: bool
     process: Any
     clock: float
+    #: A generator thread's re-drive triple (see ``Cpu.mark``).
     cursor: Any
     replay_log: list
     pending: Any
     spec: ProgramSpec
+    #: A driven thread's driver fields (its class's ``POSITION``);
+    #: ``None`` for a generator thread.
+    position: dict | None
     #: Whether the thread held a scheduler core slot (kernel.spawn) or
     #: ran unscheduled (sim.spawn / spawn_kernel_thread).
     scheduled: bool
@@ -73,7 +84,7 @@ class Checkpoint:
 
     manifest: dict
     state: bytes
-    version: int = CHECKPOINT_VERSION
+    version: int = field(default_factory=lambda: CHECKPOINT_VERSION)
     digest: str = field(default="")
 
     def __post_init__(self) -> None:
@@ -156,7 +167,10 @@ def capture(session, ctx: TransmitContext | None = None,
     :class:`ProgramSpec` (it could never be rebuilt) and
     :class:`~repro.errors.ConfigError` when the machine is instrumented
     (obfuscation) — sessions gate both via ``_segmentable()`` before
-    segmenting, so hitting either here indicates a caller bug.
+    segmenting, so hitting either here indicates a caller bug.  Also
+    raises :class:`CheckpointError` for an undriven thread that has run
+    without marking a resume point (a program with no ``Cpu.mark``,
+    such as a channel generator program when ``DRIVERS`` is emptied).
 
     *info* merges extra fields (segment index, transmission tag) into
     the manifest.
@@ -170,10 +184,17 @@ def capture(session, ctx: TransmitContext | None = None,
                 f"live thread {thread.name!r} has no ProgramSpec and "
                 "cannot be checkpointed"
             )
-        if thread._pending_result is not None and thread.replay_log is None:
+        driver = thread.driver
+        position = None
+        if driver is not None:
+            position = {name: getattr(driver, name) for name in driver.POSITION}
+        elif thread._pending_result is not None and thread.cursor is None:
+            # Cpu.mark records a cursor only under checkpointing, so
+            # this is a program without marks or an unarmed simulator.
             raise CheckpointError(
-                f"live thread {thread.name!r} has no replay log "
-                "(simulator was not run with checkpointing enabled)"
+                f"live thread {thread.name!r} has run without marking a "
+                "resume point (unmarked program, or the simulator was "
+                "not checkpointing)"
             )
         records.append(_ThreadRecord(
             name=thread.name,
@@ -185,6 +206,7 @@ def capture(session, ctx: TransmitContext | None = None,
             replay_log=list(thread.replay_log or ()),
             pending=thread._pending_result,
             spec=spec,
+            position=position,
             scheduled=thread.tid in session.kernel.scheduler._thread_core,
         ))
     kernel = session.kernel
@@ -228,6 +250,7 @@ def capture(session, ctx: TransmitContext | None = None,
         "seed": cfg.seed,
         "scenario": cfg.scenario.name,
         "clock": sim.global_clock,
+        "engine": sim.engine_path,
         "threads": len(records),
         "transmissions": session._transmissions,
     }
@@ -282,7 +305,6 @@ def restore(blob: bytes | Checkpoint):
 
     sim = Simulator(machine.stats)
     sim.checkpointing = True
-    sim.stand_down("segments")
     sim.global_clock = state["clock"]
 
     kernel = Kernel(machine, sim, rng)
@@ -323,7 +345,11 @@ def restore(blob: bytes | Checkpoint):
 
 
 def _respawn(session, rec: _ThreadRecord, resolve) -> None:
-    """Spawn one recorded thread and re-drive it to its parked yield."""
+    """Spawn one recorded thread and put it back where it was parked.
+
+    A driven thread gets its driver fields back; a generator thread is
+    re-driven to its parked yield.
+    """
     started = rec.pending is not None
     program = rec.spec.build(resolve, cursor=rec.cursor if started else None)
     if rec.scheduled:
@@ -337,6 +363,16 @@ def _respawn(session, rec: _ThreadRecord, resolve) -> None:
             executor=session.kernel._execute, start_time=rec.clock,
             daemon=rec.daemon, process=rec.process, spec=rec.spec,
         )
+    if rec.position is not None:
+        driver = thread.driver
+        if driver is None:
+            raise CheckpointError(
+                f"thread {rec.name!r} was driven but restores without a "
+                f"driver (no driver for {rec.spec.fn!r})"
+            )
+        for name, value in rec.position.items():
+            setattr(driver, name, value)
+        return
     if not started:
         # Never stepped: the engine will next(thread) normally.
         return

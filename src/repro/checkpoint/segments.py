@@ -106,16 +106,19 @@ def point_identity(params: Mapping[str, Any]) -> str:
     """Content hash identifying one ``execute_point`` invocation.
 
     Two calls with equal (canonicalized) keyword arguments under the
-    same package version share an identity — and therefore share
-    segment checkpoints.  The version salt rides inside the hash so a
-    version bump orphans old segments even before the cache GC runs.
+    same package and checkpoint versions share an identity — and
+    therefore share segment checkpoints.  Both versions ride inside the
+    hash, so a bump of either orphans old segments (which ``restore``
+    would refuse) even before the cache GC runs.
     """
+    from repro.checkpoint import core
     from repro.runner.cache import version_salt
     from repro.runner.spec import canonical_json
 
     payload = canonical_json({
         "fn": "repro.channel.session:execute_point",
         "salt": version_salt(),
+        "checkpoint_version": core.CHECKPOINT_VERSION,
         "params": _plain(dict(params)),
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

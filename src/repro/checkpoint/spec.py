@@ -3,13 +3,16 @@
 Generators cannot be pickled, so a checkpoint never stores a live
 program.  Instead every checkpointable thread carries a
 :class:`ProgramSpec` naming the *factory* that built its program plus
-the arguments it was built with; restore calls the factory again with
+the arguments it was built with.  For the three channel programs the
+spec is also what attaches the thread's driver (:mod:`repro.sim.drivers`),
+and restore applies the stored driver position to a fresh one.  For a
+generator thread restore calls the factory again with
 ``cursor=<the thread's last mark>`` and re-drives the fresh generator
 through the recorded op results (see :mod:`repro.checkpoint.core`).
 
 Factory protocol::
 
-    def factory(*args, cursor=None, **kwargs) -> program
+    def factory(*args, **kwargs) -> program   # re-drive adds cursor=
     def program(cpu) -> Generator
 
 Arguments may be live objects (a shared TrojanControl, a SpyResult, a
@@ -51,7 +54,7 @@ class TransmitContext:
     Created by ``ChannelSession._transmit_once`` and carried inside the
     checkpoint pickle graph: its ``control``/``decoder``/``spy_result``
     are the *same objects* the thread :class:`ProgramSpec` args name, so
-    a restored session's re-driven threads and its resumed
+    a restored session's respawned threads and its resumed
     ``transmit(..., _resume=ctx)`` call share state exactly as the
     original did.
     """
@@ -88,7 +91,8 @@ class ProgramSpec:
         """Call the factory with RngRefs resolved via *resolve*.
 
         *resolve* maps an :class:`RngRef` to a live generator (normally
-        ``lambda ref: rng_streams.get(ref.stream)``).
+        ``lambda ref: rng_streams.get(ref.stream)``).  *cursor* is
+        passed only when set: driven programs take none.
         """
         args = tuple(
             resolve(a) if isinstance(a, RngRef) else a for a in self.args
@@ -99,5 +103,6 @@ class ProgramSpec:
         }
         from repro.runner.spec import resolve_callable
 
-        factory = resolve_callable(self.fn)
-        return factory(*args, cursor=cursor, **kwargs)
+        if cursor is not None:
+            kwargs["cursor"] = cursor
+        return resolve_callable(self.fn)(*args, **kwargs)

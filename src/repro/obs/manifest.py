@@ -48,9 +48,8 @@ class RunManifest:
     segments_stored: int = 0
     resumed_from: int | None = None
     #: Which path ran the channel threads: ``"driven"`` (the
-    #: generator-free drivers of :mod:`repro.sim.drivers`),
-    #: ``"generator:segments"`` for a segmented session, which stands
-    #: down at build, or ``"generator"`` when no driver was attached.
+    #: generator-free drivers of :mod:`repro.sim.drivers`) or
+    #: ``"generator"`` when no driver was attached.
     engine: str = "generator"
 
     def to_json(self) -> dict:

@@ -37,10 +37,13 @@ Everything else the drivers meet is read live: scheduler assignments
 (forced preemption) at every advance, translations (KSM merges and
 unmerges) at every access, and an obfuscation policy inside
 ``machine.load`` — it never applies to the L1-hit band the inline path
-serves.  The only session the drivers do not run is a segmented one:
-checkpoints need the replay logs that only the generator programs
-write, so it stands down at build (:meth:`Simulator.stand_down`) and
-records ``generator:segments`` in :attr:`repro.obs.RunManifest.engine`.
+serves.  Segmented sessions run driven as well: a driver's position is
+the handful of plain fields each class lists in ``POSITION``, which
+:func:`repro.checkpoint.core.capture` stores and ``restore`` applies to
+a fresh driver built from the thread's spec.  Nothing else of a driver
+is pickled: its ``sim``/``thread``/``kernel`` links and the hoisted
+bindings (whose ``pair_actions`` cache is keyed by ``id()``) are
+rebuilt by :meth:`hoist` at spawn.
 """
 
 from __future__ import annotations
@@ -129,8 +132,11 @@ class _WorkerDriver:
 
     __slots__ = (
         "sim", "thread", "kernel", "control", "role", "block_va", "params",
-        "started", "state", "load_latency", "_hoist",
+        "state", "load_latency", "_hoist",
     )
+
+    #: The fields a checkpoint stores: the driver's whole position.
+    POSITION = ("state", "load_latency")
 
     def __init__(self, sim: "Simulator", thread: SimThread, kernel: Any,
                  spec: Any):
@@ -140,7 +146,6 @@ class _WorkerDriver:
         self.thread = thread
         self.kernel = kernel
         self.control, self.role, self.block_va, self.params = spec.args
-        self.started = False
         #: 0 = loop top (poll next), 1 = after the OWNED store (idle
         #: next), 2 = after the load (backoff/spin decision next).
         self.state = 0
@@ -200,7 +205,6 @@ class _WorkerDriver:
         thread = self.thread
         kernel = self.kernel
         control = self.control
-        self.started = True
 
         (buckets, set_mask, hit_base, hit_counter, noise_on, sigma,
          tail_p, tail_s, normal, random, exponential, mload, do_store,
@@ -382,9 +386,16 @@ class _SpyDriver:
 
     __slots__ = (
         "sim", "thread", "kernel", "result", "decoder", "params",
-        "block_va", "eviction_set", "started", "state", "phase", "polls",
+        "block_va", "eviction_set", "state", "phase", "polls",
         "quiet", "next_slot", "evict_index", "evict_paddrs",
         "load_latency", "load_timestamp", "load_path", "_hoist",
+    )
+
+    #: The fields a checkpoint stores (``evict_paddrs`` is re-derived:
+    #: the spy's eviction pages never remap).
+    POSITION = (
+        "state", "phase", "polls", "quiet", "next_slot", "evict_index",
+        "load_latency", "load_timestamp", "load_path",
     )
 
     # FSM states: which primitive executes next.
@@ -403,7 +414,6 @@ class _SpyDriver:
         self.kernel = kernel
         self.result, self.decoder, self.params, self.block_va = spec.args
         self.eviction_set = list(eviction) if eviction is not None else None
-        self.started = False
         self.state = self.RDTSC
         self.phase = 1
         self.polls = 0
@@ -443,7 +453,6 @@ class _SpyDriver:
     def advance(self, bound: float, rt: _Runtime) -> None:
         thread = self.thread
         kernel = self.kernel
-        self.started = True
 
         (mload, mflush, fence_cost, slot_cycles, wait_cycles, end_run,
          max_poll, max_recv, label, Sample, spy_result, samples,
@@ -657,8 +666,11 @@ class _ControllerDriver:
 
     __slots__ = (
         "sim", "thread", "kernel", "control", "scenario", "params",
-        "block_va", "steps", "started", "state", "index", "pending_bit",
+        "block_va", "steps", "state", "index", "pending_bit",
     )
+
+    #: The fields a checkpoint stores (``steps`` is rebuilt from the spec).
+    POSITION = ("state", "index", "pending_bit")
 
     # FSM states.
     STEP_FLUSH, STEP_DELAY, TAIL, EXIT = range(4)
@@ -691,7 +703,6 @@ class _ControllerDriver:
         if scenario.terminator is not None:
             steps.append((scenario.terminator, params.end_run + 2, None))
         self.steps = steps
-        self.started = False
         self.state = self.STEP_FLUSH
         self.index = 0
         self.pending_bit: int | None = None
@@ -708,7 +719,6 @@ class _ControllerDriver:
         slot_cycles = self.params.slot_cycles
         steps = self.steps
         n_steps = len(steps)
-        self.started = True
 
         process = thread.process
         va = self.block_va

@@ -17,9 +17,8 @@ and the event counter is a bound handle flushed once per run.
 
 Threads running one of the three channel programs carry a driver
 (:mod:`repro.sim.drivers`) that executes their ops without generator
-dispatch, bit-identically.  Whether they do is decided once, before the
-first spawn: :meth:`Simulator.stand_down` keeps a segmented session on
-the generator programs.
+dispatch, bit-identically, in every session: a checkpoint stores a
+driver's position directly (:mod:`repro.checkpoint.core`).
 """
 
 from __future__ import annotations
@@ -63,14 +62,12 @@ class Simulator:
         self._live_count = 0
         self._by_name: dict[str, SimThread] = {}
         self._events_counter = self.stats.counter_handle("engine.events")
-        #: When True, every thread spawned gets a replay log so its
-        #: position can be checkpointed (see :mod:`repro.checkpoint`).
-        #: Off by default: the log costs one list append per event.
+        #: When True, every undriven thread spawned with a spec gets a
+        #: replay log so its position can be checkpointed (see
+        #: :mod:`repro.checkpoint`); a driver's position is its own
+        #: fields.  Off by default: the log costs one list append per
+        #: event.
         self.checkpointing = False
-        #: Why this simulator runs its channel threads on their
-        #: generator programs (see :meth:`stand_down`); ``None`` while
-        #: spawns attach drivers.
-        self.stand_down_reason: str | None = None
         #: Machine of the first driven thread, and the ``load``/``store``/
         #: ``flush`` bindings the live drivers hoisted: run entry
         #: re-hoists on any other.  ``None`` until a driver is attached.
@@ -118,7 +115,7 @@ class Simulator:
             one cannot be checkpointed (a session falls back to an
             unsegmented run when any live thread lacks a spec).
             A spec naming a channel program attaches a driver (see
-            :mod:`repro.sim.drivers`) unless the simulator stood down.
+            :mod:`repro.sim.drivers`).
         """
         existing = self._by_name.get(name)
         if existing is not None and existing.state is _READY:
@@ -138,60 +135,33 @@ class Simulator:
         thread.clock = self.global_clock if start_time is None else float(start_time)
         thread._engine_exit = self._thread_exited
         thread.program_spec = spec
-        if self.checkpointing and spec is not None:
-            # Only spec-bearing threads get a replay log: a thread with
-            # no ProgramSpec cannot be restored anyway, and some
-            # spec-less programs (fault injectors) loop without calling
-            # Cpu.mark, which would grow an untruncated log unboundedly.
-            thread.replay_log = []
         self.threads.append(thread)
         self._by_name[name] = thread
         if not daemon:
             self._live_count += 1
         self._push(thread)
-        if spec is not None and self.stand_down_reason is None:
-            driver = driver_for(self, thread, executor, spec)
-            if driver is not None:
-                thread.driver = driver
-                if self._driver_machine is None:
-                    self._driver_machine = driver.kernel.machine
-                    self._driver_bindings = hoisted_bindings(
-                        self._driver_machine
-                    )
+        driver = driver_for(self, thread, executor, spec)
+        if driver is not None:
+            thread.driver = driver
+            if self._driver_machine is None:
+                self._driver_machine = driver.kernel.machine
+                self._driver_bindings = hoisted_bindings(self._driver_machine)
+        elif self.checkpointing and spec is not None:
+            # Only undriven spec-bearing threads get a replay log: a
+            # thread with no ProgramSpec cannot be restored anyway, and
+            # some spec-less programs (fault injectors) loop without
+            # calling Cpu.mark, which would grow an untruncated log
+            # unboundedly.
+            thread.replay_log = []
         return thread
-
-    def stand_down(self, reason: str) -> None:
-        """Run every channel thread on its generator program from now on.
-
-        Idempotent; the first *reason* is kept in
-        :attr:`stand_down_reason`.  Unstarted drivers are dropped (their
-        generators were never touched).  A live thread whose driver has
-        started cannot go back to its generator, so that raises
-        :class:`SimulationError` and changes nothing.
-        """
-        if self.stand_down_reason is not None:
-            return
-        for thread in self.threads:
-            driver = thread.driver
-            if driver is not None and driver.started and thread.state is _READY:
-                raise SimulationError(
-                    f"cannot stand down: thread {thread.name!r} is "
-                    "partially driven"
-                )
-        self.stand_down_reason = reason
-        for thread in self.threads:
-            thread.driver = None
 
     @property
     def engine_path(self) -> str:
         """Which path ran the channel threads, for run manifests.
 
-        ``"driven"`` once a driver was attached and the simulator never
-        stood down, ``"generator:<reason>"`` after a stand-down, and
-        ``"generator"`` when no thread ever had a driver.
+        ``"driven"`` once a driver was attached, ``"generator"`` when no
+        thread ever had one.
         """
-        if self.stand_down_reason is not None:
-            return f"generator:{self.stand_down_reason}"
         return "driven" if self._driver_machine is not None else "generator"
 
     def _thread_exited(self, thread: SimThread) -> None:
@@ -242,9 +212,10 @@ class Simulator:
 
         A driven thread popping off the heap takes an *inline run*: its
         driver keeps executing ops while each completion stays strictly
-        below the next heap entry's clock.  Under ``stop_when`` or
-        ``pause_at`` every advance executes exactly one op instead, so
-        the per-event checks see every event as on the generator path.
+        below both the next heap entry's clock and ``pause_at``, and the
+        pause is checked after the run.  Under ``stop_when`` every
+        advance executes exactly one op instead, so the predicate sees
+        every event as on the generator path.
 
         A ``load``/``store``/``flush`` binding attached since the drivers
         hoisted theirs (a detection monitor, a second tap) is re-hoisted
@@ -275,7 +246,7 @@ class Simulator:
         event_limit = float("inf") if max_events is None else max_events
         cycle_limit = float("inf") if max_cycles is None else max_cycles
         pause_limit = float("inf") if pause_at is None else pause_at
-        stepwise = stop_when is not None or pause_at is not None
+        stepwise = stop_when is not None
         rt = self._rt
         rt.event_limit = event_limit
         rt.cycle_limit = cycle_limit
@@ -297,13 +268,15 @@ class Simulator:
                 if driver is not None:
                     # -- inline run ------------------------------------
                     # The driver checks the event and cycle limits
-                    # itself.  Stepwise, an advance that ends the thread
-                    # executes no op, so like a StopIteration below it
-                    # skips the per-event checks.
+                    # itself.  An advance that ends the thread executed
+                    # no op at or past its bound, so like a StopIteration
+                    # below it skips the pause and stop checks.
                     if stepwise:
                         bound = -_INF
                     else:
                         bound = heap[0][0] if heap else _INF
+                        if pause_limit < bound:
+                            bound = pause_limit
                     rt.events = events
                     rt.global_clock = global_clock
                     try:
@@ -317,12 +290,11 @@ class Simulator:
                         thread.driver = None
                         continue
                     heappush(heap, (thread.clock, seq_next(), thread))
-                    if stepwise:
-                        if global_clock >= pause_limit:
-                            paused = True
-                            break
-                        if stop_when is not None and stop_when(self):
-                            break
+                    if global_clock >= pause_limit:
+                        paused = True
+                        break
+                    if stepwise and stop_when(self):
+                        break
                     continue
                 # -- advance the program to its next op ----------------
                 # send(None) on a fresh generator is next(), so one send

@@ -153,7 +153,9 @@ class Cpu:
         :mod:`repro.checkpoint`).  The contract: re-creating the program
         with ``cursor=<this value>`` and replaying the op results
         recorded since this mark must reproduce the exact op sequence the
-        original would have issued.
+        original would have issued.  The noise workloads and ksmd mark;
+        the channel programs run on drivers, whose position a checkpoint
+        stores directly, and do not.
 
         Free when checkpointing is off (one attribute read and a None
         test); under checkpointing it additionally truncates the
@@ -219,10 +221,11 @@ class SimThread:
         self._pending_result: OpResult | None = None
         #: Checkpoint support (see :mod:`repro.checkpoint`).  When the
         #: owning simulator runs with checkpointing enabled, the engine
-        #: creates ``replay_log`` at spawn and appends every op result it
-        #: delivers to the generator; :meth:`Cpu.mark` records ``cursor``
-        #: and truncates the log, so (cursor, log, pending result) always
-        #: suffice to re-drive a fresh program copy to this exact point.
+        #: creates ``replay_log`` at spawn for an undriven thread with a
+        #: spec and appends every op result it delivers to the generator;
+        #: :meth:`Cpu.mark` records ``cursor`` and truncates the log, so
+        #: (cursor, log, pending result) always suffice to re-drive a
+        #: fresh program copy to this exact point.
         #: ``program_spec`` names the factory that can rebuild the
         #: program (None for programs that cannot be checkpointed).
         self.replay_log: list[OpResult] | None = None

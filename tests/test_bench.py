@@ -50,8 +50,9 @@ def test_run_all_shape(quick_report):
     assert costs["sink_overhead"] == pytest.approx(
         costs["streaming_wall_s"] / costs["traced_wall_s"] - 1.0
     )
+    assert "generator_wall_s" not in costs
     assert costs["armed_overhead"] == pytest.approx(
-        costs["armed_wall_s"] / costs["generator_wall_s"] - 1.0
+        costs["armed_wall_s"] / costs["baseline_wall_s"] - 1.0
     )
 
 
@@ -124,7 +125,7 @@ def test_check_regression_streaming_overhead_gate():
 
 
 def test_check_regression_armed_overhead_gate():
-    """Armed-but-idle segmentation vs the generator programs: 5%."""
+    """Armed-but-idle segmentation vs the driven baseline: 5%."""
     _assert_overhead_gate("armed_overhead", 0.05)
 
 

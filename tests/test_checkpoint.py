@@ -6,7 +6,9 @@ uninterrupted one, and a later process that resumes from the newest
 stored segment finishes with the same result the original would have
 produced.  Covered across the three coherence backends (snoop MESI,
 MOESI, home-node directory), with noise workloads and a warmup prefix
-riding along, plus the blob format's integrity checks and the
+riding along — one blob holds the noise threads' re-drive logs and the
+channel drivers' positions, and both runs stay on the drivers — plus
+the blob format's integrity checks, stale-version segments and the
 ``REPRO_SEGMENT_CYCLES`` parsing that switches segmentation on.
 """
 
@@ -23,6 +25,7 @@ from repro.channel.session import (
     clear_warm_state,
     execute_point,
 )
+from repro.checkpoint import core
 from repro.checkpoint.core import (
     BLOB_MAGIC,
     CHECKPOINT_VERSION,
@@ -95,6 +98,7 @@ def test_segmented_and_resumed_runs_are_bit_identical(
     assert segmented.manifest.segment_cycles == 25000.0
     assert segmented.manifest.segments_stored > 0
     assert segmented.manifest.resumed_from is None
+    assert segmented.manifest.engine == "driven"
 
     # A second invocation finds the newest stored segment and resumes
     # from it — as the crash-retry of a killed worker would — and still
@@ -103,6 +107,34 @@ def test_segmented_and_resumed_runs_are_bit_identical(
     resumed = execute_point(spec=spec, payload=list(PAYLOAD), **POINT)
     assert digest(resumed) == digest(baseline)
     assert resumed.manifest.resumed_from is not None
+    assert resumed.manifest.engine == "driven"
+
+
+def test_stale_version_segment_is_ignored(seg_cache, monkeypatch, tmp_path):
+    """A segment stored under another CHECKPOINT_VERSION is orphaned by
+    the point identity: the point completes cold instead of failing to
+    restore a blob this build cannot read."""
+    point = dict(spec="mesi-es", payload=list(PAYLOAD), seed=7,
+                 calibration_samples=120)
+    baseline = execute_point(**point)
+
+    exported = tmp_path / "stale.bin"
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
+    with monkeypatch.context() as old_build:
+        old_build.setattr(core, "CHECKPOINT_VERSION", CHECKPOINT_VERSION - 1)
+        old_build.setenv("REPRO_CHECKPOINT_EXPORT", str(exported))
+        clear_warm_state()
+        assert execute_point(**point).manifest.segments_stored > 0
+        clear_warm_state()
+        assert execute_point(**point).manifest.resumed_from is not None
+    with pytest.raises(CheckpointError, match="version"):
+        restore(exported.read_bytes())
+
+    clear_warm_state()
+    cold = execute_point(**point)
+    assert cold.manifest.resumed_from is None
+    assert cold.manifest.segments_stored > 0
+    assert digest(cold) == digest(baseline)
 
 
 # -- the blob format ----------------------------------------------------

@@ -2,9 +2,9 @@
 
 :meth:`repro.sim.engine.Simulator.run` runs the trojan workers, the
 controller and the spy through generator-free drivers
-(:mod:`repro.sim.drivers`) unless the simulator stood down.  The
-drivers are a pure performance play, so their one contract is
-bit-identity with the generator programs.  The differential harness
+(:mod:`repro.sim.drivers`) in every session.  The drivers are a pure
+performance play, so their one contract is bit-identity with the
+generator programs.  The differential harness
 (``tests/test_fast_paths.py``) draws random points across every fast
 path; these tests pin fixed cases on the driver path alone:
 
@@ -13,12 +13,14 @@ path; these tests pin fixed cases on the driver path alone:
   (result pickles equal once ``manifest.engine`` is normalised);
 * the multi-bit symbol channel and every driver class actually run;
 * a run cut short and resumed under ``stop_when``/``pause_at`` carries
-  on from where the drivers parked, as the generators do;
-* traced, faulted, obfuscated, late-interposed and resynced sessions
-  run driven and identically — a binding attached after a cut-short
-  run is re-hoisted, under the inline L1 path too;
-* only segmentation stands a session down, at build, and a stand-down
-  refuses a thread its driver has started.
+  on from where the drivers parked, as the generators do, and a
+  ``pause_at`` run still advances the drivers inline;
+* traced, faulted, obfuscated, late-interposed, resynced and segmented
+  sessions run driven and identically — a binding attached after a
+  cut-short run is re-hoisted, under the inline L1 path too;
+* a checkpoint stores each driver's position: restored drivers resume
+  mid-FSM bit-identically, and a driven record cannot restore without
+  a driver.
 
 The generator path is reached by emptying the driver table — a test
 seam, not a knob.  The calibration memo is process-local, so each run
@@ -39,7 +41,13 @@ from repro.channel.scenarios import SCENARIOS
 from repro.channel.session import ChannelSession, SessionConfig, execute_point
 from repro.channel.spy import SpyResult, spy_program
 from repro.channel.trojan import TrojanControl, controller_program, worker_roles
-from repro.errors import CalibrationError, SimulationError, SyncTimeoutError
+from repro.checkpoint.core import capture, restore
+from repro.errors import (
+    CalibrationError,
+    CheckpointError,
+    SimulationError,
+    SyncTimeoutError,
+)
 from repro.experiments.common import payload_bits
 from repro.runner import ExperimentSpec, Point, Runner
 from repro.sim import drivers
@@ -96,8 +104,7 @@ def test_driven_matches_generator_on_registry_cell(cell):
             on_path(True, transmit, cell)
         assert str(driven_exc.value) == str(exc)
         return
-    session, driven = on_path(True, transmit, cell)
-    assert session.sim.stand_down_reason is None
+    _, driven = on_path(True, transmit, cell)
     assert driven.manifest.engine == "driven"
     assert generator.manifest.engine == "generator"
     assert_same(driven, generator)
@@ -202,6 +209,46 @@ def test_resumed_run_continues_driven_threads(resume):
         assert_same(result, plain)
 
 
+def test_pause_at_run_advances_drivers_inline(monkeypatch):
+    """Pausing every 5,000 cycles leaves the inline runs in place: the
+    drivers execute many ops per advance, and the paused transmission
+    is the uninterrupted one."""
+    advances = []
+    for cls in drivers.DRIVERS.values():
+        real = cls.advance
+
+        def counted(self, bound, rt, _real=real):
+            advances.append(bound)
+            return _real(self, bound, rt)
+
+        monkeypatch.setattr(cls, "advance", counted)
+
+    pauses = []
+
+    def paused(session):
+        sim = session.sim
+        run = sim.run
+
+        def segmented_run(**kwargs):
+            while run(pause_at=(sim.global_clock // 5_000.0 + 1) * 5_000.0):
+                pauses.append(sim.global_clock)
+            return False
+
+        sim.run = segmented_run
+
+    session, result = on_path(True, transmit, "mesi-es", before=paused)
+    events = session.machine.stats.counters()["engine.events"]
+    paused_advances = len(advances)
+    advances.clear()
+    _, plain = on_path(True, transmit, "mesi-es")
+    assert len(pauses) > 3
+    assert 0 < paused_advances < events
+    # A pause cuts at most one inline run of each live driven thread.
+    drivers_live = len(worker_roles(session.config.scenario)) + 2
+    assert paused_advances <= len(advances) + drivers_live * len(pauses)
+    assert_same(result, plain)
+
+
 # -- one engine path, decided at build -------------------------------------
 #
 # The machine changes below return what they observe, so a test can
@@ -259,7 +306,6 @@ def _simulation_faults():
 
 
 def assert_driven(session, result=None):
-    assert session.sim.stand_down_reason is None
     assert session.sim.engine_path == "driven"
     if result is not None:
         assert result.manifest.engine == "driven"
@@ -286,11 +332,30 @@ def test_traced_session_runs_driven():
     assert_same(driven, generator)
 
 
-def test_segments_stand_down_at_build(monkeypatch):
+def test_segments_stand_down_at_build(monkeypatch, tmp_path):
+    """A segmented point runs driven: it stores segments of driver
+    positions, a rerun resumes from the newest one on the drivers, and
+    both transmit as the unsegmented generator path does."""
+    def point():
+        return execute_point(
+            spec="mesi-es", payload=list(PAYLOAD), seed=11,
+            calibration_samples=120,
+        )
+
+    monkeypatch.delenv("REPRO_SEGMENT_CYCLES", raising=False)
+    reference = on_path(False, point)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
-    session, result = on_path(True, transmit, "mesi-es")
-    assert session.sim.stand_down_reason == "segments"
-    assert result.manifest.engine == "generator:segments"
+    segmented = on_path(True, point)
+    resumed = on_path(True, point)
+    assert segmented.manifest.segments_stored > 0
+    assert resumed.manifest.resumed_from is not None
+    for result in (segmented, resumed):
+        assert result.manifest.engine == "driven"
+        assert transmission_digest(result) == transmission_digest(reference)
+        # Equal values (the manifest does not compare); a resumed
+        # result's pickle shares unpickled objects differently.
+        assert result == reference
 
 
 def test_traced_segment_armed_point_runs_driven():
@@ -362,10 +427,10 @@ def test_run_entry_stands_down(reason, prepare):
 
 
 def _parked(session):
-    """Names of the live threads whose drivers have started."""
+    """Names of the live driven threads that have executed ops."""
     return [
         thread.name for thread in session.sim.threads
-        if thread.driver is not None and thread.driver.started
+        if thread.driver is not None and thread.ops_executed
         and not thread.done
     ]
 
@@ -521,37 +586,71 @@ def test_recovering_resync_runs_driven():
     assert_same(driven, generator)
 
 
-def _refuse_stand_down(session):
-    with pytest.raises(SimulationError, match="partially driven"):
-        session.sim.stand_down("test")
-    assert session.sim.stand_down_reason is None
+def _positions(sim):
+    """Each live driven thread's stored position, by thread name."""
+    return {
+        thread.name: {
+            name: getattr(thread.driver, name)
+            for name in thread.driver.POSITION
+        }
+        for thread in sim.live_run_order() if thread.driver is not None
+    }
 
 
-def test_stand_down_refuses_started_driver():
-    """A driver that has started cannot hand its live thread back to a
-    generator: the stand-down raises and changes nothing, and the run
-    finishes driven, as on the generator path."""
-    driven, parked, driven_seen = on_path(
-        True, _cohort_cut_short, _refuse_stand_down,
-    )
-    assert_driven(driven)
-    assert parked
-    generator, _, generator_seen = on_path(
-        False, _cohort_cut_short, lambda session: None,
-    )
-    assert driven_seen == generator_seen
-    assert_same_run(driven, generator)
+def _checkpointed_mid_transmission():
+    """A driven transmission paused 40,000 cycles into its run, captured,
+    and finished; returns its result, the checkpoint blob, the driver
+    positions at the pause and the trojan's final control state."""
+    session = ChannelSession(SessionConfig(
+        spec="mesi-es", seed=11, calibration_samples=120,
+    ))
+    taken = []
+
+    def pause_capture_finish(ctx):
+        sim = session.sim
+        assert sim.run(pause_at=sim.global_clock + 40_000.0)
+        taken.append((capture(session, ctx).to_bytes(), _positions(sim)))
+        sim.run()
+        taken.append(dict(vars(ctx.control)))
+
+    session._run_transmission = pause_capture_finish
+    result = session.transmit(list(PAYLOAD))
+    return (result, *taken[0], taken[1])
+
+
+def test_stand_down_refuses_started_driver(monkeypatch):
+    """A checkpoint of driven threads holds driver positions only; with
+    the driver table emptied, restore refuses to rebuild them."""
+    _, blob, _, _ = on_path(True, _checkpointed_mid_transmission)
+    monkeypatch.setattr(drivers, "DRIVERS", {})
+    with pytest.raises(CheckpointError, match="restores without a driver"):
+        restore(blob)
 
 
 def test_stand_down_is_idempotent():
-    session, _ = on_path(True, transmit, "mesi-es")
-    session.sim.stand_down("first")
-    session.sim.stand_down("second")
-    assert session.sim.stand_down_reason == "first"
-    # The session still transmits correctly on the generator path.
-    result = session.transmit([1, 0, 1, 1])
-    assert result.accuracy == 1.0
-    assert result.manifest.engine == "generator:first"
+    """Drivers restored from a mid-transmission checkpoint resume
+    mid-FSM with the captured positions, and finish bit-identically to
+    the run that never paused, the trojan's control state included."""
+    original, blob, positions, control = on_path(
+        True, _checkpointed_mid_transmission,
+    )
+    # Mid-FSM: the spy is receiving and the controller is mid-payload.
+    spy = positions["spy-0"]
+    assert spy["phase"] == 2 and spy["next_slot"] is not None
+    assert 0 < positions["trojan-ctl-0"]["index"]
+    session, ctx = restore(blob)
+    assert _positions(session.sim) == positions
+    resumed = session.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
+    assert_driven(session, resumed)
+    assert vars(ctx.control) == control
+    assert control["bits_sent"] == PAYLOAD
+    _, generator = on_path(False, transmit, "mesi-es")
+    for reference in (original, generator):
+        # Compared by value: a resumed result's pickle shares the
+        # unpickled objects differently.
+        assert transmission_digest(resumed) == transmission_digest(reference)
+        assert resumed == reference
+        assert resumed.manifest == replace(reference.manifest, engine="driven")
 
 
 TRANSMIT_OPTS = "tests.runner_points:transmit_opts"
@@ -560,7 +659,7 @@ TRANSMIT_OPTS = "tests.runner_points:transmit_opts"
 def runner_engine(point):
     """Run *point* alone through a serial runner; return its result."""
     clear_calibration_memo()
-    spec = ExperimentSpec(experiment="stand-down", points=(point,))
+    spec = ExperimentSpec(experiment="engine-path", points=(point,))
     return Runner(jobs=1, cache=None).run(spec).values[0]
 
 

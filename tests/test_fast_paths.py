@@ -20,8 +20,10 @@ Then one variant per fast path runs the same point:
 3. ``memo`` — the same point run twice: the second run hits the
    calibration memo (a faulted point calibrates cold both times);
 4. ``segmented`` — segmentation armed (``REPRO_SEGMENT_CYCLES``, a
-   temporary segment store): an unfaulted point stores segments, a
-   faulted one none (its fault threads carry no program spec);
+   temporary segment store), on the channel drivers: an unfaulted point
+   stores segments, a faulted one none (its fault threads carry no
+   program spec); ``resumed`` runs the point again on that store and
+   resumes from its newest segment, driven too;
 5. ``streamed`` — tracing on, a :class:`StreamingDetector` subscribed,
    run driven and again on the generator programs: both runs must
    record the same trace digest and give the detector the same events
@@ -30,7 +32,8 @@ Then one variant per fast path runs the same point:
    together.
 
 Each variant's result must equal the reference's as a pickle with its
-``compare=False`` fields (the manifest) blanked, and by
+``compare=False`` fields (the manifest) blanked — by value for
+``resumed``, whose unpickled objects share differently — and by
 :func:`transmission_digest`; where the reference raises, the variant
 must raise the same exception type.  After the reference and after
 every variant, :func:`check_machine` must pass on the pooled machine
@@ -171,7 +174,10 @@ def assert_matches(name: str, variant, reference) -> None:
         return
     assert not isinstance(variant, type), f"{name} raised {variant.__name__}"
     assert transmission_digest(variant) == transmission_digest(reference), name
-    assert blanked(variant) == blanked(reference), name
+    if name == "resumed":
+        assert variant == reference, name
+    else:
+        assert blanked(variant) == blanked(reference), name
 
 
 @contextmanager
@@ -219,11 +225,15 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
         mp.setenv("REPRO_CACHE_DIR", tmp)
         mp.setenv("REPRO_SEGMENT_CYCLES", str(cycles))
         variants["segmented"] = run(point)
+        clear_warm_state()
+        variants["resumed"] = run(point)
     if ok:
         # _segmentable: an attempt that starts with spec-less threads
         # live (fault injectors) runs unsegmented and stores nothing.
         stored = variants["segmented"].manifest.segments_stored
         assert (stored == 0) if faults else (stored > 0), stored
+        resumed_from = variants["resumed"].manifest.resumed_from
+        assert (resumed_from is None) is faults, resumed_from
 
     streams = {}
     for driven in (True, False):
@@ -248,7 +258,8 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
     variants["production"] = run(point)
     clear_warm_state()
     if ok:
-        for name in ("driven", "production", "streamed"):
+        for name in ("driven", "production", "streamed", "segmented",
+                     "resumed"):
             assert variants[name].manifest.engine == "driven", name
     return reference, variants
 
