@@ -11,7 +11,7 @@ passes only — and emits a machine-readable ``BENCH_<date>.json`` report:
 * ``overhead`` — one transmission in five paired variants: the
   default path with tracing and streaming detection off is gated
   (< 2% over forcing both off, since the disabled path is the
-  unmodified hot code), and so is segmented checkpointing
+  unmodified hot code), and so is segmented execution
   (:mod:`repro.checkpoint`) armed with a boundary the run never reaches
   (< 5% over the same forced-off baseline); the cost of
   tracing, of live streaming detection (:mod:`repro.detection.streaming`

@@ -69,10 +69,10 @@ DISABLED_OVERHEAD_LIMIT = 0.02
 
 #: Allowed wall-time overhead of the ``armed`` variant (segmentation
 #: armed with a boundary the run never reaches) vs ``baseline``.  This
-#: isolates the per-event bookkeeping the checkpoint plane adds (the
-#: pause bound on every inline run, replay logs of undriven threads)
-#: from the cost of actually storing segments, which is proportional to
-#: segment count and priced in EXPERIMENTS.md instead.
+#: isolates what the checkpoint plane adds to every inline run (the
+#: pause bound and the pause check after each run) from the cost of
+#: actually storing segments, which is proportional to segment count
+#: and priced in EXPERIMENTS.md instead.
 ARMED_OVERHEAD_LIMIT = 0.05
 
 
@@ -169,17 +169,12 @@ def overhead(
     counts = {"traced_events": 0, "streamed_events": 0, "flagged": False}
 
     def one(trace=None, stream=False, armed=False) -> float:
-        if armed:
-            os.environ["REPRO_SEGMENT_CYCLES"] = "1e15"
-        try:
-            session = ChannelSession(SessionConfig(
-                spec="LExclc-LSharedb",
-                seed=seed,
-                calibration_samples=200,
-                trace=trace,
-            ))
-        finally:
-            os.environ.pop("REPRO_SEGMENT_CYCLES", None)
+        session = ChannelSession(SessionConfig(
+            spec="LExclc-LSharedb",
+            seed=seed,
+            calibration_samples=200,
+            trace=trace,
+        ))
         detector = None
         if stream:
             detector = StreamingDetector(scan_interval=100_000.0)
@@ -199,20 +194,16 @@ def overhead(
         return wall
 
     # The defaults must be the real defaults, even when the harness
-    # itself runs under REPRO_TRACE=1 or with segmentation switched on.
-    saved = {
-        key: os.environ.pop(key, None)
-        for key in ("REPRO_TRACE", "REPRO_SEGMENT_CYCLES")
-    }
+    # itself runs under REPRO_TRACE=1.
+    saved = os.environ.pop("REPRO_TRACE", None)
     try:
         walls = _paired_walls({
             name: functools.partial(one, **options)
             for name, options in OVERHEAD_VARIANTS.items()
         }, repeats)
     finally:
-        for key, value in saved.items():
-            if value is not None:
-                os.environ[key] = value
+        if saved is not None:
+            os.environ["REPRO_TRACE"] = saved
     report: dict[str, Any] = {"bits": bits, "pairs": len(walls["baseline"])}
     for name in OVERHEAD_VARIANTS:
         report[f"{name}_wall_s"] = statistics.median(walls[name])

@@ -9,6 +9,7 @@ translation walk is the paper's: find a boundary run, count consecutive
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -29,6 +30,13 @@ class Sample:
     latency: float
     label: str  # 'c', 'b' or 'x'
     path: object = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled labels come back as fresh strings; interning them
+        # makes a result rebuilt from a checkpoint pickle to the same
+        # bytes as one that never left memory.
+        state["label"] = sys.intern(state["label"])
+        self.__dict__.update(state)
 
 
 #: Tag identifying the packed-sample wire format produced by

@@ -48,7 +48,7 @@ from repro.channel.trojan import (
     worker_roles,
 )
 from repro.checkpoint.spec import ProgramSpec, TransmitContext
-from repro.checkpoint.segments import SegmentStore, segments_enabled
+from repro.checkpoint.segments import SegmentStore
 from repro.errors import ConfigError, SyncTimeoutError
 from repro.faults.plan import FaultPlan
 from repro.kernel.process import Process
@@ -272,11 +272,6 @@ class SessionBase:
             self.tap = MachineTap(self.machine, self.recorder)
             self.tap.attach()
         self.sim = Simulator(self.machine.stats)
-        # Checkpointing is armed here, before the first spawn: the
-        # undriven spec-bearing threads (noise workloads, ksmd) need
-        # replay logs from their first op.  A traced session never
-        # checkpoints (see _segmentable), so it is not armed.
-        self.sim.checkpointing = self.recorder is None and segments_enabled()
         #: Optional :class:`repro.checkpoint.SegmentStore` — when set,
         #: transmissions pause at segment boundaries and store resumable
         #: checkpoints (see :meth:`_run_transmission`).
@@ -544,16 +539,16 @@ class SessionBase:
 
         Tracing sessions and obfuscated machines are excluded (recorder
         buffers and wrapped caches do not snapshot), and every live
-        thread must carry a :class:`~repro.checkpoint.ProgramSpec` —
-        simulation-plane fault injectors are spec-less by design, so a
-        fault-disturbed transmission silently falls back to the
-        unsegmented path rather than checkpointing unrestorable state.
+        thread must run on a driver (:mod:`repro.sim.drivers`), whose
+        position is what a checkpoint stores — simulation-plane fault
+        injectors are undriven by design, so a fault-disturbed
+        transmission silently falls back to the unsegmented path rather
+        than capturing unrestorable state.
         """
         if self.recorder is not None or self.machine.obfuscation is not None:
             return False
         return all(
-            thread.program_spec is not None
-            for thread in self.sim.live_run_order()
+            thread.driver is not None for thread in self.sim.live_run_order()
         )
 
     def _run_transmission(self, ctx: TransmitContext) -> None:

@@ -7,17 +7,14 @@ stable tree, processes, scheduler-visible threads), every RNG stream,
 the engine clock, and each live thread's *position* inside its
 program.
 
-The channel threads (trojan workers, controller, spy) run on drivers
-(:mod:`repro.sim.drivers`), whose position is a few plain fields listed
-in the driver class's ``POSITION``: capture stores them, and restore
-applies them to the fresh driver that spawning the thread from its
-:class:`~repro.checkpoint.spec.ProgramSpec` attaches.  The remaining
-spec-bearing threads (noise workloads, ksmd) are generators, which
-cannot be pickled, so their positions are re-drivable triples
-``(cursor, replay_log, pending_result)`` (see
-:meth:`repro.sim.thread.Cpu.mark`): restore rebuilds each program with
-``cursor=`` and re-sends the recorded op results, landing the fresh
-generator on the exact yield the original was parked at.  Threads are
+Every live thread of a checkpointable session runs on a driver
+(:mod:`repro.sim.drivers`): the channel threads (trojan workers,
+controller, spy) and the kernel-build noise workers.  A driver's
+position is a few plain fields listed in its class's ``POSITION``:
+capture stores them, and restore applies them to the fresh driver that
+spawning the thread from its :class:`~repro.checkpoint.spec.ProgramSpec`
+attaches.  That is the only thread representation: generators cannot be
+pickled, so a live undriven thread cannot be checkpointed.  Threads are
 respawned in :meth:`~repro.sim.engine.Simulator.live_run_order` with
 ``start_time=thread.clock`` so the fresh heap's FIFO tie-breaking
 reproduces the original pop order — the resumed run is bit-identical to
@@ -25,8 +22,8 @@ one that never paused (locked by the golden-determinism digests).
 
 Everything rides ONE pickle graph, so identity sharing survives: the
 trojan workers' shared :class:`TrojanControl`, the spy's result/decoder,
-the KSM daemon named by the ksmd thread's spec, and the processes the
-kernel owns all come back as single shared objects.
+the KSM stable tree, and the processes the kernel owns all come back as
+single shared objects.
 """
 
 from __future__ import annotations
@@ -36,14 +33,15 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.checkpoint.spec import ProgramSpec, RngRef, TransmitContext
+from repro.checkpoint.spec import ProgramSpec, TransmitContext
 from repro.errors import CheckpointError
 
-#: Bump when the blob layout or the re-drive protocol changes; restore
-#: refuses blobs from other versions (state formats are not migrated),
-#: and segment identities hash it, so stale segments are never found.
-#: v2 stores driver positions instead of channel-program re-drives.
-CHECKPOINT_VERSION = 2
+#: Bump when the blob layout changes; restore refuses blobs from other
+#: versions (state formats are not migrated), and segment identities
+#: hash it, so stale segments are never found.  v2 stored driver
+#: positions for the channel threads; v3 stores them for every thread
+#: and drops the re-drive records.
+CHECKPOINT_VERSION = 3
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
 BLOB_MAGIC = b"RCKP"
@@ -58,14 +56,9 @@ class _ThreadRecord:
     daemon: bool
     process: Any
     clock: float
-    #: A generator thread's re-drive triple (see ``Cpu.mark``).
-    cursor: Any
-    replay_log: list
-    pending: Any
     spec: ProgramSpec
-    #: A driven thread's driver fields (its class's ``POSITION``);
-    #: ``None`` for a generator thread.
-    position: dict | None
+    #: The driver's fields (its class's ``POSITION``).
+    position: dict
     #: Whether the thread held a scheduler core slot (kernel.spawn) or
     #: ran unscheduled (sim.spawn / spawn_kernel_thread).
     scheduled: bool
@@ -163,14 +156,12 @@ def capture(session, ctx: TransmitContext | None = None,
 
     The session must be parked: every thread between ops (which is
     exactly where ``Simulator.run(pause_at=...)`` leaves them).  Raises
-    :class:`CheckpointError` when any live thread has no
-    :class:`ProgramSpec` (it could never be rebuilt) and
-    :class:`~repro.errors.ConfigError` when the machine is instrumented
-    (obfuscation) — sessions gate both via ``_segmentable()`` before
-    segmenting, so hitting either here indicates a caller bug.  Also
-    raises :class:`CheckpointError` for an undriven thread that has run
-    without marking a resume point (a program with no ``Cpu.mark``,
-    such as a channel generator program when ``DRIVERS`` is emptied).
+    :class:`CheckpointError` when any live thread has no driver (a
+    spec-less fault injector, or any program while ``DRIVERS`` is
+    emptied) and :class:`~repro.errors.ConfigError` when the machine is
+    instrumented (obfuscation) — sessions gate both via
+    ``_segmentable()`` before segmenting, so hitting either here
+    indicates a caller bug.
 
     *info* merges extra fields (segment index, transmission tag) into
     the manifest.
@@ -178,23 +169,11 @@ def capture(session, ctx: TransmitContext | None = None,
     sim = session.sim
     records = []
     for thread in sim.live_run_order():
-        spec = thread.program_spec
-        if spec is None:
-            raise CheckpointError(
-                f"live thread {thread.name!r} has no ProgramSpec and "
-                "cannot be checkpointed"
-            )
         driver = thread.driver
-        position = None
-        if driver is not None:
-            position = {name: getattr(driver, name) for name in driver.POSITION}
-        elif thread._pending_result is not None and thread.cursor is None:
-            # Cpu.mark records a cursor only under checkpointing, so
-            # this is a program without marks or an unarmed simulator.
+        if driver is None:
             raise CheckpointError(
-                f"live thread {thread.name!r} has run without marking a "
-                "resume point (unmarked program, or the simulator was "
-                "not checkpointing)"
+                f"live thread {thread.name!r} has no driver and cannot "
+                "be checkpointed"
             )
         records.append(_ThreadRecord(
             name=thread.name,
@@ -202,11 +181,8 @@ def capture(session, ctx: TransmitContext | None = None,
             daemon=thread.daemon,
             process=thread.process,
             clock=thread.clock,
-            cursor=thread.cursor,
-            replay_log=list(thread.replay_log or ()),
-            pending=thread._pending_result,
-            spec=spec,
-            position=position,
+            spec=thread.program_spec,
+            position={name: getattr(driver, name) for name in driver.POSITION},
             scheduled=thread.tid in session.kernel.scheduler._thread_core,
         ))
     kernel = session.kernel
@@ -304,7 +280,6 @@ def restore(blob: bytes | Checkpoint):
     machine.restore_state(state["machine"])
 
     sim = Simulator(machine.stats)
-    sim.checkpointing = True
     sim.global_clock = state["clock"]
 
     kernel = Kernel(machine, sim, rng)
@@ -345,13 +320,9 @@ def restore(blob: bytes | Checkpoint):
 
 
 def _respawn(session, rec: _ThreadRecord, resolve) -> None:
-    """Spawn one recorded thread and put it back where it was parked.
-
-    A driven thread gets its driver fields back; a generator thread is
-    re-driven to its parked yield.
-    """
-    started = rec.pending is not None
-    program = rec.spec.build(resolve, cursor=rec.cursor if started else None)
+    """Spawn one recorded thread and put its driver back where it was
+    parked."""
+    program = rec.spec.build(resolve)
     if rec.scheduled:
         thread = session.kernel.spawn(
             rec.process, rec.name, program, rec.core_id,
@@ -363,38 +334,11 @@ def _respawn(session, rec: _ThreadRecord, resolve) -> None:
             executor=session.kernel._execute, start_time=rec.clock,
             daemon=rec.daemon, process=rec.process, spec=rec.spec,
         )
-    if rec.position is not None:
-        driver = thread.driver
-        if driver is None:
-            raise CheckpointError(
-                f"thread {rec.name!r} was driven but restores without a "
-                f"driver (no driver for {rec.spec.fn!r})"
-            )
-        for name, value in rec.position.items():
-            setattr(driver, name, value)
-        return
-    if not started:
-        # Never stepped: the engine will next(thread) normally.
-        return
-    # Re-drive: run to the first yield after the mark, then feed the
-    # recorded results.  Mirrors the engine's protocol exactly —
-    # including appending each result to the live replay log *before*
-    # the send — so a later checkpoint of this thread is again valid.
-    gen = thread._generator
-    try:
-        gen.send(None)  # first post-mark op; the result is in the log
-        log = thread.replay_log
-        for result in rec.replay_log:
-            log.append(result)
-            gen.send(result)
-    except StopIteration:
+    driver = thread.driver
+    if driver is None:
         raise CheckpointError(
-            f"thread {rec.name!r} finished during re-drive "
-            "(program/cursor mismatch)"
+            f"thread {rec.name!r} was driven but restores without a "
+            f"driver (no driver for {rec.spec.fn!r})"
         )
-    except Exception as exc:
-        raise CheckpointError(
-            f"thread {rec.name!r} failed during re-drive: {exc!r}"
-        ) from exc
-    thread._pending_result = rec.pending
-    thread.cursor = rec.cursor
+    for name, value in rec.position.items():
+        setattr(driver, name, value)

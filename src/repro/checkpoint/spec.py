@@ -3,16 +3,15 @@
 Generators cannot be pickled, so a checkpoint never stores a live
 program.  Instead every checkpointable thread carries a
 :class:`ProgramSpec` naming the *factory* that built its program plus
-the arguments it was built with.  For the three channel programs the
-spec is also what attaches the thread's driver (:mod:`repro.sim.drivers`),
-and restore applies the stored driver position to a fresh one.  For a
-generator thread restore calls the factory again with
-``cursor=<the thread's last mark>`` and re-drives the fresh generator
-through the recorded op results (see :mod:`repro.checkpoint.core`).
+the arguments it was built with.  For the channel programs and the
+kernel-build noise worker the spec is also what attaches the thread's
+driver (:mod:`repro.sim.drivers`), and restore applies the stored
+driver position to the fresh one that respawning the thread attaches
+(see :mod:`repro.checkpoint.core`).
 
 Factory protocol::
 
-    def factory(*args, **kwargs) -> program   # re-drive adds cursor=
+    def factory(*args, **kwargs) -> program
     def program(cpu) -> Generator
 
 Arguments may be live objects (a shared TrojanControl, a SpyResult, a
@@ -87,12 +86,11 @@ class ProgramSpec:
     args: tuple = ()
     kwargs: dict[str, Any] = field(default_factory=dict)
 
-    def build(self, resolve: Any, cursor: Any = None) -> Any:
+    def build(self, resolve: Any) -> Any:
         """Call the factory with RngRefs resolved via *resolve*.
 
         *resolve* maps an :class:`RngRef` to a live generator (normally
-        ``lambda ref: rng_streams.get(ref.stream)``).  *cursor* is
-        passed only when set: driven programs take none.
+        ``lambda ref: rng_streams.get(ref.stream)``).
         """
         args = tuple(
             resolve(a) if isinstance(a, RngRef) else a for a in self.args
@@ -103,6 +101,4 @@ class ProgramSpec:
         }
         from repro.runner.spec import resolve_callable
 
-        if cursor is not None:
-            kwargs["cursor"] = cursor
         return resolve_callable(self.fn)(*args, **kwargs)

@@ -168,14 +168,8 @@ class KsmDaemon:
 
         Spawn with ``daemon=True``; each pass is instantaneous in
         simulated time (scan work is attributed to the interval delay).
-
-        The loop carries no state between iterations, so the checkpoint
-        mark is an empty cursor: a re-driven scanner just re-enters the
-        parked interval delay (the scan itself happens in the engine
-        step that delivers the delay's result, after any snapshot).
         """
         while True:
-            cpu.mark(())
             yield from cpu.delay(self.scan_interval)
             self.scan_once()
 
@@ -183,14 +177,3 @@ class KsmDaemon:
     def page_size() -> int:
         """The page granularity KSM merges at."""
         return PAGE_SIZE
-
-
-def ksm_program(daemon: KsmDaemon, cursor: tuple | None = None):
-    """Checkpoint factory for the scanner program (see ProgramSpec).
-
-    The scanner loop is stateless between marks, so *cursor* carries no
-    payload and is ignored; the daemon object itself travels in the
-    checkpoint's pickle graph and arrives here already restored.
-    """
-    del cursor
-    return daemon.run

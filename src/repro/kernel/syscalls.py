@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Callable, Generator
 from typing import Any
 
-from repro.checkpoint.spec import ProgramSpec
 from repro.errors import OutOfMemoryError, ProtectionFaultError
 from repro.kernel.ksm import KsmDaemon
 from repro.kernel.paging import PageTableEntry, vpn_of
@@ -119,8 +118,10 @@ class Kernel:
     ) -> SimThread:
         """Spawn a thread of *process* pinned to *core_id*.
 
-        ``spec`` (a :class:`repro.checkpoint.ProgramSpec`) makes the
-        thread checkpointable; it is passed through to the engine.
+        ``spec`` (a :class:`repro.checkpoint.ProgramSpec`) is passed
+        through to the engine, which attaches a driver when it names one
+        of the driven programs (that is what makes a thread
+        checkpointable).
         """
         thread = self.sim.spawn(
             name=name,
@@ -142,7 +143,6 @@ class Kernel:
         program: Callable[[Cpu], Generator],
         core_id: int = 0,
         daemon: bool = True,
-        spec: Any = None,
     ) -> SimThread:
         """Spawn a kernel-context thread (e.g. the KSM daemon).
 
@@ -156,17 +156,15 @@ class Kernel:
             executor=self._execute,
             daemon=daemon,
             process=None,
-            spec=spec,
         )
 
     def start_ksm_daemon(self) -> SimThread:
-        """Run the KSM scanner as a periodic simulated kernel thread."""
-        return self.spawn_kernel_thread(
-            "ksmd",
-            self.ksm.run,
-            core_id=0,
-            spec=ProgramSpec("repro.kernel.ksm:ksm_program", (self.ksm,)),
-        )
+        """Run the KSM scanner as a periodic simulated kernel thread.
+
+        Spawned without a program spec, like the fault injectors: no
+        session runs it, and a session with it live is not segmented.
+        """
+        return self.spawn_kernel_thread("ksmd", self.ksm.run, core_id=0)
 
     # ------------------------------------------------------------------
     # shared-memory setup (Section IV)

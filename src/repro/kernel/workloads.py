@@ -30,41 +30,36 @@ KERNEL_BUILD_PAGES = 1536
 #: Accesses issued per batched burst event.
 BURST_LINES = 64
 
+#: A kernel-build worker's defaults: the share of burst accesses that
+#: are stores, the think-time range in cycles, and the memory-level
+#: parallelism of its bursts.  ``repro.sim.drivers`` reads them too.
+KERNEL_BUILD_WRITE_RATIO = 0.3
+KERNEL_BUILD_THINK = (500.0, 2_000.0)
+KERNEL_BUILD_MLP = 4.0
+
 
 def kernel_build_program(
     region_base: int,
     region_pages: int,
     rng: np.random.Generator,
-    write_ratio: float = 0.3,
-    think_time: tuple[float, float] = (500.0, 2_000.0),
-    mlp: float = 4.0,
-    cursor: tuple | None = None,
+    write_ratio: float = KERNEL_BUILD_WRITE_RATIO,
+    think_time: tuple[float, float] = KERNEL_BUILD_THINK,
+    mlp: float = KERNEL_BUILD_MLP,
 ) -> Callable[[Cpu], Generator]:
     """A compile-like worker: bursts of strided accesses + think time.
 
     ``mlp`` models the memory-level parallelism of an out-of-order core
     streaming a compile working set.  Runs forever; spawn as a daemon.
-
-    Both per-iteration RNG draws happen together at the top of the loop
-    (same stream order as drawing them at their use sites) so the
-    checkpoint ``cursor`` can carry them: a re-driven program consumes
-    the parked iteration's draws from the cursor instead of re-drawing,
-    and the restored RNG stream state picks up at the next iteration.
+    Sessions run it on its driver (``repro.sim.drivers``); this
+    generator is the reference the driver is tested against.
     """
     region_bytes = region_pages * PAGE_SIZE
     max_start = region_bytes - BURST_LINES * LINE_SIZE
 
     def program(cpu: Cpu) -> Generator:
-        mark = cpu.mark
-        resume = cursor
         while True:
-            if resume is not None:
-                start, think = resume
-                resume = None
-            else:
-                start = int(rng.integers(0, max_start)) & ~(LINE_SIZE - 1)
-                think = float(rng.uniform(*think_time))
-            mark((start, think))
+            start = int(rng.integers(0, max_start)) & ~(LINE_SIZE - 1)
+            think = float(rng.uniform(*think_time))
             yield from cpu.burst(
                 region_base + start,
                 count=BURST_LINES,

@@ -1,4 +1,4 @@
-"""Generator-free drivers for the three channel programs.
+"""Generator-free drivers for the channel and noise-worker programs.
 
 The event loop (:meth:`repro.sim.engine.Simulator.run`) pays a fixed
 per-event Python toll on the generator path — a generator resume, an
@@ -6,9 +6,10 @@ executor call, an ``OpResult`` allocation and a heap push — for every
 executed op.  For the covert-channel workloads that toll dominates: the
 trojan workers, the spy and the controller issue millions of ops per
 transmission from three small, fully-known programs (Algorithms 1 and 2).
+The kernel-build noise worker (Section VIII-C) is a fourth such program.
 
 A *driver* removes the toll for exactly those threads.  At spawn time
-:meth:`Simulator.spawn` recognizes the three programs by their
+:meth:`Simulator.spawn` recognizes the four programs by their
 :class:`~repro.checkpoint.spec.ProgramSpec` factory path
 (:data:`DRIVERS`) and attaches a driver to the thread's ``driver`` slot:
 a flat state machine that issues the same op sequence the generator
@@ -37,21 +38,22 @@ Everything else the drivers meet is read live: scheduler assignments
 (forced preemption) at every advance, translations (KSM merges and
 unmerges) at every access, and an obfuscation policy inside
 ``machine.load`` — it never applies to the L1-hit band the inline path
-serves.  Segmented sessions run driven as well: a driver's position is
+serves.  A driver's position is also the only form a checkpoint knows:
 the handful of plain fields each class lists in ``POSITION``, which
 :func:`repro.checkpoint.core.capture` stores and ``restore`` applies to
 a fresh driver built from the thread's spec.  Nothing else of a driver
 is pickled: its ``sim``/``thread``/``kernel`` links and the hoisted
 bindings (whose ``pair_actions`` cache is keyed by ``id()``) are
-rebuilt by :meth:`hoist` at spawn.
+rebuilt by :meth:`hoist` at spawn, and a noise worker's RNG stream is
+looked up again by name.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from repro.errors import SimulationError, SyncTimeoutError
-from repro.sim.events import AccessPath
+from repro.sim.events import AccessPath, Burst
 from repro.sim.thread import SimThread, ThreadState
 
 if TYPE_CHECKING:
@@ -91,6 +93,22 @@ class _Runtime:
         self.cycle_limit = _INF
         self.max_events: int | None = None
         self.max_cycles: float | None = None
+
+    def overrun(self, sim: "Simulator", thread: SimThread, clock: float,
+                events: int, global_clock: float) -> NoReturn:
+        """Park *thread* at *clock* and raise the limit its op exceeded.
+
+        The cold half of a driver's inline limit test: the thread goes
+        back on the heap exactly as the generator path leaves it.
+        """
+        thread.clock = clock
+        sim._push(thread)
+        if events >= self.event_limit:
+            raise SimulationError(
+                f"exceeded max_events={self.max_events} "
+                f"(global clock {global_clock:.0f})"
+            )
+        raise SimulationError(f"exceeded max_cycles={self.max_cycles}")
 
 
 def _kernel_of(executor: Any) -> Any | None:
@@ -308,19 +326,10 @@ class _WorkerDriver:
                             events += 1
                             if clock > global_clock:
                                 global_clock = clock
-                            if events >= event_limit:
-                                thread.clock = clock
-                                self.sim._push(thread)
-                                raise SimulationError(
-                                    f"exceeded max_events={rt.max_events} "
-                                    f"(global clock {global_clock:.0f})"
-                                )
-                            if global_clock > cycle_limit:
-                                thread.clock = clock
-                                self.sim._push(thread)
-                                raise SimulationError(
-                                    f"exceeded max_cycles={rt.max_cycles}"
-                                )
+                            if (events >= event_limit
+                                    or global_clock > cycle_limit):
+                                rt.overrun(self.sim, thread, clock, events,
+                                           global_clock)
                             if clock >= bound:
                                 return
                     else:
@@ -349,19 +358,8 @@ class _WorkerDriver:
                 events += 1
                 if clock > global_clock:
                     global_clock = clock
-                if events >= event_limit:
-                    thread.clock = clock
-                    self.sim._push(thread)
-                    raise SimulationError(
-                        f"exceeded max_events={rt.max_events} "
-                        f"(global clock {global_clock:.0f})"
-                    )
-                if global_clock > cycle_limit:
-                    thread.clock = clock
-                    self.sim._push(thread)
-                    raise SimulationError(
-                        f"exceeded max_cycles={rt.max_cycles}"
-                    )
+                if events >= event_limit or global_clock > cycle_limit:
+                    rt.overrun(self.sim, thread, clock, events, global_clock)
                 if clock >= bound:
                     return
         finally:
@@ -626,19 +624,8 @@ class _SpyDriver:
                 events += 1
                 if clock > global_clock:
                     global_clock = clock
-                if events >= event_limit:
-                    thread.clock = clock
-                    self.sim._push(thread)
-                    raise SimulationError(
-                        f"exceeded max_events={rt.max_events} "
-                        f"(global clock {global_clock:.0f})"
-                    )
-                if global_clock > cycle_limit:
-                    thread.clock = clock
-                    self.sim._push(thread)
-                    raise SimulationError(
-                        f"exceeded max_cycles={rt.max_cycles}"
-                    )
+                if events >= event_limit or global_clock > cycle_limit:
+                    rt.overrun(self.sim, thread, clock, events, global_clock)
                 if clock >= bound:
                     return
         finally:
@@ -797,19 +784,8 @@ class _ControllerDriver:
                 events += 1
                 if clock > global_clock:
                     global_clock = clock
-                if events >= event_limit:
-                    thread.clock = clock
-                    self.sim._push(thread)
-                    raise SimulationError(
-                        f"exceeded max_events={rt.max_events} "
-                        f"(global clock {global_clock:.0f})"
-                    )
-                if global_clock > cycle_limit:
-                    thread.clock = clock
-                    self.sim._push(thread)
-                    raise SimulationError(
-                        f"exceeded max_cycles={rt.max_cycles}"
-                    )
+                if events >= event_limit or global_clock > cycle_limit:
+                    rt.overrun(self.sim, thread, clock, events, global_clock)
                 if clock >= bound:
                     return
         finally:
@@ -822,13 +798,117 @@ class _ControllerDriver:
                 thread.ops_executed += ops
 
 
-#: ProgramSpec factory path -> driver class.  Only these three programs
-#: are ever driven; everything else (noise workloads, ksmd, fault
-#: injectors, ad-hoc programs) runs on the generator path.
+class _NoiseDriver:
+    """Drives ``repro.kernel.workloads:kernel_build_program`` threads.
+
+    Two states: at the loop top, draw the burst start and the think time
+    from the thread's RNG stream and issue one batched burst; after the
+    burst, issue the think delay.  Both ops pay the timeshare slowdown,
+    as ``Kernel._execute`` charges ``Burst`` and ``Delay``.
+    """
+
+    __slots__ = ("sim", "thread", "kernel", "state", "think", "_hoist")
+
+    #: The fields a checkpoint stores (the burst start is drawn and
+    #: spent in the same step, so it is never pending).
+    POSITION = ("state", "think")
+
+    def __init__(self, sim: "Simulator", thread: SimThread, kernel: Any,
+                 spec: Any):
+        # Imported here, as in _channel_consts: sim must not import the
+        # checkpoint or kernel layers at module load.
+        from repro.checkpoint.spec import RngRef
+        from repro.kernel import workloads as w
+
+        if (len(spec.args) != 3 or spec.kwargs
+                or not isinstance(spec.args[2], RngRef)):
+            raise _Ineligible("unexpected kernel_build_program spec shape")
+        self.sim = sim
+        self.thread = thread
+        self.kernel = kernel
+        region_base, region_pages, ref = spec.args
+        rng = kernel.rng.get(ref.stream)
+        lines, line_size = w.BURST_LINES, w.LINE_SIZE
+        #: 0 = loop top (draw, then burst), 1 = after the burst (think).
+        self.state = 0
+        self.think = 0.0
+        self._hoist = (
+            rng.integers, rng.uniform, *w.KERNEL_BUILD_THINK, region_base,
+            region_pages * w.PAGE_SIZE - lines * line_size,
+            ~(line_size - 1), lines, line_size, w.KERNEL_BUILD_WRITE_RATIO,
+            w.KERNEL_BUILD_MLP,
+        )
+
+    def hoist(self) -> None:
+        """Nothing to freeze: the burst reads the machine per access."""
+
+    def advance(self, bound: float, rt: _Runtime) -> None:
+        thread = self.thread
+        kernel = self.kernel
+        (integers, uniform, think_lo, think_hi, base, max_start, align,
+         lines, line_size, write_ratio, mlp) = self._hoist
+        do_burst = kernel._do_burst
+
+        tid = thread.tid
+        core = kernel._sched_thread_core.get(tid)
+        shared = (
+            core is not None and len(kernel._sched_assignments[core]) > 1
+        )
+        timeshare = kernel._timeshare
+        sched_rng = kernel._sched_rng
+
+        clock = thread.clock
+        events = rt.events
+        global_clock = rt.global_clock
+        event_limit = rt.event_limit
+        cycle_limit = rt.cycle_limit
+        state = self.state
+        think = self.think
+        ops = 0
+        try:
+            while True:
+                if state == 0:
+                    start = int(integers(0, max_start)) & align
+                    think = float(uniform(think_lo, think_hi))
+                    latency = do_burst(thread, Burst(
+                        base + start, lines, line_size, write_ratio, mlp,
+                    ), clock)
+                    state = 1
+                else:
+                    latency = think
+                    state = 0
+                if shared:
+                    factor, penalty = timeshare(tid, sched_rng)
+                    latency = latency * factor
+                    latency += penalty
+                clock += latency
+                ops += 1
+                events += 1
+                if clock > global_clock:
+                    global_clock = clock
+                if events >= event_limit or global_clock > cycle_limit:
+                    rt.overrun(self.sim, thread, clock, events, global_clock)
+                if clock >= bound:
+                    return
+        finally:
+            rt.events = events
+            rt.global_clock = global_clock
+            self.state = state
+            self.think = think
+            if ops:
+                thread.clock = clock
+                thread.ops_executed += ops
+
+
+#: ProgramSpec factory path -> driver class.  Only these four programs
+#: are ever driven; everything else (fault injectors, ksmd, mitigation
+#: monitors, ad-hoc programs) runs on the generator path and cannot be
+#: checkpointed.
 DRIVERS = {
     "repro.channel.trojan:worker_program": _WorkerDriver,
     "repro.channel.spy:spy_program": _SpyDriver,
     "repro.channel.trojan:controller_program": _ControllerDriver,
+    "repro.kernel.workloads:kernel_build_program": _NoiseDriver,
 }
 
 

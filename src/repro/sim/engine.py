@@ -15,10 +15,11 @@ maintained at spawn/exit (not a scan over the thread list, which grows
 with every transmission on a long-lived session), name lookup is a dict,
 and the event counter is a bound handle flushed once per run.
 
-Threads running one of the three channel programs carry a driver
-(:mod:`repro.sim.drivers`) that executes their ops without generator
-dispatch, bit-identically, in every session: a checkpoint stores a
-driver's position directly (:mod:`repro.checkpoint.core`).
+Threads running one of the channel programs or the kernel-build noise
+worker carry a driver (:mod:`repro.sim.drivers`) that executes their
+ops without generator dispatch, bit-identically, in every session.  A
+checkpoint stores each driver's position (:mod:`repro.checkpoint.core`);
+the engine keeps no checkpoint state of its own.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class Simulator:
         self._live_count = 0
         self._by_name: dict[str, SimThread] = {}
         self._events_counter = self.stats.counter_handle("engine.events")
-        #: When True, every undriven thread spawned with a spec gets a
-        #: replay log so its position can be checkpointed (see
-        #: :mod:`repro.checkpoint`); a driver's position is its own
-        #: fields.  Off by default: the log costs one list append per
-        #: event.
-        self.checkpointing = False
         #: Machine of the first driven thread, and the ``load``/``store``/
         #: ``flush`` bindings the live drivers hoisted: run entry
         #: re-hoists on any other.  ``None`` until a driver is attached.
@@ -111,11 +106,11 @@ class Simulator:
             Optional owning process object (used by the kernel layer).
         spec:
             Optional :class:`repro.checkpoint.ProgramSpec` describing
-            how to rebuild *program* from plain data; threads without
-            one cannot be checkpointed (a session falls back to an
-            unsegmented run when any live thread lacks a spec).
-            A spec naming a channel program attaches a driver (see
-            :mod:`repro.sim.drivers`).
+            how to rebuild *program* from plain data.  A spec naming one
+            of the :data:`~repro.sim.drivers.DRIVERS` programs attaches
+            a driver, which is what makes the thread checkpointable (a
+            session falls back to an unsegmented run when any live
+            thread is undriven).
         """
         existing = self._by_name.get(name)
         if existing is not None and existing.state is _READY:
@@ -146,13 +141,6 @@ class Simulator:
             if self._driver_machine is None:
                 self._driver_machine = driver.kernel.machine
                 self._driver_bindings = hoisted_bindings(self._driver_machine)
-        elif self.checkpointing and spec is not None:
-            # Only undriven spec-bearing threads get a replay log: a
-            # thread with no ProgramSpec cannot be restored anyway, and
-            # some spec-less programs (fault injectors) loop without
-            # calling Cpu.mark, which would grow an untruncated log
-            # unboundedly.
-            thread.replay_log = []
         return thread
 
     @property
@@ -299,16 +287,8 @@ class Simulator:
                 # -- advance the program to its next op ----------------
                 # send(None) on a fresh generator is next(), so one send
                 # covers both the first and every later resume.
-                pending = thread._pending_result
-                log = thread.replay_log
-                if log is not None and pending is not None:
-                    # Checkpoint support: record the result being
-                    # delivered *before* the send, so (cursor, log,
-                    # pending) always re-drive a fresh generator to the
-                    # thread's exact position (Cpu.mark truncates).
-                    log.append(pending)
                 try:
-                    op = thread._generator.send(pending)
+                    op = thread._generator.send(thread._pending_result)
                 except StopIteration as stop:
                     thread.state = _DONE
                     thread.result = stop.value

@@ -144,30 +144,6 @@ class Cpu:
         result = yield Burst(vaddr, count, stride, write_ratio, mlp)
         return result
 
-    def mark(self, cursor: Any) -> None:
-        """Declare a checkpoint resume point (plain call, no yield).
-
-        A resumable program calls ``mark(cursor)`` at the top of each
-        loop iteration with whatever picklable value lets a fresh copy of
-        the program fast-forward back to this point (see
-        :mod:`repro.checkpoint`).  The contract: re-creating the program
-        with ``cursor=<this value>`` and replaying the op results
-        recorded since this mark must reproduce the exact op sequence the
-        original would have issued.  The noise workloads and ksmd mark;
-        the channel programs run on drivers, whose position a checkpoint
-        stores directly, and do not.
-
-        Free when checkpointing is off (one attribute read and a None
-        test); under checkpointing it additionally truncates the
-        thread's replay log, bounding the log to one loop iteration.
-        """
-        thread = self._thread
-        log = thread.replay_log
-        if log is None:
-            return
-        thread.cursor = cursor
-        del log[:]
-
 
 class SimThread:
     """One schedulable thread inside the simulator.
@@ -180,7 +156,7 @@ class SimThread:
         "tid", "name", "core_id", "executor", "process", "clock", "state",
         "result", "failure", "ops_executed", "cpu", "daemon", "on_exit",
         "_exit_fired", "_engine_exit", "_generator", "_pending_result",
-        "replay_log", "cursor", "program_spec", "driver",
+        "program_spec", "driver",
     )
 
     _VALID_OPS = (Load, Store, Flush, Delay, Rdtsc, Fence, Burst)
@@ -219,20 +195,13 @@ class SimThread:
         self._exit_fired = False
         self._generator = program(self.cpu)
         self._pending_result: OpResult | None = None
-        #: Checkpoint support (see :mod:`repro.checkpoint`).  When the
-        #: owning simulator runs with checkpointing enabled, the engine
-        #: creates ``replay_log`` at spawn for an undriven thread with a
-        #: spec and appends every op result it delivers to the generator;
-        #: :meth:`Cpu.mark` records ``cursor`` and truncates the log, so
-        #: (cursor, log, pending result) always suffice to re-drive a
-        #: fresh program copy to this exact point.
-        #: ``program_spec`` names the factory that can rebuild the
-        #: program (None for programs that cannot be checkpointed).
-        self.replay_log: list[OpResult] | None = None
-        self.cursor: Any = None
+        #: The factory that can rebuild the program (see
+        #: :mod:`repro.checkpoint`); None for ad-hoc programs.
         self.program_spec: Any = None
         #: Generator-free driver (see :mod:`repro.sim.drivers`) that the
-        #: engine runs instead of ``_generator`` while set.
+        #: engine runs instead of ``_generator`` while set.  A checkpoint
+        #: stores a live thread's driver position; an undriven live
+        #: thread cannot be checkpointed.
         self.driver: Any = None
 
     @property

@@ -6,8 +6,10 @@ uninterrupted one, and a later process that resumes from the newest
 stored segment finishes with the same result the original would have
 produced.  Covered across the three coherence backends (snoop MESI,
 MOESI, home-node directory), with noise workloads and a warmup prefix
-riding along — one blob holds the noise threads' re-drive logs and the
-channel drivers' positions, and both runs stay on the drivers — plus
+riding along — one blob holds the noise workers' and the channel
+threads' driver positions, and both runs stay on the drivers.  A
+resumed result pickles to the same bytes as the uninterrupted one, and
+a store attached to an already-built noisy session segments it.  Plus
 the blob format's integrity checks, stale-version segments and the
 ``REPRO_SEGMENT_CYCLES`` parsing that switches segmentation on.
 """
@@ -15,6 +17,7 @@ the blob format's integrity checks, stale-version segments and the
 import hashlib
 import pickle
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.checkpoint.core import (
     BLOB_MAGIC,
     CHECKPOINT_VERSION,
     Checkpoint,
+    capture,
     inspect_blob,
     restore,
 )
@@ -42,6 +46,7 @@ from repro.checkpoint.segments import (
 )
 from repro.errors import CheckpointError
 from repro.runner import ResultCache
+from repro.sim import drivers
 
 PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 
@@ -50,8 +55,8 @@ PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 BACKENDS = ("mesi-es", "moesi-ostate", "dir-es")
 
 #: Noise threads + a warmup prefix exercise the hard parts of a
-#: snapshot: kernel-build workload threads, the KSM daemon, and the
-#: warmup-labelled re-drive path.
+#: snapshot: kernel-build workload threads live at every boundary, and
+#: the warmup-labelled resume path.
 POINT = dict(seed=11, calibration_samples=120, noise_threads=1,
              warmup_bits=4)
 
@@ -108,6 +113,104 @@ def test_segmented_and_resumed_runs_are_bit_identical(
     assert digest(resumed) == digest(baseline)
     assert resumed.manifest.resumed_from is not None
     assert resumed.manifest.engine == "driven"
+
+
+def unmanifested(result) -> bytes:
+    """*result*'s pickle without its run manifest."""
+    return pickle.dumps(replace(result, manifest=None))
+
+
+def test_resumed_result_pickles_to_same_bytes(seg_cache, monkeypatch):
+    """A result finished from a checkpoint is the same bytes as the
+    uninterrupted one: labels of samples captured before the pause come
+    back interned, as the decoder's literals are."""
+    point = dict(spec="mesi-es", payload=list(PAYLOAD[:6]), **POINT)
+    baseline = execute_point(**point)
+
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", str(baseline.cycles / 3))
+    clear_warm_state()
+    assert execute_point(**point).manifest.segments_stored > 0
+    clear_warm_state()
+    resumed = execute_point(**point)
+    assert resumed.manifest.resumed_from is not None
+    assert unmanifested(resumed) == unmanifested(baseline)
+
+
+def _noisy_session() -> ChannelSession:
+    return ChannelSession(SessionConfig(
+        spec="mesi-es", seed=11, calibration_samples=120, noise_threads=1,
+    ))
+
+
+def test_store_attached_after_build_segments_noisy_session(seg_cache):
+    """A noisy session built with segmentation off and handed a store
+    afterwards stores segments (its noise workers are driven from their
+    spawn), and the newest one restores to the identical result and
+    final machine and engine state."""
+    reference = _noisy_session().transmit(list(PAYLOAD))
+
+    session = _noisy_session()
+    store = SegmentStore("late", cache=ResultCache(seg_cache),
+                         cycles=25000.0)
+    session.segments = store
+    segmented = session.transmit(list(PAYLOAD))
+    assert store.segments_stored > 0
+    assert unmanifested(segmented) == unmanifested(reference)
+
+    restored, ctx = restore(store.latest())
+    assert restored.sim.thread_by_name("kbuild-0").driver is not None
+    resumed = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
+    assert digest(resumed) == digest(reference)
+    assert unmanifested(resumed) == unmanifested(reference)
+    # The segmented session finished in memory; the restored one must
+    # leave the engine and the machine exactly where it did.
+    assert restored.sim.global_clock == session.sim.global_clock
+    assert (restored.machine.stats.counters()
+            == session.machine.stats.counters())
+
+
+def test_noise_worker_restores_mid_think(seg_cache):
+    """A checkpoint taken while a noise worker waits out its think time
+    resumes that wait: the transmission, the engine clock and every
+    machine counter end as in the run that never restored."""
+    session = _noisy_session()
+    blobs = []
+
+    def pause_capture_finish(ctx):
+        sim = session.sim
+        noise = sim.thread_by_name("kbuild-0").driver
+        while sim.run(pause_at=sim.global_clock + 5_000.0):
+            if noise.state == 1:
+                blobs.append(capture(session, ctx).to_bytes())
+                break
+        sim.run()
+
+    session._run_transmission = pause_capture_finish
+    reference = session.transmit(list(PAYLOAD))
+    assert blobs, "the noise worker was never parked mid-think"
+
+    restored, ctx = restore(blobs[0])
+    noise = restored.sim.thread_by_name("kbuild-0").driver
+    assert noise.state == 1 and noise.think > 0
+    resumed = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
+    assert unmanifested(resumed) == unmanifested(reference)
+    assert restored.sim.global_clock == session.sim.global_clock
+    assert (restored.machine.stats.counters()
+            == session.machine.stats.counters())
+
+
+def test_undriven_noise_session_is_not_segmented(seg_cache, monkeypatch):
+    """With the driver table emptied nothing is driven: the session runs
+    unsegmented, and a direct capture names the undriven thread."""
+    monkeypatch.setattr(drivers, "DRIVERS", {})
+    session = _noisy_session()
+    store = SegmentStore("undriven", cache=ResultCache(seg_cache),
+                         cycles=25000.0)
+    session.segments = store
+    session.transmit(list(PAYLOAD))
+    assert store.segments_stored == 0
+    with pytest.raises(CheckpointError, match="'kbuild-0' has no driver"):
+        capture(session)
 
 
 def test_stale_version_segment_is_ignored(seg_cache, monkeypatch, tmp_path):
