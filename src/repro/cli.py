@@ -367,16 +367,14 @@ def cmd_serve(argv: list[str]) -> None:
     """Run the experiment service in the foreground."""
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="host the experiment service: HTTP job API + shared "
-                    "single-flight cache server + one warm worker pool "
-                    "serving every submitted grid",
+        description="host the experiment service on one HTTP port: the "
+                    "job API + the shared single-flight cache routes + "
+                    "one warm worker pool serving every submitted grid",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8765,
-                        help="HTTP job-API port (default: 8765; 0 = any)")
-    parser.add_argument("--cache-port", type=int, default=0,
-                        help="cache-server socket port (default: any free)")
+                        help="HTTP port (default: 8765; 0 = any)")
     parser.add_argument("--workers", type=int, default=None,
                         help="shared pool size (default: cpu count)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -398,7 +396,6 @@ def cmd_serve(argv: list[str]) -> None:
         cache=ResultCache(args.cache_dir),
         host=args.host,
         http_port=args.port,
-        cache_port=args.cache_port,
         workers=workers,
         policy=FailurePolicy(
             retries=args.retries, timeout=args.timeout, keep_going=True,
@@ -408,9 +405,8 @@ def cmd_serve(argv: list[str]) -> None:
     async def host() -> None:
         await service.start()
         http_host, http_port = service.host, service.http_port
-        cache_host, cache_port = service.cache_server.address
-        print(f"job API     http://{http_host}:{http_port}", file=sys.stderr)
-        print(f"cache server {cache_host}:{cache_port}", file=sys.stderr)
+        print(f"serving     http://{http_host}:{http_port}  "
+              f"(jobs + single-flight cache)", file=sys.stderr)
         print(f"workers     {workers}  cache {service.cache.root}",
               file=sys.stderr)
         assert service._http_server is not None
@@ -465,8 +461,8 @@ def cmd_submit(argv: list[str]) -> None:
         except ValueError:
             params[key] = raw
 
-    client = ServiceClient(args.url)
     try:
+        client = ServiceClient(args.url)
         payload: dict = {"driver": args.driver, "params": params}
         if args.retries is not None:
             payload["retries"] = args.retries
@@ -505,8 +501,8 @@ def cmd_jobs(argv: list[str]) -> None:
     from repro.errors import ServiceError
     from repro.service import ServiceClient
 
-    client = ServiceClient(args.url)
     try:
+        client = ServiceClient(args.url)
         if args.job is not None:
             print(json.dumps(client.job(args.job), indent=2, sort_keys=True))
             return

@@ -155,8 +155,8 @@ class CalibrationError(ChannelError):
 
 
 class ServiceError(ReproError):
-    """The experiment service (job API or cache server) failed."""
+    """The experiment service (job API or cache routes) failed."""
 
 
 class CacheProtocolError(ServiceError):
-    """The cache server spoke an unexpected frame (or went away)."""
+    """A ``/cache`` route answered an error or an unexpected status."""

@@ -163,15 +163,15 @@ class ResultCache:
     def path_for(self, point: Point) -> Path:
         return self.path_for_key(self.key_for(point))
 
-    # -- raw key-addressed blob access (the cache-server transport) -----
+    # -- raw key-addressed blob access (the service's cache routes) -----
 
     def lookup_blob(self, key: str) -> bytes | None:
         """Raw entry bytes for *key*, or ``None`` on miss.
 
-        The cache *server* (:mod:`repro.service`) moves entries as
-        opaque framed blobs — same keys, same on-disk encoding — so a
-        blob fetched here can be shipped over a socket and decoded by
-        any client with :func:`decode_entry`.  Corrupt entries cannot be
+        The service (:mod:`repro.service`) moves entries as opaque
+        framed blobs — same keys, same on-disk encoding — so a blob
+        fetched here can be shipped over HTTP and decoded by any client
+        with :func:`decode_entry`.  Corrupt entries cannot be
         detected without decoding, so unlike :meth:`lookup` this never
         deletes; transiently unreadable entries are misses.
         """

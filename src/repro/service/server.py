@@ -1,11 +1,11 @@
-""":class:`ExperimentService`: cache server + job manager + HTTP API.
+""":class:`ExperimentService`: single-flight index + job manager + HTTP.
 
-One asyncio loop hosts all three layers, sharing a single
+One asyncio loop hosts the layers behind one listener, sharing a single
 :class:`~repro.service.singleflight.SingleFlightIndex` — which is
 exactly how the fleet-wide dedupe guarantee arises: every execution
 path (HTTP-submitted jobs on the shared pool, external runners on the
-socket protocol) must reserve a key in the same index before computing
-it.
+``/cache`` routes) must reserve a key in the same index before
+computing it.
 
 :func:`ExperimentService.run_in_thread` hosts the whole service on a
 daemon thread for tests and the CI smoke job — the same code path
@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.runner.cache import ResultCache
 from repro.runner.executor import FailurePolicy
-from repro.service.cacheserver import CacheServer
 from repro.service.http import HttpApi
 from repro.service.jobs import JobManager
 from repro.service.singleflight import SingleFlightIndex
@@ -35,15 +34,11 @@ class ExperimentService:
         cache: ResultCache | None = None,
         host: str = "127.0.0.1",
         http_port: int = 0,
-        cache_port: int = 0,
         workers: int = 2,
         policy: FailurePolicy | None = None,
     ):
         self.cache = cache if cache is not None else ResultCache()
         self.index = SingleFlightIndex(self.cache)
-        self.cache_server = CacheServer(
-            self.index, host=host, port=cache_port
-        )
         self.manager = JobManager(
             self.index, workers=workers, policy=policy
         )
@@ -59,12 +54,15 @@ class ExperimentService:
             self._http_handlers.add(task)
         try:
             await self.api.handle(reader, writer)
+        except asyncio.CancelledError:
+            # stop() ended the connection.  Finish normally: the stream
+            # layer logs a cancelled handler task as an unhandled error.
+            pass
         finally:
             if task is not None:
                 self._http_handlers.discard(task)
 
     async def start(self) -> None:
-        await self.cache_server.start()
         await self.manager.start()
         self._http_server = await asyncio.start_server(
             self._handle_http, host=self.host, port=self.http_port
@@ -74,10 +72,10 @@ class ExperimentService:
     async def stop(self) -> None:
         if self._http_server is not None:
             self._http_server.close()
-            await self._http_server.wait_closed()
-            self._http_server = None
-        # A parked /events stream outlives the listening socket; cancel
-        # it so the loop can close cleanly.
+        # Kept-alive connections, parked waits and /events streams
+        # outlive the listening socket, and from Python 3.12 on
+        # wait_closed() waits for them: cancel them first (each handler's
+        # sweep releases its connection's keys).
         for task in list(self._http_handlers):
             task.cancel()
         if self._http_handlers:
@@ -85,8 +83,10 @@ class ExperimentService:
                 *self._http_handlers, return_exceptions=True
             )
         self._http_handlers.clear()
+        if self._http_server is not None:
+            await self._http_server.wait_closed()
+            self._http_server = None
         await self.manager.stop()
-        await self.cache_server.stop()
 
     async def serve_forever(self) -> None:
         await self.start()
@@ -134,7 +134,7 @@ class ExperimentService:
 
 @dataclass
 class ServiceHandle:
-    """A running threaded service: addresses plus a blocking ``stop()``."""
+    """A running threaded service: its address plus a blocking ``stop()``."""
 
     service: ExperimentService
     _loop: asyncio.AbstractEventLoop | None = None
@@ -143,10 +143,6 @@ class ServiceHandle:
     @property
     def http_address(self) -> tuple[str, int]:
         return self.service.host, self.service.http_port
-
-    @property
-    def cache_address(self) -> tuple[str, int]:
-        return self.service.cache_server.address
 
     @property
     def base_url(self) -> str:

@@ -1,7 +1,7 @@
 """The single-flight index: one execution per unique key.
 
 :class:`SingleFlightIndex` sits between every execution path in the service
-(local job scheduler, remote socket clients) and the on-disk
+(local job scheduler, remote HTTP clients) and the on-disk
 :class:`~repro.runner.cache.ResultCache`.  It speaks raw content keys
 and opaque entry blobs — the exact bytes the cache stores — so a blob
 published by one client decodes identically for every other.
@@ -38,7 +38,7 @@ class _Reservation:
 class SingleFlightIndex:
     """Single-flight reservations over a :class:`ResultCache`.
 
-    Owners are opaque string tokens (a socket connection id, a job/point
+    Owners are opaque string tokens (an HTTP connection id, a job/point
     id) so one misbehaving client's reservations can be swept with
     :meth:`release_owner` when it disconnects.
     """
@@ -182,7 +182,7 @@ class SingleFlightIndex:
     def release_owner(self, owner: str) -> int:
         """Sweep every reservation and parked wait held by *owner*.
 
-        Called when a socket client disconnects: its owned keys hand
+        Called when a client's connection ends: its owned keys hand
         over to their first waiter, and its parked waits are cancelled
         so they never leak futures.  Returns the number of owned keys
         released.

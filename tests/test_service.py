@@ -1,10 +1,10 @@
-"""The experiment service: single-flight index, cache server
-socket protocol, job scheduling, and the HTTP job API.
+"""The experiment service: single-flight index, the ``/cache`` routes,
+job scheduling, the HTTP job API and its keep-alive framing.
 
 The load-bearing properties under test:
 
 * **single-flight** — concurrent requests for one key coalesce onto a
-  single execution, fleet-wide (HTTP jobs and socket runners share one
+  single execution, fleet-wide (HTTP jobs and remote runners share one
   index);
 * **liveness** — a failed or vanished owner promotes its first waiter;
   dedupe is an optimization, never a deadlock;
@@ -14,7 +14,9 @@ The load-bearing properties under test:
 
 import asyncio
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -145,12 +147,11 @@ def service(tmp_path):
 
 
 def remote(handle, **kwargs):
-    host, port = handle.cache_address
     kwargs.setdefault("salt", "svc")
-    return RemoteCache(host, port, **kwargs)
+    return RemoteCache(handle.base_url, **kwargs)
 
 
-# -- the socket protocol -------------------------------------------------
+# -- the /cache routes ---------------------------------------------------
 
 
 def test_remote_cache_round_trip(service):
@@ -426,3 +427,130 @@ def test_decode_entry_round_trips_point_blob(service):
     # The on-disk entry is byte-identical to what the route served.
     on_disk = service.service.cache.lookup_blob(key)
     assert on_disk == blob
+
+
+# -- keep-alive framing and key validation -------------------------------
+
+
+def raw_connection(handle):
+    sock = socket.create_connection(handle.http_address, timeout=10)
+    return sock, sock.makefile("rb")
+
+
+def read_reply(stream):
+    """``(status, headers, body)`` of one Content-Length response."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", "0")))
+    return status, headers, body
+
+
+@pytest.mark.parametrize("key", [
+    "..", "../../escaped", "..%2F..%2Fescaped", "AB" * 32, "ab" * 31,
+])
+def test_cache_routes_refuse_non_hash_keys(service, key):
+    connection = ServiceClient(service.base_url).connection
+    for method, path, body in (
+        ("PUT", f"/cache/{key}", encode_entry(1)),
+        ("GET", f"/cache/{key}", b""),
+        ("POST", f"/cache/{key}/reserve", b""),
+        ("POST", f"/cache/{key}/wait?timeout=0", b""),
+        ("POST", f"/cache/{key}/release", b""),
+    ):
+        status, headers, reply = connection.request(method, path, body)
+        assert status == 400, (method, path)
+        assert "64 lowercase hex" in json.loads(reply)["error"]
+        assert "x-cache-status" not in headers
+    connection.close()
+    # Nothing reached the index or the disk, inside the root or out.
+    stats = service.stats()
+    assert stats["hits"] == stats["misses"] == stats["published"] == 0
+    cache = service.service.cache
+    assert not cache.path_for_key(key).resolve().exists()
+    assert not (cache.root.parent.parent / "escaped.pkl").exists()
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"NOT-HTTP\r\n\r\n", 400),
+    (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n", 413),
+])
+def test_framing_errors_answer_and_close(service, request_bytes, status):
+    sock, stream = raw_connection(service)
+    # A well-formed request first: the error must close a live
+    # keep-alive connection, not just a fresh one.
+    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert read_reply(stream)[0] == 200
+    sock.sendall(request_bytes)
+    answered, headers, body = read_reply(stream)
+    assert answered == status
+    assert headers["connection"] == "close"
+    assert "error" in json.loads(body)
+    assert stream.read() == b""  # EOF: the stream position is unknown
+    stream.close()
+    sock.close()
+
+
+def test_keep_alive_serves_requests_until_close(service):
+    sock, stream = raw_connection(service)
+    for _ in range(2):
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        status, headers, body = read_reply(stream)
+        assert status == 200 and json.loads(body) == {"status": "ok"}
+        assert "connection" not in headers
+    sock.sendall(
+        b"GET /stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    status, headers, body = read_reply(stream)
+    assert status == 200 and "cache" in json.loads(body)
+    assert headers["connection"] == "close"
+    assert stream.read() == b""
+    stream.close()
+    sock.close()
+
+
+def test_dropped_waiter_is_swept_not_promoted(service):
+    owner = remote(service)
+    point = Point(fn=SQUARE, params={"x": 11})
+    key = owner.key_for(point)
+    assert owner.reserve(point) == ("own", None)
+    index = service.service.index
+
+    def waiters():
+        return service.call(
+            lambda: len(index._reservations[key].waiters)
+        )
+
+    def settle(expected):
+        deadline = time.monotonic() + 10
+        while waiters() != expected:
+            assert time.monotonic() < deadline, f"waiters != {expected}"
+            time.sleep(0.01)
+
+    sock, stream = raw_connection(service)
+    sock.sendall(
+        f"POST /cache/{key}/reserve HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+    )
+    assert read_reply(stream)[1]["x-cache-status"] == "wait"
+    sock.sendall(
+        f"POST /cache/{key}/wait?timeout=60 HTTP/1.1\r\n"
+        f"Host: t\r\n\r\n".encode()
+    )
+    settle(1)  # parked on the long poll
+    stream.close()
+    sock.close()
+    settle(0)  # swept on hang-up, long before the wait's timeout
+    owner.release(point)
+    stats = service.stats()
+    assert stats["failed"] == 1
+    assert stats["promoted"] == 0  # nobody inherited the key
+    assert stats["in_flight"] == 0
+    owner.close()
