@@ -59,11 +59,11 @@ from repro.mem import (
 from repro.obs import RunManifest, TraceRecorder
 from repro.sim import RngStreams, Simulator
 
-# 1.5.0: deterministic checkpoint/restore and segmented crash-resumable
-# execution (repro.checkpoint) — the bump salts the result cache (and
-# the segment identities riding in it) because spawn-time ProgramSpec
-# attachment changed session construction.
-__version__ = "1.5.0"
+# 1.6.0: results carry their latency trace as a column-stored
+# SampleTrace, which pickles in another layout than the packed sample
+# tuple it replaces — the bump salts the result cache, so no entry of
+# the old layout is ever decoded into the new class.
+__version__ = "1.6.0"
 
 __all__ = [
     "CLOCK_HZ",

@@ -52,7 +52,7 @@ from repro.channel.scenarios import (
     matrix_cell,
     scenario_spec_by_name,
 )
-from repro.channel.decoder import BitDecoder, DecodeReport, Sample
+from repro.channel.decoder import BitDecoder, DecodeReport, Sample, SampleTrace
 from repro.channel.eviction import (
     EvictionSetDiscovery,
 )
@@ -129,6 +129,7 @@ __all__ = [
     "SCENARIOS",
     "SYMBOL_PAIRS",
     "Sample",
+    "SampleTrace",
     "Scenario",
     "ScenarioSpec",
     "SessionBase",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.channel.calibration import LatencyBands
@@ -39,79 +40,138 @@ class Sample:
         self.__dict__.update(state)
 
 
-#: Tag identifying the packed-sample wire format produced by
-#: :func:`pack_samples`.  Bump when the tuple layout changes.
-PACKED_SAMPLES_TAG = "samples/v1"
+#: ``AccessPath`` by value: a trace's path table decodes through this
+#: dict, so loading a trace makes no enum call.
+_PATH_BY_VALUE = {path.value: path for path in AccessPath}
 
 
-def pack_samples(samples: list[Sample]) -> tuple | list[Sample]:
-    """Encode a sample list as a compact, picklable tuple.
-
-    A transmission's dominant payload is its latency trace — thousands
-    of :class:`Sample` records, each pickled as a full object with four
-    attribute references.  The packed form stores the numeric fields as
-    one native ``array('d')`` blob, the one-character labels as a
-    string, and the :class:`~repro.sim.events.AccessPath` ground truth
-    as a byte-per-sample index into a small name table — about 17 bytes
-    per sample instead of ~120.  Used both for IPC payloads (worker ->
-    parent pickles) and :class:`~repro.runner.cache.ResultCache`
-    entries.
-
-    Samples that do not fit the compact model (multi-character labels,
-    a ``path`` that is neither None nor an ``AccessPath``) are returned
-    unpacked; :func:`unpack_samples` passes plain lists through, so the
-    fallback stays round-trippable.
-    """
-    numeric = array("d")
-    labels: list[str] = []
-    path_codes = bytearray()
-    path_names: list[str] = []
-    path_index: dict[object, int] = {None: 0}
-    for sample in samples:
-        path = sample.path
-        code = path_index.get(path)
-        if code is None:
-            if not isinstance(path, AccessPath) or len(path_index) > 255:
-                return list(samples)
-            path_names.append(path.value)
-            code = len(path_names)
-            path_index[path] = code
-        if len(sample.label) != 1:
-            return list(samples)
-        numeric.append(sample.timestamp)
-        numeric.append(sample.latency)
-        labels.append(sample.label)
-        path_codes.append(code)
-    return (
-        PACKED_SAMPLES_TAG,
-        len(samples),
-        numeric.tobytes(),
-        "".join(labels),
-        bytes(path_codes),
-        tuple(path_names),
+def _sample(timestamp: float, latency: float, label: str, path) -> Sample:
+    # Filled as Sample.__setstate__ fills an unpickled one: no
+    # frozen-dataclass __init__ (one object.__setattr__ per field).
+    sample = object.__new__(Sample)
+    sample.__dict__.update(
+        timestamp=timestamp, latency=latency, label=label, path=path
     )
+    return sample
 
 
-def unpack_samples(packed: tuple | list[Sample]) -> list[Sample]:
-    """Inverse of :func:`pack_samples` (plain lists pass through)."""
-    if isinstance(packed, list):
-        return packed
-    tag, count, raw, labels, path_codes, path_names = packed
-    if tag != PACKED_SAMPLES_TAG:
-        raise ValueError(f"unknown packed-sample format {tag!r}")
-    numeric = array("d")
-    numeric.frombytes(raw)
-    paths: list[object] = [None]
-    paths.extend(AccessPath(name) for name in path_names)
-    return [
-        Sample(
-            timestamp=numeric[2 * i],
-            latency=numeric[2 * i + 1],
-            label=labels[i],
-            path=paths[path_codes[i]],
+class SampleTrace(Sequence):
+    """A finished transmission's latency trace, stored as columns.
+
+    A transmission's dominant payload is its latency trace — one
+    :class:`Sample` per sampling slot.  The trace keeps the numeric
+    fields as two ``array('d')`` columns, the one-character labels as
+    one string, and the :class:`~repro.sim.events.AccessPath` ground
+    truth as a byte per slot indexing a small table of paths (code 0 is
+    ``None``).  It pickles as those columns, so unpickling one — every
+    IPC result and every :class:`~repro.runner.cache.ResultCache` hit —
+    allocates a handful of objects however many slots it holds.
+    Indexing, slicing and iteration build :class:`Sample` records on
+    access; a trace equals another trace with the same columns and a
+    list of equal samples.  The columns are read-only by contract: a
+    finished transmission's trace does not change.
+
+    Raises ``ValueError`` on a sample that does not fit the columns: a
+    label that is not one character, or a ``path`` that is neither None
+    nor an ``AccessPath``.
+    """
+
+    __slots__ = ("timestamps", "latencies", "labels", "path_codes", "paths")
+
+    def __init__(self, samples: Iterable[Sample] = ()):
+        timestamps = array("d")
+        latencies = array("d")
+        labels: list[str] = []
+        codes = bytearray()
+        paths: list[AccessPath | None] = [None]
+        index: dict[object, int] = {None: 0}
+        for sample in samples:
+            path = sample.path
+            code = index.get(path)
+            if code is None:
+                if not isinstance(path, AccessPath):
+                    raise ValueError(
+                        f"sample path {path!r} is not an AccessPath"
+                    )
+                code = index[path] = len(paths)
+                paths.append(path)
+            if len(sample.label) != 1:
+                raise ValueError(
+                    f"sample label {sample.label!r} is not one character"
+                )
+            timestamps.append(sample.timestamp)
+            latencies.append(sample.latency)
+            labels.append(sample.label)
+            codes.append(code)
+        self.timestamps = timestamps
+        self.latencies = latencies
+        self.labels = "".join(labels)
+        self.path_codes = bytes(codes)
+        self.paths = tuple(paths)
+
+    def __reduce__(self):
+        return _restore_trace, (
+            self.timestamps.tobytes(),
+            self.latencies.tobytes(),
+            self.labels,
+            self.path_codes,
+            tuple(path.value for path in self.paths[1:]),
         )
-        for i in range(count)
-    ]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return _sample(
+            self.timestamps[index],
+            self.latencies[index],
+            self.labels[index],
+            self.paths[self.path_codes[index]],
+        )
+
+    def __iter__(self) -> Iterator[Sample]:
+        paths = self.paths
+        for timestamp, latency, label, code in zip(
+            self.timestamps, self.latencies, self.labels, self.path_codes
+        ):
+            yield _sample(timestamp, latency, label, paths[code])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SampleTrace):
+            return (
+                self.labels == other.labels
+                and self.timestamps == other.timestamps
+                and self.latencies == other.latencies
+                and self.path_codes == other.path_codes
+                and self.paths == other.paths
+            )
+        if isinstance(other, list):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SampleTrace(n={len(self)})"
+
+
+def _restore_trace(
+    timestamps: bytes,
+    latencies: bytes,
+    labels: str,
+    path_codes: bytes,
+    path_values: tuple[str, ...],
+) -> SampleTrace:
+    """Unpickle a :class:`SampleTrace` from its columns."""
+    trace = object.__new__(SampleTrace)
+    trace.timestamps = array("d", timestamps)
+    trace.latencies = array("d", latencies)
+    trace.labels = labels
+    trace.path_codes = path_codes
+    trace.paths = (None, *map(_PATH_BY_VALUE.__getitem__, path_values))
+    return trace
 
 
 @dataclass

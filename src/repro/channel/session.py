@@ -30,13 +30,7 @@ from repro.channel.config import (
     extra_pairs_for,
 )
 from repro.channel.scenarios import ScenarioSpec, scenario_spec_by_name
-from repro.channel.decoder import (
-    BitDecoder,
-    DecodeReport,
-    Sample,
-    pack_samples,
-    unpack_samples,
-)
+from repro.channel.decoder import BitDecoder, DecodeReport, SampleTrace
 from repro.channel.metrics import Alignment, align_bits, transmission_rate_kbps
 from repro.channel.spy import SpyResult, spy_program
 from repro.channel.sync import resync_backoff_cycles
@@ -170,7 +164,9 @@ class TransmissionResult:
     sent: list[int]
     received: list[int]
     alignment: Alignment
-    samples: list[Sample]
+    #: The spy's latency trace, frozen into columns when the result is
+    #: assembled (it pickles compactly for IPC and cache entries).
+    samples: SampleTrace
     decode: DecodeReport
     cycles: float
     nominal_rate_kbps: float
@@ -191,21 +187,6 @@ class TransmissionResult:
     def achieved_rate_kbps(self) -> float:
         """Measured raw bit rate over the reception window."""
         return transmission_rate_kbps(len(self.sent), self.cycles)
-
-    # The latency trace dominates the pickled size of a result (IPC
-    # payloads and ResultCache entries alike), so it travels in the
-    # compact typed-array form and is rebuilt on unpickle.  Legacy
-    # pickles carry a plain list, which unpack_samples passes through.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["samples"] = pack_samples(state["samples"])
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        state["samples"] = unpack_samples(state["samples"])
-        state.setdefault("manifest", None)  # pre-1.3 pickles
-        self.__dict__.update(state)
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +716,7 @@ class ChannelSession(SessionBase):
             sent=list(payload),
             received=report.bits,
             alignment=alignment,
-            samples=list(spy_result.samples),
+            samples=SampleTrace(spy_result.samples),
             decode=report,
             cycles=spy_result.reception_cycles,
             nominal_rate_kbps=cfg.params.nominal_rate_kbps,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.channel.calibration import DEFAULT_CALIBRATION_SAMPLES, DRAM_LABEL
 from repro.channel.config import ALL_PAIRS, ProtocolParams, Scenario, StatePair
-from repro.channel.decoder import Sample, pack_samples, unpack_samples
+from repro.channel.decoder import Sample, SampleTrace
 from repro.channel.metrics import Alignment, align_bits, transmission_rate_kbps
 from repro.channel.session import SessionBase, SessionConfig, resolve_spec
 from repro.channel.trojan import TrojanControl, worker_roles
@@ -269,7 +269,9 @@ class SymbolTransmissionResult:
     sent_symbols: list[int]
     received_symbols: list[int]
     alignment: Alignment
-    samples: list[Sample]
+    #: The spy's trace as columns (see TransmissionResult); symbol
+    #: labels ("0".."3", "x") are single characters.
+    samples: SampleTrace
     cycles: float
     nominal_rate_kbps: float
     #: :class:`~repro.obs.RunManifest` snapshot (see TransmissionResult).
@@ -284,20 +286,6 @@ class SymbolTransmissionResult:
     def achieved_rate_kbps(self) -> float:
         """Measured raw bit rate over the reception window."""
         return transmission_rate_kbps(len(self.sent_bits), self.cycles)
-
-    def __getstate__(self) -> dict:
-        # Same compact transport as TransmissionResult: symbol labels
-        # ("0".."3"/"x") are single characters, so samples pack into
-        # typed arrays for IPC and cache storage.
-        state = dict(self.__dict__)
-        state["samples"] = pack_samples(state["samples"])
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        state["samples"] = unpack_samples(state["samples"])
-        state.setdefault("manifest", None)  # pre-1.3 pickles
-        self.__dict__.update(state)
 
 
 class MultiBitSession(SessionBase):
@@ -364,7 +352,7 @@ class MultiBitSession(SessionBase):
             sent_symbols=symbols,
             received_symbols=report.symbols,
             alignment=alignment,
-            samples=list(state.samples),
+            samples=SampleTrace(state.samples),
             cycles=state.reception_cycles,
             nominal_rate_kbps=self.symbol_params.nominal_rate_kbps,
         )

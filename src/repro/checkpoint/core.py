@@ -40,8 +40,9 @@ from repro.errors import CheckpointError
 #: versions (state formats are not migrated), and segment identities
 #: hash it, so stale segments are never found.  v2 stored driver
 #: positions for the channel threads; v3 stores them for every thread
-#: and drops the re-drive records.
-CHECKPOINT_VERSION = 3
+#: and drops the re-drive records; v4 pickles frames with lazily
+#: allocated bytes (an untouched frame carries none).
+CHECKPOINT_VERSION = 4
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
 BLOB_MAGIC = b"RCKP"

@@ -387,6 +387,7 @@ def cmd_serve(argv: list[str]) -> None:
 
     import asyncio
     import os
+    import signal
 
     from repro.runner import FailurePolicy, ResultCache
     from repro.service import ExperimentService
@@ -404,6 +405,12 @@ def cmd_serve(argv: list[str]) -> None:
 
     async def host() -> None:
         await service.start()
+        # SIGTERM (how CI and process managers stop a server) ends
+        # serve_forever as Ctrl-C does, so stop() shuts the pool down
+        # and no forkserver or resource_tracker outlives the server.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         http_host, http_port = service.host, service.http_port
         print(f"serving     http://{http_host}:{http_port}  "
               f"(jobs + single-flight cache)", file=sys.stderr)
@@ -417,7 +424,7 @@ def cmd_serve(argv: list[str]) -> None:
 
     try:
         asyncio.run(host())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("service stopped", file=sys.stderr)
 
 

@@ -142,7 +142,8 @@ class KsmDaemon:
         old_pfn = pte.pfn
         old_frame = self._phys.frame(old_pfn)
         new_frame = self._phys.alloc()
-        new_frame.data[:] = old_frame.data
+        if old_frame.touched:
+            new_frame.data[:] = old_frame.data
         pte.pfn = new_frame.pfn
         pte.cow = False
         pte.merged = False

@@ -15,20 +15,43 @@ from repro.errors import ConfigError, InvalidAddressError, OutOfMemoryError
 
 PAGE_SIZE = 4096
 
+#: Digest of an all-zero page: what an untouched frame hashes as.
+ZERO_PAGE_HASH = hashlib.sha256(bytes(PAGE_SIZE)).digest()
+
 
 class Frame:
-    """One physical page frame."""
+    """One physical page frame.
 
-    __slots__ = ("pfn", "data", "refcount")
+    A frame's bytes are allocated on first access to :attr:`data`: most
+    frames (a kernel-build worker maps 1,536 pages) are never written,
+    and an untouched frame reads as zeros and hashes as the zero page
+    without holding (or pickling into a checkpoint) 4 KiB.
+    """
+
+    __slots__ = ("pfn", "_data", "refcount")
 
     def __init__(self, pfn: int):
         self.pfn = pfn
-        self.data = bytearray(PAGE_SIZE)
+        self._data: bytearray | None = None
         self.refcount = 1
+
+    @property
+    def data(self) -> bytearray:
+        """The frame contents (allocated zeroed on first access)."""
+        if self._data is None:
+            self._data = bytearray(PAGE_SIZE)
+        return self._data
+
+    @property
+    def touched(self) -> bool:
+        """Whether the frame's bytes have been allocated."""
+        return self._data is not None
 
     def content_hash(self) -> bytes:
         """Digest of the frame contents (used by the KSM stable tree)."""
-        return hashlib.sha256(bytes(self.data)).digest()
+        if self._data is None:
+            return ZERO_PAGE_HASH
+        return hashlib.sha256(self._data).digest()
 
 
 class PhysicalMemory:
@@ -114,7 +137,10 @@ class PhysicalMemory:
         offset = paddr % PAGE_SIZE
         if offset + length > PAGE_SIZE:
             raise InvalidAddressError("read crosses a frame boundary")
-        return bytes(self.frame(pfn).data[offset:offset + length])
+        frame = self.frame(pfn)
+        if not frame.touched:
+            return bytes(length)
+        return bytes(frame.data[offset:offset + length])
 
 
 def page_pattern(seed: int, index: int) -> bytes:

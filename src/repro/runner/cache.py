@@ -115,6 +115,10 @@ class ResultCache:
                  salt: str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = salt if salt is not None else version_salt()
+        #: The current generation's directory name, and its path as a
+        #: string: lookups join strings, with no pathlib or re per key.
+        self._generation = _salt_dirname(self.salt)
+        self._salt_dir = os.path.join(self.root, self._generation)
         self.hits = 0
         self.misses = 0
         self.swept_tmp = self._sweep_stale_tmp()
@@ -156,9 +160,15 @@ class ResultCache:
         """The content hash addressing *point* under this cache's salt."""
         return point.key(self.salt)
 
+    def _shard(self, key: str) -> str:
+        return f"{self._salt_dir}{os.sep}{key[:2]}"
+
+    def _entry(self, key: str) -> str:
+        return f"{self._salt_dir}{os.sep}{key[:2]}{os.sep}{key}.pkl"
+
     def path_for_key(self, key: str) -> Path:
         """On-disk entry path for a raw content *key* (current salt)."""
-        return self.root / _salt_dirname(self.salt) / key[:2] / f"{key}.pkl"
+        return Path(self._entry(key))
 
     def path_for(self, point: Point) -> Path:
         return self.path_for_key(self.key_for(point))
@@ -176,23 +186,22 @@ class ResultCache:
         deletes; transiently unreadable entries are misses.
         """
         try:
-            with open(self.path_for_key(key), "rb") as fh:
+            with open(self._entry(key), "rb") as fh:
                 return fh.read()
         except OSError:
             return None
 
     def store_blob(self, key: str, blob: bytes) -> None:
         """Persist raw entry bytes for *key* atomically; best-effort."""
-        path = self.path_for_key(key)
+        shard = self._shard(key)
+        name = f"{key}.pkl"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
+            os.makedirs(shard, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=shard, prefix=name, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(blob)
-                os.replace(tmp, path)
+                os.replace(tmp, f"{shard}{os.sep}{name}")
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -205,7 +214,7 @@ class ResultCache:
 
     def lookup(self, point: Point) -> tuple[bool, Any]:
         """Return ``(hit, value)``; a corrupt entry counts as a miss."""
-        path = self.path_for(point)
+        path = self._entry(self.key_for(point))
         value = _MISS
         try:
             with open(path, "rb") as fh:
@@ -221,7 +230,7 @@ class ResultCache:
             # EOFError, ValueError from bad opcodes, AttributeError or
             # ImportError from renamed classes, ...): drop the entry.
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
         if value is _MISS:
@@ -241,7 +250,7 @@ class ResultCache:
     def evict(self, point: Point) -> bool:
         """Remove the entry for *point*; returns whether one existed."""
         try:
-            self.path_for(point).unlink()
+            os.unlink(self._entry(self.key_for(point)))
             return True
         except OSError:
             return False
@@ -272,7 +281,7 @@ class ResultCache:
         writes (its salt's directory); every other top-level directory
         is a stale generation, dead weight :meth:`gc` can reclaim.
         """
-        current = _salt_dirname(self.salt)
+        current = self._generation
         out = {
             "root": str(self.root),
             "salt": self.salt,
@@ -311,7 +320,7 @@ class ResultCache:
         especially, which are superseded but never overwritten once a
         run completes) from growing without bound.
         """
-        current = _salt_dirname(self.salt)
+        current = self._generation
         cutoff = None
         if max_age_seconds is not None:
             if max_age_seconds < 0:

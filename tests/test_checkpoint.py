@@ -199,6 +199,32 @@ def test_noise_worker_restores_mid_think(seg_cache):
             == session.machine.stats.counters())
 
 
+def test_noisy_capture_carries_no_untouched_frame_bytes(seg_cache):
+    """Kernel-build workers map 1,536 pages each and never write them:
+    those frames hold no bytes, so a two-worker noisy checkpoint stays
+    near a clean one (it was ~13 MB when every frame pickled 4 KiB)."""
+    session = ChannelSession(SessionConfig(
+        spec="mesi-es", seed=7, calibration_samples=120, noise_threads=2,
+    ))
+    checkpoints = []
+
+    def pause_capture_finish(ctx):
+        session.sim.run(pause_at=session.sim.global_clock + 20_000.0)
+        checkpoints.append(capture(session, ctx))
+        session.sim.run()
+
+    session._run_transmission = pause_capture_finish
+    reference = session.transmit(list(PAYLOAD))
+    frames = session.kernel.phys._frames.values()
+    assert len(frames) > 3_000
+    assert sum(frame.touched for frame in frames) < 100
+    assert len(checkpoints[0].state) < 1_000_000
+
+    restored, ctx = restore(checkpoints[0])
+    resumed = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
+    assert unmanifested(resumed) == unmanifested(reference)
+
+
 def test_undriven_noise_session_is_not_segmented(seg_cache, monkeypatch):
     """With the driver table emptied nothing is driven: the session runs
     unsegmented, and a direct capture names the undriven thread."""

@@ -12,9 +12,11 @@ identity across execution modes is the differential harness's job
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.channel.calibration import (
     PAPER_CALIBRATION_SAMPLES,
     clear_calibration_memo,
 )
-from repro.channel.decoder import Sample, pack_samples, unpack_samples
+from repro.channel.decoder import Sample, SampleTrace
 from repro.channel.session import (
     SessionConfig,
     clear_warm_state,
@@ -222,24 +224,82 @@ def test_session_config_defaults_documented_constants():
 # -- compact sample transport ------------------------------------------
 
 
-def test_pack_samples_roundtrip():
-    samples = [
+def trace_samples(n: int = 50) -> list[Sample]:
+    return [
         Sample(timestamp=float(i), latency=40.0 + i, label="cbx"[i % 3],
-               path=AccessPath.LOCAL_SHARED if i % 2 else None)
-        for i in range(50)
+               path=(AccessPath.LOCAL_SHARED, None, AccessPath.DRAM)[i % 3])
+        for i in range(n)
     ]
-    packed = pack_samples(samples)
-    assert isinstance(packed, tuple)
-    assert unpack_samples(packed) == samples
-    # plain lists pass through (legacy pickles)
-    assert unpack_samples(list(samples)) == samples
 
 
-def test_pack_samples_falls_back_on_exotic_payloads():
-    odd = [Sample(timestamp=0.0, latency=1.0, label="long", path=None)]
-    assert pack_samples(odd) == odd  # unpackable label -> raw list
-    alien = [Sample(timestamp=0.0, latency=1.0, label="c", path="strange")]
-    assert pack_samples(alien) == alien
+def test_sample_trace_sequence_protocol():
+    samples = trace_samples()
+    trace = SampleTrace(samples)
+    assert len(trace) == 50 and len(SampleTrace()) == 0
+    assert trace[0] == samples[0]
+    assert trace[-1] == samples[-1] and trace[-50] == samples[0]
+    with pytest.raises(IndexError):
+        trace[50]
+    assert trace[3:9] == samples[3:9]
+    assert trace[::-7] == samples[::-7]
+    assert trace[60:] == []
+    assert list(trace) == samples
+    assert [s.label for s in trace] == [s.label for s in samples]
+    assert list(trace.timestamps) == [s.timestamp for s in samples]
+    assert trace.labels == "".join(s.label for s in samples)
+
+
+def test_sample_trace_equality():
+    samples = trace_samples()
+    trace = SampleTrace(samples)
+    assert trace == SampleTrace(samples)
+    assert trace == samples and samples == trace
+    moved = samples[:-1] + [replace(samples[-1], latency=1.0)]
+    assert trace != SampleTrace(moved) and trace != moved
+    assert trace != SampleTrace(samples[:-1]) and trace != samples[:-1]
+    repathed = samples[:-1] + [replace(samples[-1], path=AccessPath.L1_HIT)]
+    assert trace != SampleTrace(repathed)
+    assert trace != tuple(samples)  # only traces and lists compare
+
+
+def test_sample_trace_pickle_roundtrip():
+    trace = SampleTrace(trace_samples())
+    blob = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+    clone = pickle.loads(blob)
+    assert clone == trace and list(clone) == trace_samples()
+    assert clone.paths == (None, AccessPath.LOCAL_SHARED, AccessPath.DRAM)
+    # equal traces pickle to equal bytes, however they were built
+    assert pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL) == blob
+    assert pickle.dumps(SampleTrace(list(clone)),
+                        protocol=pickle.HIGHEST_PROTOCOL) == blob
+    # 18 bytes a slot (two doubles, a label, a path code) plus a header
+    assert len(blob) < 200 + 18 * len(trace)
+
+
+def test_sample_trace_refuses_exotic_payloads():
+    with pytest.raises(ValueError, match="one character"):
+        SampleTrace([Sample(timestamp=0.0, latency=1.0, label="long")])
+    with pytest.raises(ValueError, match="not an AccessPath"):
+        SampleTrace([Sample(timestamp=0.0, latency=1.0, label="c",
+                            path="strange")])
+
+
+def _live_samples() -> int:
+    return sum(type(obj) is Sample for obj in gc.get_objects())
+
+
+def test_cached_result_decodes_without_building_samples(cold_process):
+    result = execute_point(
+        scenario="LExclc-LSharedb", payload=PAYLOAD * 4, seed=0
+    )
+    assert isinstance(result.samples, SampleTrace)
+    blob = encode_entry(result)
+    gc.collect()
+    before = _live_samples()
+    decoded = decode_entry(blob)
+    assert _live_samples() == before
+    assert isinstance(decoded.samples, SampleTrace)
+    assert decoded == result and decoded.samples == list(result.samples)
 
 
 def test_transmission_result_pickles_compact(cold_process):
@@ -247,12 +307,13 @@ def test_transmission_result_pickles_compact(cold_process):
         scenario="LExclc-LSharedb", payload=PAYLOAD * 4, seed=0
     )
     blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    legacy = pickle.dumps(
-        dict(result.__dict__), protocol=pickle.HIGHEST_PROTOCOL
+    objects = pickle.dumps(
+        replace(result, samples=list(result.samples)),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
     assert pickle.loads(blob).samples == result.samples
     # the acceptance bar: at least 30% smaller than object-sample form
-    assert len(blob) <= 0.7 * len(legacy)
+    assert len(blob) <= 0.7 * len(objects)
 
 
 # -- cache schema v2 ---------------------------------------------------
@@ -351,12 +412,12 @@ def test_grid_cache_entries_shrink_at_least_30_percent(
     v2_bytes = sum(
         cache.path_for(p).stat().st_size for p in spec.points
     )
-    legacy_bytes = sum(
-        len(pickle.dumps(dict(v.__dict__),
+    object_bytes = sum(
+        len(pickle.dumps(replace(v, samples=list(v.samples)),
                          protocol=pickle.HIGHEST_PROTOCOL))
         for v in values
     )
-    assert v2_bytes <= 0.7 * legacy_bytes
+    assert v2_bytes <= 0.7 * object_bytes
     # and the cached entries decode back bit-identically
     rerun = Runner(jobs=1, cache=cache).run(spec)
     assert rerun.cache_hits == len(spec.points)

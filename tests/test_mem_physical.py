@@ -1,5 +1,7 @@
 """Tests for physical memory: frames, refcounts, contents."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError, InvalidAddressError, OutOfMemoryError
@@ -100,6 +102,20 @@ def test_content_hash_changes_with_content():
     before = frame.content_hash()
     frame.data[0] = 1
     assert frame.content_hash() != before
+
+
+def test_untouched_frame_holds_no_bytes_and_reads_as_zero_page():
+    phys = PhysicalMemory(n_frames=2)
+    frame = phys.alloc()
+    assert frame.content_hash() == content_digest(bytes(PAGE_SIZE))
+    assert phys.read(phys.frame_base(frame.pfn) + 8, 4) == bytes(4)
+    assert not frame.touched
+    # pickled (as a checkpoint does) without a page of zeros
+    assert len(pickle.dumps(frame)) < 200
+    phys.write(phys.frame_base(frame.pfn) + 8, b"ab")
+    assert frame.touched
+    assert phys.read(phys.frame_base(frame.pfn) + 8, 4) == b"ab\x00\x00"
+    assert pickle.loads(pickle.dumps(frame)).data == frame.data
 
 
 def test_page_pattern_is_deterministic():

@@ -532,17 +532,20 @@ def test_result_pickle_preserves_manifest(traced_result):
     assert clone.samples == result.samples
 
 
-def test_legacy_pickle_state_defaults_manifest():
-    from repro.channel.session import TransmissionResult
+def test_entry_under_previous_salt_is_a_miss(tmp_path):
+    """Results stored by 1.5.0 carry the packed-sample layout: the
+    version salt keeps them from ever being decoded as a result whose
+    samples are a SampleTrace."""
+    from repro.runner.cache import version_salt
 
-    session = make_session(trace=False)
-    result = session.transmit([1, 0])
-    state = result.__getstate__()
-    del state["manifest"]  # a pre-1.3 pickle has no manifest key
-    legacy = TransmissionResult.__new__(TransmissionResult)
-    legacy.__setstate__(state)
-    assert legacy.manifest is None
-    assert legacy.sent == result.sent
+    point = Point(fn="tests.runner_points:square", params={"x": 3})
+    previous = ResultCache(tmp_path, salt="repro-1.5.0")
+    previous.store(point, 9)
+    assert previous.lookup(point) == (True, 9)
+    current = ResultCache(tmp_path)
+    assert current.salt == version_salt() != previous.salt
+    assert current.lookup(point) == (False, None)
+    assert previous.path_for(point).exists()  # left for `repro cache gc`
 
 
 def test_manifest_excluded_from_equality(traced_result):

@@ -14,10 +14,16 @@ The load-bearing properties under test:
 
 import asyncio
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -554,3 +560,81 @@ def test_dropped_waiter_is_swept_not_promoted(service):
     assert stats["promoted"] == 0  # nobody inherited the key
     assert stats["in_flight"] == 0
     owner.close()
+
+
+# -- the `repro serve` process -------------------------------------------
+
+
+def _descendants(pid: int) -> list[int]:
+    """*pid*'s live descendants, from ``/proc/<pid>/task/<pid>/children``."""
+    found, frontier = [], [pid]
+    while frontier:
+        parent = frontier.pop()
+        try:
+            with open(f"/proc/{parent}/task/{parent}/children") as fh:
+                children = [int(child) for child in fh.read().split()]
+        except OSError:
+            continue
+        found += children
+        frontier += children
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<pid>/children",
+)
+def test_serve_stops_cleanly_on_sigterm(tmp_path):
+    """SIGTERM (how CI stops a backgrounded server) shuts the worker
+    pool down: the server exits 0 and leaves no forkserver,
+    resource_tracker or pool worker behind."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--cache-dir", str(tmp_path / "cache")],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    children: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            ready, _w, _x = select.select([proc.stderr], [], [], 1.0)
+            assert time.monotonic() < deadline, "server never came up"
+            if not ready:
+                continue
+            line = proc.stderr.readline()
+            assert line, f"server exited early ({proc.wait()})"
+            if line.startswith("serving"):
+                break
+        children = _descendants(proc.pid)
+        assert children, "the warm pool spawned no process"
+
+        proc.send_signal(signal.SIGTERM)
+        _out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert "service stopped" in err
+
+        deadline = time.monotonic() + 15
+        while any(map(_running, children)):
+            assert time.monotonic() < deadline, (
+                f"left running: {[p for p in children if _running(p)]}"
+            )
+            time.sleep(0.1)
+    finally:
+        for pid in [proc.pid, *children]:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
