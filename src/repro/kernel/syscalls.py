@@ -386,22 +386,31 @@ class Kernel:
 
     def _do_burst(self, thread: SimThread, op: Burst, now: float) -> float:
         process: Process = thread.process
-        total = 0.0
+        core_id = thread.core_id
+        load = self.machine.load
+        store = self.machine.store
+        write_ratio = op.write_ratio
+        draw = self._burst_rng.random
+        # Overlapped execution: mlp outstanding requests hide a
+        # proportional share of each access's latency.
+        mlp = max(1.0, op.mlp)
+        stride = op.stride
         addr = op.vaddr
+        # A burst's own accesses never remap a page, so each page is
+        # translated once: *shift* maps its virtual addresses to physical.
+        page = None
+        shift = 0
+        total = 0.0
         for _i in range(op.count):
-            paddr = process.translate(addr) if process is not None else addr
-            if op.write_ratio > 0 and self._burst_rng.random() < op.write_ratio:
-                latency, _path = self.machine.store(
-                    thread.core_id, paddr, 1, now + total
-                )
+            if process is not None and addr // PAGE_SIZE != page:
+                page = addr // PAGE_SIZE
+                shift = process.translate(addr) - addr
+            if write_ratio > 0 and draw() < write_ratio:
+                latency = store(core_id, addr + shift, 1, now + total)[0]
             else:
-                _value, latency, _path = self.machine.load(
-                    thread.core_id, paddr, now + total
-                )
-            # Overlapped execution: mlp outstanding requests hide a
-            # proportional share of each access's latency.
-            total += latency / max(1.0, op.mlp)
-            addr += op.stride
+                latency = load(core_id, addr + shift, now + total)[1]
+            total += latency / mlp
+            addr += stride
         return total
 
     def _purge_frame_from_caches(self, pfn: int) -> None:

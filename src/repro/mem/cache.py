@@ -79,11 +79,14 @@ class SetAssocCache(Generic[LineT]):
         """
         base = addr & ~63
         bucket = self._sets[(base >> 6) & self._set_mask]
+        if base in bucket:
+            bucket[base] = record
+            bucket.move_to_end(base)
+            return None
         victim = None
-        if base not in bucket and len(bucket) >= self.assoc:
+        if len(bucket) >= self.assoc:
             _victim_addr, victim = bucket.popitem(last=False)
-        bucket[base] = record
-        bucket.move_to_end(base)
+        bucket[base] = record  # a new key lands at the MRU end
         return victim
 
     def remove(self, addr: int) -> LineT | None:

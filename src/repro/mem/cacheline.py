@@ -10,7 +10,7 @@ of the paper describes driving the E-vs-S service-path difference.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 LINE_SIZE = 64
 LINE_SHIFT = 6
@@ -22,7 +22,16 @@ def line_addr(addr: int) -> int:
 
 
 class CoherenceState(enum.Enum):
-    """Private-cache coherence states (MESI plus the F/O extensions)."""
+    """Private-cache coherence states (MESI plus the F/O extensions).
+
+    Each member carries four plain attributes the access paths read on
+    every fill, hit and write-back:
+
+    * ``readable``: a core holding it may read without a request;
+    * ``writable``: a core holding it may write without a request;
+    * ``dirty``: the copy may differ from the LLC/DRAM copy;
+    * ``sole_copy``: the protocol guarantees no other private copy.
+    """
 
     MODIFIED = "M"
     EXCLUSIVE = "E"
@@ -31,25 +40,21 @@ class CoherenceState(enum.Enum):
     FORWARD = "F"   # MESIF: designated forwarder among sharers
     OWNED = "O"     # MOESI: dirty line shared with other caches
 
-    @property
-    def readable(self) -> bool:
-        """Whether a core holding this state may read without a request."""
-        return self is not CoherenceState.INVALID
+    def __init__(self, code: str) -> None:
+        self.readable = code != "I"
+        self.writable = code == "M"
+        self.dirty = code in ("M", "O")
+        self.sole_copy = code in ("M", "E")
 
-    @property
-    def writable(self) -> bool:
-        """Whether a core holding this state may write without a request."""
-        return self is CoherenceState.MODIFIED
 
-    @property
-    def dirty(self) -> bool:
-        """Whether the copy may differ from the LLC/DRAM copy."""
-        return self in (CoherenceState.MODIFIED, CoherenceState.OWNED)
-
-    @property
-    def sole_copy(self) -> bool:
-        """Whether the protocol guarantees no other private copy exists."""
-        return self in (CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE)
+def bit_ids(mask: int) -> list[int]:
+    """The core ids whose bit is set in *mask*, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(slots=True)
@@ -57,15 +62,13 @@ class PrivateLine:
     """One line in a private (L1/L2) cache.
 
     Slotted: fills and state transitions allocate/mutate these on every
-    cache miss, and slot access skips the per-instance dict.
+    cache miss, and slot access skips the per-instance dict.  *addr* is
+    the line's base address; every caller passes it aligned.
     """
 
     addr: int
     state: CoherenceState
     value: int = 0
-
-    def __post_init__(self) -> None:
-        self.addr = line_addr(self.addr)
 
 
 @dataclass(slots=True)
@@ -74,9 +77,12 @@ class LlcLine:
 
     Attributes
     ----------
+    addr:
+        Line base address (callers pass it aligned).
     core_valid:
-        Global core ids whose private hierarchy currently holds the line
-        (the paper's core-valid-bits vector).
+        Bitmask over the global core ids whose private hierarchy holds
+        the line (the paper's core-valid-bits vector; bit ``1 << id``),
+        the representation the directory backend's sharer mask uses.
     owner:
         Core id that must service read misses for this line (a core
         holding it in E/M, or O under MOESI); ``None`` when the LLC can
@@ -94,21 +100,8 @@ class LlcLine:
 
     addr: int
     value: int = 0
-    core_valid: set[int] = field(default_factory=set)
+    core_valid: int = 0
     owner: int | None = None
     forwarder: int | None = None
     data_valid: bool = True
     dirty: bool = False
-
-    def __post_init__(self) -> None:
-        self.addr = line_addr(self.addr)
-
-    @property
-    def sharer_count(self) -> int:
-        """Popcount of the core-valid-bits vector."""
-        return len(self.core_valid)
-
-    @property
-    def exclusive_granted(self) -> bool:
-        """True when a single core was granted E/M rights for the line."""
-        return self.owner is not None and len(self.core_valid) <= 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import CoherenceError
 from repro.mem.cache import SetAssocCache
-from repro.mem.cacheline import CoherenceState, LlcLine, PrivateLine
+from repro.mem.cacheline import CoherenceState, LlcLine, PrivateLine, bit_ids
 from repro.mem.protocols import ProtocolPolicy
 
 
@@ -41,19 +41,12 @@ class Core:
 
 
 @dataclass
-class ReadService:
-    """Outcome of a directory read transaction inside one socket."""
-
-    value: int
-    #: "shared" when the LLC answered directly, "excl" when the request
-    #: was forwarded to an owning core's private cache.
-    band: str
-    entry: LlcLine
-
-
-@dataclass
 class SocketDomain:
-    """Coherence domain of one socket: cores + LLC data array + directory."""
+    """Coherence domain of one socket: cores + LLC data array + directory.
+
+    A ``base`` parameter is a 64-byte-aligned line address (the machine
+    aligns once per access); an ``addr`` parameter may be unaligned.
+    """
 
     socket_id: int
     cores: list[Core]
@@ -74,53 +67,56 @@ class SocketDomain:
         """The core object for a global core id (must be in this socket)."""
         return self._cores_by_id[core_id]
 
-    def private_lookup(self, core: Core, addr: int) -> tuple[PrivateLine | None, str]:
-        """L1-then-L2 lookup; promotes an L2 hit into L1.
-
-        Returns (line, level) where level is "l1", "l2" or "miss".
-        """
-        base = addr & ~63  # line_addr inlined (64-byte lines)
-        line = core.l1.lookup(base)
-        if line is not None:
-            return line, "l1"
+    def l2_lookup(self, core: Core, base: int) -> PrivateLine | None:
+        """L2 lookup after an L1 miss; promotes a hit into L1."""
         line = core.l2.lookup(base)
         if line is not None:
             victim = core.l1.insert(base, line)
             if victim is not None:
                 self._handle_l1_victim(core, victim)
-            return line, "l2"
-        return None, "miss"
+        return line
 
     def private_line(self, core: Core, addr: int) -> PrivateLine | None:
         """Peek at a private copy without touching LRU state."""
-        base = addr & ~63  # line_addr inlined (64-byte lines)
-        line = core.l1.lookup(base, touch=False)
+        line = core.l1.lookup(addr, False)
         if line is None:
-            line = core.l2.lookup(base, touch=False)
+            line = core.l2.lookup(addr, False)
         return line
 
     def private_fill(
-        self, core: Core, addr: int, state: CoherenceState, value: int
+        self, core: Core, base: int, state: CoherenceState, value: int
     ) -> None:
         """Install a line in the core's L1+L2 in the given state."""
-        base = addr & ~63  # line_addr inlined (64-byte lines)
-        existing = self.private_line(core, addr)
-        if existing is not None:
-            existing.state = state
-            existing.value = value
-            # make sure it is present at both levels
-            if core.l1.lookup(base, touch=False) is None:
-                victim = core.l1.insert(base, existing)
-                if victim is not None:
-                    self._handle_l1_victim(core, victim)
+        l1 = core.l1
+        line = l1.lookup(base, False)
+        if line is not None:
+            # L2 is inclusive of L1: the copy is present at both levels.
+            line.state = state
+            line.value = value
             return
-        record = PrivateLine(addr=base, state=state, value=value)
-        victim = core.l2.insert(base, record)
-        if victim is not None:
-            self._handle_l2_victim(core, victim)
-        victim = core.l1.insert(base, record)
+        line = core.l2.lookup(base, False)
+        if line is not None:
+            line.state = state
+            line.value = value
+        else:
+            line = PrivateLine(base, state, value)
+            victim = core.l2.insert(base, line)
+            if victim is not None:
+                self._handle_l2_victim(core, victim)
+        victim = l1.insert(base, line)
         if victim is not None:
             self._handle_l1_victim(core, victim)
+
+    def _drop_holder(self, entry: LlcLine, core_id: int, line: PrivateLine) -> None:
+        # Clear a departing holder from the entry, keeping a dirty value.
+        entry.core_valid &= ~(1 << core_id)
+        if entry.owner == core_id:
+            entry.owner = None
+        if entry.forwarder == core_id:
+            entry.forwarder = None
+        if line.state.dirty:
+            entry.value = line.value
+            entry.dirty = True
 
     def private_invalidate(self, core: Core, addr: int) -> PrivateLine | None:
         """Drop a core's private copy, updating the directory entry.
@@ -135,21 +131,14 @@ class SocketDomain:
             return None
         entry = self.directory.get(base)
         if entry is not None:
-            entry.core_valid.discard(core.core_id)
-            if entry.owner == core.core_id:
-                entry.owner = None
-            if entry.forwarder == core.core_id:
-                entry.forwarder = None
-            if line.state.dirty:
-                entry.value = line.value
-                entry.dirty = True
+            self._drop_holder(entry, core.core_id, line)
         return line
 
     def _handle_l1_victim(self, core: Core, victim: PrivateLine) -> None:
         # The same object still lives in L2 (L2 is inclusive of L1), so
         # state and value remain visible; nothing else to do.  If L2 lost
         # it already, fall back to full-eviction handling.
-        if core.l2.lookup(victim.addr, touch=False) is None:
+        if core.l2.lookup(victim.addr, False) is None:
             self._handle_l2_victim(core, victim)
 
     def _handle_l2_victim(self, core: Core, victim: PrivateLine) -> None:
@@ -160,50 +149,60 @@ class SocketDomain:
             if victim.state.dirty:
                 self.dram[victim.addr] = victim.value
             return
-        entry.core_valid.discard(core.core_id)
-        if entry.owner == core.core_id:
-            entry.owner = None
-        if entry.forwarder == core.core_id:
-            entry.forwarder = None
-        if victim.state.dirty:
-            entry.value = victim.value
-            entry.dirty = True
+        self._drop_holder(entry, core.core_id, victim)
         self._maybe_collect_entry(victim.addr, entry)
+
+    def _remove_holders(self, entry: LlcLine, base: int) -> tuple[int | None, bool]:
+        # Drop every private copy the core-valid bits name; returns the
+        # latest value seen (a dirty copy wins) and whether any was dirty.
+        latest = entry.value if entry.data_valid else None
+        dirty = entry.dirty
+        cores = self._cores_by_id
+        mask = entry.core_valid
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            core = cores.get(low.bit_length() - 1)
+            if core is None:
+                continue
+            line = core.l1.remove(base)
+            line2 = core.l2.remove(base)
+            line = line if line is not None else line2
+            if line is not None:
+                if line.state.dirty:
+                    latest = line.value
+                    dirty = True
+                elif latest is None:
+                    latest = line.value
+        return latest, dirty
 
     # ------------------------------------------------------------------
     # LLC / directory
     # ------------------------------------------------------------------
 
-    def llc_fill(self, addr: int, value: int) -> LlcLine:
-        """Create or refresh the directory entry + LLC data for *addr*."""
-        base = addr & ~63  # line_addr inlined (64-byte lines)
+    def llc_fill(self, base: int, value: int) -> LlcLine:
+        """Create or refresh the directory entry + LLC data for *base*."""
         entry = self.directory.get(base)
         if entry is None:
-            entry = LlcLine(addr=base, value=value)
+            entry = LlcLine(base, value)
             self.directory[base] = entry
         else:
             entry.value = value
-        if not entry.data_valid or base not in self.data_array:
+            # A data-valid entry is resident in the data array (eviction
+            # and removal keep the two together).
+            if entry.data_valid and base in self.data_array:
+                return entry
             entry.data_valid = True
-            victim = self.data_array.insert(base, entry)
-            if victim is not None and victim.addr != base:
-                self._handle_llc_victim(victim)
+        victim = self.data_array.insert(base, entry)
+        if victim is not None and victim.addr != base:
+            self._handle_llc_victim(victim)
         return entry
 
     def _handle_llc_victim(self, victim: LlcLine) -> None:
         if self.inclusive:
             # Back-invalidate every private copy in this socket.
-            for core_id in list(victim.core_valid):
-                core = self._cores_by_id.get(core_id)
-                if core is None:
-                    continue
-                line = core.l1.remove(victim.addr)
-                line2 = core.l2.remove(victim.addr)
-                line = line if line is not None else line2
-                if line is not None and line.state.dirty:
-                    victim.value = line.value
-                    victim.dirty = True
-            victim.core_valid.clear()
+            victim.value, victim.dirty = self._remove_holders(victim, victim.addr)
+            victim.core_valid = 0
             victim.owner = None
             victim.forwarder = None
             if victim.dirty:
@@ -221,55 +220,60 @@ class SocketDomain:
                 self.dram[addr] = entry.value
             self.directory.pop(addr, None)
 
-    def read(self, addr: int, requester_id: int | None) -> ReadService | None:
+    def read(
+        self, base: int, requester_id: int | None
+    ) -> tuple[int, bool, LlcLine] | None:
         """One directory read transaction (Section VI-A walk).
 
         *requester_id* is the id of a local requesting core, or ``None``
         when the request arrives from another socket over QPI.  Returns
+        ``(value, excl, entry)`` — *excl* is True when the request was
+        forwarded to a core's private cache (the exclusive band) and
+        False when the LLC answered directly (the shared band) — or
         ``None`` when the socket cannot service the request.
         """
-        base = addr & ~63  # line_addr inlined (64-byte lines)
         entry = self.directory.get(base)
         if entry is None:
             return None
         if requester_id is not None:
             # Self-heal: a requester that just missed privately cannot
             # still be a valid sharer.
-            entry.core_valid.discard(requester_id)
+            entry.core_valid &= ~(1 << requester_id)
             if entry.owner == requester_id:
                 entry.owner = None
-        if entry.owner is not None:
-            owner = self._cores_by_id.get(entry.owner)
+        owner_id = entry.owner
+        if owner_id is not None:
+            owner = self._cores_by_id.get(owner_id)
             if owner is None:
                 raise CoherenceError(
                     f"directory of socket {self.socket_id} names owner core "
-                    f"{entry.owner} which is not in this socket"
+                    f"{owner_id} which is not in this socket"
                 )
             owner_line = self.private_line(owner, base)
             if owner_line is None or not owner_line.state.readable:
                 raise CoherenceError(
-                    f"line {base:#x}: owner core {entry.owner} holds no copy"
+                    f"line {base:#x}: owner core {owner_id} holds no copy"
                 )
             value = owner_line.value
             self.policy.on_owner_read_service(entry, owner_line)
-            return ReadService(value=value, band="excl", entry=entry)
+            return value, True, entry
         if entry.data_valid:
             self.data_array.lookup(base)  # LRU touch
-            return ReadService(value=entry.value, band="shared", entry=entry)
-        if entry.core_valid:
-            # Non-inclusive tag-only entry: forward from any sharer.
-            sharer_id = (
-                entry.forwarder
-                if entry.forwarder in entry.core_valid
-                else min(entry.core_valid)
-            )
+            return entry.value, False, entry
+        mask = entry.core_valid
+        if mask:
+            # Non-inclusive tag-only entry: forward from the forwarder,
+            # else from the lowest-numbered sharer.
+            sharer_id = entry.forwarder
+            if sharer_id is None or not mask >> sharer_id & 1:
+                sharer_id = (mask & -mask).bit_length() - 1
             sharer_line = self.private_line(self._cores_by_id[sharer_id], base)
             if sharer_line is None:
                 raise CoherenceError(
                     f"line {base:#x}: sharer {sharer_id} in core-valid bits "
                     "holds no private copy"
                 )
-            return ReadService(value=sharer_line.value, band="excl", entry=entry)
+            return sharer_line.value, True, entry
         self._maybe_collect_entry(base, entry)
         return None
 
@@ -282,17 +286,16 @@ class SocketDomain:
         *shared_elsewhere* (another socket holds the line) rules out an
         E grant; see :meth:`ProtocolPolicy.fill_state_for_read`.
         """
-        entry.core_valid.add(core.core_id)
+        core_id = core.core_id
+        entry.core_valid |= 1 << core_id
         previous_forwarder = entry.forwarder
-        state = self.policy.fill_state_for_read(
-            entry, core.core_id, shared_elsewhere
-        )
+        state = self.policy.fill_state_for_read(entry, core_id, shared_elsewhere)
         if state is CoherenceState.EXCLUSIVE:
-            entry.owner = core.core_id
+            entry.owner = core_id
         elif (
             state is CoherenceState.FORWARD
             and previous_forwarder is not None
-            and previous_forwarder != core.core_id
+            and previous_forwarder != core_id
         ):
             # MESIF: the forwarder role moved to the newest sharer; the
             # previous forwarder drops to plain S.
@@ -304,32 +307,13 @@ class SocketDomain:
         self.private_fill(core, entry.addr, state, value)
         return state
 
-    def invalidate_line(self, addr: int) -> tuple[int | None, bool]:
+    def invalidate_line(self, base: int) -> tuple[int | None, bool]:
         """Remove the line from this whole domain (clflush semantics).
 
         Returns (latest_value, was_dirty).
         """
-        base = addr & ~63  # line_addr inlined (64-byte lines)
         entry = self.directory.pop(base, None)
-        latest: int | None = None
-        dirty = False
         if entry is None:
-            return latest, dirty
+            return None, False
         self.data_array.remove(base)
-        if entry.data_valid:
-            latest = entry.value
-        if entry.dirty:
-            dirty = True
-        for core_id in list(entry.core_valid):
-            core = self._cores_by_id.get(core_id)
-            if core is None:
-                continue
-            line = core.l1.remove(base)
-            line2 = core.l2.remove(base)
-            line = line if line is not None else line2
-            if line is not None:
-                if latest is None or line.state.dirty:
-                    latest = line.value
-                if line.state.dirty:
-                    dirty = True
-        return latest, dirty
+        return self._remove_holders(entry, base)

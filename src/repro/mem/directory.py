@@ -26,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.mem.cacheline import bit_ids
+
 
 class DirectoryState(enum.Enum):
     """Global (home-node) state of one line."""
@@ -87,13 +89,7 @@ class DirectoryEntry:
 
     def sharer_ids(self) -> list[int]:
         """Global core ids with a set bit, in ascending order."""
-        out = []
-        mask = self.sharers
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return bit_ids(self.sharers)
 
     @property
     def sharer_count(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.mem.cache import SetAssocCache
-from repro.mem.cacheline import CoherenceState, LlcLine, line_addr
+from repro.mem.cacheline import CoherenceState, LlcLine, bit_ids, line_addr
 from repro.mem.coherence import Core, SocketDomain
 from repro.mem.directory import DirectoryEntry, DirectoryState
 from repro.mem.interconnect import Interconnect
@@ -23,15 +23,10 @@ from repro.sim.events import AccessPath
 from repro.sim.rng import RngStreams
 from repro.sim.stats import StatsRegistry
 
-#: The four (location, state) bands of the paper — membership test used
-#: on the per-op _finish path instead of the AccessPath property (which
-#: costs a descriptor call plus a tuple build per access).
-_COHERENCE_BANDS = frozenset({
-    AccessPath.LOCAL_SHARED,
-    AccessPath.LOCAL_EXCL,
-    AccessPath.REMOTE_SHARED,
-    AccessPath.REMOTE_EXCL,
-})
+_MODIFIED = CoherenceState.MODIFIED
+_OWNED = CoherenceState.OWNED
+_SHARED = CoherenceState.SHARED
+_EXCLUSIVE = CoherenceState.EXCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -147,37 +142,54 @@ class Machine:
         self.obfuscation: ObfuscationPolicy | None = None
         self._jitter_rng = self.rng.get("machine.jitter")
         # -- bound hot-path state ---------------------------------------
-        # Every load/store/flush used to pay an f-string format plus a
-        # string-dict probe per stats sample and a dict rebuild per
-        # latency lookup; bind counters and tables once instead.
+        # Each service path reads one bound (path, base latency, stats
+        # counter) tuple: no enum hashing or string formatting per access.
+        # The four coherence bands are indexed [excl] within a location;
+        # on Section VIII-E mitigated hardware the LLC answers E-state
+        # reads itself, collapsing each E band onto its S band.
         profile = self.config.latency
-        self._base_latency: dict[AccessPath, float] = {
-            path: profile.for_path(path)
-            for path in AccessPath
-            if path is not AccessPath.UNCACHED
-        }
-        # Coherence-band latency table; on Section VIII-E mitigated
-        # hardware the LLC answers E-state reads itself, collapsing the
-        # E band onto the S band.
-        self._band_table: dict[AccessPath, float] = dict(self._base_latency)
-        if self.config.llc_direct_e_response:
-            self._band_table[AccessPath.LOCAL_EXCL] = profile.local_shared
-            self._band_table[AccessPath.REMOTE_EXCL] = profile.remote_shared
-        self._home_agent = (
-            self.config.home_agent and self.config.n_sockets >= 2
-        )
-        self._load_counters = {
+        mitigated = self.config.llc_direct_e_response
+        counters = {
             path: self.stats.counter_handle(f"machine.load.{path.value}")
             for path in AccessPath
             if path is not AccessPath.UNCACHED
         }
-        # One-probe fast table for load(): path -> (band-aware base
-        # latency, bound counter), so the hot path pays a single enum
-        # hash instead of two.
-        self._path_info = {
-            path: (self._band_table[path], self._load_counters[path])
-            for path in self._band_table
-        }
+
+        def info(path: AccessPath, latency: float | None = None) -> tuple:
+            base = profile.for_path(path) if latency is None else latency
+            return path, base, counters[path]
+
+        self._l1_hit = info(AccessPath.L1_HIT)
+        self._l2_hit = info(AccessPath.L2_HIT)
+        self._dram_fill = info(AccessPath.DRAM)
+        self._local_bands = (
+            info(AccessPath.LOCAL_SHARED),
+            info(AccessPath.LOCAL_EXCL,
+                 profile.local_shared if mitigated else None),
+        )
+        self._remote_bands = (
+            info(AccessPath.REMOTE_SHARED),
+            info(AccessPath.REMOTE_EXCL,
+                 profile.remote_shared if mitigated else None),
+        )
+        # A store's latency is its data source's unmitigated base latency
+        # plus the upgrade cost: (path, latency) per source, same layout.
+        upgrade = profile.store_upgrade
+
+        def rfo(path: AccessPath) -> tuple[AccessPath, float]:
+            return path, profile.for_path(path) + upgrade
+
+        self._rfo_dram = rfo(AccessPath.DRAM)
+        self._rfo_local = (rfo(AccessPath.LOCAL_SHARED),
+                           rfo(AccessPath.LOCAL_EXCL))
+        self._rfo_remote = (rfo(AccessPath.REMOTE_SHARED),
+                            rfo(AccessPath.REMOTE_EXCL))
+        self._store_hit_latency = profile.l1_hit
+        self._flush_latency = profile.flush
+        self._flush_writeback = profile.flush_writeback
+        self._home_agent = (
+            self.config.home_agent and self.config.n_sockets >= 2
+        )
         self._store_hit_counter = self.stats.counter_handle("machine.store.hit_m")
         self._store_rfo_counter = self.stats.counter_handle("machine.store.rfo")
         self._flush_counter = self.stats.counter_handle("machine.flush")
@@ -237,6 +249,12 @@ class Machine:
         # mutates in place), so their register methods can be bound.
         self._socket_by_core = [
             self.sockets[cid // cfg.cores_per_socket] for cid in range(cfg.n_cores)
+        ]
+        # Per socket, the other sockets' directories: the SWMR probe of a
+        # local grant walks these.
+        self._other_directories = [
+            [other.directory for other in self.sockets if other is not domain]
+            for domain in self.sockets
         ]
         ic = self.interconnect
         self._ring_register = [r.register for r in ic.rings]
@@ -332,11 +350,7 @@ class Machine:
         resources = {}
         for res in (*ic.rings, ic.qpi, *ic.mems):
             resources[res.name] = (
-                list(res._events),
-                None if res._times is None else list(res._times),
-                res._tpos,
-                res._weight,
-                res._uniform,
+                list(res._events), list(res._times), res._tpos,
                 res.total_traffic,
             )
         return {
@@ -381,15 +395,11 @@ class Machine:
         self.home_directory.update(state["home_directory"])
         ic = self.interconnect
         for res in (*ic.rings, ic.qpi, *ic.mems):
-            events, times, tpos, weight, uniform, total = (
-                state["resources"][res.name]
-            )
+            events, times, tpos, total = state["resources"][res.name]
             res._events.clear()
             res._events.extend(events)
-            res._times = None if times is None else list(times)
+            res._times = list(times)
             res._tpos = tpos
-            res._weight = weight
-            res._uniform = uniform
             res.total_traffic = total
         self.stats.reset()
         for name, value in state["counters"].items():
@@ -423,97 +433,88 @@ class Machine:
         if self._dir_mode:
             return self._directory_load(core_id, paddr, now)
         base = paddr & ~63
-        home = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        line, level = home.private_lookup(core, base)
+        line = core.l1.lookup(base)
         if line is not None:
-            path = AccessPath.L1_HIT if level == "l1" else AccessPath.L2_HIT
-            base_lat, counter = self._path_info[path]
-            latency = self._finish(core_id, base_lat, path)
+            path, base_lat, counter = self._l1_hit
             counter.value += 1
-            return line.value, latency, path
+            return line.value, self._jitter(base_lat), path
+        home = self._socket_by_core[core_id]
+        line = home.l2_lookup(core, base)
+        if line is not None:
+            path, base_lat, counter = self._l2_hit
+            counter.value += 1
+            return line.value, self._jitter(base_lat), path
 
         home_sid = home.socket_id
         ring_register = self._ring_register[home_sid]
-        contention = ring_register(now, 1.0)
-        home_hop = self._home_agent_hop(home_sid, base, now)
-        service = home.read(base, requester_id=core_id)
+        contention = ring_register(now)
+        home_hop = (
+            self._home_agent_hop(home_sid, base, now)
+            if self._home_agent else 0.0
+        )
+        service = home.read(base, core_id)
         if service is not None:
-            path = (
-                AccessPath.LOCAL_EXCL
-                if service.band == "excl"
-                else AccessPath.LOCAL_SHARED
-            )
-            if path is AccessPath.LOCAL_EXCL:
+            value, excl, entry = service
+            if excl:
                 # Owner-forwarded data crosses the ring a second time
                 # (LLC -> owner -> requester), so E-state services are
                 # twice as sensitive to ring congestion — the asymmetry
                 # the paper observes under kernel-build noise.
-                contention += ring_register(now, 1.0)
-            entry = service.entry
+                contention += ring_register(now)
             # With no local holder left, this LLC copy may still be one
             # of two: a cross-socket fill leaves a copy in each socket.
             # Probe the other directories before the grant can hand out
             # E, or the requester would hold E beside a remote S (SWMR).
-            shared = not entry.core_valid and any(
-                base in other.directory
-                for other in self.sockets if other is not home
-            )
-            home.grant_to_local(entry, core, service.value, shared)
-            base_lat, counter = self._path_info[path]
-            latency = (base_lat + home_hop + self._queueing(contention))
-            latency = self._finish(core_id, latency, path)
+            shared = False
+            if not entry.core_valid:
+                for directory in self._other_directories[home_sid]:
+                    if base in directory:
+                        shared = True
+                        break
+            home.grant_to_local(entry, core, value, shared)
+            path, base_lat, counter = self._local_bands[excl]
+            latency = base_lat + home_hop + self._queueing(contention)
             counter.value += 1
-            return service.value, latency, path
+            return value, self._finish(core_id, latency), path
 
         # Probe the other sockets over QPI before falling back to DRAM
         # (Section VI-B).
         for remote in self.sockets:
-            if remote.socket_id == home_sid:
+            if remote is home:
                 continue
-            remote_service = remote.read(base, requester_id=None)
-            if remote_service is None:
+            service = remote.read(base, None)
+            if service is None:
                 continue
-            path = (
-                AccessPath.REMOTE_EXCL
-                if remote_service.band == "excl"
-                else AccessPath.REMOTE_SHARED
-            )
+            value, excl, _entry = service
             remote_ring = self._ring_register[remote.socket_id]
-            contention += self._qpi_register(now, 1.0)
-            contention += remote_ring(now, 1.0)
-            if path is AccessPath.REMOTE_EXCL:
+            contention += self._qpi_register(now)
+            contention += remote_ring(now)
+            if excl:
                 # Remote owner-forward: a second remote-ring crossing and
                 # a second QPI message leg.
-                contention += remote_ring(now, 1.0)
-                contention += self._qpi_register(now, 1.0)
-            value = remote_service.value
+                contention += remote_ring(now)
+                contention += self._qpi_register(now)
             # The line is now present in (at least) two sockets: install a
             # shared copy locally; neither socket keeps exclusive rights.
             entry = home.llc_fill(base, value)
-            entry.core_valid.add(core_id)
+            entry.core_valid |= 1 << core_id
             entry.owner = None
-            home.private_fill(core, base, CoherenceState.SHARED, value)
-            base_lat, counter = self._path_info[path]
-            latency = (base_lat + home_hop + self._queueing(contention))
-            latency = self._finish(core_id, latency, path)
+            home.private_fill(core, base, _SHARED, value)
+            path, base_lat, counter = self._remote_bands[excl]
+            latency = base_lat + home_hop + self._queueing(contention)
             counter.value += 1
-            return value, latency, path
+            return value, self._finish(core_id, latency), path
 
         # DRAM fill; requester gets the line in E state (sole copy).
         value = self.dram.get(base, 0)
-        contention += self._mem_register[home_sid](now, 1.0)
+        contention += self._mem_register[home_sid](now)
         entry = home.llc_fill(base, value)
         home.grant_to_local(entry, core, value)
-        path = AccessPath.DRAM
-        base_lat, counter = self._path_info[path]
-        latency = self._finish(
-            core_id,
-            base_lat + home_hop + self._queueing(contention),
-            path,
-        )
+        path, base_lat, counter = self._dram_fill
+        latency = base_lat + home_hop + self._queueing(contention)
         counter.value += 1
-        return value, latency, path
+        return value, self._jitter(latency), path
 
     def _queueing(self, mean_delay: float) -> float:
         """Turn a mean queuing delay into a bursty random draw.
@@ -528,7 +529,7 @@ class Machine:
         """
         if mean_delay <= 0:
             return 0.0
-        return float(self._jitter_rng.gamma(2.0, mean_delay / 2.0))
+        return self._jitter_rng.gamma(2.0, mean_delay / 2.0)
 
     def store(
         self, core_id: int, paddr: int, value: int, now: float = 0.0
@@ -539,74 +540,69 @@ class Machine:
         base = paddr & ~63
         home = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        profile = self.config.latency
-        line, _level = home.private_lookup(core, base)
-        if line is not None and line.state.writable:
+        line = core.l1.lookup(base)
+        if line is None:
+            line = home.l2_lookup(core, base)
+        if line is not None and line.state is _MODIFIED:
             line.value = value
-            latency = self._finish(core_id, profile.l1_hit, AccessPath.L1_HIT)
             self._store_hit_counter.value += 1
-            return latency, AccessPath.L1_HIT
+            return self._jitter(self._store_hit_latency), AccessPath.L1_HIT
 
         # Gather the latest value and where it came from, invalidating
         # every other copy in the system.
-        latest, source_path = self._gather_for_ownership(core_id, base, now)
+        latest, (source_path, latency) = self._gather_for_ownership(
+            core_id, home, base, now)
         if line is not None and line.state.readable:
             # Upgrade in place (e.g. E -> M, S -> M after invalidations).
             latest = line.value
         entry = home.llc_fill(base, latest)
-        entry.core_valid = {core_id}
+        entry.core_valid = 1 << core_id
         entry.owner = core_id
         entry.forwarder = None
         entry.dirty = True
-        home.private_fill(core, base, CoherenceState.MODIFIED, value)
+        home.private_fill(core, base, _MODIFIED, value)
         entry.value = value
-        latency = self._base_latency[source_path] + profile.store_upgrade
-        latency = self._finish(core_id, latency, AccessPath.UNCACHED)
         self._store_rfo_counter.value += 1
-        return latency, source_path
+        return self._jitter(latency), source_path
 
     def _gather_for_ownership(
-        self, core_id: int, base: int, now: float
-    ) -> tuple[int, AccessPath]:
-        home = self._socket_by_core[core_id]
+        self, core_id: int, home: SocketDomain, base: int, now: float
+    ) -> tuple[int, tuple[AccessPath, float]]:
+        # Returns the line's latest value and the (path, latency) of the
+        # source it came from.
         latest: int | None = None
-        source = AccessPath.DRAM
-        self._ring_register[home.socket_id](now, 1.0)
+        source = self._rfo_dram
+        self._ring_register[home.socket_id](now)
         for domain in self.sockets:
             entry = domain.directory.get(base)
             if entry is None:
                 continue
-            is_home = domain.socket_id == home.socket_id
-            if entry.owner is not None and entry.owner != core_id:
-                owner_core = domain.core(entry.owner)
-                owner_line = domain.private_line(owner_core, base)
+            is_home = domain is home
+            bands = self._rfo_local if is_home else self._rfo_remote
+            owner = entry.owner
+            if owner is not None and owner != core_id:
+                owner_line = domain.private_line(domain.core(owner), base)
                 if owner_line is not None:
                     latest = owner_line.value
-                source = (
-                    AccessPath.LOCAL_EXCL if is_home else AccessPath.REMOTE_EXCL
-                )
+                source = bands[1]
             elif latest is None and entry.data_valid:
                 latest = entry.value
-                if source is AccessPath.DRAM:
-                    source = (
-                        AccessPath.LOCAL_SHARED
-                        if is_home
-                        else AccessPath.REMOTE_SHARED
-                    )
-            for other_id in list(entry.core_valid):
+                if source is self._rfo_dram:
+                    source = bands[0]
+            for other_id in bit_ids(entry.core_valid):
                 if other_id == core_id:
                     continue
-                other = domain.core(other_id)
-                invalidated = domain.private_invalidate(other, base)
+                invalidated = domain.private_invalidate(
+                    domain.core(other_id), base)
                 if invalidated is not None and invalidated.state.dirty:
                     latest = invalidated.value
             if not is_home:
                 domain.directory.pop(base, None)
                 domain.data_array.remove(base)
-                self._qpi_register(now, 1.0)
+                self._qpi_register(now)
         if latest is None:
             latest = self.dram.get(base, 0)
-            self._mem_register[home.socket_id](now, 1.0)
+            self._mem_register[home.socket_id](now)
         return latest, source
 
     def flush(self, core_id: int, paddr: int, now: float = 0.0) -> float:
@@ -614,21 +610,29 @@ class Machine:
         if self._dir_mode:
             return self._directory_flush(core_id, paddr, now)
         base = paddr & ~63
-        profile = self.config.latency
         latest: int | None = None
         dirty = False
         for domain in self.sockets:
+            if base not in domain.directory:
+                continue
             value, was_dirty = domain.invalidate_line(base)
             if value is not None and (latest is None or was_dirty):
                 latest = value
             dirty = dirty or was_dirty
-        latency = profile.flush
+        return self._flush_done(core_id, base, latest, dirty, now)
+
+    def _flush_done(
+        self, core_id: int, base: int, latest: int | None, dirty: bool,
+        now: float,
+    ) -> float:
+        # Write a dirty line back and charge the flush.
+        latency = self._flush_latency
         if dirty and latest is not None:
             self.dram[base] = latest
-            latency += profile.flush_writeback
-            self._mem_register[self._socket_by_core[core_id].socket_id](now, 1.0)
+            latency += self._flush_writeback
+            self._mem_register[self._socket_by_core[core_id].socket_id](now)
         self._flush_counter.value += 1
-        return self._finish(core_id, latency, AccessPath.UNCACHED)
+        return self._jitter(latency)
 
     # ------------------------------------------------------------------
     # directory (home-node) request path
@@ -674,21 +678,24 @@ class Machine:
         base = paddr & ~63
         domain = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        line, level = domain.private_lookup(core, base)
+        line = core.l1.lookup(base)
         if line is not None:
-            path = AccessPath.L1_HIT if level == "l1" else AccessPath.L2_HIT
-            base_lat, counter = self._path_info[path]
-            latency = self._finish(core_id, base_lat, path)
+            path, base_lat, counter = self._l1_hit
             counter.value += 1
-            return line.value, latency, path
+            return line.value, self._jitter(base_lat), path
+        line = domain.l2_lookup(core, base)
+        if line is not None:
+            path, base_lat, counter = self._l2_hit
+            counter.value += 1
+            return line.value, self._jitter(base_lat), path
 
         req_sid = domain.socket_id
-        contention = self._ring_register[req_sid](now, 1.0)
+        contention = self._ring_register[req_sid](now)
         home_sid = self._dir_home_socket(base)
         hop = 0.0
         if home_sid != req_sid:
             # The directory consult itself crosses QPI to the home node.
-            contention += self._qpi_register(now, 1.0)
+            contention += self._qpi_register(now)
             hop = self.config.home_hop_cycles
         entry = self.home_directory.get(base)
         trace = self._dir_trace
@@ -704,42 +711,36 @@ class Machine:
                     # cache-to-cache from the owner's socket.
                     value = owner_line.value
                     osid = owner_domain.socket_id
-                    contention += self._ring_register[osid](now, 1.0)
+                    contention += self._ring_register[osid](now)
                     if osid != req_sid:
-                        contention += self._qpi_register(now, 1.0)
+                        contention += self._qpi_register(now)
                     if owner_line.state.dirty and self.policy.has_owned_state:
                         # MOESI: the dirty owner keeps servicing in O.
-                        owner_line.state = CoherenceState.OWNED
+                        owner_line.state = _OWNED
                         entry.state = DirectoryState.OWNED
                         entry.owner_id = owner
                         entry.dirty = True
                     else:
                         if owner_line.state.dirty:
                             entry.dirty = True
-                        owner_line.state = CoherenceState.SHARED
+                        owner_line.state = _SHARED
                         entry.state = DirectoryState.SHARED
                         entry.owner_id = None
                     entry.value = value
                     entry.add_sharer(owner)
                     entry.add_sharer(core_id)
-                    domain.private_fill(
-                        core, base, CoherenceState.SHARED, value)
-                    path = (
-                        AccessPath.LOCAL_EXCL
-                        if osid == req_sid
-                        else AccessPath.REMOTE_EXCL
-                    )
+                    domain.private_fill(core, base, _SHARED, value)
                     if trace is not None:
                         trace(now, "owner_forward", base, entry)
-                    base_lat, counter = self._path_info[path]
-                    latency = self._finish(
-                        core_id,
-                        base_lat + hop + self._queueing(contention),
-                        path,
+                    bands = (
+                        self._local_bands if osid == req_sid
+                        else self._remote_bands
                     )
+                    path, base_lat, counter = bands[1]
+                    latency = base_lat + hop + self._queueing(contention)
                     counter.value += 1
                     self._dir_owner_fwd_counter.value += 1
-                    return value, latency, path
+                    return value, self._finish(core_id, latency), path
                 # Stale owner: its copy evicted silently (a dirty victim
                 # already reached DRAM via the L2-victim path).  Heal to
                 # home-side service.
@@ -753,30 +754,25 @@ class Machine:
                 entry.state = DirectoryState.SHARED
                 entry.owner_id = None
                 entry.add_sharer(core_id)
-                domain.private_fill(core, base, CoherenceState.SHARED, value)
-                path = (
-                    AccessPath.LOCAL_SHARED
-                    if home_sid == req_sid
-                    else AccessPath.REMOTE_SHARED
-                )
+                domain.private_fill(core, base, _SHARED, value)
                 if trace is not None:
                     trace(now, "home_service", base, entry)
-                base_lat, counter = self._path_info[path]
-                latency = self._finish(
-                    core_id,
-                    base_lat + hop + self._queueing(contention),
-                    path,
+                bands = (
+                    self._local_bands if home_sid == req_sid
+                    else self._remote_bands
                 )
+                path, base_lat, counter = bands[0]
+                latency = base_lat + hop + self._queueing(contention)
                 counter.value += 1
                 self._dir_home_counter.value += 1
-                return value, latency, path
+                return value, self._finish(core_id, latency), path
 
         # No entry or no live copies: memory fill, requester granted E.
         if entry is not None and entry.dirty:
             value = self.dram.get(base, entry.value)
         else:
             value = self.dram.get(base, 0)
-        contention += self._mem_register[home_sid](now, 1.0)
+        contention += self._mem_register[home_sid](now)
         if entry is None:
             entry = DirectoryEntry(addr=base)
             self.home_directory[base] = entry
@@ -784,19 +780,14 @@ class Machine:
         entry.sharers = 1 << core_id
         entry.owner_id = None
         entry.value = value
-        domain.private_fill(core, base, CoherenceState.EXCLUSIVE, value)
-        path = AccessPath.DRAM
+        domain.private_fill(core, base, _EXCLUSIVE, value)
         if trace is not None:
             trace(now, "memory_fill", base, entry)
-        base_lat, counter = self._path_info[path]
-        latency = self._finish(
-            core_id,
-            base_lat + hop + self._queueing(contention),
-            path,
-        )
+        path, base_lat, counter = self._dram_fill
+        latency = base_lat + hop + self._queueing(contention)
         counter.value += 1
         self._dir_fill_counter.value += 1
-        return value, latency, path
+        return value, self._jitter(latency), path
 
     def _directory_store(
         self, core_id: int, paddr: int, value: int, now: float
@@ -804,22 +795,22 @@ class Machine:
         base = paddr & ~63
         domain = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        profile = self.config.latency
-        line, _level = domain.private_lookup(core, base)
-        if line is not None and line.state.writable:
+        line = core.l1.lookup(base)
+        if line is None:
+            line = domain.l2_lookup(core, base)
+        if line is not None and line.state is _MODIFIED:
             line.value = value
-            latency = self._finish(core_id, profile.l1_hit, AccessPath.L1_HIT)
             self._store_hit_counter.value += 1
-            return latency, AccessPath.L1_HIT
+            return self._jitter(self._store_hit_latency), AccessPath.L1_HIT
 
         req_sid = domain.socket_id
-        self._ring_register[req_sid](now, 1.0)
+        self._ring_register[req_sid](now)
         home_sid = self._dir_home_socket(base)
         if home_sid != req_sid:
-            self._qpi_register(now, 1.0)
+            self._qpi_register(now)
         entry = self.home_directory.get(base)
         latest: int | None = None
-        source = AccessPath.DRAM
+        source = self._rfo_dram
         if entry is not None:
             self._dir_entry_heal(entry, core_id)
             owner = entry.owner()
@@ -828,25 +819,25 @@ class Machine:
                 owner_line = owner_domain.private_line(
                     self.cores[owner], base)
                 osid = owner_domain.socket_id
-                self._ring_register[osid](now, 1.0)
+                self._ring_register[osid](now)
                 if osid != req_sid:
-                    self._qpi_register(now, 1.0)
+                    self._qpi_register(now)
                 if owner_line is not None:
                     latest = owner_line.value
-                    source = (
-                        AccessPath.LOCAL_EXCL
-                        if osid == req_sid
-                        else AccessPath.REMOTE_EXCL
+                    bands = (
+                        self._rfo_local if osid == req_sid
+                        else self._rfo_remote
                     )
+                    source = bands[1]
                 elif entry.dirty:
                     latest = entry.value
             elif entry.sharers:
                 latest = entry.value
-                source = (
-                    AccessPath.LOCAL_SHARED
-                    if home_sid == req_sid
-                    else AccessPath.REMOTE_SHARED
+                bands = (
+                    self._rfo_local if home_sid == req_sid
+                    else self._rfo_remote
                 )
+                source = bands[0]
             elif entry.dirty:
                 latest = entry.value
             # Invalidate every (possibly stale) sharer bit.
@@ -863,7 +854,7 @@ class Machine:
             latest = line.value
         if latest is None:
             latest = self.dram.get(base, 0)
-            self._mem_register[home_sid](now, 1.0)
+            self._mem_register[home_sid](now)
         if entry is None:
             entry = DirectoryEntry(addr=base)
             self.home_directory[base] = entry
@@ -872,19 +863,17 @@ class Machine:
         entry.owner_id = None
         entry.value = value
         entry.dirty = True
-        domain.private_fill(core, base, CoherenceState.MODIFIED, value)
+        domain.private_fill(core, base, _MODIFIED, value)
         if self._dir_trace is not None:
             self._dir_trace(now, "rfo", base, entry)
-        latency = self._base_latency[source] + profile.store_upgrade
-        latency = self._finish(core_id, latency, AccessPath.UNCACHED)
+        source_path, latency = source
         self._store_rfo_counter.value += 1
-        return latency, source
+        return self._jitter(latency), source_path
 
     def _directory_flush(
         self, core_id: int, paddr: int, now: float
     ) -> float:
         base = paddr & ~63
-        profile = self.config.latency
         entry = self.home_directory.pop(base, None)
         latest: int | None = None
         dirty = False
@@ -902,13 +891,7 @@ class Machine:
                     dirty = dirty or invalidated.state.dirty
             if self._dir_trace is not None:
                 self._dir_trace(now, "flush", base, entry)
-        latency = profile.flush
-        if dirty and latest is not None:
-            self.dram[base] = latest
-            latency += profile.flush_writeback
-            self._mem_register[self._socket_by_core[core_id].socket_id](now, 1.0)
-        self._flush_counter.value += 1
-        return self._finish(core_id, latency, AccessPath.UNCACHED)
+        return self._flush_done(core_id, base, latest, dirty, now)
 
     def drop_line(self, paddr: int) -> None:
         """Invalidate a line everywhere without write-back.
@@ -938,38 +921,29 @@ class Machine:
         Charged on every LLC-miss transaction whose requester is not the
         line's home node; page-interleaved homes mean the same (location,
         state) pair splits into home-local and home-remote sub-bands.
+        Callers check ``_home_agent`` first.
         """
-        if not self._home_agent:
-            return 0.0
         home_socket = (base // 4096) % self.config.n_sockets
         if home_socket == requester_socket:
             return 0.0
-        self._qpi_register(now, 1.0)
+        self._qpi_register(now)
         return self.config.home_hop_cycles
 
-    def _band_latency(self, core_id: int, path: AccessPath) -> float:
-        """Band base latency under the active mitigation flags.
-
-        Just a table lookup: the llc_direct_e_response merge (Section
-        VIII-E) is folded into ``_band_table`` at construction.
-        """
-        return self._band_table[path]
-
-    def _finish(self, core_id: int, base_latency: float, path: AccessPath) -> float:
+    def _finish(self, core_id: int, latency: float) -> float:
+        """A coherence-band load's latency: obfuscated or jittered."""
         obf = self.obfuscation
-        if (
-            obf is not None
-            and obf.applies_to(core_id)
-            and path in _COHERENCE_BANDS
-        ):
+        if obf is not None and obf.applies_to(core_id):
             return obf.obfuscate(self._jitter_rng)
+        return self._jitter(latency)
+
+    def _jitter(self, latency: float) -> float:
         # Inlined NoiseModel.sample (one call per executed memory op);
-        # draw order and clamping match the model exactly.
+        # draw order, draw values and clamping match the model exactly.
         noise = self._noise
-        rng = self._jitter_rng
         if not noise.enabled:
-            return base_latency if base_latency > 1.0 else 1.0
-        value = base_latency + rng.normal(0.0, noise.sigma)
+            return latency if latency > 1.0 else 1.0
+        rng = self._jitter_rng
+        value = latency + noise.sigma * rng.standard_normal()
         if rng.random() < noise.tail_probability:
             value += rng.exponential(noise.tail_scale)
         return value if value > 1.0 else 1.0
@@ -1007,7 +981,7 @@ class Machine:
                 core_id
                 for domain in self.sockets
                 if (entry := domain.directory.get(base)) is not None
-                for core_id in entry.core_valid
+                for core_id in bit_ids(entry.core_valid)
             ]
         for core_id in holders:
             line = cores[core_id].l2.lookup(base, False)

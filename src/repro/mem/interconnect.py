@@ -6,18 +6,12 @@ traffic into queuing delay.  This is what makes co-located noise
 workloads (Figure 9) degrade the covert channel: they both evict the
 covert line *and* inflate latency variance through these resources.
 
-Hot-path design.  The seed implementation recomputed the window load
-with an O(window) linear ``sum()`` over the event deque on *every*
-access crossing *every* resource.  The model's semantics are preserved
-exactly — the event log is still an insertion-ordered deque, eviction
-still drops only the expired *prefix* (so mildly out-of-order events
-from batched bursts are retained, exactly as before), and the load is
-still the traffic with ``cutoff <= t <= time`` among retained events —
-but the load query is now answered in O(log n) from a time-sorted index
-of the live events, with uniform integral weights (the only kind the
-machine ever registers) counted instead of summed.  Non-uniform or
-fractional weights fall back to the seed's literal linear scan, so the
-result is bit-identical in every case.
+Hot-path design.  Every registration is one unit of traffic.  The
+event log is an insertion-ordered deque of times, and eviction drops
+only its expired *prefix*, so mildly out-of-order events from batched
+bursts are retained; the load is the number of retained events with
+``cutoff <= t <= time``.  A time-sorted index of the retained events
+answers that count with two bisections instead of a scan of the window.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ class Resource:
 
     __slots__ = (
         "name", "window", "saturation", "service_cycles", "total_traffic",
-        "_events", "_times", "_tpos", "_weight", "_uniform",
+        "_events", "_times", "_tpos",
     )
 
     def __init__(
@@ -74,42 +68,29 @@ class Resource:
         self.window = window
         self.saturation = saturation
         self.service_cycles = service_cycles
-        self._events: deque[tuple[float, float]] = deque()
         self.total_traffic = 0.0
-        # Fast-path index: the times of every event still in ``_events``,
-        # kept sorted, with a lazily-compacted head offset.  Only valid
-        # while every registered weight is the same integral value (so
-        # ``count * weight`` is bit-identical to the seed's sequential
-        # float summation); the first deviating weight drops the
-        # resource onto the exact slow path for its remaining lifetime.
-        self._times: list[float] | None = None
+        #: Event times in insertion order.
+        self._events: deque[float] = deque()
+        #: The same times, sorted; ``_times[_tpos:]`` is live, the head
+        #: before it holds evicted slots awaiting compaction.
+        self._times: list[float] = []
         self._tpos = 0
-        self._weight: float | None = None
-        self._uniform = True
 
-    # -- window maintenance --------------------------------------------
+    def register(self, time: float) -> float:
+        """Record one unit of traffic at *time*.
 
-    def _window_load(self, time: float) -> float:
-        """Evict the expired prefix and return the load in the window.
-
-        This is the single definition of the window predicate shared by
-        :meth:`register` and :meth:`current_load`: traffic registered at
-        ``t`` counts iff the event is still retained (only the expired
-        prefix of the insertion-ordered log is ever dropped) and
-        ``time - window <= t <= time``.
+        Returns the *mean* queuing delay at the current utilization; the
+        machine turns it into a bursty draw.  Events may arrive mildly
+        out of time order (a batched burst registers accesses at future
+        instants before other threads catch up), so the load counts the
+        retained events actually inside ``[time - window, time]``.
         """
         cutoff = time - self.window
         events = self._events
         times = self._times
-        if not self._uniform or times is None:
-            # Exact slow path (non-uniform or fractional weights): the
-            # seed's literal prefix-evict + linear scan.
-            while events and events[0][0] < cutoff:
-                events.popleft()
-            return sum(w for t, w in events if cutoff <= t <= time)
         tpos = self._tpos
-        while events and events[0][0] < cutoff:
-            t, _w = events.popleft()
+        while events and events[0] < cutoff:
+            t = events.popleft()
             # Drop t from the sorted index.  The evicted prefix usually
             # holds the globally oldest times, so this is almost always
             # the index head; out-of-order retirements bisect.
@@ -121,64 +102,36 @@ class Resource:
             del times[:tpos]
             tpos = 0
         self._tpos = tpos
-        count = (
-            bisect_right(times, time, tpos)
-            - bisect_left(times, cutoff, tpos)
-        )
-        if count == 0:
+        load = bisect_right(times, time, tpos) - bisect_left(times, cutoff, tpos)
+        events.append(time)
+        self.total_traffic += 1.0
+        if not times or time >= times[-1]:
+            times.append(time)
+        else:
+            insort(times, time, tpos)
+        if not load:
             return 0.0
-        return count * self._weight
-
-    def _record(self, time: float, weight: float) -> None:
-        """Append one event to the log (and the sorted index)."""
-        self._events.append((time, weight))
-        self.total_traffic += weight
-        if not self._uniform:
-            return
-        if self._weight is None:
-            if weight == int(weight):
-                self._weight = weight
-                self._times = [time]
-                return
-        elif weight == self._weight:
-            times = self._times
-            if not times or time >= times[-1]:
-                times.append(time)
-            else:
-                insort(times, time, self._tpos)
-            return
-        # First non-uniform (or fractional) weight: abandon the index,
-        # the slow path scans the deque exactly as the seed did.
-        self._uniform = False
-        self._times = None
-        self._tpos = 0
-
-    # -- public API -----------------------------------------------------
-
-    def register(self, time: float, weight: float = 1.0) -> float:
-        """Record *weight* units of traffic at *time*.
-
-        Returns the *mean* queuing delay at the current utilization; the
-        machine turns it into a bursty draw.  Events may arrive mildly
-        out of time order (a batched burst registers accesses at future
-        instants before other threads catch up), so the load is computed
-        over events actually inside ``(time - window, time]``.
-        """
-        load = self._window_load(time)
-        self._record(time, weight)
-        rho = min(load / self.saturation, self.RHO_CAP)
+        rho = load / self.saturation
+        if rho > self.RHO_CAP:
+            rho = self.RHO_CAP
         return self.service_cycles * rho / (1.0 - rho)
 
-    def current_load(self, time: float) -> float:
-        """Traffic units inside the window ending at *time*."""
-        return self._window_load(time)
+    def current_load(self, time: float) -> int:
+        """Traffic units inside the window ending at *time*.
+
+        A pure query: the events eviction would drop all lie before the
+        window, so counting needs no eviction.
+        """
+        times = self._times
+        tpos = self._tpos
+        return (bisect_right(times, time, tpos)
+                - bisect_left(times, time - self.window, tpos))
 
     def reset(self) -> None:
         """Forget all recorded traffic (used between measurement phases)."""
         self._events.clear()
-        if self._uniform:
-            self._times = [] if self._weight is not None else None
-            self._tpos = 0
+        self._times = []
+        self._tpos = 0
 
 
 class Interconnect:
@@ -208,18 +161,6 @@ class Interconnect:
             Resource(f"mem{s}", window, mem_capacity, delay_per_excess * 1.5)
             for s in range(n_sockets)
         ]
-
-    def ring_delay(self, socket_id: int, time: float, weight: float = 1.0) -> float:
-        """Register traffic on a socket's ring; return queuing delay."""
-        return self.rings[socket_id].register(time, weight)
-
-    def qpi_delay(self, time: float, weight: float = 1.0) -> float:
-        """Register traffic on the inter-socket link; return delay."""
-        return self.qpi.register(time, weight)
-
-    def mem_delay(self, socket_id: int, time: float, weight: float = 1.0) -> float:
-        """Register traffic on a socket's memory controller."""
-        return self.mems[socket_id].register(time, weight)
 
     def reset(self) -> None:
         """Clear every resource's traffic window.

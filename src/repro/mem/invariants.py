@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.errors import CoherenceError
-from repro.mem.cacheline import CoherenceState, line_addr
+from repro.mem.cacheline import CoherenceState, bit_ids, line_addr
 from repro.mem.hierarchy import Machine
 
 
@@ -48,7 +48,7 @@ def check_machine(machine: Machine) -> None:
       actually holding a forwardable (E/M/O) copy.
     * **Holder records**: every private holder is recorded where
       :meth:`Machine.private_states` looks for it — its bit in its
-      socket's core-valid set (snoop backends) or in the home entry's
+      socket's core-valid mask (snoop backends) or in the home entry's
       sharer mask (directory backend).
     * **LLC inclusion** (inclusive snoop mode): a private copy implies a
       data-valid LLC entry in the same socket.
@@ -88,7 +88,7 @@ def check_machine(machine: Machine) -> None:
                 record = "home sharer mask"
             else:
                 entry = machine.socket_of(core_id).directory.get(addr)
-                recorded = entry is not None and core_id in entry.core_valid
+                recorded = entry is not None and entry.core_valid >> core_id & 1
                 record = "socket core-valid bits"
             if not recorded:
                 raise CoherenceError(
@@ -113,18 +113,18 @@ def check_machine(machine: Machine) -> None:
                     )
 
         for addr, entry in domain.directory.items():
-            actual = set()
+            actual = 0
             for core in domain.cores:
                 if domain.private_line(core, addr) is not None:
-                    actual.add(core.core_id)
+                    actual |= 1 << core.core_id
             if entry.core_valid != actual:
                 raise CoherenceError(
                     f"socket {domain.socket_id} line {addr:#x}: core-valid "
-                    f"bits {sorted(entry.core_valid)} != actual holders "
-                    f"{sorted(actual)}"
+                    f"bits {bit_ids(entry.core_valid)} != actual holders "
+                    f"{bit_ids(actual)}"
                 )
             if entry.owner is not None:
-                if entry.owner not in actual:
+                if not actual >> entry.owner & 1:
                     raise CoherenceError(
                         f"socket {domain.socket_id} line {addr:#x}: owner "
                         f"{entry.owner} holds no private copy"

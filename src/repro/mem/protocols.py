@@ -39,8 +39,8 @@ class ProtocolPolicy:
         """
         if (
             not shared_elsewhere
-            and entry.core_valid == {requester}
-            and entry.owner in (None, requester)
+            and entry.core_valid == 1 << requester
+            and (entry.owner is None or entry.owner == requester)
         ):
             return CoherenceState.EXCLUSIVE
         return CoherenceState.SHARED
@@ -90,11 +90,6 @@ class MesifPolicy(ProtocolPolicy):
             entry.forwarder = requester
             return CoherenceState.FORWARD
         return state
-
-    def on_owner_read_service(
-        self, entry: LlcLine, owner_line: PrivateLine
-    ) -> None:
-        super().on_owner_read_service(entry, owner_line)
 
 
 class MoesiPolicy(ProtocolPolicy):

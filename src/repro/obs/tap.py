@@ -180,8 +180,8 @@ class MachineTap:
         self._wrappers = {"load": load, "store": store, "flush": flush}
 
         def hop_wrapper(name: str, register):
-            def wrapped(now: float, weight: float) -> float:
-                contribution = register(now, weight)
+            def wrapped(now: float) -> float:
+                contribution = register(now)
                 record(now, "hop", name, _hop_data, (contribution,))
                 return contribution
             return wrapped

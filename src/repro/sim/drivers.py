@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, NoReturn
 
 from repro.errors import SimulationError, SyncTimeoutError
-from repro.sim.events import AccessPath, Burst
+from repro.sim.events import Burst
 from repro.sim.thread import SimThread, ThreadState
 
 if TYPE_CHECKING:
@@ -63,7 +63,6 @@ _READY = ThreadState.READY
 _DONE = ThreadState.DONE
 _FAILED = ThreadState.FAILED
 _INF = float("inf")
-_L1_HIT = AccessPath.L1_HIT
 
 __all__ = ["DRIVERS", "driver_for", "hoisted_bindings"]
 
@@ -183,7 +182,7 @@ class _WorkerDriver:
         l1 = machine.cores[thread.core_id].l1
         noise = machine._noise
         rng = machine._jitter_rng
-        hit_base, hit_counter = machine._path_info[_L1_HIT]
+        _path, hit_base, hit_counter = machine._l1_hit
         buckets, set_mask = l1._sets, l1._set_mask
         if "load" in machine.__dict__:
             # Interposed load: one always-empty bucket sends every probe
@@ -210,7 +209,8 @@ class _WorkerDriver:
         self._hoist = (
             buckets, set_mask, hit_base, hit_counter,
             noise.enabled, noise.sigma, noise.tail_probability,
-            noise.tail_scale, rng.normal, rng.random, rng.exponential,
+            noise.tail_scale, rng.standard_normal, rng.random,
+            rng.exponential,
             machine.load, kernel._do_store, reload_period, spin, backoff,
             params.adaptive_backoff, params.worker_refill_floor,
             self.role.location, self.role.index, owned, needed,
@@ -225,8 +225,8 @@ class _WorkerDriver:
         control = self.control
 
         (buckets, set_mask, hit_base, hit_counter, noise_on, sigma,
-         tail_p, tail_s, normal, random, exponential, mload, do_store,
-         reload_period, spin, backoff, adaptive, refill_floor,
+         tail_p, tail_s, standard_normal, random, exponential, mload,
+         do_store, reload_period, spin, backoff, adaptive, refill_floor,
          role_location, role_index, owned, needed, timeshare, sched_rng,
          tid, process, core_id, va, pair_actions, pair_refs) = self._hoist
 
@@ -289,11 +289,10 @@ class _WorkerDriver:
                         line = bucket.get(base)
                         if line is not None:
                             # Inline L1 hit: LRU touch + the exact
-                            # _finish draw sequence (obfuscation never
-                            # applies to the L1-hit band).
+                            # Machine._jitter draw sequence.
                             bucket.move_to_end(base)
                             if noise_on:
-                                sample = hit_base + normal(0.0, sigma)
+                                sample = hit_base + sigma * standard_normal()
                                 if random() < tail_p:
                                     sample += exponential(tail_s)
                                 latency = (

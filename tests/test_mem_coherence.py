@@ -22,7 +22,7 @@ def test_first_load_fills_exclusive_from_dram(m):
     assert path is AccessPath.DRAM
     assert m.private_state(1, ADDR) is CoherenceState.EXCLUSIVE
     entry = m.llc_entry(0, ADDR)
-    assert entry.core_valid == {1}
+    assert entry.core_valid == 1 << 1
     assert entry.owner == 1
     check_machine(m)
 
@@ -34,7 +34,7 @@ def test_second_core_load_downgrades_owner_to_shared(m):
     assert m.private_state(0, ADDR) is CoherenceState.SHARED
     assert m.private_state(1, ADDR) is CoherenceState.SHARED
     assert m.llc_entry(0, ADDR).owner is None
-    assert m.llc_entry(0, ADDR).core_valid == {0, 1}
+    assert m.llc_entry(0, ADDR).core_valid == 1 << 0 | 1 << 1
     check_machine(m)
 
 
@@ -153,7 +153,7 @@ def test_core_valid_bits_track_private_evictions(m):
         m.load(1, ADDR + (way + 1) * way_stride)
     entry = m.llc_entry(0, ADDR)
     if entry is not None:
-        assert 1 not in entry.core_valid or \
+        assert not entry.core_valid >> 1 & 1 or \
             m.private_state(1, ADDR) is not CoherenceState.INVALID
     check_machine(m)
 
