@@ -78,12 +78,18 @@ class Point:
     fn: str
     params: Mapping[str, Any]
     label: str = ""
+    #: The canonical JSON, serialized once when the point is built.
+    _canonical: str = field(init=False, repr=False, compare=False)
+    #: Memoized :meth:`key` per salt.
+    _keys: dict[str, str] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         # Validate eagerly so a malformed grid fails at build time, not
         # deep inside a worker process.
         object.__setattr__(self, "params", dict(self.params))
-        self.canonical()
+        object.__setattr__(self, "_canonical", canonical_json(
+            {"fn": self.fn, "params": self.params}))
         if ":" not in self.fn:
             raise SpecError(
                 f"point fn must look like 'pkg.module:callable', got "
@@ -92,15 +98,18 @@ class Point:
 
     def canonical(self) -> str:
         """Canonical JSON identity of this point (fn + params only)."""
-        return canonical_json({"fn": self.fn, "params": self.params})
+        return self._canonical
 
     def key(self, salt: str = "") -> str:
         """Content hash of the point, optionally salted (cache key)."""
-        digest = hashlib.sha256()
-        digest.update(salt.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(self.canonical().encode("utf-8"))
-        return digest.hexdigest()
+        key = self._keys.get(salt)
+        if key is None:
+            digest = hashlib.sha256()
+            digest.update(salt.encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(self._canonical.encode("utf-8"))
+            key = self._keys[salt] = digest.hexdigest()
+        return key
 
     def execute(self) -> Any:
         """Resolve ``fn`` and call it with this point's params."""
@@ -116,10 +125,10 @@ class Point:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash(self._canonical)
 
 
 def chunk_pending(

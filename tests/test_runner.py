@@ -82,6 +82,32 @@ def test_point_key_depends_on_salt():
     assert p.key("repro-1.0.0") != p.key("repro-1.0.1")
 
 
+def fresh_key(point, salt):
+    import hashlib
+
+    digest = hashlib.sha256()
+    digest.update(salt.encode("utf-8") + b"\0")
+    digest.update(canonical_json({"fn": point.fn, "params": point.params})
+                  .encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_point_keeps_canonical_json_and_salted_keys():
+    p = Point(fn=SQUARE, params={"y": [1, 2], "x": 1}, label="p")
+    assert p.canonical() == canonical_json({"fn": SQUARE, "params": p.params})
+    for salt in ("", "repro-1.0.0", "repro-1.0.0"):
+        assert p.key(salt) == fresh_key(p, salt)
+    clone = pickle.loads(pickle.dumps(p))
+    assert clone.canonical() == p.canonical()
+    assert clone.key("repro-1.0.0") == fresh_key(p, "repro-1.0.0")
+    assert clone.key("other") == fresh_key(p, "other")
+    assert clone == p and hash(clone) == hash(p)
+    # Equality and hashing ignore the order params were given in.
+    q = Point(fn=SQUARE, params={"x": 1, "y": [1, 2]})
+    assert q == p and hash(q) == hash(p) and q.key("s") == p.key("s")
+    assert "_canonical" not in repr(p) and "_keys" not in repr(p)
+
+
 def test_empty_spec_rejected():
     with pytest.raises(SpecError):
         ExperimentSpec(experiment="empty", points=())
