@@ -41,8 +41,10 @@ from repro.errors import CheckpointError
 #: hash it, so stale segments are never found.  v2 stored driver
 #: positions for the channel threads; v3 stores them for every thread
 #: and drops the re-drive records; v4 pickles frames with lazily
-#: allocated bytes (an untouched frame carries none).
-CHECKPOINT_VERSION = 4
+#: allocated bytes (an untouched frame carries none); v5 stores LLC
+#: core-valid bits as an int mask and each interconnect resource as
+#: (times, sorted times, head offset, total traffic).
+CHECKPOINT_VERSION = 5
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
 BLOB_MAGIC = b"RCKP"

@@ -225,6 +225,41 @@ def test_noisy_capture_carries_no_untouched_frame_bytes(seg_cache):
     assert unmanifested(resumed) == unmanifested(reference)
 
 
+def test_noisy_two_socket_capture_restores_to_same_result(seg_cache):
+    """A capture taken mid-transmission while kernel-build workers load
+    both sockets holds core-valid masks with socket-1 bits and live
+    interconnect windows; it restores to the same result pickle, the
+    same engine clock and the same machine counters."""
+    session = ChannelSession(SessionConfig(
+        spec="mesi-es", seed=5, calibration_samples=120, noise_threads=2,
+    ))
+    checkpoints = []
+
+    def pause_capture_finish(ctx):
+        session.sim.run(pause_at=session.sim.global_clock + 30_000.0)
+        checkpoints.append(capture(session, ctx))
+        session.sim.run()
+
+    session._run_transmission = pause_capture_finish
+    reference = session.transmit(list(PAYLOAD))
+
+    machine = pickle.loads(checkpoints[0].state)["machine"]
+    masks = [entry.core_valid for _llc, directory in machine["sockets"]
+             for entry in directory.values()]
+    assert all(isinstance(mask, int) for mask in masks)
+    socket1 = sum(1 << core for core in range(6, 12))
+    assert any(mask & socket1 for mask in masks)
+    events, times, tpos, total = machine["resources"]["ring0"]
+    assert events and sorted(events) == times[tpos:] and total > 0
+
+    restored, ctx = restore(checkpoints[0])
+    resumed = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
+    assert unmanifested(resumed) == unmanifested(reference)
+    assert restored.sim.global_clock == session.sim.global_clock
+    assert (restored.machine.stats.counters()
+            == session.machine.stats.counters())
+
+
 def test_undriven_noise_session_is_not_segmented(seg_cache, monkeypatch):
     """With the driver table emptied nothing is driven: the session runs
     unsegmented, and a direct capture names the undriven thread."""
