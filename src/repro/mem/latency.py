@@ -94,7 +94,9 @@ class NoiseModel:
         """Return *base* perturbed by jitter (never below 1 cycle)."""
         if not self.enabled:
             return max(1.0, base)
-        value = base + rng.normal(0.0, self.sigma)
+        # sigma * z is the value normal(0, sigma) returns for the same
+        # draw, at a cheaper call.
+        value = base + self.sigma * rng.standard_normal()
         if rng.random() < self.tail_probability:
             value += rng.exponential(self.tail_scale)
         return max(1.0, value)
