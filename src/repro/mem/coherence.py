@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import CoherenceError
 from repro.mem.cache import SetAssocCache
-from repro.mem.cacheline import CoherenceState, LlcLine, PrivateLine, bit_ids
+from repro.mem.cacheline import CoherenceState, LlcLine, PrivateLine
 from repro.mem.protocols import ProtocolPolicy
 
 

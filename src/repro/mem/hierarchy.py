@@ -13,7 +13,13 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.mem.cache import SetAssocCache
-from repro.mem.cacheline import CoherenceState, LlcLine, bit_ids, line_addr
+from repro.mem.cacheline import (
+    CoherenceState,
+    LlcLine,
+    PrivateLine,
+    bit_ids,
+    line_addr,
+)
 from repro.mem.coherence import Core, SocketDomain
 from repro.mem.directory import DirectoryEntry, DirectoryState
 from repro.mem.interconnect import Interconnect
@@ -430,8 +436,6 @@ class Machine:
         self, core_id: int, paddr: int, now: float = 0.0
     ) -> tuple[int, float, AccessPath]:
         """Service a load; returns (value, latency_cycles, path)."""
-        if self._dir_mode:
-            return self._directory_load(core_id, paddr, now)
         base = paddr & ~63
         core = self.cores[core_id]
         line = core.l1.lookup(base)
@@ -445,6 +449,8 @@ class Machine:
             path, base_lat, counter = self._l2_hit
             counter.value += 1
             return line.value, self._jitter(base_lat), path
+        if self._dir_mode:
+            return self._directory_load(core_id, core, home, base, now)
 
         home_sid = home.socket_id
         ring_register = self._ring_register[home_sid]
@@ -535,8 +541,6 @@ class Machine:
         self, core_id: int, paddr: int, value: int, now: float = 0.0
     ) -> tuple[float, AccessPath]:
         """Service a store (read-for-ownership); returns (latency, path)."""
-        if self._dir_mode:
-            return self._directory_store(core_id, paddr, value, now)
         base = paddr & ~63
         home = self._socket_by_core[core_id]
         core = self.cores[core_id]
@@ -547,6 +551,9 @@ class Machine:
             line.value = value
             self._store_hit_counter.value += 1
             return self._jitter(self._store_hit_latency), AccessPath.L1_HIT
+        if self._dir_mode:
+            return self._directory_store(core_id, core, home, line, base,
+                                         value, now)
 
         # Gather the latest value and where it came from, invalidating
         # every other copy in the system.
@@ -673,22 +680,10 @@ class Machine:
             entry.state = DirectoryState.SHARED
 
     def _directory_load(
-        self, core_id: int, paddr: int, now: float
+        self, core_id: int, core: Core, domain: SocketDomain, base: int,
+        now: float,
     ) -> tuple[int, float, AccessPath]:
-        base = paddr & ~63
-        domain = self._socket_by_core[core_id]
-        core = self.cores[core_id]
-        line = core.l1.lookup(base)
-        if line is not None:
-            path, base_lat, counter = self._l1_hit
-            counter.value += 1
-            return line.value, self._jitter(base_lat), path
-        line = domain.l2_lookup(core, base)
-        if line is not None:
-            path, base_lat, counter = self._l2_hit
-            counter.value += 1
-            return line.value, self._jitter(base_lat), path
-
+        # A private miss of *core*; *domain* is its socket.
         req_sid = domain.socket_id
         contention = self._ring_register[req_sid](now)
         home_sid = self._dir_home_socket(base)
@@ -790,19 +785,10 @@ class Machine:
         return value, self._jitter(latency), path
 
     def _directory_store(
-        self, core_id: int, paddr: int, value: int, now: float
+        self, core_id: int, core: Core, domain: SocketDomain,
+        line: PrivateLine | None, base: int, value: int, now: float,
     ) -> tuple[float, AccessPath]:
-        base = paddr & ~63
-        domain = self._socket_by_core[core_id]
-        core = self.cores[core_id]
-        line = core.l1.lookup(base)
-        if line is None:
-            line = domain.l2_lookup(core, base)
-        if line is not None and line.state is _MODIFIED:
-            line.value = value
-            self._store_hit_counter.value += 1
-            return self._jitter(self._store_hit_latency), AccessPath.L1_HIT
-
+        # A store without M rights; *line* is the core's own copy, if any.
         req_sid = domain.socket_id
         self._ring_register[req_sid](now)
         home_sid = self._dir_home_socket(base)
