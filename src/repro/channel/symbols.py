@@ -161,10 +161,6 @@ class SymbolDecoder:
         )
 
 
-class SymbolTrojanControl(TrojanControl):
-    """Control object reused by the binary worker program."""
-
-
 def symbol_controller_program(
     control: TrojanControl,
     params: SymbolParams,

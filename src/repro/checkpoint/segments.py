@@ -10,12 +10,6 @@ re-invoked CLI) finds the newest segment through the identity's index
 entry and resumes from it instead of replaying from cycle zero; the
 resumed run is bit-identical to an uninterrupted one.
 
-The same primitive warm-starts a grid from a common prefix: a point may
-:meth:`~SegmentStore.adopt_prefix` another identity's *warmup*
-checkpoint when everything up to the end of the warmup transmission
-(seed, scenario, machine, noise, warmup payload) matches, and pay only
-for its own main transmission.
-
 Environment knobs:
 
 * ``REPRO_SEGMENT_CYCLES`` — segment length in simulated cycles; unset
@@ -283,35 +277,3 @@ class SegmentStore:
             return None
         self.resumed_from = int(index.get("segment", 0))
         return bytes(blob)
-
-    def adopt_prefix(self, donor_identity: str) -> bool:
-        """Warm-start: copy another identity's warmup checkpoint here.
-
-        Only a *warmup*-labelled checkpoint is adoptable — the shared
-        prefix ends where the warmup transmission does, and the adopting
-        point's own main transmission runs from there.  The caller is
-        responsible for the donor actually being a prefix-equivalent
-        point (same seed, scenario, machine, noise and warmup payload);
-        adopted state is bit-exact, so a mismatched donor produces a
-        *different* result, not a subtly wrong one.  Returns whether a
-        checkpoint was adopted.
-        """
-        donor = SegmentStore(
-            donor_identity, cache=self.cache, cycles=self.cycles
-        )
-        hit, index = self.cache.lookup(donor._index_point())
-        if not hit or not isinstance(index, dict):
-            return False
-        if index.get("label") != "warmup":
-            return False
-        hit, blob = self.cache.lookup(
-            donor._segment_point(index.get("tag", 0), index.get("segment", 0))
-        )
-        if not hit:
-            return False
-        self.cache.store(
-            self._segment_point(index.get("tag", 0), index.get("segment", 0)),
-            blob,
-        )
-        self.cache.store(self._index_point(), dict(index))
-        return True

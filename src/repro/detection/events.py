@@ -220,11 +220,3 @@ class EventMonitor:
     def tracked_events(self) -> int:
         """Total retained series entries across all tracked lines."""
         return sum(a.tracked_events() for a in self.lines.values())
-
-    def hot_lines(self, now: float, min_flush_rate: float = 10.0) -> list[int]:
-        """Lines whose flush rate exceeds *min_flush_rate* per Mcycle."""
-        out = []
-        for base, activity in self.lines.items():
-            if activity.flush_rate(now) >= min_flush_rate:
-                out.append(base)
-        return out

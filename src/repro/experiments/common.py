@@ -119,12 +119,6 @@ def runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="suppress per-point progress lines on stderr",
     )
     group.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="points per worker dispatch when --jobs > 1 (default: "
-             "auto-sized from grid size and jobs; 1 restores "
-             "one-future-per-point dispatch)",
-    )
-    group.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="extra attempts per failed point, with deterministic "
              "exponential backoff (default: fail fast)",
@@ -174,7 +168,7 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
 
     Builds a :class:`~repro.runner.Runner` from the options
     :func:`runner_arguments` added (``--jobs``, ``--no-cache``,
-    ``--cache-dir``, ``--no-progress``, ``--chunk-size``, ``--retries``,
+    ``--cache-dir``, ``--no-progress``, ``--retries``,
     ``--timeout``, ``--keep-going``, ``--inject-faults``), emits
     per-point progress and an end-of-sweep timing summary on stderr,
     and returns the values in grid order.  Under ``--keep-going`` with
@@ -242,8 +236,7 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
     try:
         # The runner binds its trace recorder at construction.
         runner = Runner(jobs=getattr(args, "jobs", 1), cache=cache,
-                        progress=progress, policy=policy, injector=injector,
-                        chunk_size=getattr(args, "chunk_size", None))
+                        progress=progress, policy=policy, injector=injector)
         report = runner.run(spec)
     finally:
         for name, value in saved.items():

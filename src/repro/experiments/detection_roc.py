@@ -122,22 +122,6 @@ def _benign_producer_consumer(seed: int) -> dict:
     }
 
 
-def run_attacks(seed: int = 0, bits: int = 40) -> list[dict]:
-    """Run each scenario under monitoring; report detection outcomes."""
-    return [
-        point(workload=f"attack:{scenario.name}", seed=seed, bits=bits)
-        for scenario in TABLE_I
-    ]
-
-
-def run_benign(seed: int = 0) -> list[dict]:
-    """Run benign workloads under monitoring; count false positives."""
-    return [
-        point(workload="benign:kernel-build", seed=seed),
-        point(workload="benign:producer-consumer", seed=seed + 1),
-    ]
-
-
 def build_spec(seed: int = 0, bits: int = 40) -> ExperimentSpec:
     """Attack points (one per scenario) plus the benign workloads."""
     points = [

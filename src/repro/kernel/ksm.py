@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.kernel.paging import PageTableEntry
 from repro.kernel.process import Process
-from repro.mem.physical import PAGE_SIZE, PhysicalMemory
+from repro.mem.physical import PhysicalMemory
 
 
 @dataclass
@@ -173,8 +173,3 @@ class KsmDaemon:
         while True:
             yield from cpu.delay(self.scan_interval)
             self.scan_once()
-
-    @staticmethod
-    def page_size() -> int:
-        """The page granularity KSM merges at."""
-        return PAGE_SIZE

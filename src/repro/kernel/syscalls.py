@@ -348,13 +348,6 @@ class Kernel:
         latency += penalty
         return OpResult(latency, now + latency, value, path)
 
-    def _translate_read(self, thread: SimThread, vaddr: int) -> int:
-        process: Process = thread.process
-        if process is None:
-            # Kernel threads address physical memory directly.
-            return vaddr
-        return process.translate(vaddr)
-
     def _do_store(self, thread: SimThread, vaddr: int, value: int, now: float) -> float:
         process: Process = thread.process
         fault_cost = 0.0

@@ -15,10 +15,10 @@ transiently unreadable entries (``OSError``) are reported as misses but
 left in place.  Orphaned ``*.tmp`` files from killed runs are swept on
 construction.
 
-Entry format: a 4-byte magic ``RPC2`` + 1 flags byte + payload.  The
-payload is the value's pickle, zlib-compressed when it exceeds
-:data:`COMPRESS_THRESHOLD` (flag bit 0).  This is the only format
-:func:`decode_entry` accepts.
+Entry format: a 4-byte magic ``RPC3`` followed by the value's pickle.
+This is the only format :func:`decode_entry` accepts; an entry in any
+other frame (an older ``RPC2`` one included) is corrupt to
+:meth:`ResultCache.lookup`, which drops it and recomputes the point.
 
 Layout::
 
@@ -38,7 +38,6 @@ import pickle
 import re
 import tempfile
 import time
-import zlib
 from pathlib import Path
 from typing import Any
 
@@ -52,15 +51,7 @@ _MISS = object()
 STALE_TMP_SECONDS = 60.0
 
 #: Magic prefix of every cache entry.
-ENTRY_MAGIC = b"RPC2"
-
-#: Flags-byte bit: the payload is zlib-compressed.
-FLAG_ZLIB = 0x01
-
-#: Pickles at or above this size are stored compressed.  Latency traces
-#: compress ~3-5x; tiny float entries are left alone (zlib overhead
-#: would dominate).
-COMPRESS_THRESHOLD = 4096
+ENTRY_MAGIC = b"RPC3"
 
 
 def _salt_dirname(salt: str) -> str:
@@ -70,25 +61,14 @@ def _salt_dirname(salt: str) -> str:
 
 def encode_entry(value: Any) -> bytes:
     """Serialize *value* into the on-disk entry format."""
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    flags = 0
-    if len(payload) >= COMPRESS_THRESHOLD:
-        compressed = zlib.compress(payload, level=6)
-        if len(compressed) < len(payload):
-            payload = compressed
-            flags |= FLAG_ZLIB
-    return ENTRY_MAGIC + bytes([flags]) + payload
+    return ENTRY_MAGIC + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_entry(blob: bytes) -> Any:
     """Inverse of :func:`encode_entry`; raises on an unframed blob."""
     if not blob.startswith(ENTRY_MAGIC):
         raise ValueError("not a framed cache entry")
-    flags = blob[len(ENTRY_MAGIC)]
-    payload = blob[len(ENTRY_MAGIC) + 1:]
-    if flags & FLAG_ZLIB:
-        payload = zlib.decompress(payload)
-    return pickle.loads(payload)
+    return pickle.loads(blob[len(ENTRY_MAGIC):])
 
 
 def version_salt() -> str:

@@ -5,19 +5,25 @@ produces one value per point, in spec order, regardless of how the work
 was scheduled:
 
 1. every point is first looked up in the on-disk result cache;
-2. the misses run either in-process (``jobs=1``) or fanned out over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs>1``), where
-   they are dispatched in seed-grouped *chunks* — one future executes
-   several points back-to-back in the same worker, amortizing the IPC
-   round-trip and letting the worker's process-local calibration memo
-   and warm machine pool hit on every point after the chunk's first
-   (``chunk_size``, auto-sized from grid size and worker count);
+2. the misses go through one dispatch loop, which submits *chunks* of
+   points to an executor while fewer than a window's worth are in
+   flight.  At ``jobs=1`` the executor is in-process: one point per
+   chunk, a window of one, spec order, each point run on the calling
+   thread.  At ``jobs>1`` it is a
+   :class:`~concurrent.futures.ProcessPoolExecutor` with a window of
+   two chunks per worker, and chunks are seed-grouped — one future
+   executes several points back-to-back in the same worker, amortizing
+   the IPC round-trip and letting the worker's process-local
+   calibration memo and warm machine pool hit on every point after the
+   chunk's first (``chunk_size``, auto-sized from grid size and worker
+   count).  Retries, fail-fast abort, keep-going and single-flight
+   waits are the same code in both modes;
 3. fresh values are written back to the cache and slotted into their
    original grid positions.
 
 Because each point carries its full RNG seed in its params (see
 :mod:`repro.runner.spec`), the values are bit-identical whether they
-came from the cache, a worker process, or a serial in-process loop —
+came from the cache, a worker process, or the in-process executor —
 ``--jobs 4`` must and does reproduce ``--jobs 1`` exactly.
 
 A :class:`FailurePolicy` makes long sweeps survivable instead of
@@ -31,7 +37,8 @@ all-or-nothing:
   the sweep;
 * a killed worker (``BrokenProcessPool``) no longer poisons the run —
   the pool is respawned and only the in-flight points are re-dispatched,
-  each charged one attempt;
+  each charged one attempt (in-process there is no worker to kill, so an
+  injected ``worker_kill`` is shipped as a ``transient`` fault);
 * with ``keep_going`` the sweep runs to completion and failed points
   become typed error outcomes in the :class:`RunReport` instead of an
   exception;
@@ -50,16 +57,17 @@ import signal
 import threading
 import time
 import warnings
+from collections import deque
 from collections.abc import Callable, Mapping
-from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.errors import (
     IncompleteRunError,
-    InjectedFaultError,
     PointExecutionError,
     PointTimeoutError,
     WorkerCrashError,
@@ -210,7 +218,7 @@ def _deadline(seconds: float | None):
 
     Preferred mechanism is ``SIGALRM``, which only works on the main
     thread of a POSIX process — exactly where pool workers and the
-    serial runner execute points.  Anywhere else (Windows, a point
+    in-process executor run points.  Anywhere else (Windows, a point
     driven from a helper thread), a portable watchdog takes over: a
     ``threading.Timer`` that injects :class:`PointTimeoutError` into the
     executing thread via CPython's async-exception hook.  The watchdog
@@ -336,14 +344,36 @@ def auto_chunk_size(pending: int, workers: int) -> int:
     return max(1, min(AUTO_CHUNK_CAP, pending // (workers * 4)))
 
 
+class _InlineExecutor(Executor):
+    """The ``jobs=1`` executor: each call runs at once in the caller.
+
+    ``submit`` returns an already finished future, so a point runs on
+    the calling (main) thread under the same ``SIGALRM`` deadline it
+    would get in a pool worker.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - delivered via the future
+            future.set_exception(exc)
+        return future
+
+
 class Runner:
     """Execute experiment grids with parallelism, caching, and retries.
+
+    Every run with points to execute goes through one dispatch loop;
+    ``jobs`` only picks its executor (in-process, or a process pool) and
+    its in-flight window.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` (default) runs in-process, ``0`` or
-        ``None`` uses every available CPU.
+        Worker processes; ``1`` (default) runs each point in-process,
+        one at a time in spec order; ``0`` or ``None`` uses every
+        available CPU.
     cache:
         A :class:`ResultCache`, or ``None`` to disable memoization.
     progress:
@@ -358,8 +388,8 @@ class Runner:
         deterministic harness faults (tests and ``--inject-faults``).
     chunk_size:
         Points per pool future.  ``None`` (default) auto-sizes via
-        :func:`auto_chunk_size`.  Ignored when ``jobs=1`` (the serial
-        path has no dispatch to amortize).
+        :func:`auto_chunk_size`.  Ignored when ``jobs=1`` (in-process
+        dispatch has no IPC to amortize, so every chunk is one point).
     wait_timeout:
         With a *single-flight* cache (``cache.single_flight`` true, e.g.
         :class:`repro.service.RemoteCache`), how long to wait for a
@@ -459,10 +489,8 @@ class Runner:
             pending.append(index)
 
         try:
-            if (pending or waiting) and self.jobs > 1:
-                self._run_pool(spec, pending, slots, total, report, waiting)
-            else:
-                self._run_serial(spec, pending, slots, total, waiting)
+            if pending or waiting:
+                self._dispatch(spec, pending, slots, total, report, waiting)
         finally:
             # Whatever happened, reservations this runner still owns
             # (aborted before executing, crashed mid-grid) are handed
@@ -488,107 +516,35 @@ class Runner:
             return None
         return self.injector.event_for(index, attempt)
 
-    def _run_serial(
-        self,
-        spec: ExperimentSpec,
-        pending: list[int],
-        slots: list[PointOutcome | None],
-        total: int,
-        waiting: list[int] | None = None,
-    ) -> None:
-        for index in pending:
-            self._serial_point(spec, index, slots, total)
-        for index in waiting or ():
-            point = spec.points[index]
-            status, value = self.cache.wait_for(
-                point, timeout=self.wait_timeout
-            )
-            if status == "hit":
-                self._emit("cache-dedup", index=index)
-                slots[index] = self._completed(
-                    index, total, point, value, 0.0,
-                    cached=True, deduped=True,
-                )
-                continue
-            # "own": the remote executor failed or released, and this
-            # runner was promoted to owner.  "pending": the wait timed
-            # out.  Either way the point executes locally — dedupe is
-            # an optimization, never a correctness dependency.
-            self._emit("dedup-takeover", index=index, status=status)
-            self._serial_point(spec, index, slots, total)
-
-    def _serial_point(
-        self,
-        spec: ExperimentSpec,
-        index: int,
-        slots: list[PointOutcome | None],
-        total: int,
-    ) -> None:
-        policy = self.policy
-        point = spec.points[index]
-        for attempt in range(policy.retries + 1):
-            event = self._fault_for(index, attempt)
-            fault = event.to_json() if event is not None else None
-            self._emit(
-                "dispatch", index=index, attempt=attempt + 1, mode="serial",
-            )
-            try:
-                if fault is not None and fault["kind"] == "worker_kill":
-                    # There is no worker to kill in-process; degrade
-                    # to a transient failure instead of exiting the
-                    # parent interpreter.
-                    raise InjectedFaultError(
-                        f"injected worker_kill on point {index} "
-                        f"(serial mode: degraded to transient)"
-                    )
-                value, seconds = _timed_point(
-                    point.fn, point.params, policy.timeout, fault
-                )
-            except PointExecutionError:
-                raise
-            except Exception as exc:
-                error = PointExecutionError(point.describe(), exc)
-                error.__cause__ = exc
-                if attempt < policy.retries:
-                    self._emit(
-                        "retry", index=index, attempt=attempt + 1,
-                        error=type(exc).__name__,
-                    )
-                    time.sleep(
-                        policy.backoff_seconds(point.describe(), attempt + 1)
-                    )
-                    continue
-                self._release(point)
-                if policy.keep_going:
-                    slots[index] = self._completed(
-                        index, total, point, None, 0.0,
-                        cached=False, attempts=attempt + 1, error=error,
-                    )
-                    break
-                raise error from exc
-            else:
-                self._store(point, value, index)
-                slots[index] = self._completed(
-                    index, total, point, value, seconds,
-                    cached=False, attempts=attempt + 1,
-                )
-                break
-
-    def _run_pool(
+    def _dispatch(
         self,
         spec: ExperimentSpec,
         pending: list[int],
         slots: list[PointOutcome | None],
         total: int,
         report: RunReport,
-        waiting: list[int] | None = None,
+        waiting: list[int],
     ) -> None:
+        """Run *pending* and await *waiting*; the only execution loop.
+
+        Chunks wait in a queue and go to the executor while fewer than
+        ``depth`` futures are in flight; an abort stops taking chunks
+        from the queue and lets the in-flight ones finish and cache.
+        """
         policy = self.policy
-        waiting = list(waiting or ())
-        workers = min(self.jobs, max(1, len(pending) + len(waiting)))
-        size = self.chunk_size
-        if size is None:
-            size = auto_chunk_size(max(1, len(pending)), workers)
+        inline = self.jobs == 1
+        if inline:
+            # One point at a time in spec order: a failure is seen
+            # before the next point starts, and progress fires per point.
+            mode, depth, size = "inline", 1, 1
+            make_executor: Callable[[], Executor] = _InlineExecutor
+        else:
+            workers = min(self.jobs, max(1, len(pending) + len(waiting)))
+            mode, depth, size = "pool", 2 * workers, self.chunk_size
+            if size is None:
+                size = auto_chunk_size(max(1, len(pending)), workers)
+            make_executor = partial(ProcessPoolExecutor, max_workers=workers)
+        queue = deque(chunk_pending(spec.points, pending, size))
         # attempts started per index; waiting indices are charged only
         # if a dedupe wait falls through to a local takeover.
         attempts = dict.fromkeys([*pending, *waiting], 0)
@@ -596,7 +552,7 @@ class Runner:
         misfired: list[int] = []  # dispatches that hit an already-broken pool
         first_error: PointExecutionError | None = None
         aborting = False
-        pool = ProcessPoolExecutor(max_workers=workers)
+        executor = make_executor()
 
         def submit(indices: list[int]) -> None:
             items = []
@@ -604,11 +560,15 @@ class Runner:
                 point = spec.points[index]
                 event = self._fault_for(index, attempts[index])
                 fault = event.to_json() if event is not None else None
+                if inline and fault and fault["kind"] == "worker_kill":
+                    # No worker to kill in-process: ship it as transient,
+                    # so not even a deferred kill can SIGKILL the parent.
+                    fault = {**fault, "kind": "transient"}
                 attempts[index] += 1
                 items.append((index, point.fn, dict(point.params), fault))
-            self._emit("dispatch", indices=list(indices), mode="pool")
+            self._emit("dispatch", indices=list(indices), mode=mode)
             try:
-                future = pool.submit(_timed_chunk, items, policy.timeout)
+                future = executor.submit(_timed_chunk, items, policy.timeout)
             except BrokenExecutor:
                 # The pool broke between crash detection and this dispatch
                 # (a worker died moments ago).  The attempts are charged;
@@ -632,12 +592,10 @@ class Runner:
                 return
             if first_error is None:
                 first_error = error
-            if not aborting:
-                # Let in-flight points finish (their values get cached,
-                # so the re-run resumes), but stop everything queued.
-                aborting = True
-                for future in futures:
-                    future.cancel()
+            # Let in-flight points finish (their values get cached, so
+            # the re-run resumes), but start nothing still queued.
+            aborting = True
+            queue.clear()
 
         def point_failed(
             index: int,
@@ -652,9 +610,9 @@ class Runner:
                 terminal(index, error)
 
         try:
-            for chunk in chunk_pending(spec.points, pending, size):
-                submit(chunk)
-            while futures or misfired or waiting:
+            while queue or futures or misfired or waiting:
+                while queue and len(futures) < depth and not misfired:
+                    submit(queue.popleft())
                 if futures:
                     # With dedupe waits outstanding, poll instead of
                     # blocking so remote publishes are picked up even
@@ -673,8 +631,6 @@ class Runner:
                     indices = futures.pop(future)
                     try:
                         results = future.result()
-                    except CancelledError:
-                        continue
                     except BrokenExecutor:
                         crashed.extend(indices)
                     except Exception as exc:
@@ -701,10 +657,10 @@ class Runner:
                     for indices in futures.values():
                         crashed.extend(indices)
                     futures.clear()
-                    pool.shutdown(wait=False)
+                    executor.shutdown(wait=False)
                     report.pool_respawns += 1
                     self._emit("pool-respawn", lost=sorted(crashed))
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    executor = make_executor()
                     for index in sorted(crashed):
                         point = spec.points[index]
                         cause = WorkerCrashError(
@@ -728,6 +684,7 @@ class Runner:
                         continue
                     self._emit(
                         "retry", index=index, attempt=attempts[index],
+                        error=type(error.cause).__name__,
                     )
                     time.sleep(
                         policy.backoff_seconds(
@@ -740,11 +697,11 @@ class Runner:
                     # watching them so the drain loop can exit.
                     waiting.clear()
                 elif waiting:
-                    # When local work is still in flight, poll each wait
-                    # without blocking; once the pool is idle, block up
-                    # to wait_timeout so an abandoned reservation cannot
-                    # wedge the sweep.
-                    block = not (futures or misfired)
+                    # When local work is still in flight or queued, poll
+                    # each wait without blocking; once nothing is left,
+                    # block up to wait_timeout so an abandoned
+                    # reservation cannot wedge the sweep.
+                    block = not (futures or misfired or queue)
                     still: list[int] = []
                     for index in waiting:
                         point = spec.points[index]
@@ -770,7 +727,7 @@ class Runner:
                             still.append(index)
                     waiting[:] = still
         finally:
-            pool.shutdown(wait=True)
+            executor.shutdown(wait=True)
         if first_error is not None:
             raise first_error
 
@@ -828,7 +785,7 @@ class Runner:
 def execute(spec: ExperimentSpec, runner: Runner | None = None) -> list[Any]:
     """Run *spec* and return its point values in grid order.
 
-    The default runner is serial and cache-less — the mode the drivers'
+    The default runner is in-process and cache-less — the mode the drivers'
     programmatic ``run()`` API uses so library calls stay hermetic; the
     CLI passes a configured :class:`Runner` instead.
     """

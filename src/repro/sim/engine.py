@@ -160,10 +160,6 @@ class Simulator:
     def _push(self, thread: SimThread) -> None:
         heapq.heappush(self._heap, (thread.clock, next(self._seq), thread))
 
-    def _live_non_daemon(self) -> int:
-        """Number of runnable non-daemon threads (O(1))."""
-        return self._live_count
-
     def run(
         self,
         max_cycles: float | None = None,

@@ -29,16 +29,6 @@ class AccessPath(enum.Enum):
     DRAM = "dram"                      # no cached copy anywhere
     UNCACHED = "uncached"              # store/flush paths with no band
 
-    @property
-    def is_coherence_band(self) -> bool:
-        """True for the four (location, state) bands of the paper."""
-        return self in (
-            AccessPath.LOCAL_SHARED,
-            AccessPath.LOCAL_EXCL,
-            AccessPath.REMOTE_SHARED,
-            AccessPath.REMOTE_EXCL,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Load:

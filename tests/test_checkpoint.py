@@ -342,39 +342,6 @@ def test_blob_integrity_checks():
         Checkpoint.from_bytes(BLOB_MAGIC + pickle.dumps(futuristic))
 
 
-# -- warm-start adoption ------------------------------------------------
-
-
-def test_adopt_prefix_warm_start(seg_cache, monkeypatch):
-    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
-    cache = ResultCache(seg_cache)
-    session = ChannelSession(SessionConfig(
-        spec="mesi-es", seed=7, calibration_samples=120,
-    ))
-    session.segments = SegmentStore("donor", cache=cache, cycles=25000.0)
-    warmup = session.transmit(list(PAYLOAD[:4]), _label="warmup")
-    assert session.segments.segments_stored > 0
-
-    adopter = SegmentStore("adopter", cache=cache, cycles=25000.0)
-    assert adopter.adopt_prefix("donor")
-    blob = adopter.latest()
-    assert blob is not None
-
-    # The adopted checkpoint restores and finishes the warmup
-    # bit-identically to the donor's own uninterrupted warmup.
-    restored, ctx = restore(blob)
-    assert ctx.label == "warmup"
-    replay = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
-    assert digest(replay) == digest(warmup)
-
-    # After the donor's main transmission its newest checkpoint is
-    # main-labelled — no longer a shared prefix, so not adoptable.
-    session.transmit(list(PAYLOAD))
-    late = SegmentStore("late", cache=cache, cycles=25000.0)
-    assert late.adopt_prefix("donor") is False
-    assert late.adopt_prefix("never-existed") is False
-
-
 # -- identities, knobs, guards ------------------------------------------
 
 

@@ -206,7 +206,7 @@ def test_injected_fault_replay_identical_fired_log():
     assert logs[0] == logs[1] and logs[0]
 
 
-def test_serial_worker_kill_degrades_without_killing_parent():
+def test_serial_worker_kill_degrades_without_killing_parent(monkeypatch):
     plan = FaultPlan(seed=0, events=(
         FaultEvent(plane="harness", kind="worker_kill", point=0, attempts=1),
     ))
@@ -219,6 +219,23 @@ def test_serial_worker_kill_degrades_without_killing_parent():
     with pytest.raises(PointExecutionError) as excinfo:
         Runner(jobs=1, injector=FaultInjector(plan)).run(square_spec(2))
     assert isinstance(excinfo.value.cause, InjectedFaultError)
+
+    # A deferred kill (positive magnitude, segments on) would arm the
+    # SIGKILL hook in whatever process applies it; in-process that is
+    # the parent, so it must degrade too and leave nothing armed.
+    from repro.checkpoint import segments
+
+    monkeypatch.setattr(segments, "_kill_after", None)
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
+    deferred = FaultPlan(seed=0, events=(
+        FaultEvent(plane="harness", kind="worker_kill", point=0,
+                   attempts=1, magnitude=3.0),
+    ))
+    report = Runner(jobs=1, policy=fast_policy(retries=1),
+                    injector=FaultInjector(deferred)).run(square_spec(2))
+    assert report.values == [0, 1]
+    assert report.outcomes[0].attempts == 2
+    assert segments._kill_after is None
 
 
 def test_per_point_timeout_serial():
@@ -386,13 +403,15 @@ def test_killed_worker_keep_going_survivors_byte_identical(tmp_path):
 # -- crash-resume from the cache ------------------------------------------
 
 
-def test_aborted_sweep_resumes_from_cache(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_aborted_sweep_resumes_from_cache(tmp_path, jobs):
     """Acceptance: completed values survive an aborting failure.
 
     Run 1 fails fast on a flaky point; every point that completed was
     flushed to the cache first.  Run 2 re-executes only the points run 1
     never finished — each RECORD point executes exactly once across both
-    runs.
+    runs.  In-process (``jobs=1``) points run in spec order, so the
+    point after the failing one never starts in run 1.
     """
     log = tmp_path / "log.txt"
     points = [
@@ -404,16 +423,22 @@ def test_aborted_sweep_resumes_from_cache(tmp_path):
         params={"x": 9, "counter": str(tmp_path / "c"), "fail_times": 1},
         label="flaky",
     ))
+    points.append(
+        Point(fn=RECORD, params={"x": 4, "log": str(log)}, label="r4")
+    )
     spec = ExperimentSpec(experiment="toy", points=tuple(points))
 
     with pytest.raises(PointExecutionError, match="flaky"):
-        Runner(jobs=2, cache=ResultCache(tmp_path / "cache", salt="s")).run(spec)
+        Runner(jobs=jobs,
+               cache=ResultCache(tmp_path / "cache", salt="s")).run(spec)
+    if jobs == 1:
+        assert sorted(log.read_text().split()) == ["0", "1", "2"]
 
-    report = Runner(jobs=2,
+    report = Runner(jobs=jobs,
                     cache=ResultCache(tmp_path / "cache", salt="s")).run(spec)
-    assert report.values == [0, 10, 20, 900]
+    assert report.values == [0, 10, 20, 900, 40]
     executed = sorted(log.read_text().split())
-    assert executed == ["0", "1", "2"], "a completed point was re-executed"
+    assert executed == ["0", "1", "2", "4"], "a completed point was re-executed"
 
 
 # -- cache robustness ------------------------------------------------------

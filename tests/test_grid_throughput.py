@@ -16,6 +16,7 @@ import gc
 import hashlib
 import os
 import pickle
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -41,12 +42,7 @@ from repro.runner import (
     auto_chunk_size,
     chunk_pending,
 )
-from repro.runner.cache import (
-    COMPRESS_THRESHOLD,
-    ENTRY_MAGIC,
-    decode_entry,
-    encode_entry,
-)
+from repro.runner.cache import ENTRY_MAGIC, decode_entry, encode_entry
 from repro.sim.events import AccessPath
 
 PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0]
@@ -316,22 +312,33 @@ def test_transmission_result_pickles_compact(cold_process):
     assert len(blob) <= 0.7 * len(objects)
 
 
-# -- cache schema v2 ---------------------------------------------------
+# -- cache entry format ------------------------------------------------
 
 
-def test_entry_encoding_roundtrip_and_compression():
+def test_entry_encoding_roundtrip_and_frame_check(tmp_path):
     small = {"accuracy": 0.25}
     blob = encode_entry(small)
-    assert blob.startswith(ENTRY_MAGIC)
+    assert blob == ENTRY_MAGIC + pickle.dumps(
+        small, protocol=pickle.HIGHEST_PROTOCOL
+    )
     assert decode_entry(blob) == small
-    big = list(range(COMPRESS_THRESHOLD))
-    compressed = encode_entry(big)
-    assert compressed[len(ENTRY_MAGIC)] & 0x01  # zlib flag
-    assert decode_entry(compressed) == big
-    assert len(compressed) < len(pickle.dumps(big))
+    big = list(range(4096))
+    assert decode_entry(encode_entry(big)) == big
     # a bare pickle carries no entry frame: not a cache entry
     with pytest.raises(ValueError, match="not a framed cache entry"):
         decode_entry(pickle.dumps(big))
+    # nor does the previous frame (RPC2: flags byte, zlib payload); the
+    # cache drops such an entry and reports a miss
+    old = b"RPC2\x01" + zlib.compress(pickle.dumps(big))
+    with pytest.raises(ValueError, match="not a framed cache entry"):
+        decode_entry(old)
+    cache = ResultCache(tmp_path)
+    point = Point(fn="tests.runner_points:square", params={"x": 3})
+    path = cache.path_for(point)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(old)
+    assert cache.lookup(point) == (False, None)
+    assert not path.exists()
 
 
 def test_cache_drops_unframed_entry_and_recomputes(tmp_path):

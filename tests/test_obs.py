@@ -631,9 +631,14 @@ def test_runner_emits_retry_events(monkeypatch, tmp_path):
         policy = FailurePolicy(retries=2, backoff_base=0.0, jitter=0.0)
         report = Runner(jobs=1, cache=None, policy=policy).run(spec)
         assert report.values == [100]
-        names = [e.name for e in runner_recorder().select("runner")]
+        events = runner_recorder().select("runner")
+        names = [e.name for e in events]
         assert "retry" in names
         assert names.count("dispatch") == 2
+        (retry,) = [e for e in events if e.name == "retry"]
+        assert retry.data["error"] == "ValueError"
+        assert [e.data["indices"] for e in events
+                if e.name == "dispatch"] == [[0], [0]]
     finally:
         clear_runner_recorder()
 

@@ -226,7 +226,8 @@ def test_serial_runner_over_remote_cache(service, tmp_path):
     cache.close()
 
 
-def test_concurrent_runners_pay_once_per_unique_point(service, tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_concurrent_runners_pay_once_per_unique_point(service, tmp_path, jobs):
     """Two overlapping sweeps, two processesworth of runners, one
     execution per unique key — the tentpole guarantee."""
     log = tmp_path / "log"
@@ -236,7 +237,7 @@ def test_concurrent_runners_pay_once_per_unique_point(service, tmp_path):
 
     def sweep(name, spec):
         runner = Runner(
-            jobs=2, cache=remote(service), wait_timeout=60.0
+            jobs=jobs, cache=remote(service), wait_timeout=60.0
         )
         reports[name] = runner.run(spec)
 
