@@ -176,10 +176,13 @@ def _restore_trace(
 
 @dataclass
 class DecodeReport:
-    """Decoded bits plus diagnostics about the walk."""
+    """Decoded bits plus diagnostics about the walk.
+
+    The walk's run list is not kept: ``n_boundary_runs`` and
+    ``n_unclassified`` summarize it, and every cached result stays small.
+    """
 
     bits: list[int]
-    runs: list[tuple[str, int]]
     n_samples: int
     n_boundary_runs: int
     n_unclassified: int
@@ -314,7 +317,6 @@ class BitDecoder:
             bits.append(1 if count > threshold else 0)
         return DecodeReport(
             bits=bits,
-            runs=runs,
             n_samples=len(samples),
             n_boundary_runs=sum(1 for label, _c in runs if label == "b"),
             n_unclassified=sum(c for label, c in runs if label == "x"),

@@ -23,7 +23,6 @@ class SpyResult:
     """Everything the spy recorded during one reception."""
 
     samples: list[Sample] = field(default_factory=list)
-    poll_samples: list[Sample] = field(default_factory=list)
     started_at: float | None = None
     finished_at: float | None = None
     timed_out: bool = False
@@ -128,7 +127,6 @@ def spy_program(
         # Phase 1: poll for the start of transmission.
         while phase == 1:
             sample = yield from sample_once(cpu)
-            result.poll_samples.append(sample)
             if sample.label == "b":
                 result.started_at = sample.timestamp
                 result.samples.append(sample)

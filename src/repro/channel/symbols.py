@@ -112,11 +112,10 @@ def symbols_to_bits(symbols: list[int]) -> list[int]:
 
 @dataclass
 class SymbolDecodeReport:
-    """Decoded symbols plus diagnostics."""
+    """Decoded symbols and their bits; the segment bounds are not kept."""
 
     symbols: list[int]
     bits: list[int]
-    segments: list[tuple[int, int]] = field(default_factory=list)
 
 
 class SymbolDecoder:
@@ -144,7 +143,6 @@ class SymbolDecoder:
             if labels[i] is None and labels[i - 1] == labels[i + 1] is not None:
                 labels[i] = labels[i - 1]
         symbols: list[int] = []
-        segments: list[tuple[int, int]] = []
         start = None
         for i, label in enumerate([*labels, None]):
             if label is not None and start is None:
@@ -154,10 +152,9 @@ class SymbolDecoder:
                     lab for lab in labels[start:i] if lab is not None
                 )
                 symbols.append(votes.most_common(1)[0][0])
-                segments.append((start, i))
                 start = None
         return SymbolDecodeReport(
-            symbols=symbols, bits=symbols_to_bits(symbols), segments=segments
+            symbols=symbols, bits=symbols_to_bits(symbols)
         )
 
 

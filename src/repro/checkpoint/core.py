@@ -43,8 +43,9 @@ from repro.errors import CheckpointError
 #: and drops the re-drive records; v4 pickles frames with lazily
 #: allocated bytes (an untouched frame carries none); v5 stores LLC
 #: core-valid bits as an int mask and each interconnect resource as
-#: (times, sorted times, head offset, total traffic).
-CHECKPOINT_VERSION = 5
+#: (times, sorted times, head offset, total traffic); v6 drops the
+#: spy's per-poll samples from its result.
+CHECKPOINT_VERSION = 6
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
 BLOB_MAGIC = b"RCKP"

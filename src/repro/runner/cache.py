@@ -15,10 +15,12 @@ transiently unreadable entries (``OSError``) are reported as misses but
 left in place.  Orphaned ``*.tmp`` files from killed runs are swept on
 construction.
 
-Entry format: a 4-byte magic ``RPC3`` followed by the value's pickle.
+Entry format: a 4-byte magic ``RPC4`` followed by the value's pickle.
 This is the only format :func:`decode_entry` accepts; an entry in any
-other frame (an older ``RPC2`` one included) is corrupt to
-:meth:`ResultCache.lookup`, which drops it and recomputes the point.
+other frame is corrupt to :meth:`ResultCache.lookup`, which drops it
+and recomputes the point.  That includes the older ``RPC3`` frame (the
+same pickle, but of results that still carried the decoders' run
+lists) and ``RPC2`` (a flags byte and a zlib payload).
 
 Layout::
 
@@ -51,7 +53,7 @@ _MISS = object()
 STALE_TMP_SECONDS = 60.0
 
 #: Magic prefix of every cache entry.
-ENTRY_MAGIC = b"RPC3"
+ENTRY_MAGIC = b"RPC4"
 
 
 def _salt_dirname(salt: str) -> str:

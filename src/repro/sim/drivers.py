@@ -442,9 +442,8 @@ class _SpyDriver:
             params.slot_cycles, wait_cycles, params.end_run,
             params.max_poll_slots, params.max_reception_slots,
             self.decoder.label, sample_cls, self.result,
-            self.result.samples, self.result.poll_samples,
-            kernel._timeshare, kernel._sched_rng, thread.tid,
-            thread.process, thread.core_id, self.block_va,
+            self.result.samples, kernel._timeshare, kernel._sched_rng,
+            thread.tid, thread.process, thread.core_id, self.block_va,
         )
 
     def advance(self, bound: float, rt: _Runtime) -> None:
@@ -453,8 +452,7 @@ class _SpyDriver:
 
         (mload, mflush, fence_cost, slot_cycles, wait_cycles, end_run,
          max_poll, max_recv, label, Sample, spy_result, samples,
-         poll_samples, timeshare, sched_rng, tid, process, core_id,
-         va) = self._hoist
+         timeshare, sched_rng, tid, process, core_id, va) = self._hoist
 
         evict = None
         if self.eviction_set is not None:
@@ -511,7 +509,6 @@ class _SpyDriver:
                         path=self.load_path,
                     )
                     if phase == 1:
-                        poll_samples.append(sample)
                         if sample.label == "b":
                             spy_result.started_at = sample.timestamp
                             samples.append(sample)

@@ -32,6 +32,7 @@ from repro.channel.session import (
     clear_warm_state,
     execute_point,
 )
+from repro.experiments.common import payload_bits
 from repro.faults import FaultInjector, FaultPlan
 from repro.runner import (
     ExperimentSpec,
@@ -327,18 +328,39 @@ def test_entry_encoding_roundtrip_and_frame_check(tmp_path):
     # a bare pickle carries no entry frame: not a cache entry
     with pytest.raises(ValueError, match="not a framed cache entry"):
         decode_entry(pickle.dumps(big))
-    # nor does the previous frame (RPC2: flags byte, zlib payload); the
-    # cache drops such an entry and reports a miss
-    old = b"RPC2\x01" + zlib.compress(pickle.dumps(big))
-    with pytest.raises(ValueError, match="not a framed cache entry"):
-        decode_entry(old)
+    # nor do the previous frames (RPC3: the same pickle of results that
+    # still carried the decoders' run lists; RPC2: flags byte, zlib
+    # payload); the cache drops such an entry and reports a miss
     cache = ResultCache(tmp_path)
     point = Point(fn="tests.runner_points:square", params={"x": 3})
     path = cache.path_for(point)
     path.parent.mkdir(parents=True)
-    path.write_bytes(old)
-    assert cache.lookup(point) == (False, None)
-    assert not path.exists()
+    for old in (
+        b"RPC3" + pickle.dumps(big, protocol=pickle.HIGHEST_PROTOCOL),
+        b"RPC2\x01" + zlib.compress(pickle.dumps(big)),
+    ):
+        with pytest.raises(ValueError, match="not a framed cache entry"):
+            decode_entry(old)
+        path.write_bytes(old)
+        assert cache.lookup(point) == (False, None)
+        assert not path.exists()
+
+
+#: Entry size of the pinned point below (13,564 B measured) plus 5%.  The
+#: same point's entry read 14,799 B while DecodeReport kept its run list,
+#: so a write-only list stored in every result fails this bound.
+ENTRY_BYTES_BOUND = 14_242
+
+
+def test_channel_entry_stays_under_byte_bound(cold_process):
+    result = execute_point(
+        scenario="LExclc-LSharedb", payload=payload_bits(100), seed=0
+    )
+    blob = encode_entry(result)
+    assert len(blob) <= ENTRY_BYTES_BOUND
+    decoded = decode_entry(blob)
+    assert decoded == result
+    assert not hasattr(decoded.decode, "runs")
 
 
 def test_cache_drops_unframed_entry_and_recomputes(tmp_path):
