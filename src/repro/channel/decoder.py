@@ -176,11 +176,7 @@ def _restore_trace(
 
 @dataclass
 class DecodeReport:
-    """Decoded bits plus diagnostics about the walk.
-
-    The walk's run list is not kept: ``n_boundary_runs`` and
-    ``n_unclassified`` summarize it, and every cached result stays small.
-    """
+    """Decoded bits and counts summarizing the walk (runs are not kept)."""
 
     bits: list[int]
     n_samples: int

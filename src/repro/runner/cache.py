@@ -17,10 +17,8 @@ construction.
 
 Entry format: a 4-byte magic ``RPC4`` followed by the value's pickle.
 This is the only format :func:`decode_entry` accepts; an entry in any
-other frame is corrupt to :meth:`ResultCache.lookup`, which drops it
-and recomputes the point.  That includes the older ``RPC3`` frame (the
-same pickle, but of results that still carried the decoders' run
-lists) and ``RPC2`` (a flags byte and a zlib payload).
+other frame (the older ``RPC3`` and ``RPC2`` ones included) is corrupt
+to :meth:`ResultCache.lookup`, which drops it and recomputes the point.
 
 Layout::
 
