@@ -57,7 +57,7 @@ import signal
 import threading
 import time
 import warnings
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Mapping
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
@@ -276,54 +276,38 @@ def _deadline(seconds: float | None):
         timer.cancel()
 
 
-def _timed_point(
-    fn_path: str,
-    params: Mapping[str, Any],
-    timeout: float | None = None,
-    fault: Mapping[str, Any] | None = None,
-) -> tuple[Any, float]:
-    """Worker entry: execute one point, returning (value, seconds).
-
-    Top-level so :mod:`concurrent.futures` can ship it to a forked or
-    spawned worker by qualified name; everything heavy (machine, kernel,
-    session) is constructed *inside* the call from the plain params.
-    The optional injected *fault* applies under the same deadline as the
-    point itself, so a ``slow`` fault trips a configured timeout.
-    """
-    start = time.perf_counter()
-    with _deadline(timeout):
-        if fault is not None:
-            apply_worker_fault(fault)
-        value = resolve_callable(fn_path)(**dict(params))
-    return value, time.perf_counter() - start
-
-
 def _timed_chunk(
     items: list[tuple[int, str, Mapping[str, Any], Mapping[str, Any] | None]],
     timeout: float | None = None,
 ) -> list[tuple[int, bool, Any, float]]:
     """Worker entry: execute a chunk of points in one process.
 
-    *items* is ``(grid_index, fn_path, params, fault)`` per point.  Each
-    point runs under its **own** deadline and its own try/except, so a
-    failing or timed-out point never takes the rest of the chunk with it
-    — its raw exception travels back in the result tuple for the parent
-    to wrap, retry, or record exactly as it would a per-point future.
-    (A ``worker_kill`` fault still kills the whole process and therefore
-    the whole chunk; the parent charges every point of a lost chunk one
-    attempt, matching the lost-future accounting.)
+    *items* is ``(grid_index, fn_path, params, fault)`` per point; the
+    heavy state (machine, kernel, session) is built inside the call from
+    the plain params.  Each point runs under its **own** deadline, which
+    covers its injected fault too (a ``slow`` fault trips a configured
+    timeout), and its own try/except, so a failing or timed-out point
+    never takes the rest of the chunk with it — its raw exception
+    travels back in the result tuple for the parent to wrap, retry, or
+    record.  (A ``worker_kill`` fault still kills the whole process and
+    therefore the whole chunk; the parent charges every point of a lost
+    chunk one attempt.)
 
     Returns ``(grid_index, ok, value_or_exception, seconds)`` per point,
     in chunk order.
     """
     out: list[tuple[int, bool, Any, float]] = []
     for index, fn_path, params, fault in items:
+        start = time.perf_counter()
         try:
-            value, seconds = _timed_point(fn_path, params, timeout, fault)
+            with _deadline(timeout):
+                if fault is not None:
+                    apply_worker_fault(fault)
+                value = resolve_callable(fn_path)(**dict(params))
         except Exception as exc:  # noqa: BLE001 - shipped to the parent
             out.append((index, False, exc, 0.0))
         else:
-            out.append((index, True, value, seconds))
+            out.append((index, True, value, time.perf_counter() - start))
     return out
 
 
@@ -342,6 +326,98 @@ def auto_chunk_size(pending: int, workers: int) -> int:
     nothing and finer granularity retires the grid sooner.
     """
     return max(1, min(AUTO_CHUNK_CAP, pending // (workers * 4)))
+
+
+@dataclass
+class PointPolicy:
+    """A grid's :class:`FailurePolicy`, applied point by point.
+
+    :meth:`Runner._dispatch` drives one per run and the service's
+    ``JobManager`` one per job.  It charges attempts, emits the
+    ``dispatch`` and ``retry`` events, wraps failures as
+    :class:`~repro.errors.PointExecutionError`, decides retry or
+    terminal and gives the backoff.  What a terminal failure does
+    (abort, or keep going), waiting and respawning a broken pool stay
+    with the loop.
+    """
+
+    spec: ExperimentSpec
+    policy: FailurePolicy
+    emit: Callable[..., None]
+    mode: str
+    injector: Any = None  #: a :class:`repro.faults.FaultInjector`
+    #: Attempts started, per grid index.
+    attempts: Counter = field(default_factory=Counter)
+
+    def submit(self, executor: Executor, indices: list[int]) -> Future:
+        """Charge each point an attempt and submit them as one chunk.
+
+        A broken pool raises :class:`BrokenExecutor`; the charge stays.
+        """
+        items = []
+        for index in indices:
+            point = self.spec.points[index]
+            fault = None
+            if self.injector is not None:
+                event = self.injector.event_for(index, self.attempts[index])
+                fault = event.to_json() if event is not None else None
+            if fault and fault["kind"] == "worker_kill" and (
+                self.mode == "inline"
+            ):
+                # No worker to kill in-process: ship it as transient,
+                # so not even a deferred kill can SIGKILL the parent.
+                fault = {**fault, "kind": "transient"}
+            self.attempts[index] += 1
+            items.append((index, point.fn, dict(point.params), fault))
+        self.emit("dispatch", indices=list(indices), mode=self.mode)
+        return executor.submit(_timed_chunk, items, self.policy.timeout)
+
+    def collect(
+        self, future: Future, indices: list[int]
+    ) -> list[tuple[int, bool, Any, float]]:
+        """A finished chunk's ``(index, ok, value_or_error, seconds)``.
+
+        *future* is the one :meth:`submit` returned, or its asyncio
+        wrapper.  A chunk whose machinery failed (a value or exception
+        that would not pickle back) charges every point.  A lost future
+        raises :class:`BrokenExecutor`: the loop respawns its pool and
+        charges each point it lost with :meth:`error`.
+        """
+        try:
+            results = future.result()
+        except BrokenExecutor:
+            raise
+        except Exception as exc:  # noqa: BLE001 - charged to the points
+            results = [(index, False, exc, 0.0) for index in indices]
+        return [
+            (index, ok, value if ok else self.error(index, value), seconds)
+            for index, ok, value, seconds in results
+        ]
+
+    def error(
+        self, index: int, exc: BaseException | None = None
+    ) -> PointExecutionError:
+        """Wrap a failed attempt; no *exc* means its pool worker died."""
+        label = self.spec.points[index].describe()
+        if exc is None:
+            exc = WorkerCrashError(
+                f"pool worker died while executing point {label!r}"
+            )
+        error = PointExecutionError(label, exc)
+        error.__cause__ = exc
+        return error
+
+    def retriable(self, index: int) -> bool:
+        return self.attempts[index] <= self.policy.retries
+
+    def backoff(self, index: int, error: PointExecutionError) -> float:
+        """Emit the ``retry`` event; seconds to wait before re-dispatch."""
+        attempt = self.attempts[index]
+        self.emit("retry", index=index, attempt=attempt,
+                  error=type(error.cause).__name__)
+        return self.policy.backoff_seconds(
+            self.spec.points[index].describe(), attempt
+        )
 
 
 class _InlineExecutor(Executor):
@@ -510,12 +586,6 @@ class Runner:
 
     # -- internals ------------------------------------------------------
 
-    def _fault_for(self, index: int, attempt: int):
-        """The planned fault event for a 0-based attempt, if any."""
-        if self.injector is None:
-            return None
-        return self.injector.event_for(index, attempt)
-
     def _dispatch(
         self,
         spec: ExperimentSpec,
@@ -527,13 +597,14 @@ class Runner:
     ) -> None:
         """Run *pending* and await *waiting*; the only execution loop.
 
-        Chunks wait in a queue and go to the executor while fewer than
-        ``depth`` futures are in flight; an abort stops taking chunks
-        from the queue and lets the in-flight ones finish and cache.
+        Chunks go from a queue to the executor while fewer than ``depth``
+        futures are in flight, each attempt through a :class:`PointPolicy`.
+        The loop itself respawns a broken pool, stores values, settles
+        single-flight waits and aborts: a point out of retries without
+        ``keep_going`` stops taking chunks from the queue and lets the
+        in-flight ones finish and cache.
         """
-        policy = self.policy
-        inline = self.jobs == 1
-        if inline:
+        if self.jobs == 1:
             # One point at a time in spec order: a failure is seen
             # before the next point starts, and progress fires per point.
             mode, depth, size = "inline", 1, 1
@@ -545,9 +616,8 @@ class Runner:
                 size = auto_chunk_size(max(1, len(pending)), workers)
             make_executor = partial(ProcessPoolExecutor, max_workers=workers)
         queue = deque(chunk_pending(spec.points, pending, size))
-        # attempts started per index; waiting indices are charged only
-        # if a dedupe wait falls through to a local takeover.
-        attempts = dict.fromkeys([*pending, *waiting], 0)
+        policy = PointPolicy(spec, self.policy, self._emit, mode,
+                             self.injector)
         futures: dict[Any, list[int]] = {}  # future -> chunk grid indices
         misfired: list[int] = []  # dispatches that hit an already-broken pool
         first_error: PointExecutionError | None = None
@@ -555,39 +625,23 @@ class Runner:
         executor = make_executor()
 
         def submit(indices: list[int]) -> None:
-            items = []
-            for index in indices:
-                point = spec.points[index]
-                event = self._fault_for(index, attempts[index])
-                fault = event.to_json() if event is not None else None
-                if inline and fault and fault["kind"] == "worker_kill":
-                    # No worker to kill in-process: ship it as transient,
-                    # so not even a deferred kill can SIGKILL the parent.
-                    fault = {**fault, "kind": "transient"}
-                attempts[index] += 1
-                items.append((index, point.fn, dict(point.params), fault))
-            self._emit("dispatch", indices=list(indices), mode=mode)
             try:
-                future = executor.submit(_timed_chunk, items, policy.timeout)
+                futures[policy.submit(executor, indices)] = list(indices)
             except BrokenExecutor:
                 # The pool broke between crash detection and this dispatch
                 # (a worker died moments ago).  The attempts are charged;
                 # the points join the next crash batch for re-dispatch.
                 misfired.extend(indices)
-                return
-            futures[future] = list(indices)
-
-        def retriable(index: int) -> bool:
-            return not aborting and attempts[index] <= policy.retries
 
         def terminal(index: int, error: PointExecutionError) -> None:
             """Record a point whose retry budget is spent."""
             nonlocal first_error, aborting
             self._release(spec.points[index])
-            if policy.keep_going:
+            if self.policy.keep_going:
                 slots[index] = self._completed(
                     index, total, spec.points[index], None, 0.0,
-                    cached=False, attempts=attempts[index], error=error,
+                    cached=False, attempts=policy.attempts[index],
+                    error=error,
                 )
                 return
             if first_error is None:
@@ -597,14 +651,12 @@ class Runner:
             aborting = True
             queue.clear()
 
-        def point_failed(
+        def failed(
             index: int,
-            exc: Exception,
+            error: PointExecutionError,
             retry: list[tuple[int, PointExecutionError]],
         ) -> None:
-            error = PointExecutionError(spec.points[index].describe(), exc)
-            error.__cause__ = exc
-            if retriable(index):
+            if not aborting and policy.retriable(index):
                 retry.append((index, error))
             else:
                 terminal(index, error)
@@ -630,26 +682,20 @@ class Runner:
                 for future in done:
                     indices = futures.pop(future)
                     try:
-                        results = future.result()
+                        results = policy.collect(future, indices)
                     except BrokenExecutor:
                         crashed.extend(indices)
-                    except Exception as exc:
-                        # The chunk machinery itself failed (a value or
-                        # exception that would not pickle back, say);
-                        # every point of the chunk is charged.
-                        for index in indices:
-                            point_failed(index, exc, retry)
-                    else:
-                        for index, ok, payload, seconds in results:
-                            if not ok:
-                                point_failed(index, payload, retry)
-                                continue
-                            point = spec.points[index]
-                            self._store(point, payload, index)
-                            slots[index] = self._completed(
-                                index, total, point, payload, seconds,
-                                cached=False, attempts=attempts[index],
-                            )
+                        continue
+                    for index, ok, payload, seconds in results:
+                        if not ok:
+                            failed(index, payload, retry)
+                            continue
+                        point = spec.points[index]
+                        self._store(point, payload, index)
+                        slots[index] = self._completed(
+                            index, total, point, payload, seconds,
+                            cached=False, attempts=policy.attempts[index],
+                        )
                 if crashed:
                     # The pool is broken: every in-flight dispatch is
                     # lost.  Charge each lost point one attempt, respawn
@@ -662,17 +708,7 @@ class Runner:
                     self._emit("pool-respawn", lost=sorted(crashed))
                     executor = make_executor()
                     for index in sorted(crashed):
-                        point = spec.points[index]
-                        cause = WorkerCrashError(
-                            f"pool worker died while executing point "
-                            f"{point.describe()!r}"
-                        )
-                        error = PointExecutionError(point.describe(), cause)
-                        error.__cause__ = cause
-                        if retriable(index):
-                            retry.append((index, error))
-                        else:
-                            terminal(index, error)
+                        failed(index, policy.error(index), retry)
                 # Resubmits happen only after crash handling, so a retry
                 # can never be dispatched to a pool that just broke.
                 # Retries go out as singleton chunks: the point already
@@ -682,15 +718,7 @@ class Runner:
                     if aborting:
                         terminal(index, error)
                         continue
-                    self._emit(
-                        "retry", index=index, attempt=attempts[index],
-                        error=type(error.cause).__name__,
-                    )
-                    time.sleep(
-                        policy.backoff_seconds(
-                            spec.points[index].describe(), attempts[index]
-                        )
-                    )
+                    time.sleep(policy.backoff(index, error))
                     submit([index])
                 if aborting:
                     # Abandoned waits hold no reservation; just stop

@@ -11,8 +11,8 @@ loop and use only the stdlib:
   executor of a missing key; everyone else awaits the published blob.
 * :mod:`repro.service.jobs` — :class:`JobManager`, the fair-share /
   work-stealing scheduler that fans all jobs' points over one shared
-  warm process pool, reusing the executor's retry / timeout / respawn
-  primitives unchanged.
+  warm process pool; each point's attempts, retries and errors go
+  through the runner's :class:`~repro.runner.executor.PointPolicy`.
 * :mod:`repro.service.http` + :mod:`repro.service.server` — the minimal
   keep-alive HTTP layer on one listener: the job API (``POST /jobs``,
   ``GET /jobs/<id>``, JSON-lines ``/events``) and the index's

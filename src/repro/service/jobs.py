@@ -1,12 +1,16 @@
 """Job scheduling: every submitted grid shares one warm worker pool.
 
 :class:`JobManager` is the service-side counterpart of the standalone
-:class:`~repro.runner.Runner`: it deliberately reuses the executor's
-primitives — :func:`~repro.runner.executor._timed_point` (SIGALRM
-timeout inside the worker), :class:`~repro.runner.FailurePolicy`
-(deterministic backoff via :func:`~repro.sim.rng.derive_seed`), and
-pool-respawn-on-crash — so a point executes under the service with
-exactly the semantics it has under ``repro fig8 --jobs N``.
+:class:`~repro.runner.Runner`.  Each job's points go through the same
+:class:`~repro.runner.executor.PointPolicy` the runner's dispatch loop
+drives, so attempts, the ``dispatch`` and ``retry`` events, error
+wrapping, the retry decision and the deterministic backoff are written
+once, and a point executes under the service with exactly the
+semantics it has under ``repro fig8 --jobs N``.  What stays here is the
+service's own: waiting with ``asyncio.sleep``, publishing or releasing
+the point's reservation, and respawning the shared pool once per crash
+however many points saw it.  A job always keeps going: a point out of
+retries is recorded as failed.
 
 What the manager adds is *cross-job* scheduling:
 
@@ -17,8 +21,8 @@ What the manager adds is *cross-job* scheduling:
 * **global single-flight** — before a point is dispatched its key is
   reserved in the shared
   :class:`~repro.service.singleflight.SingleFlightIndex`; a key some
-  other job (or a remote socket client) is already computing
-  parks on an awaited future instead of burning a worker.
+  other job (or an external runner on the ``/cache`` routes) is already
+  computing parks on an awaited future instead of burning a worker.
 
 Every per-point lifecycle step is emitted as a JSON-plain event dict:
 into the job's replayable history, to any live ``/events`` subscriber
@@ -38,21 +42,19 @@ import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
-from repro.errors import PointExecutionError
 from repro.obs.recorder import runner_now, runner_recorder
 from repro.runner.cache import encode_entry
 from repro.runner.executor import (
     FailurePolicy,
     PointOutcome,
-    _timed_point,
+    PointPolicy,
+    Runner,
 )
 from repro.runner.progress import outcome_record
 from repro.runner.spec import ExperimentSpec
-
-#: Default single-flight wait before a waiter takes a point over.
-DEFAULT_WAIT_TIMEOUT = 600.0
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -97,8 +99,8 @@ class Job:
 
     id: str
     spec: ExperimentSpec
-    policy: FailurePolicy
     keys: list[str]
+    policy: PointPolicy = field(init=False)
     status: str = "queued"  # queued | running | done | failed
     pending: deque = field(default_factory=deque)
     in_flight: int = 0
@@ -151,7 +153,7 @@ class JobManager:
         index,
         workers: int = 2,
         policy: FailurePolicy | None = None,
-        wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
+        wait_timeout: float = Runner.DEFAULT_WAIT_TIMEOUT,
     ):
         self.index = index
         self.workers = max(1, int(workers))
@@ -217,18 +219,20 @@ class JobManager:
         job = Job(
             id=f"job-{self._next_job}",
             spec=spec,
-            policy=policy if policy is not None else self.policy,
             keys=[
                 point.key(self.index.cache.salt) for point in spec.points
             ],
         )
+        job.policy = PointPolicy(
+            spec, policy if policy is not None else self.policy,
+            partial(self._emit, job), "pool",
+        )
         job.points = [None] * job.total
         job.pending = deque(range(job.total))
         self.jobs[job.id] = job
-        self._emit(job, {
-            "event": "job-queued", "job": job.id,
-            "experiment": spec.experiment, "total": job.total,
-        })
+        self._emit(
+            job, "job-queued", experiment=spec.experiment, total=job.total,
+        )
         self._wake.set()
         return job
 
@@ -247,8 +251,8 @@ class JobManager:
 
     # -- events ----------------------------------------------------------
 
-    def _emit(self, job: Job, record: dict[str, Any]) -> None:
-        record.setdefault("job", job.id)
+    def _emit(self, job: Job, event: str, **data: Any) -> None:
+        record = {"event": event, "job": job.id, **data}
         job.events.append(record)
         for queue in list(job.subscribers):
             try:
@@ -256,10 +260,7 @@ class JobManager:
             except asyncio.QueueFull:  # pragma: no cover - unbounded
                 pass
         if self._recorder is not None:
-            self._recorder.emit(
-                runner_now(), "runner", record.get("event", "service"),
-                dict(record),
-            )
+            self._recorder.emit(runner_now(), "runner", event, dict(record))
 
     def subscribe(self, job: Job) -> asyncio.Queue:
         """A live event queue, pre-loaded with the job's history."""
@@ -299,7 +300,7 @@ class JobManager:
             index = job.pending.popleft()
             if job.status == "queued":
                 job.status = "running"
-                self._emit(job, {"event": "job-start"})
+                self._emit(job, "job-start")
             self._claim(job, index)
 
     def _claim(self, job: Job, point_index: int) -> None:
@@ -318,7 +319,7 @@ class JobManager:
             return
         if status == "wait":
             self._slots.release()
-            self._emit(job, {"event": "cache-wait", "index": point_index})
+            self._emit(job, "cache-wait", index=point_index)
             self._spawn(self._await_point(job, point_index, key, owner))
             return
         self._spawn(self._execute(job, point_index, key, owner))
@@ -345,10 +346,7 @@ class JobManager:
             return
         # Promoted to owner ("own") or timed out ("pending"): the point
         # now executes here, against a real worker slot.
-        self._emit(job, {
-            "event": "dedup-takeover", "index": point_index,
-            "status": status,
-        })
+        self._emit(job, "dedup-takeover", index=point_index, status=status)
         await self._slots.acquire()
         await self._execute(job, point_index, key, owner)
 
@@ -357,75 +355,42 @@ class JobManager:
     ) -> None:
         """Run one point on the shared pool; holds one worker slot."""
         job.in_flight += 1
-        point = job.spec.points[point_index]
         policy = job.policy
-        attempts = 0
         try:
             while True:
-                attempts += 1
-                self._emit(job, {
-                    "event": "dispatch", "index": point_index,
-                    "attempt": attempts,
-                })
                 generation = self._pool_generation
-                loop = asyncio.get_running_loop()
                 try:
-                    value, seconds = await loop.run_in_executor(
-                        self._pool, _timed_point,
-                        point.fn, dict(point.params), policy.timeout, None,
+                    future = asyncio.wrap_future(
+                        policy.submit(self._pool, [point_index])
                     )
-                except asyncio.CancelledError:
-                    self.index.release(key, owner)
-                    raise
+                    await asyncio.wait([future])
+                    ((_, ok, payload, seconds),) = policy.collect(
+                        future, [point_index]
+                    )
                 except BrokenExecutor:
                     self._respawn(generation)
-                    if attempts <= policy.retries:
-                        self._emit(job, {
-                            "event": "retry", "index": point_index,
-                            "attempt": attempts, "error": "WorkerCrashError",
-                        })
-                        continue
+                    ok, payload = False, policy.error(point_index)
+                if ok:
+                    break
+                if not policy.retriable(point_index):
                     self.index.release(key, owner)
-                    self._record(
-                        job, point_index, attempts=attempts,
-                        error="WorkerCrashError",
-                        message="pool worker died while executing point",
-                    )
+                    self._record(job, point_index, error=payload)
                     return
-                except Exception as exc:
-                    if attempts <= policy.retries:
-                        self._emit(job, {
-                            "event": "retry", "index": point_index,
-                            "attempt": attempts,
-                            "error": type(exc).__name__,
-                        })
-                        await asyncio.sleep(policy.backoff_seconds(
-                            point.describe(), attempts
-                        ))
-                        continue
-                    self.index.release(key, owner)
-                    cause = exc
-                    if isinstance(exc, PointExecutionError):
-                        cause = exc.__cause__ or exc
-                    self._record(
-                        job, point_index, attempts=attempts,
-                        error=type(cause).__name__, message=str(cause),
-                    )
-                    return
-                blob = None
-                try:
-                    blob = encode_entry(value)
-                except Exception:
-                    pass  # unpicklable: still a success, just uncached
-                if blob is not None:
-                    self.index.publish(key, blob, owner)
-                else:
-                    self.index.release(key, owner)
-                job.executed += 1
-                self._record(
-                    job, point_index, seconds=seconds, attempts=attempts,
-                )
-                return
+                await asyncio.sleep(policy.backoff(point_index, payload))
+            blob = None
+            try:
+                blob = encode_entry(payload)
+            except Exception:
+                pass  # unpicklable: still a success, just uncached
+            if blob is not None:
+                self.index.publish(key, blob, owner)
+            else:
+                self.index.release(key, owner)
+            job.executed += 1
+            self._record(job, point_index, seconds=seconds)
+        except asyncio.CancelledError:
+            self.index.release(key, owner)
+            raise
         finally:
             job.in_flight -= 1
             self._slots.release()
@@ -451,53 +416,39 @@ class JobManager:
         cached: bool = False,
         deduped: bool = False,
         seconds: float = 0.0,
-        attempts: int = 1,
-        error: str | None = None,
-        message: str | None = None,
+        error: Exception | None = None,
     ) -> None:
         """File one finished point and emit its event record."""
-        point = job.spec.points[point_index]
-        row: dict[str, Any] = {
+        outcome = PointOutcome(
+            index=point_index, total=job.total,
+            point=job.spec.points[point_index], value=None,
+            seconds=seconds, cached=cached,
+            attempts=1 if cached else job.policy.attempts[point_index],
+            error=error, deduped=deduped,
+        )
+        # The event is the progress module's wire schema; the row is the
+        # same record without the stream's framing fields.
+        record = outcome_record(job.spec.experiment, outcome)
+        job.points[point_index] = {
             "status": "failed" if error else "ok",
-            "label": point.describe(),
             "key": job.keys[point_index],
-            "cached": cached,
-            "deduped": deduped,
-            "attempts": attempts,
-            "seconds": round(seconds, 6),
+            **{
+                name: value for name, value in record.items()
+                if name not in ("event", "experiment", "index", "total")
+            },
         }
         if error:
-            row["error"] = error
-            row["message"] = message or ""
             job.failed += 1
-        job.points[point_index] = row
         job.completed += 1
-        # The event payload is the progress module's wire schema —
-        # synthesized through a real PointOutcome so the two can never
-        # drift apart.
-        failure = None
-        if error:
-            failure = PointExecutionError(
-                point.describe(), RuntimeError(message or error)
-            )
-        outcome = PointOutcome(
-            index=point_index, total=job.total, point=point, value=None,
-            seconds=seconds, cached=cached, attempts=attempts,
-            error=failure, deduped=deduped,
-        )
-        record = outcome_record(job.spec.experiment, outcome)
-        if error:
-            record["error"] = error  # keep the worker-side type name
-            record["message"] = message or ""
-        self._emit(job, record)
+        self._emit(job, **record)
         if job.finished:
             job.wall_seconds = time.monotonic() - job.submitted_at
             job.status = "failed" if job.failed else "done"
-            self._emit(job, {
-                "event": "job-end", "status": job.status,
-                "executed": job.executed, "cache_hits": job.cache_hits,
-                "deduped": job.deduped, "failed": job.failed,
-                "wall_seconds": round(job.wall_seconds, 6),
-            })
+            self._emit(
+                job, "job-end", status=job.status, executed=job.executed,
+                cache_hits=job.cache_hits, deduped=job.deduped,
+                failed=job.failed,
+                wall_seconds=round(job.wall_seconds, 6),
+            )
             job.done_event.set()
         self._wake.set()

@@ -40,6 +40,8 @@ from repro.service import (
 SQUARE = "tests.runner_points:square"
 RECORD = "tests.runner_points:record"
 BOOM = "tests.runner_points:boom"
+FLAKY = "tests.runner_points:flaky"
+KILL = "tests.runner_points:kill_worker"
 
 KEY_A = "ab" * 32
 KEY_B = "cd" * 32
@@ -336,6 +338,12 @@ def test_events_stream_replays_full_lifecycle(service):
             "experiment", "index", "total", "label", "cached",
             "deduped", "attempts", "seconds",
         }
+    # Dispatches carry the runner's fields: one chunk per point.
+    dispatches = [e for e in events if e["event"] == "dispatch"]
+    assert sorted(e["indices"] for e in dispatches) == [[0], [1], [2]]
+    for record in dispatches:
+        assert record["mode"] == "pool"
+        assert not {"index", "attempt"} & set(record)
     end = events[-1]
     assert end["status"] == "done" and end["executed"] == 3
 
@@ -373,6 +381,62 @@ def test_job_failure_path_keeps_going(service):
         client.point_value(job_id, 0)
     # A failed owner releases its reservation — nothing left in flight.
     assert service.stats()["in_flight"] == 0
+
+
+def test_job_retries_a_failing_point(service, tmp_path):
+    client = ServiceClient(service.base_url)
+    spec = ExperimentSpec(experiment="svc", points=(
+        Point(fn=FLAKY, params={
+            "x": 1, "counter": str(tmp_path / "counter"), "fail_times": 1,
+        }),
+    ))
+    job_id = client.submit_spec(spec, retries=1)
+    manifest = client.wait(job_id, timeout=120)
+    assert manifest["status"] == "done"
+    (row,) = manifest["points"]
+    assert row["status"] == "ok" and row["attempts"] == 2
+    assert client.point_value(job_id, 0) == 100
+    (retry,) = [e for e in client.events(job_id) if e["event"] == "retry"]
+    assert retry["error"] == "ValueError"
+    assert (retry["index"], retry["attempt"]) == (0, 1)
+    client.close()
+
+
+def kill_grid(tmp_path, squares=()):
+    """A ``kill_worker`` point (it kills its worker once) plus squares."""
+    return ExperimentSpec(experiment="svc", points=(
+        Point(fn=KILL, params={"x": 1, "tripwire": str(tmp_path / "trip")}),
+        *(Point(fn=SQUARE, params={"x": x}) for x in squares),
+    ))
+
+
+def test_job_survives_a_killed_worker(service, tmp_path):
+    client = ServiceClient(service.base_url)
+    job_id = client.submit_spec(kill_grid(tmp_path, (2, 3)), retries=1)
+    manifest = client.wait(job_id, timeout=120)
+    assert manifest["status"] == "done"
+    rows = manifest["points"]
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    # A square in flight on the other worker when the pool broke is
+    # charged a crash attempt too, so only the killed point's count is
+    # fixed.
+    assert rows[0]["attempts"] == 2
+    assert client.values(job_id) == [1000, 4, 9]
+    assert client.stats()["jobs"]["pool_respawns"] == 1
+    client.close()
+
+
+def test_job_records_a_worker_crash_without_retries(service, tmp_path):
+    client = ServiceClient(service.base_url)
+    job_id = client.submit_spec(kill_grid(tmp_path), retries=0)
+    manifest = client.wait(job_id, timeout=120)
+    assert manifest["status"] == "failed"
+    (row,) = manifest["points"]
+    assert row["status"] == "failed" and row["attempts"] == 1
+    assert row["error"] == "WorkerCrashError"
+    assert "pool worker died" in row["message"]
+    assert service.stats()["in_flight"] == 0
+    client.close()
 
 
 def test_driver_submission_and_api_errors(service):
