@@ -113,8 +113,10 @@ class SessionConfig:
     #: defers to the ``REPRO_TRACE`` environment variable — set by the
     #: CLI's ``--trace`` flag — so the decision never enters grid cache
     #: keys; ``True``/``False`` force it per session.  When enabled the
-    #: session owns a :class:`~repro.obs.TraceRecorder` with a
-    #: :class:`~repro.obs.MachineTap` attached for its whole lifetime.
+    #: session calls :meth:`SessionBase.start_trace` at construction, so
+    #: its :class:`~repro.obs.TraceRecorder` records setup and
+    #: calibration too.  A session built with ``False`` can still start
+    #: tracing later, from its transmission on.
     trace: bool | None = None
 
     def __post_init__(self) -> None:
@@ -236,22 +238,18 @@ class SessionBase:
 
     def __init__(self, config: SessionConfig):
         self.config = config
-        # Tracing is decided once, here: either forced by the config or
-        # taken from REPRO_TRACE.  When off, recorder and tap are None
-        # and the machine hot path is byte-for-byte the untraced code.
-        # When on, the tap attaches before any spawn, so the channel
-        # drivers hoist its wrappers and traced sessions run driven.
-        traced = config.trace if config.trace is not None else trace_enabled()
-        self.recorder: TraceRecorder | None = TraceRecorder() if traced else None
+        # Until tracing starts, recorder and tap are None and the machine
+        # hot path is byte-for-byte the untraced code.
+        self.recorder: TraceRecorder | None = None
         self.tap: MachineTap | None = None
         self.rng = RngStreams(config.seed)
         if config.reuse_machine:
             self.machine = _acquire_machine(config.machine, self.rng)
         else:
             self.machine = Machine(config.machine, self.rng)
-        if self.recorder is not None:
-            self.tap = MachineTap(self.machine, self.recorder)
-            self.tap.attach()
+        traced = config.trace if config.trace is not None else trace_enabled()
+        if traced:
+            self.start_trace()
         self.sim = Simulator(self.machine.stats)
         #: Optional :class:`repro.checkpoint.SegmentStore` — when set,
         #: transmissions pause at segment boundaries and store resumable
@@ -286,6 +284,25 @@ class SessionBase:
         self._faults_installed = False
 
     # -- setup ----------------------------------------------------------
+
+    def start_trace(self) -> TraceRecorder:
+        """Start tracing this session; returns its recorder (idempotent).
+
+        Creates the :class:`~repro.obs.TraceRecorder` and attaches a
+        :class:`~repro.obs.MachineTap` on the first call; later calls
+        return the same recorder.  A session whose ``config.trace``
+        resolves true calls it at construction, before calibration, so
+        its trace holds every phase.  Called on a built session, the
+        trace starts at the next op: calibration has already run (from
+        the memo where usable).  Threads spawned from then on hoist the
+        tap's wrappers at spawn, and live drivers (noise workers)
+        re-hoist them at the next :meth:`Simulator.run` entry.
+        """
+        if self.recorder is None:
+            self.recorder = TraceRecorder()
+            self.tap = MachineTap(self.machine, self.recorder)
+            self.tap.attach()
+        return self.recorder
 
     def _phase(self, name: str, mark: str, **data) -> None:
         """Emit a channel phase mark (``B``/``E``) at the current clock."""

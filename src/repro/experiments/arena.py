@@ -7,12 +7,18 @@ against whatever threshold the monitor runs.  This driver stages that
 fight across every live cell of the scenario matrix:
 
 * **Attack legs** run one covert transmission per (cell, evasion
-  setting, seed) with tracing on and a
+  setting, seed) with a
   :class:`~repro.detection.streaming.StreamingDetector` subscribed to
   the session recorder — the live-feed path, no second interposition
-  layer.  Evasion settings are the adversary's ladder: rate throttling
-  (``ProtocolParams.at_rate``, the paper's knob 2 — fewer flushes and
-  downgrades per window at the cost of rate) and timing obfuscation
+  layer.  Tracing starts at the transmission
+  (:meth:`~repro.channel.session.SessionBase.start_trace`): the
+  detector reads nothing before it, so setup and calibration run
+  untraced on a warm pooled machine and through the calibration memo,
+  and the row equals the one a session traced from construction gives
+  (``tests/test_fast_paths.py``).  Evasion settings are the
+  adversary's ladder: rate throttling (``ProtocolParams.at_rate``, the
+  paper's knob 2 — fewer flushes and downgrades per window at the cost
+  of rate) and timing obfuscation
   (:func:`~repro.mitigation.hardware.attach_obfuscator` at partial or
   full band-spread width over the channel's own cores).
 * **Benign legs** run the kernel-build and producer/consumer workloads
@@ -127,7 +133,8 @@ def point(
 def _attack_point(
     cell: str, seed: int, bits: int, rate_scale: float, obf_width: float
 ) -> dict:
-    config = SessionConfig(spec=cell, seed=seed, trace=True)
+    config = SessionConfig(spec=cell, seed=seed, trace=False,
+                           reuse_machine=True)
     if rate_scale != 1.0:
         config.params = config.params.at_rate(
             config.params.nominal_rate_kbps * rate_scale
@@ -146,8 +153,10 @@ def _attack_point(
                    covert_score=0.0, accuracy=0.0, rate_kbps=0.0,
                    capacity_kbps=0.0, first_alarm=None)
         return row
+    # Tracing starts here, after calibration: the detector reads only
+    # the transmission, so nothing before it is recorded.
     detector = StreamingDetector(scan_interval=SCAN_INTERVAL)
-    session.recorder.subscribe(detector)
+    session.start_trace().subscribe(detector)
     if obf_width > 0.0:
         _attach_partial_obfuscator(session, obf_width)
     status, result = "ok", None
@@ -159,6 +168,8 @@ def _attack_point(
         status = "error"
     finally:
         session.recorder.unsubscribe(detector)
+        # The machine stays in the warm pool: leave it untapped.
+        session.tap.detach()
     now = session.sim.global_clock
     scores = detector.score_all(now)
     covert_line = (

@@ -37,10 +37,10 @@ import asyncio
 import json
 import math
 import re
+from dataclasses import replace
 from typing import Any, NamedTuple
 
 from repro.errors import SpecError
-from repro.runner.executor import FailurePolicy
 from repro.runner.spec import spec_from_json
 
 #: Sanity cap on request bodies (a 64-pt grid spec is ~20 KiB, an entry
@@ -360,13 +360,16 @@ class HttpApi:
                 return _json(400, {"error": "body needs 'spec' or 'driver'"})
         except SpecError as exc:
             return _json(400, {"error": str(exc)})
+        # The body overrides only the fields it names; the rest keep the
+        # server's defaults (``repro serve --retries/--timeout``).
+        overrides = {}
+        if "retries" in payload:
+            overrides["retries"] = int(payload["retries"])
+        if "timeout" in payload:
+            overrides["timeout"] = payload["timeout"]
         policy = None
-        if "retries" in payload or "timeout" in payload:
-            policy = FailurePolicy(
-                retries=int(payload.get("retries", 0)),
-                timeout=payload.get("timeout"),
-                keep_going=True,
-            )
+        if overrides:
+            policy = replace(self.manager.policy, keep_going=True, **overrides)
         job = self.manager.submit(spec, policy=policy)
         return _json(201, {
             "id": job.id,

@@ -30,9 +30,10 @@ the tap's ``load``/``flush`` wrappers (:func:`hoisted_bindings`) and
 issue every access through them, in the generator path's global order —
 the recorded event stream is byte-identical.  The worker's inline
 L1-hit path stands aside when ``machine.load`` is interposed.  A binding
-that changes between runs — a detection monitor or a second tap attached
-to a built session — is re-hoisted at the next run entry
-(:meth:`Simulator.run`), so live drivers issue through it from then on.
+that changes between runs — a detection monitor, or a tap attached to
+a built session (``SessionBase.start_trace``, a second tap) — is
+re-hoisted at the next run entry (:meth:`Simulator.run`), so live
+drivers issue through it from then on.
 
 Everything else the drivers meet is read live: scheduler assignments
 (forced preemption) at every advance, translations (KSM merges and

@@ -40,7 +40,9 @@ the run leaves behind, on every protocol backend the draw reaches.
 The five golden configs are explicit examples whose reference must also
 land on its pinned digest; a fixed faulted example puts every
 simulation fault kind through each variant.
-:func:`test_pool_dispatch_matches_serial` covers chunked dispatch.
+:func:`test_pool_dispatch_matches_serial` covers chunked dispatch, and
+:func:`test_arena_legs_match_traced_reference` the arena's attack legs,
+which trace only their transmission, on a warm machine and memo.
 
 Every variant is reached through a test seam — ``clear_warm_state``,
 ``clear_calibration_memo``, the ``DRIVERS`` table, ``Runner(chunk_size=)``
@@ -60,9 +62,15 @@ from repro.channel import session as session_module
 from repro.channel.calibration import clear_calibration_memo
 from repro.channel.config import scenario_by_name
 from repro.channel.scenarios import SCENARIOS
-from repro.channel.session import clear_warm_state, execute_point, resolve_spec
+from repro.channel.session import (
+    SessionConfig,
+    clear_warm_state,
+    execute_point,
+    resolve_spec,
+)
 from repro.detection import StreamingDetector
 from repro.errors import ReproError
+from repro.experiments import arena
 from repro.experiments.common import payload_bits
 from repro.faults import FaultPlan
 from repro.faults.plan import SIMULATION_KINDS
@@ -318,3 +326,50 @@ def test_pool_dispatch_matches_serial():
         pooled = Runner(jobs=2, chunk_size=chunk_size).run(spec).values
         for one, other in zip(pooled, serial):
             assert_matches(f"chunk_size={chunk_size}", one, other)
+
+
+#: One 8-bit attack leg per non-LRU live cell at one seed, then a
+#: throttled and a partially obfuscated leg.
+ARENA_LEGS = [
+    {"workload": f"attack:{cell}", "seed": 5, "bits": 8}
+    for cell in arena.live_cells() if not cell.endswith("-lru")
+] + [
+    {"workload": "attack:mesi-es", "seed": 5, "bits": 8, "rate_scale": 0.5},
+    {"workload": "attack:dir-es", "seed": 5, "bits": 8, "obf_width": 0.5},
+]
+
+
+def traced_reference(leg: dict) -> dict:
+    """*leg*'s row from a session traced from construction, on a fresh
+    machine with a cold calibration, the detector subscribed after
+    construction."""
+    def config(**kwargs) -> SessionConfig:
+        return SessionConfig(**{**kwargs, "trace": True,
+                                "reuse_machine": False})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arena, "SessionConfig", config)
+        return arena.point(**leg)
+
+
+def test_arena_legs_match_traced_reference():
+    """An arena attack row does not depend on when tracing started or on
+    what ran before it in the process (warm machine, calibration memo)."""
+    with pytest.MonkeyPatch.context() as env:
+        env.delenv("REPRO_TRACE", raising=False)
+        env.delenv("REPRO_SEGMENT_CYCLES", raising=False)
+        clear_warm_state()
+        for leg in ARENA_LEGS:
+            row = arena.point(**leg)
+            assert row["events"] > 0, leg
+            assert row == traced_reference(leg), leg
+        # Another cell and seed on the same MOESI machine between two
+        # runs of one leg: the second run resets a machine the other
+        # leg used and hits the memo the first run stored.
+        first = {"workload": "attack:moesi-es", "seed": 5, "bits": 8}
+        other = {"workload": "attack:moesi-ostate", "seed": 6, "bits": 8}
+        clear_warm_state()
+        alone = arena.point(**first)
+        arena.point(**other)
+        assert arena.point(**first) == alone
+        clear_warm_state()

@@ -568,6 +568,35 @@ def test_phase_events_bracket_the_transmission(traced_result):
     validate_chrome_trace(to_chrome_trace(session.recorder))
 
 
+def test_start_trace_is_idempotent():
+    session = make_session(trace=False)
+    assert session.recorder is None and session.tap is None
+    recorder = session.start_trace()
+    tap = session.tap
+    assert session.start_trace() is recorder
+    assert session.tap is tap and session.machine._trace_tap is tap
+    # One tap on the machine: one op records one event.
+    session.machine.load(0, session.spy_proc.translate(session.spy_va))
+    assert len(recorder.select("load")) == 1
+    traced = make_session(trace=True)
+    assert traced.start_trace() is traced.recorder
+
+
+def test_trace_started_after_construction_begins_at_the_transmission():
+    payload = [1, 0, 1, 1, 0, 0, 1, 0]
+    session = make_session(trace=False)
+    recorder = session.start_trace()
+    result = session.transmit(payload)
+    events = recorder.events()
+    first = events[0]
+    assert (first.category, first.name, first.data["mark"]) == (
+        "phase", "transmit", "B")
+    phases = {e.name for e in recorder.select("phase")}
+    assert not phases & {"setup", "calibrate"}
+    assert recorder.select("load") and recorder.select("flush")
+    assert result == make_session(trace=True).transmit(payload)
+
+
 def test_multibit_result_carries_manifest():
     from repro.channel.symbols import MultiBitSession
 

@@ -42,6 +42,7 @@ RECORD = "tests.runner_points:record"
 BOOM = "tests.runner_points:boom"
 FLAKY = "tests.runner_points:flaky"
 KILL = "tests.runner_points:kill_worker"
+SLOW = "tests.runner_points:slow_point"
 
 KEY_A = "ab" * 32
 KEY_B = "cd" * 32
@@ -436,6 +437,49 @@ def test_job_records_a_worker_crash_without_retries(service, tmp_path):
     assert row["error"] == "WorkerCrashError"
     assert "pool worker died" in row["message"]
     assert service.stats()["in_flight"] == 0
+    client.close()
+
+
+@pytest.fixture
+def strict_service(tmp_path):
+    """A service whose own policy retries twice and times points out."""
+    svc = ExperimentService(
+        cache=ResultCache(tmp_path / "cache", salt="svc"),
+        workers=2,
+        policy=FailurePolicy(retries=2, timeout=0.5),
+    )
+    handle = svc.run_in_thread()
+    yield handle
+    handle.stop()
+
+
+def test_job_naming_only_retries_keeps_the_server_timeout(strict_service):
+    client = ServiceClient(strict_service.base_url)
+    spec = ExperimentSpec(experiment="svc", points=(
+        Point(fn=SLOW, params={"x": 1, "seconds": 1.5}),
+    ))
+    job_id = client.submit_spec(spec, retries=0)
+    manifest = client.wait(job_id, timeout=120)
+    (row,) = manifest["points"]
+    assert row["status"] == "failed" and row["attempts"] == 1
+    assert row["error"] == "PointTimeoutError"
+    client.close()
+
+
+def test_job_naming_only_timeout_keeps_the_server_retries(
+    strict_service, tmp_path
+):
+    client = ServiceClient(strict_service.base_url)
+    spec = ExperimentSpec(experiment="svc", points=(
+        Point(fn=FLAKY, params={
+            "x": 1, "counter": str(tmp_path / "counter"), "fail_times": 2,
+        }),
+    ))
+    job_id = client.submit_spec(spec, timeout=30.0)
+    manifest = client.wait(job_id, timeout=120)
+    assert manifest["status"] == "done"
+    (row,) = manifest["points"]
+    assert row["status"] == "ok" and row["attempts"] == 3
     client.close()
 
 

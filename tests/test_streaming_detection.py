@@ -29,7 +29,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.session import ChannelSession, SessionConfig
+from repro.channel.calibration import clear_calibration_memo
+from repro.channel.session import (
+    _MACHINE_POOL,
+    ChannelSession,
+    SessionConfig,
+    _acquire_machine,
+    clear_warm_state,
+)
 from repro.detection import (
     ChannelDetector,
     EventMonitor,
@@ -44,6 +51,7 @@ from repro.obs import TraceRecorder
 from repro.obs.recorder import TraceEvent
 from repro.runner import ExperimentSpec, Point, Runner
 from repro.sim import drivers
+from repro.sim.rng import RngStreams
 
 #: One scenario per distinct protocol path: flush-based MESI, the MOESI
 #: O-state channel, and the home-node directory backend.
@@ -402,6 +410,21 @@ def test_live_cells_excludes_dead_and_undefined_cells():
     assert "mesif-ostate" not in cells
     assert "dir-lru" not in cells
     assert {"mesi-es", "moesi-ostate", "dir-es"} <= set(cells)
+
+
+def test_arena_point_leaves_a_clean_warm_machine():
+    """An attack leg calibrates through the memo on a pooled machine and
+    hands that machine back untapped."""
+    clear_warm_state()
+    arena.point(workload="attack:mesi-es", seed=5, bits=8)
+    (machine,) = _MACHINE_POOL.values()
+    assert machine._trace_tap is None
+    config = SessionConfig(spec="mesi-es", seed=6)
+    assert _acquire_machine(config.machine, RngStreams(6)) is machine
+    assert not {"load", "store", "flush"} & vars(machine).keys()
+    assert machine._trace_tap is None
+    assert clear_calibration_memo() == 1
+    clear_warm_state()
 
 
 def _tiny_arena_spec():
