@@ -13,8 +13,8 @@ fight across every live cell of the scenario matrix:
   layer.  Tracing starts at the transmission
   (:meth:`~repro.channel.session.SessionBase.start_trace`): the
   detector reads nothing before it, so setup and calibration run
-  untraced on a warm pooled machine and through the calibration memo,
-  and the row equals the one a session traced from construction gives
+  untraced and through the calibration memo, and the row equals the
+  one a session traced from construction gives
   (``tests/test_fast_paths.py``).  Evasion settings are the
   adversary's ladder: rate throttling (``ProtocolParams.at_rate``, the
   paper's knob 2 — fewer flushes and downgrades per window at the cost
@@ -133,8 +133,7 @@ def point(
 def _attack_point(
     cell: str, seed: int, bits: int, rate_scale: float, obf_width: float
 ) -> dict:
-    config = SessionConfig(spec=cell, seed=seed, trace=False,
-                           reuse_machine=True)
+    config = SessionConfig(spec=cell, seed=seed, trace=False)
     if rate_scale != 1.0:
         config.params = config.params.at_rate(
             config.params.nominal_rate_kbps * rate_scale
@@ -168,8 +167,6 @@ def _attack_point(
         status = "error"
     finally:
         session.recorder.unsubscribe(detector)
-        # The machine stays in the warm pool: leave it untapped.
-        session.tap.detach()
     now = session.sim.global_clock
     scores = detector.score_all(now)
     covert_line = (

@@ -362,14 +362,12 @@ class HttpApi:
             return _json(400, {"error": str(exc)})
         # The body overrides only the fields it names; the rest keep the
         # server's defaults (``repro serve --retries/--timeout``).
-        overrides = {}
-        if "retries" in payload:
-            overrides["retries"] = int(payload["retries"])
-        if "timeout" in payload:
-            overrides["timeout"] = payload["timeout"]
-        policy = None
-        if overrides:
-            policy = replace(self.manager.policy, keep_going=True, **overrides)
+        overrides = {
+            k: payload[k] for k in ("retries", "timeout") if k in payload
+        }
+        if "retries" in overrides:
+            overrides["retries"] = int(overrides["retries"])
+        policy = replace(self.manager.policy, **overrides)
         job = self.manager.submit(spec, policy=policy)
         return _json(201, {
             "id": job.id,

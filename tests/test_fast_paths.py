@@ -42,7 +42,7 @@ land on its pinned digest; a fixed faulted example puts every
 simulation fault kind through each variant.
 :func:`test_pool_dispatch_matches_serial` covers chunked dispatch, and
 :func:`test_arena_legs_match_traced_reference` the arena's attack legs,
-which trace only their transmission, on a warm machine and memo.
+which trace only their transmission and calibrate through the memo.
 
 Every variant is reached through a test seam — ``clear_warm_state``,
 ``clear_calibration_memo``, the ``DRIVERS`` table, ``Runner(chunk_size=)``
@@ -329,23 +329,22 @@ def test_pool_dispatch_matches_serial():
 
 
 #: One 8-bit attack leg per non-LRU live cell at one seed, then a
-#: throttled and a partially obfuscated leg.
+#: throttled, a partially obfuscated and one 4-bit LRU leg.
 ARENA_LEGS = [
     {"workload": f"attack:{cell}", "seed": 5, "bits": 8}
     for cell in arena.live_cells() if not cell.endswith("-lru")
 ] + [
     {"workload": "attack:mesi-es", "seed": 5, "bits": 8, "rate_scale": 0.5},
     {"workload": "attack:dir-es", "seed": 5, "bits": 8, "obf_width": 0.5},
+    {"workload": "attack:mesi-lru", "seed": 5, "bits": 4},
 ]
 
 
 def traced_reference(leg: dict) -> dict:
-    """*leg*'s row from a session traced from construction, on a fresh
-    machine with a cold calibration, the detector subscribed after
-    construction."""
+    """*leg*'s row from a session traced from construction, with a cold
+    calibration, the detector subscribed after construction."""
     def config(**kwargs) -> SessionConfig:
-        return SessionConfig(**{**kwargs, "trace": True,
-                                "reuse_machine": False})
+        return SessionConfig(**{**kwargs, "trace": True})
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arena, "SessionConfig", config)
@@ -354,7 +353,7 @@ def traced_reference(leg: dict) -> dict:
 
 def test_arena_legs_match_traced_reference():
     """An arena attack row does not depend on when tracing started or on
-    what ran before it in the process (warm machine, calibration memo)."""
+    what ran before it in the process (calibration memo)."""
     with pytest.MonkeyPatch.context() as env:
         env.delenv("REPRO_TRACE", raising=False)
         env.delenv("REPRO_SEGMENT_CYCLES", raising=False)
@@ -363,9 +362,9 @@ def test_arena_legs_match_traced_reference():
             row = arena.point(**leg)
             assert row["events"] > 0, leg
             assert row == traced_reference(leg), leg
-        # Another cell and seed on the same MOESI machine between two
-        # runs of one leg: the second run resets a machine the other
-        # leg used and hits the memo the first run stored.
+        # Another cell and seed on the same MOESI backend between two
+        # runs of one leg: the second run hits the memo the first run
+        # stored.
         first = {"workload": "attack:moesi-es", "seed": 5, "bits": 8}
         other = {"workload": "attack:moesi-ostate", "seed": 6, "bits": 8}
         clear_warm_state()

@@ -412,17 +412,15 @@ def test_live_cells_excludes_dead_and_undefined_cells():
     assert {"mesi-es", "moesi-ostate", "dir-es"} <= set(cells)
 
 
-def test_arena_point_leaves_a_clean_warm_machine():
-    """An attack leg calibrates through the memo on a pooled machine and
-    hands that machine back untapped."""
+def test_arena_point_leaves_the_warm_pool_untouched():
+    """An attack leg builds its own machine, calibrates through the memo
+    and leaves nothing interposed on the next pooled machine."""
     clear_warm_state()
     arena.point(workload="attack:mesi-es", seed=5, bits=8)
-    (machine,) = _MACHINE_POOL.values()
-    assert machine._trace_tap is None
+    assert not _MACHINE_POOL
     config = SessionConfig(spec="mesi-es", seed=6)
-    assert _acquire_machine(config.machine, RngStreams(6)) is machine
+    machine = _acquire_machine(config.machine, RngStreams(6))
     assert not {"load", "store", "flush"} & vars(machine).keys()
-    assert machine._trace_tap is None
     assert clear_calibration_memo() == 1
     clear_warm_state()
 
