@@ -6,8 +6,8 @@ passes only — and emits a machine-readable ``BENCH_<date>.json`` report:
 
 * ``grid_sweep`` — grid throughput (points/second) on a fig8-shaped
   64-point grid, comparing the cold reference path against warm-worker
-  serial, per-point pool and chunked pool dispatch; the best
-  self-relative speedup gates against a committed baseline;
+  serial, per-point pool and chunked pool dispatch; the best pool
+  mode's speedup over warm serial gates against a committed baseline;
 * ``overhead`` — one transmission in five paired variants: the
   default path with tracing and streaming detection off is gated
   (< 2% over forcing both off, since the disabled path is the
@@ -32,6 +32,7 @@ from repro.bench.harness import (
     grid_sweep,
     load_report,
     overhead,
+    pool_speedup,
     run_all,
     write_report,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "grid_sweep",
     "load_report",
     "overhead",
+    "pool_speedup",
     "run_all",
     "write_report",
 ]

@@ -5,9 +5,10 @@ Methodology
 Each benchmark runs a fixed, deterministic workload (fixed seeds, fixed
 payloads) so that the executed event sequence is identical from run to
 run and between code versions — wall clock is the only free variable.
-``grid_sweep`` gates on self-relative speedups (one host, one process),
-which are portable across machines in a way raw walls are not.  The
-``overhead`` benchmark compares variants of one workload: it runs
+``grid_sweep`` gates on a self-relative speedup (one host, one process),
+which is portable across machines in a way raw walls are not: the best
+pool mode's points/s over the warm serial mode's (:func:`pool_speedup`).
+The ``overhead`` benchmark compares variants of one workload: it runs
 interleaved pairs (``repeats`` of them, and at least
 :data:`OVERHEAD_PAIRS` in a full run) and gates on the median per-pair
 ratio, which a single disturbed run cannot move.
@@ -288,9 +289,11 @@ def grid_sweep(
     * ``serial`` — in-process with memo + warm pool active.
 
     The warm state is cleared before every mode, so each pays its own
-    first-calibration cost.  ``best_speedup`` gates in
-    :func:`check_regression`; that every mode returns the reference's
-    values is a tier-1 property
+    first-calibration cost.  ``pool_speedup`` (:func:`pool_speedup`)
+    gates in :func:`check_regression`; ``best_speedup``, over the cold
+    reference, is reported only: a faster cold path lowers it without
+    any regression.  That every mode returns the reference's values is
+    a tier-1 property
     (``tests/test_fast_paths.py::test_pool_dispatch_matches_serial``).
     """
     spec = _grid_spec(points, bits)
@@ -308,7 +311,7 @@ def grid_sweep(
         if name != "reference":
             entry["speedup"] = walls["reference"] / walls[name]
         modes[name] = entry
-    return {
+    report = {
         "points": n,
         "bits": bits,
         "jobs": jobs,
@@ -318,6 +321,21 @@ def grid_sweep(
             if name != "reference"
         ),
     }
+    report["pool_speedup"] = pool_speedup(report)
+    return report
+
+
+def pool_speedup(grid: dict[str, Any]) -> float:
+    """The best pool mode's points/s over the warm ``serial`` mode's.
+
+    Both sides run the same warm path (warm machines, calibration memo)
+    in the same run, so the ratio moves with the pool's dispatch, chunking
+    and worker warm-up, and not with how fast a cold point is.  Computed
+    from ``modes``, so reports written before the field existed gate too.
+    """
+    modes = grid["modes"]
+    best = max(modes[name]["points_per_sec"] for name in ("jobs", "chunked"))
+    return best / modes["serial"]["points_per_sec"]
 
 
 def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
@@ -369,11 +387,14 @@ def check_regression(
 
     Three quantities gate:
 
-    * grid throughput — ``grid_sweep.best_speedup``, the best
-      self-relative speedup of a warm or pooled mode over the cold
-      reference, must reach at least ``(1 - max_regression)`` of the
-      baseline's.  Speedups rather than raw walls gate because they are
-      host-portable;
+    * pool throughput — :func:`pool_speedup`, the best pool mode's
+      points/s over the warm serial mode's, must reach at least
+      ``(1 - max_regression)`` of the baseline's.  A speedup rather than
+      raw walls gates because it is host-portable; ``best_speedup``,
+      whose denominator is the cold reference, does not gate, so making
+      cold points faster cannot fail it.  Memo and warm-pool regressions
+      are caught by the repository benchmark's self-tests
+      (``calibrate_memo_hit_ratio`` and ``machine_builds`` asserts);
     * disabled tracing and streaming detection —
       ``overhead.disabled_overhead`` must stay under
       :data:`DISABLED_OVERHEAD_LIMIT` (an absolute bound, not
@@ -386,8 +407,8 @@ def check_regression(
     Wall times and points/s are reported as context but do not gate.
     """
     try:
-        base_speedup = baseline["benchmarks"]["grid_sweep"]["best_speedup"]
-        speedup = current["benchmarks"]["grid_sweep"]["best_speedup"]
+        base_speedup = pool_speedup(baseline["benchmarks"]["grid_sweep"])
+        speedup = pool_speedup(current["benchmarks"]["grid_sweep"])
         costs = current["benchmarks"]["overhead"]
         disabled = costs["disabled_overhead"]
         armed = costs["armed_overhead"]
@@ -397,7 +418,7 @@ def check_regression(
     floor = base_speedup * (1.0 - max_regression)
     if speedup < floor:
         problems.append(
-            f"grid_sweep regressed: best speedup {speedup:.2f}x < "
+            f"grid_sweep regressed: pool speedup {speedup:.2f}x < "
             f"{floor:.2f}x (baseline {base_speedup:.2f}x "
             f"- {max_regression:.0%})"
         )

@@ -13,17 +13,32 @@ spy-side decoder uses.
 
 Calibration is the dominant *fixed* cost of an experiment point (about
 2,000 simulated flush/place/load rounds before the first payload bit
-moves), and it is a pure function of the machine configuration, the root
-seed, and the sampling parameters — every point of a Figure 8/9 grid
-that shares those re-derives the exact same bands.
-:func:`calibrate_memoized` exploits that with a process-local memo: the
-first point pays for calibration, later points restore the bands *and*
-the post-calibration RNG stream states, so their transmissions remain
-bit-identical to a cold run.
+moves).  Two things make it cheap, both bit-identical to running every
+round through the ``Machine`` API:
+
+* Within a pair, every round opens with a clflush and its coherence
+  outcome depends on neither the clock nor an RNG draw, so from the
+  first round that starts where the previous one started (usually the
+  second or third), the rounds repeat one state transition.
+  :func:`_measure` runs rounds for real until then, and afterwards
+  replays the recorded round's timing model alone: the same
+  interconnect registrations, queueing and jitter draws, and stats
+  counters.  A machine something interposes on (a trace tap, an op
+  wrapper, an obfuscation policy, a directory hook, a home-agent hop)
+  runs every round for real; :func:`_per_op_reason` names why, and the
+  bands' ``provenance`` records it.
+* Calibration is a pure function of the machine configuration, the root
+  seed, and the sampling parameters — every point of a Figure 8/9 grid
+  that shares those re-derives the exact same bands.
+  :func:`calibrate_memoized` exploits that with a process-local memo:
+  the first point pays for calibration, later points restore the bands
+  *and* the post-calibration RNG stream states, so their transmissions
+  remain bit-identical to a cold run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +46,7 @@ import numpy as np
 from repro.channel.config import ALL_PAIRS, LineState, Location, StatePair
 from repro.errors import CalibrationError
 from repro.mem.hierarchy import Machine
+from repro.sim.events import AccessPath
 
 #: Timed loads per (location, state) combination in the paper's Figure 2
 #: micro-benchmark (Section V).
@@ -78,6 +94,10 @@ class LatencyBands:
 
     bands: dict[StatePair, Band] = field(default_factory=dict)
     dram: Band | None = None
+    #: How the bands were measured: ``"memo"`` (restored by
+    #: :func:`calibrate_memoized`), ``"replayed:<real rounds>"`` or
+    #: ``"per-op:<reason>"`` (see :func:`calibrate`).
+    provenance: str = field(default="", compare=False)
 
     def band_for(self, pair: StatePair) -> Band:
         """The band calibrated for *pair* (KeyError if not calibrated).
@@ -118,39 +138,204 @@ class LatencyBands:
             )
 
 
-def _place_pair(
-    machine: Machine,
-    pair: StatePair,
-    paddr: int,
-    now: float,
+def _round_ops(
+    pair: StatePair | None,
+    spy_core: int,
     local_cores: tuple[int, int],
     remote_cores: tuple[int, int],
-) -> float:
-    """Drive the machine so the line sits in *pair*'s location and state.
+) -> tuple[tuple[str, int], ...]:
+    """One round's ``(op, core)`` list: flush, placement, timed load.
 
-    Returns the cycles the placement loads took (the measurement clock
-    must advance realistically or the contention model sees an
-    impossible burst at a single instant).
+    The placement drives the line into *pair*'s location and state;
+    *pair* ``None`` (or a COLD pair) places nothing, which is the DRAM
+    round.  OWNED dirties the line, then has a second core's read pull
+    the owner into O (on MOESI; MESI-family machines write back and
+    demote to S instead, which is exactly the divergence the O-state
+    channel's calibration detects as an unusable band overlap).
     """
-    cores = local_cores if pair.location is Location.LOCAL else remote_cores
-    if pair.state is LineState.COLD:
-        # COLD is the absence of placement: leave the line flushed.
-        return 0.0
-    if pair.state is LineState.OWNED:
-        # Dirty the line, then have a second core's read pull the owner
-        # into O (on MOESI; MESI-family machines write back and demote
-        # to S instead, which is exactly the divergence the O-state
-        # channel's calibration detects as an unusable band overlap).
-        store_latency, _p = machine.store(cores[0], paddr, 1, now)
-        elapsed = store_latency
-        _v, latency, _p = machine.load(cores[1], paddr, now + elapsed)
-        return elapsed + latency
-    _v, latency, _p = machine.load(cores[0], paddr, now)
-    elapsed = latency
-    if pair.state is LineState.SHARED:
-        _v, latency, _p = machine.load(cores[1], paddr, now + elapsed)
-        elapsed += latency
-    return elapsed
+    place: tuple[tuple[str, int], ...] = ()
+    if pair is not None and pair.state is not LineState.COLD:
+        cores = local_cores if pair.location is Location.LOCAL else remote_cores
+        if pair.state is LineState.OWNED:
+            place = (("store", cores[0]), ("load", cores[1]))
+        elif pair.state is LineState.SHARED:
+            place = (("load", cores[0]), ("load", cores[1]))
+        else:
+            place = (("load", cores[0]),)
+    return (("flush", spy_core), *place, ("load", spy_core))
+
+
+def _run_op(
+    machine: Machine, op: str, core: int, paddr: int, now: float
+) -> tuple[float, AccessPath | None]:
+    """Run one round op through the ``Machine`` API; returns (latency,
+    service path), the path ``None`` for a flush."""
+    if op == "load":
+        _value, latency, path = machine.load(core, paddr, now)
+        return latency, path
+    if op == "store":
+        return machine.store(core, paddr, 1, now)
+    return machine.flush(core, paddr, now), None
+
+
+def _round(step, last: int, now: float) -> tuple[float, float]:
+    """Run one round of ``last + 1`` ops; returns (clock, timed latency).
+
+    ``step(j, now)`` runs op *j* at *now* and returns its latency.
+    The placement ops advance the clock as they go (the contention model
+    must not see an impossible burst at a single instant).
+    """
+    now += step(0, now)
+    elapsed = 0.0
+    for j in range(1, last):
+        elapsed += step(j, now + elapsed)
+    now += elapsed
+    latency = step(last, now)
+    return now + latency, latency
+
+
+def _per_op_reason(machine: Machine) -> str | None:
+    """Why every round must go through the ``Machine`` API, or None.
+
+    A replayed round calls no ``load``/``store``/``flush``, so anything
+    that observes or perturbs those ops, their interconnect hops or the
+    home directory's choices must see each round run for real.  So does
+    a home-agent machine: a queued load there makes one registration
+    (the home hop) that adds nothing to its contention, which a replay
+    plan does not model.
+    """
+    ic = machine.interconnect
+    if machine.obfuscation is not None:
+        return "obfuscated"
+    if (getattr(machine, "_trace_tap", None) is not None
+            or machine._qpi_register != ic.qpi.register
+            or machine._ring_register != [r.register for r in ic.rings]
+            or machine._mem_register != [r.register for r in ic.mems]):
+        return "traced"
+    if any(op in machine.__dict__ for op in ("load", "store", "flush")):
+        return "faulted"
+    if machine._dir_trace is not None:
+        return "dir-trace"
+    if machine._home_agent:
+        return "home-agent"
+    return None
+
+
+def _fields(record) -> tuple | None:
+    return None if record is None else tuple(
+        getattr(record, name) for name in record.__slots__)
+
+
+def _round_state(machine: Machine, base: int) -> list:
+    """Everything a round on line *base* reads, by value.
+
+    Every cache set the line maps to, at every level of every core and
+    socket, in LRU order; the line's snoop-directory and home-directory
+    entries; and its DRAM value.  A round's ops read nothing else: a
+    victim's own entry is touched only on an eviction, and a round that
+    evicts ends in a different state than it began in.
+    """
+    state = [machine.dram.get(base), _fields(machine.home_directory.get(base))]
+    state += [_fields(d.directory.get(base)) for d in machine.sockets]
+    caches = [cache for core in machine.cores for cache in (core.l1, core.l2)]
+    for cache in (*caches, *(d.data_array for d in machine.sockets)):
+        bucket = cache._sets[cache.set_index(base)]
+        state.append([_fields(line) for line in bucket.values()])
+    return state
+
+
+@contextmanager
+def _logged_registers(machine: Machine, log: list):
+    """Swap the bound interconnect registers for wrappers that append
+    the register they wrap to *log*, as :class:`~repro.obs.MachineTap`
+    swaps them for hop records."""
+    def logged(register):
+        def wrapped(now: float) -> float:
+            log.append(register)
+            return register(now)
+        return wrapped
+
+    bindings = (machine._ring_register, machine._qpi_register,
+                machine._mem_register)
+    machine._ring_register = [logged(r) for r in bindings[0]]
+    machine._qpi_register = logged(bindings[1])
+    machine._mem_register = [logged(r) for r in bindings[2]]
+    try:
+        yield
+    finally:
+        (machine._ring_register, machine._qpi_register,
+         machine._mem_register) = bindings
+
+
+def _measure(
+    machine: Machine, ops: tuple[tuple[str, int], ...], paddr: int,
+    samples: int,
+) -> tuple[np.ndarray, int]:
+    """Timed latencies of *samples* rounds of *ops*, and how many rounds
+    went through the ``Machine`` API.
+
+    Once a round starts in the state the round before it started in
+    (:func:`_round_state`), every later round repeats that round's
+    coherence transitions, so only its timing model runs: the same
+    interconnect registrations at the same clock, the same queueing and
+    jitter draws in the same order, and its stats-counter deltas, added
+    once at the end.  Each real round records that plan — per op, the
+    registers it called and :meth:`Machine.base_latency` — unless
+    :func:`_per_op_reason` names a reason to run every round real.
+    """
+    out = np.empty(samples, dtype=float)
+    last = len(ops) - 1
+    base = paddr & ~63
+    replayable = _per_op_reason(machine) is None
+    stats = machine.stats
+    queueing, jitter = machine._queueing, machine._jitter
+    log: list = []
+    steps: list = []
+    deltas: dict[str, int] = {}
+    plan = state = None
+    real = samples
+
+    def real_step(j: int, now: float) -> float:
+        op, core = ops[j]
+        log.clear()
+        latency, path = _run_op(machine, op, core, paddr, now)
+        if replayable:
+            queued, base_latency = machine.base_latency(
+                op, core, paddr, path, bool(log))
+            steps.append((queued, base_latency, tuple(log)))
+        return latency
+
+    def replay_step(j: int, now: float) -> float:
+        queued, latency, registers = plan[j]
+        contention = 0.0
+        for register in registers:
+            contention += register(now)
+        if queued:
+            latency += queueing(contention)
+        return jitter(latency)
+
+    now = 0.0
+    for i in range(samples):
+        if plan is None and replayable:
+            previous, state = state, _round_state(machine, base)
+            if state == previous:
+                # The last real round started where this one does.
+                plan, real = tuple(steps), i
+        if plan is not None:
+            now, out[i] = _round(replay_step, last, now)
+        elif not replayable:
+            now, out[i] = _round(real_step, last, now)
+        else:
+            steps.clear()
+            before = stats.counters()
+            with _logged_registers(machine, log):
+                now, out[i] = _round(real_step, last, now)
+            deltas = {name: value - before.get(name, 0)
+                      for name, value in stats.counters().items()}
+    if plan is not None:
+        for name, delta in deltas.items():
+            stats.counter_handle(name).value += delta * (samples - real)
+    return out, real
 
 
 def measure_pair(
@@ -169,29 +354,16 @@ def measure_pair(
     """
     if remote_cores is None:
         remote_cores = _default_remote_cores(machine)
-    out = np.empty(samples, dtype=float)
-    now = 0.0
-    for i in range(samples):
-        now += machine.flush(spy_core, paddr, now)
-        now += _place_pair(machine, pair, paddr, now, local_cores, remote_cores)
-        _value, latency, _path = machine.load(spy_core, paddr, now)
-        now += latency
-        out[i] = latency
-    return out
+    ops = _round_ops(pair, spy_core, local_cores, remote_cores)
+    return _measure(machine, ops, paddr, samples)[0]
 
 
 def measure_dram(
     machine: Machine, paddr: int, samples: int, spy_core: int = 0
 ) -> np.ndarray:
     """Timed-load latencies with no cached copy anywhere."""
-    out = np.empty(samples, dtype=float)
-    now = 0.0
-    for i in range(samples):
-        now += machine.flush(spy_core, paddr, now)
-        _value, latency, _path = machine.load(spy_core, paddr, now)
-        now += latency
-        out[i] = latency
-    return out
+    return _measure(machine, _round_ops(None, spy_core, (), ()), paddr,
+                    samples)[0]
 
 
 def _default_remote_cores(machine: Machine) -> tuple[int, int]:
@@ -241,38 +413,38 @@ def calibrate(
     beyond :data:`ALL_PAIRS`.  They are measured strictly *after* the
     four standard pairs: the RNG draw order of a session with no extras
     must stay bit-identical to the pre-extras code (golden digests).
+    The DRAM band is measured last.  ``bands.provenance`` says how the
+    rounds ran (:func:`_measure`): ``"replayed:<real rounds>"``, or
+    ``"per-op:<reason>"`` when :func:`_per_op_reason` names one.
     """
     bands = LatencyBands()
     raw: dict[str, np.ndarray] = {}
     multi_socket = machine.config.n_sockets >= 2
-    for pair in ALL_PAIRS:
-        if pair.location is Location.REMOTE and not multi_socket:
-            continue
-        machine.interconnect.reset()
-        data = measure_pair(machine, pair, paddr, samples, spy_core)
-        raw[pair.notation] = data
-        lo = float(np.percentile(data, percentiles[0])) - pad
-        hi = float(np.percentile(data, percentiles[1])) + pad
-        bands.bands[pair] = Band(label=pair.notation, lo=lo, hi=hi)
-    for pair in extra_pairs:
-        if pair in bands.bands:
-            continue
-        if pair.location is Location.REMOTE and not multi_socket:
-            continue
-        machine.interconnect.reset()
-        data = measure_pair(machine, pair, paddr, samples, spy_core)
-        raw[pair.notation] = data
-        lo = float(np.percentile(data, percentiles[0])) - pad
-        hi = float(np.percentile(data, percentiles[1])) + pad
-        bands.bands[pair] = Band(label=pair.notation, lo=lo, hi=hi)
-    _stretch_upward(bands)
+    pairs = [
+        pair for pair in dict.fromkeys((*ALL_PAIRS, *extra_pairs))
+        if multi_socket or pair.location is not Location.REMOTE
+    ]
     if include_dram:
+        pairs.append(None)
+    remote_cores = _default_remote_cores(machine)
+    reason = _per_op_reason(machine)
+    real = 0
+    for pair in pairs:
         machine.interconnect.reset()
-        data = measure_dram(machine, paddr, samples, spy_core)
-        raw[DRAM_LABEL] = data
+        ops = _round_ops(pair, spy_core, (1, 2), remote_cores)
+        data, rounds = _measure(machine, ops, paddr, samples)
+        real += rounds
         lo = float(np.percentile(data, percentiles[0])) - pad
-        hi = float(np.percentile(data, percentiles[1])) + pad * 8
-        bands.dram = Band(label=DRAM_LABEL, lo=lo, hi=hi)
+        if pair is None:
+            raw[DRAM_LABEL] = data
+            hi = float(np.percentile(data, percentiles[1])) + pad * 8
+            bands.dram = Band(label=DRAM_LABEL, lo=lo, hi=hi)
+        else:
+            raw[pair.notation] = data
+            hi = float(np.percentile(data, percentiles[1])) + pad
+            bands.bands[pair] = Band(label=pair.notation, lo=lo, hi=hi)
+    _stretch_upward(bands)
+    bands.provenance = f"per-op:{reason}" if reason else f"replayed:{real}"
     machine.flush(spy_core, paddr)
     machine.interconnect.reset()
     return bands, raw
@@ -297,7 +469,8 @@ def clear_calibration_memo() -> int:
 
 def _clone_bands(bands: LatencyBands) -> LatencyBands:
     """An independent copy (Band records are frozen, the dict is not)."""
-    return LatencyBands(bands=dict(bands.bands), dram=bands.dram)
+    return LatencyBands(bands=dict(bands.bands), dram=bands.dram,
+                        provenance="memo")
 
 
 def calibrate_memoized(

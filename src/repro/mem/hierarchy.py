@@ -915,6 +915,47 @@ class Machine:
         self._qpi_register(now)
         return self.config.home_hop_cycles
 
+    def base_latency(
+        self, op: str, core_id: int, paddr: int, path: AccessPath | None,
+        registered: bool,
+    ) -> tuple[bool, float]:
+        """``(queued, base)`` of an op already serviced along *path*.
+
+        For replaying an op's timing without its coherence work: *base*
+        is the latency before contention and jitter, folded as the op
+        folds it (a directory miss adds the home hop first), and
+        *queued* says whether the op adds a queueing draw over the
+        registrations it made (a load served past L2) or discards them
+        (everything else).  *op* is ``"load"``, ``"store"`` or
+        ``"flush"``; *path* is what the op returned (``None`` for a
+        flush), *registered* whether it made any interconnect
+        registration (a flush makes one only to write back).  Not valid
+        in home-agent mode, whose hop registration is discarded inside a
+        queued load, nor under an obfuscation policy.
+        """
+        if op == "flush":
+            if registered:
+                return False, self._flush_latency + self._flush_writeback
+            return False, self._flush_latency
+        if op == "store":
+            if path is AccessPath.L1_HIT:
+                return False, self._store_hit_latency
+            sources = (self._rfo_dram, *self._rfo_local, *self._rfo_remote)
+            return False, dict(sources)[path]
+        latency = {
+            source: base for source, base, _counter in (
+                self._l1_hit, self._l2_hit, self._dram_fill,
+                *self._local_bands, *self._remote_bands,
+            )
+        }[path]
+        if path is AccessPath.L1_HIT or path is AccessPath.L2_HIT:
+            return False, latency
+        hop = 0.0
+        if (self._dir_mode and self._dir_home_socket(paddr & ~63)
+                != self._socket_by_core[core_id].socket_id):
+            hop = self.config.home_hop_cycles
+        return True, latency + hop
+
     def _finish(self, core_id: int, latency: float) -> float:
         """A coherence-band load's latency: obfuscated or jittered."""
         obf = self.obfuscation

@@ -51,6 +51,14 @@ class RunManifest:
     #: generator-free drivers of :mod:`repro.sim.drivers`) or
     #: ``"generator"`` when no driver was attached.
     engine: str = "generator"
+    #: How calibration ran: ``"memo"`` (a memo hit), ``"replayed:<real
+    #: rounds>"`` (rounds past each pair's steady state replayed their
+    #: timing only) or ``"per-op:<reason>"``, every round through the
+    #: ``Machine`` API because of a trace tap (``traced``), an
+    #: obfuscation policy (``obfuscated``), any other op wrapped on the
+    #: instance (``faulted``), a home-agent hop (``home-agent``) or a
+    #: directory hook (``dir-trace``).
+    calibration: str = ""
 
     def to_json(self) -> dict:
         """Plain-dict form (JSON-safe; inverse of :meth:`from_json`)."""
@@ -90,6 +98,7 @@ class RunManifest:
             segments_stored=store.segments_stored if store is not None else 0,
             resumed_from=store.resumed_from if store is not None else None,
             engine=session.sim.engine_path,
+            calibration=session.bands.provenance,
         )
 
 

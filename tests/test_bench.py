@@ -6,6 +6,7 @@ from repro.bench import (
     check_regression,
     default_report_name,
     load_report,
+    pool_speedup,
     run_all,
     write_report,
 )
@@ -38,6 +39,11 @@ def test_run_all_shape(quick_report):
         max(info["speedup"] for mode, info in grid["modes"].items()
             if mode != "reference")
     )
+    assert grid["pool_speedup"] == pytest.approx(
+        max(grid["modes"][mode]["points_per_sec"]
+            for mode in ("jobs", "chunked"))
+        / grid["modes"]["serial"]["points_per_sec"]
+    )
     costs = bench["overhead"]
     for name in OVERHEAD_VARIANTS:
         assert costs[f"{name}_wall_s"] > 0
@@ -62,13 +68,24 @@ def test_report_roundtrip(quick_report, tmp_path):
     assert load_report(path) == quick_report
 
 
-def _report(best_speedup, **overheads):
+def _report(speedup, reference=1.0, **overheads):
+    """A report whose best pool mode runs *speedup* times warm serial's
+    points/s; the cold *reference* sets only ``best_speedup``."""
     costs = {"disabled_overhead": 0.0, "armed_overhead": 0.0}
     costs.update(overheads)
+    modes = {
+        "reference": {"points_per_sec": reference},
+        "serial": {"points_per_sec": 10.0},
+        "jobs": {"points_per_sec": 5.0},
+        "chunked": {"points_per_sec": 10.0 * speedup},
+    }
     return {
         "schema": SCHEMA,
         "benchmarks": {
-            "grid_sweep": {"best_speedup": best_speedup},
+            "grid_sweep": {
+                "modes": modes,
+                "best_speedup": 10.0 * max(speedup, 1.0) / reference,
+            },
             "overhead": costs,
         },
     }
@@ -88,6 +105,15 @@ def test_check_regression_fails_below_floor():
 
 def test_check_regression_custom_threshold():
     assert check_regression(_report(3.8), _report(4.0), max_regression=0.02)
+
+
+def test_check_regression_ignores_a_faster_cold_reference():
+    """A faster cold reference lowers ``best_speedup`` but not the pool
+    over warm serial ratio that gates; a slower pool fails either way."""
+    faster_cold = _report(4.0, reference=5.0)
+    assert faster_cold["benchmarks"]["grid_sweep"]["best_speedup"] < 10.0
+    assert check_regression(faster_cold, _report(4.0)) == []
+    assert check_regression(_report(2.8, reference=0.5), _report(4.0))
 
 
 def _assert_overhead_gate(key, limit):
@@ -131,14 +157,15 @@ def test_check_regression_armed_overhead_gate():
 
 def test_check_regression_loads_committed_baseline():
     """CI passes the newest committed report as ``--baseline``; a
-    current report matching its speedup must pass the gate."""
+    current report matching its pool speedup must pass the gate."""
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     baseline = load_report(sorted(root.glob("BENCH_*.json"))[-1])
     assert baseline["schema"] == SCHEMA and baseline["cpus"] >= 1
     assert set(baseline["benchmarks"]) == {"grid_sweep", "overhead"}
-    speedup = baseline["benchmarks"]["grid_sweep"]["best_speedup"]
+    speedup = pool_speedup(baseline["benchmarks"]["grid_sweep"])
+    assert speedup == pytest.approx(31.10 / 15.72, abs=0.01)
     assert check_regression(_report(speedup), baseline) == []
     assert check_regression(_report(speedup * 0.7), baseline)
 

@@ -9,12 +9,16 @@ points a simulation fault plan — and runs it on the **reference** path:
 
 * :func:`clear_warm_state` first, so the machine is fresh and the
   calibration cold;
+* every calibration round through the ``Machine`` API, reached through
+  :func:`~tests.test_channel_calibration.every_round_real` (no round is
+  ever seen to start where the last one did, so none is replayed);
 * the generator programs, reached by emptying ``drivers.DRIVERS``;
 * no tracing, no segmentation, in-process.
 
 Then one variant per fast path runs the same point:
 
-1. ``driven`` — the channel drivers;
+1. ``driven`` — the channel drivers, and a cold calibration that
+   replays each pair's steady-state round;
 2. ``warm`` — a pooled machine, left behind by a prior point with
    another seed on the same machine config;
 3. ``memo`` — the same point run twice: the second run hits the
@@ -45,8 +49,9 @@ simulation fault kind through each variant.
 which trace only their transmission and calibrate through the memo.
 
 Every variant is reached through a test seam — ``clear_warm_state``,
-``clear_calibration_memo``, the ``DRIVERS`` table, ``Runner(chunk_size=)``
-— never through an option of the product.
+``clear_calibration_memo``, the ``DRIVERS`` table, the calibration
+round-state seam, ``Runner(chunk_size=)`` — never through an option of
+the product.
 """
 
 import pickle
@@ -80,6 +85,7 @@ from repro.obs import TraceRecorder
 from repro.runner import ExperimentSpec, Point, Runner, auto_chunk_size
 from repro.sim import drivers
 
+from tests.test_channel_calibration import every_round_real
 from tests.test_golden_determinism import (
     CONFIGS,
     GOLDEN,
@@ -209,7 +215,8 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
     with pytest.MonkeyPatch.context() as generators:
         generators.setattr(drivers, "DRIVERS", {})
         clear_warm_state()
-        reference = run(point)
+        with every_round_real():
+            reference = run(point)
         ok = not isinstance(reference, type)
         variants["memo"] = run(point)
         # One stored pass: the second run hit it instead of adding one.
@@ -265,6 +272,10 @@ def fast_path_results(point: dict) -> tuple[object, dict]:
         for name in ("driven", "production", "streamed", "segmented",
                      "resumed"):
             assert variants[name].manifest.engine == "driven", name
+        calibrated = variants["driven"].manifest.calibration
+        home_agent = point.get("machine", MachineConfig()).home_agent
+        assert calibrated == "per-op:home-agent" if home_agent else (
+            calibrated.startswith("replayed:")), calibrated
     return reference, variants
 
 
