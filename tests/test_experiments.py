@@ -1,5 +1,8 @@
 """Smoke + shape tests for every experiment driver (small parameters)."""
 
+import hashlib
+import json
+
 import numpy as np
 
 from repro.channel.config import TABLE_I, scenario_by_name
@@ -134,6 +137,24 @@ def test_detection_flags_attacks_not_benign():
     result = run(detection_roc.build_spec(seed=1, bits=24))
     assert result["true_positives"] == result["attacks"] == 6
     assert result["false_positives"] == 0
+    # Every row's verdict and the ROC, exactly: pinned before the
+    # detect driver moved onto the trace tap, so the move is a no-op.
+    canonical = {
+        "rows": [
+            {key: row[key]
+             for key in ("workload", "detected", "score", "reasons")}
+            for row in result["rows"]
+        ],
+        "roc_points": result["roc_points"],
+        "auc": result["auc"],
+    }
+    digest = hashlib.sha256(json.dumps(
+        canonical, sort_keys=True, separators=(",", ":")
+    ).encode()).hexdigest()
+    assert digest == (
+        "72f953febb5c84870f43166f5d7966f9"
+        "9688cfccdd885ffb98cead685e5c6c95"
+    )
 
 
 def test_capacity_analysis_shape():
