@@ -1,28 +1,29 @@
 """Defender's view: spotting a covert channel in coherence telemetry.
 
-Attaches the event monitor to the machine, runs (a) a real covert
-transmission and (b) benign workloads, and prints what the detector sees
-for each — the signatures a hardware/hypervisor defender could act on.
+Traces (a) a real covert transmission and (b) a benign workload through
+the machine's trace tap, and prints what the detector sees for each —
+the signatures a hardware/hypervisor defender could act on.  The
+attack is scored offline, by folding the recorded feed into an event
+monitor after the run; the benign workload is scored live, by a
+streaming detector subscribed to the feed.
 
 Run:  python examples/detect_the_channel.py
 """
 
 from repro import ChannelSession, SessionConfig, scenario_by_name
 from repro.detection import ChannelDetector, EventMonitor
+from repro.experiments.arena import run_benign
 from repro.experiments.common import payload_bits
-from repro.kernel.syscalls import Kernel
-from repro.kernel.workloads import spawn_kernel_build
-from repro.mem.hierarchy import Machine, MachineConfig
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 
 
 def watch_attack() -> None:
     scenario = scenario_by_name("RExclc-LSharedb")
     session = ChannelSession(SessionConfig(spec=scenario.name, seed=5))
-    monitor = EventMonitor(session.machine)
-    monitor.attach()
+    recorder = session.start_trace()
     session.transmit(payload_bits(48))
+    monitor = EventMonitor()
+    for event in recorder.events():
+        monitor.consume(event)
     detections = ChannelDetector(monitor).scan(session.sim.global_clock)
     print(f"[attack: {scenario.name}]")
     if not detections:
@@ -37,21 +38,8 @@ def watch_attack() -> None:
 
 
 def watch_benign() -> None:
-    rng = RngStreams(17)
-    machine = Machine(MachineConfig(), rng)
-    sim = Simulator(machine.stats)
-    kernel = Kernel(machine, sim, rng)
-    monitor = EventMonitor(machine)
-    monitor.attach()
-    spawn_kernel_build(kernel, 6, avoid_cores={0})
-    idle = kernel.create_process("idle")
-
-    def waiter(cpu):
-        yield from cpu.delay(800_000)
-
-    kernel.spawn(idle, "w", waiter, core_id=0)
-    sim.run()
-    detections = ChannelDetector(monitor).scan(sim.global_clock)
+    detector, now = run_benign("kernel-build", seed=17)
+    detections = detector.scan(now)
     print("\n[benign: 6-thread kernel build]")
     if detections:
         print(f"  false positive! {detections[0]}")

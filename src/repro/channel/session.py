@@ -295,8 +295,9 @@ class SessionBase:
         its trace holds every phase.  Called on a built session, the
         trace starts at the next op: calibration has already run (from
         the memo where usable).  Threads spawned from then on hoist the
-        tap's wrappers at spawn, and live drivers (noise workers)
-        re-hoist them at the next :meth:`Simulator.run` entry.
+        tap's wrappers at spawn, and noise workers already spawned read
+        them at their next burst (``Kernel._do_burst`` looks the
+        bindings up per burst).
         """
         if self.recorder is None:
             self.recorder = TraceRecorder()

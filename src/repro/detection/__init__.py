@@ -5,11 +5,14 @@ exploits; this package implements the detection side: per-line
 coherence-event telemetry (:mod:`~repro.detection.events`) and three
 signature detectors — flush storms, ownership ping-pong, slot-quantized
 modulation — combined in
-:class:`~repro.detection.detector.ChannelDetector` for offline batches
-and in :class:`~repro.detection.streaming.StreamingDetector` for the
-live ``repro.obs`` trace feed (bounded memory, online ROC via
-:class:`~repro.detection.streaming.OnlineRoc`, proven equivalent to
-the batch path by ``tests/test_streaming_detection.py``).
+:class:`~repro.detection.detector.ChannelDetector`.  Detection reads
+one feed, the events a :class:`~repro.obs.MachineTap` records:
+:class:`~repro.detection.streaming.StreamingDetector` scores it live as
+a recorder sink (bounded memory, online ROC via
+:class:`~repro.detection.streaming.OnlineRoc`), and an offline scan is
+an :class:`~repro.detection.events.EventMonitor` folded over the
+recorded events — the same result, locked by
+``tests/test_streaming_detection.py``.
 """
 
 from repro.detection.detector import (
@@ -20,11 +23,7 @@ from repro.detection.detector import (
     PingPongDetector,
 )
 from repro.detection.events import EventMonitor, LineActivity
-from repro.detection.streaming import (
-    OnlineRoc,
-    StreamingDetector,
-    TraceMonitor,
-)
+from repro.detection.streaming import OnlineRoc, StreamingDetector
 
 __all__ = [
     "ChannelDetector",
@@ -36,5 +35,4 @@ __all__ = [
     "OnlineRoc",
     "PingPongDetector",
     "StreamingDetector",
-    "TraceMonitor",
 ]

@@ -3,18 +3,21 @@
 A hardware/hypervisor defender cannot read processes' minds, but it can
 observe coherence traffic: flushes per line, ownership downgrades
 (E/M -> S forwarding services), and which cores touch which lines.  The
-:class:`EventMonitor` taps the machine's access API and aggregates those
-observations per line in sliding windows — the substrate the detectors
-in :mod:`repro.detection.detector` consume.
+:class:`EventMonitor` aggregates those observations per line in sliding
+windows — the substrate the detectors in
+:mod:`repro.detection.detector` consume.  It reads the one telemetry
+feed, the ``"flush"``/``"load"`` events a :class:`~repro.obs.MachineTap`
+records: a :class:`~repro.detection.streaming.StreamingDetector` folds
+them in live as a recorder sink, and an offline scan folds a recorded
+stream (``TraceRecorder.events()``) the same way, one event at a time.
 
 Memory is bounded by construction: every per-line series is pruned to
 the sliding window as events are recorded (not only when rates are
 queried), and lines that go idle for :attr:`EventMonitor.idle_windows`
-windows are evicted from the table entirely.  A monitor left attached
-to an arbitrarily long feed therefore retains O(lines active within the
+windows are evicted from the table entirely.  A monitor fed an
+arbitrarily long stream therefore retains O(lines active within the
 decay horizon x events per window) state — the property the streaming
-detector (:mod:`repro.detection.streaming`) builds on, and a latent
-leak for long offline runs before it was enforced here.
+detector builds on.
 """
 
 from __future__ import annotations
@@ -22,13 +25,17 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from repro.mem.cacheline import line_addr
-from repro.mem.hierarchy import Machine
+from repro.obs.recorder import TraceEvent
 from repro.sim.events import AccessPath
 
 #: Service paths that mean an owner was forced to forward and downgrade:
 #: the E->S transition the covert channel manufactures constantly.
 DOWNGRADE_PATHS = (AccessPath.LOCAL_EXCL, AccessPath.REMOTE_EXCL)
+
+#: Trace-event names (service paths) that are ownership downgrades —
+#: the string form of :data:`DOWNGRADE_PATHS`, since
+#: :class:`~repro.obs.MachineTap` names load events by path value.
+DOWNGRADE_NAMES = frozenset(path.value for path in DOWNGRADE_PATHS)
 
 #: Idle-line decay horizon: a line with no events for this many windows
 #: is dropped from the table (it cannot score — every rate is zero).
@@ -116,11 +123,13 @@ class LineActivity:
 
 
 class EventMonitor:
-    """Taps a machine and aggregates per-line coherence telemetry.
+    """Aggregates per-line coherence telemetry from trace events.
 
-    Attach with :meth:`attach`; afterwards every load/flush on the
-    machine is recorded.  Only lines that ever see a flush are tracked
-    in detail (flushes are rare in benign workloads, so this bounds the
+    Feed it the ``"flush"`` and ``"load"`` events a
+    :class:`~repro.obs.MachineTap` emits, one at a time through
+    :meth:`consume` — live, as a recorder sink, or in a batch over a
+    recorded stream.  Only lines that ever see a flush are tracked in
+    detail (flushes are rare in benign workloads, so this bounds the
     telemetry cost the way a real filter would), and lines idle for
     ``idle_windows`` windows are evicted — including from the flushed
     filter, so a long-dormant line starts fresh at its next flush.
@@ -128,68 +137,35 @@ class EventMonitor:
 
     def __init__(
         self,
-        machine: Machine,
         window: float = 400_000.0,
         idle_windows: float = DEFAULT_IDLE_WINDOWS,
     ):
-        self.machine = machine
         self.window = window
         self.idle_windows = idle_windows
         self.lines: dict[int, LineActivity] = defaultdict(
             lambda: LineActivity(window=self.window)
         )
         self._flushed_lines: set[int] = set()
-        self._attached = False
-        self._orig_load = None
-        self._orig_flush = None
         self.events_seen = 0
         self._next_sweep = _SWEEP_INTERVAL
 
-    def attach(self) -> None:
-        """Start observing the machine (idempotent)."""
-        if self._attached:
-            return
-        self._attached = True
-        self._orig_load = self.machine.load
-        self._orig_flush = self.machine.flush
-
-        def load(core_id: int, paddr: int, now: float = 0.0):
-            value, latency, path = self._orig_load(core_id, paddr, now)
-            self._on_load(core_id, paddr, now, path)
-            return value, latency, path
-
-        def flush(core_id: int, paddr: int, now: float = 0.0):
-            latency = self._orig_flush(core_id, paddr, now)
-            self._on_flush(core_id, paddr, now)
-            return latency
-
-        self.machine.load = load
-        self.machine.flush = flush
-
-    def detach(self) -> None:
-        """Stop observing (restores the machine's methods)."""
-        if not self._attached:
-            return
-        self.machine.load = self._orig_load
-        self.machine.flush = self._orig_flush
-        self._attached = False
-
-    def _on_flush(self, core_id: int, paddr: int, now: float) -> None:
-        base = line_addr(paddr)
-        self._flushed_lines.add(base)
-        self.lines[base].record_flush(now)
-        self._note_event(now)
-
-    def _on_load(
-        self, core_id: int, paddr: int, now: float, path: AccessPath
-    ) -> None:
-        base = line_addr(paddr)
-        if base not in self._flushed_lines:
-            return
-        self.lines[base].record_load(
-            now, core_id, downgrade=path in DOWNGRADE_PATHS
-        )
-        self._note_event(now)
+    def consume(self, event: TraceEvent) -> None:
+        """Fold one trace event into the per-line windows."""
+        category = event.category
+        if category == "flush":
+            line = event.data["line"]
+            self._flushed_lines.add(line)
+            self.lines[line].record_flush(event.ts)
+            self._note_event(event.ts)
+        elif category == "load":
+            line = event.data["line"]
+            if line in self._flushed_lines:
+                self.lines[line].record_load(
+                    event.ts,
+                    event.data["core"],
+                    downgrade=event.name in DOWNGRADE_NAMES,
+                )
+                self._note_event(event.ts)
 
     def _note_event(self, now: float) -> None:
         """Amortized idle-line sweep, every ``_SWEEP_INTERVAL`` events."""
@@ -205,7 +181,7 @@ class EventMonitor:
         in-window series are empty, so every rate is zero and no
         signature fires.  Dropping it from the flushed filter as well
         means tracking restarts only at its next flush — the same
-        cold-start rule a freshly attached monitor applies.
+        cold-start rule a fresh monitor applies.
         """
         horizon = now - self.idle_windows * self.window
         stale = [

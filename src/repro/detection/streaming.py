@@ -1,29 +1,27 @@
 """Streaming detection over the live ``repro.obs`` trace feed.
 
-The offline path (:class:`~repro.detection.detector.ChannelDetector`
-over an attached :class:`~repro.detection.events.EventMonitor`) scores
-a finished batch.  A deployable monitor must classify the
-coherence-event stream *as it happens*, with memory that does not grow
-with feed length.  This module provides that:
+Detection observes a machine one way: a :class:`~repro.obs.MachineTap`
+records its ``"flush"``/``"load"`` events into a
+:class:`~repro.obs.TraceRecorder`, and an
+:class:`~repro.detection.events.EventMonitor` folds them into per-line
+windows.  An offline scan folds a finished recording
+(``recorder.events()``) and hands the monitor to
+:class:`~repro.detection.detector.ChannelDetector`.  A deployable
+monitor must classify the stream *as it happens*, with memory that
+does not grow with feed length.  This module provides that:
 
-* :class:`TraceMonitor` — an :class:`EventMonitor` that consumes
-  :class:`~repro.obs.TraceEvent` records (the ``"flush"``/``"load"``
-  events a :class:`~repro.obs.MachineTap` emits) instead of wrapping a
-  machine, so one interposition layer feeds recorder, exporters and
-  detectors alike;
 * :class:`StreamingDetector` — a :data:`~repro.obs.recorder.TraceSink`
-  that subscribes to a session's :class:`~repro.obs.TraceRecorder`,
-  maintains windowed per-line rates and incremental core sets (bounded
-  by the window + idle-line decay, inherited from ``EventMonitor``),
-  runs periodic interim scans for alarm latency, and — fed one event at
-  a time — produces exactly the detections the offline batch path
-  produces on the full feed;
+  that subscribes to a session's recorder, maintains windowed per-line
+  rates and incremental core sets (bounded by the window + idle-line
+  decay of ``EventMonitor``), runs periodic interim scans for alarm
+  latency, and — fed one event at a time — produces exactly the
+  detections the offline scan produces on the full recording;
 * :class:`OnlineRoc` — a fixed-bin score histogram from which ROC
   points and AUC are computed incrementally; because only bin counts
   are kept, the curve is invariant to sample order and chunking and
   identical to the offline batch computation on the same scores.
 
-Equivalence with the offline path is locked by
+Equivalence with the offline scan is locked by
 ``tests/test_streaming_detection.py``: same detections, same scores,
 same ROC, with peak tracked state asserted O(window).
 """
@@ -37,17 +35,8 @@ from repro.detection.detector import (
     ModulationDetector,
     PingPongDetector,
 )
-from repro.detection.events import (
-    DEFAULT_IDLE_WINDOWS,
-    DOWNGRADE_PATHS,
-    EventMonitor,
-)
+from repro.detection.events import DEFAULT_IDLE_WINDOWS, EventMonitor
 from repro.obs.recorder import TraceEvent
-
-#: Trace-event names (service paths) that are ownership downgrades —
-#: the string form of :data:`repro.detection.events.DOWNGRADE_PATHS`,
-#: since :class:`~repro.obs.MachineTap` names load events by path value.
-DOWNGRADE_NAMES = frozenset(path.value for path in DOWNGRADE_PATHS)
 
 #: Default number of fixed score bins in :class:`OnlineRoc`.
 ROC_BINS = 64
@@ -157,51 +146,6 @@ class OnlineRoc:
         }
 
 
-class TraceMonitor(EventMonitor):
-    """Per-line telemetry aggregated from trace events, not a machine.
-
-    Consumes the ``"flush"`` and ``"load"`` events a
-    :class:`~repro.obs.MachineTap` emits — same filter (only
-    ever-flushed lines tracked in detail), same downgrade rule (E-band
-    service paths), same bounded windows — so detectors running on the
-    trace feed see the identical per-line state an
-    :class:`EventMonitor` wrapping the machine would build.
-    """
-
-    def __init__(
-        self,
-        window: float = 400_000.0,
-        idle_windows: float = DEFAULT_IDLE_WINDOWS,
-    ):
-        super().__init__(
-            machine=None, window=window, idle_windows=idle_windows
-        )
-
-    def attach(self) -> None:  # pragma: no cover - guard
-        raise TypeError(
-            "TraceMonitor has no machine to attach to; feed it trace "
-            "events via consume()"
-        )
-
-    def consume(self, event: TraceEvent) -> None:
-        """Fold one trace event into the per-line windows."""
-        category = event.category
-        if category == "flush":
-            line = event.data["line"]
-            self._flushed_lines.add(line)
-            self.lines[line].record_flush(event.ts)
-            self._note_event(event.ts)
-        elif category == "load":
-            line = event.data["line"]
-            if line in self._flushed_lines:
-                self.lines[line].record_load(
-                    event.ts,
-                    event.data["core"],
-                    downgrade=event.name in DOWNGRADE_NAMES,
-                )
-                self._note_event(event.ts)
-
-
 class StreamingDetector:
     """Online covert-channel detection over a live trace feed.
 
@@ -209,7 +153,8 @@ class StreamingDetector:
     recorder (``session.recorder.subscribe(detector)``) or call it /
     :meth:`consume` with events replayed from anywhere.  State is
     bounded — sliding windows plus idle-line decay in the underlying
-    :class:`TraceMonitor` — so it can run on an unbounded feed.
+    :class:`~repro.detection.events.EventMonitor` — so it can run on an
+    unbounded feed.
 
     Fed the same events, :meth:`scan` returns exactly what the offline
     :class:`~repro.detection.detector.ChannelDetector` returns on the
@@ -231,7 +176,7 @@ class StreamingDetector:
         flag_threshold: float = 1.0,
         scan_interval: float | None = None,
     ):
-        self.monitor = TraceMonitor(window=window, idle_windows=idle_windows)
+        self.monitor = EventMonitor(window=window, idle_windows=idle_windows)
         self.detector = ChannelDetector(
             self.monitor,
             flush_storm=flush_storm,

@@ -1,10 +1,12 @@
 """Detection-vs-evasion arena: a tournament on live traces.
 
-The offline detection experiment (:mod:`repro.experiments.detection_roc`)
-scores finished batches; a deployed monitor classifies the coherence
+The ``detect`` driver (:mod:`repro.experiments.detection_roc`) scores
+each Table I scenario once, at the end of an unmodified transmission
+and at one threshold; a deployed monitor classifies the coherence
 stream as it happens, and an adaptive adversary tunes its transmission
 against whatever threshold the monitor runs.  This driver stages that
-fight across every live cell of the scenario matrix:
+fight across every live cell of the scenario matrix, on the same feed
+and detectors as ``detect``:
 
 * **Attack legs** run one covert transmission per (cell, evasion
   setting, seed) with a
@@ -22,8 +24,9 @@ fight across every live cell of the scenario matrix:
   (:func:`~repro.mitigation.hardware.attach_obfuscator` at partial or
   full band-spread width over the channel's own cores).
 * **Benign legs** run the kernel-build and producer/consumer workloads
-  through a tap + recorder + streaming detector, supplying the negative
-  score samples.
+  through a tap + recorder + streaming detector (:func:`run_benign`,
+  which the ``detect`` driver shares), supplying the negative score
+  samples.
 * **collect** computes, per cell and evasion setting, the detector's
   AUC (:class:`~repro.detection.streaming.OnlineRoc` over attack vs
   benign scores) and the surviving channel capacity (the
@@ -208,13 +211,20 @@ def _attach_partial_obfuscator(session: ChannelSession, width: float) -> None:
     )
 
 
-def _benign_point(workload: str, seed: int) -> dict:
+def run_benign(workload: str, seed: int) -> tuple[StreamingDetector, float]:
+    """Run one benign workload under a streaming detector.
+
+    *workload* is one of :data:`BENIGN_WORKLOADS`: six kernel-build
+    noise workers beside an idle core, or a producer/consumer pair
+    sharing one page.  Returns the detector, fed the whole run through
+    a tap, and the final clock; the arena and the ``detect`` driver
+    each build their own row from the two.
+    """
     rng = RngStreams(seed)
     machine = Machine(MachineConfig(), rng)
     sim = Simulator(machine.stats)
     recorder = TraceRecorder()
-    tap = MachineTap(machine, recorder)
-    tap.attach()
+    MachineTap(machine, recorder).attach()
     detector = StreamingDetector(scan_interval=SCAN_INTERVAL)
     recorder.subscribe(detector)
     kernel = Kernel(machine, sim, rng)
@@ -243,7 +253,12 @@ def _benign_point(workload: str, seed: int) -> dict:
         kernel.spawn(app, "prod", producer, core_id=1)
         kernel.spawn(app, "cons", consumer, core_id=2)
     sim.run()
-    scores = detector.score_all(sim.global_clock)
+    return detector, sim.global_clock
+
+
+def _benign_point(workload: str, seed: int) -> dict:
+    detector, now = run_benign(workload, seed)
+    scores = detector.score_all(now)
     return {
         "kind": "benign",
         "workload": workload,

@@ -3,9 +3,13 @@
 The paper motivates defenses against coherence-protocol exploits; this
 driver evaluates the :mod:`repro.detection` subsystem: it runs (a) covert
 transmissions on every Table I scenario and (b) benign workloads
-(kernel-build noise, a producer/consumer app), feeds both through the
-coherence-event monitor, and reports detection and false-positive
-outcomes.
+(kernel-build noise, a producer/consumer app), and reports detection
+and false-positive outcomes.  Both are observed the one way detection
+observes a machine: a :class:`~repro.detection.StreamingDetector`
+subscribed to the session's trace feed (tracing starts after
+calibration, as in the arena's attack legs), scanned once at the end.
+The benign programs are the arena's
+(:func:`repro.experiments.arena.run_benign`).
 """
 
 from __future__ import annotations
@@ -15,20 +19,20 @@ import argparse
 from repro.analysis.reporting import ascii_table
 from repro.channel.config import TABLE_I
 from repro.channel.session import ChannelSession, SessionConfig
-from repro.detection import ChannelDetector, EventMonitor, OnlineRoc
+from repro.detection import OnlineRoc, StreamingDetector
+from repro.experiments.arena import run_benign
 from repro.experiments.common import payload_bits
-from repro.kernel.syscalls import Kernel
-from repro.kernel.workloads import spawn_kernel_build
 from repro.mem.cacheline import LINE_SIZE
-from repro.mem.hierarchy import Machine, MachineConfig
 from repro.runner import ExperimentSpec, Point
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 
 NAME = "detect"
 POINT_FN = "repro.experiments.detection_roc:point"
 
-BENIGN_WORKLOADS = ("kernel-build", "producer-consumer")
+#: Row label of each benign workload (:data:`arena.BENIGN_WORKLOADS`).
+BENIGN_LABELS = {
+    "kernel-build": "benign:kernel-build x6",
+    "producer-consumer": "benign:producer/consumer",
+}
 
 
 def point(*, workload: str, seed: int, bits: int = 40) -> dict:
@@ -36,10 +40,10 @@ def point(*, workload: str, seed: int, bits: int = 40) -> dict:
     kind, _, detail = workload.partition(":")
     if kind == "attack":
         return _attack_point(detail, seed, bits)
-    if kind == "benign" and detail == "kernel-build":
-        return _benign_kernel_build(seed)
-    if kind == "benign" and detail == "producer-consumer":
-        return _benign_producer_consumer(seed)
+    if kind == "benign" and detail in BENIGN_LABELS:
+        detector, now = run_benign(detail, seed)
+        detections = detector.scan(now)
+        return _row(BENIGN_LABELS[detail], bool(detections), detections)
     raise ValueError(f"unknown workload {workload!r}")
 
 
@@ -48,77 +52,24 @@ def _attack_point(scenario: str, seed: int, bits: int) -> dict:
         spec=scenario, seed=seed,
         calibration_samples=200,
     ))
-    monitor = EventMonitor(session.machine)
-    monitor.attach()
+    detector = StreamingDetector()
+    session.start_trace().subscribe(detector)
     session.transmit(payload_bits(bits))
-    detector = ChannelDetector(monitor)
     detections = detector.scan(session.sim.global_clock)
     covert_line = (
         session.spy_proc.translate(session.spy_va) & ~(LINE_SIZE - 1)
     )
     hit = any(d.line == covert_line for d in detections)
+    return _row(f"attack:{scenario}", hit, detections)
+
+
+def _row(workload: str, detected: bool, detections: list) -> dict:
     top = detections[0] if detections else None
     return {
-        "workload": f"attack:{scenario}",
-        "detected": hit,
+        "workload": workload,
+        "detected": detected,
         "score": top.score if top else 0.0,
         "reasons": list(top.reasons) if top else [],
-    }
-
-
-def _benign_kernel_build(seed: int) -> dict:
-    rng = RngStreams(seed)
-    machine = Machine(MachineConfig(), rng)
-    sim = Simulator(machine.stats)
-    kernel = Kernel(machine, sim, rng)
-    monitor = EventMonitor(machine)
-    monitor.attach()
-    spawn_kernel_build(kernel, 6, avoid_cores={0})
-    process = kernel.create_process("w")
-
-    def waiter(cpu):
-        yield from cpu.delay(800_000)
-
-    kernel.spawn(process, "w", waiter, core_id=0)
-    sim.run()
-    detections = ChannelDetector(monitor).scan(sim.global_clock)
-    return {
-        "workload": "benign:kernel-build x6",
-        "detected": bool(detections),
-        "score": detections[0].score if detections else 0.0,
-        "reasons": list(detections[0].reasons) if detections else [],
-    }
-
-
-def _benign_producer_consumer(seed: int) -> dict:
-    rng = RngStreams(seed)
-    machine = Machine(MachineConfig(), rng)
-    sim = Simulator(machine.stats)
-    kernel = Kernel(machine, sim, rng)
-    monitor = EventMonitor(machine)
-    monitor.attach()
-    app = kernel.create_process("app")
-    buf = app.mmap(1)
-
-    def producer(cpu):
-        for i in range(400):
-            yield from cpu.store(buf, i)
-            yield from cpu.delay(700)
-
-    def consumer(cpu):
-        for _ in range(400):
-            yield from cpu.load(buf)
-            yield from cpu.delay(700)
-
-    kernel.spawn(app, "prod", producer, core_id=1)
-    kernel.spawn(app, "cons", consumer, core_id=2)
-    sim.run()
-    detections = ChannelDetector(monitor).scan(sim.global_clock)
-    return {
-        "workload": "benign:producer/consumer",
-        "detected": bool(detections),
-        "score": detections[0].score if detections else 0.0,
-        "reasons": list(detections[0].reasons) if detections else [],
     }
 
 

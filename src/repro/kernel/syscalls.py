@@ -75,8 +75,9 @@ class Kernel:
         self.processes: list[Process] = []
         # Bound hot-path callables/constants for _execute (which runs
         # once per engine event).  machine.load/.flush are deliberately
-        # NOT bound: the detection subsystem interposes on them by
-        # assigning instance attributes (EventMonitor.attach), so the
+        # NOT bound: a trace tap (MachineTap, which also feeds the
+        # detectors) interposes on them by assigning instance
+        # attributes, possibly after this kernel is built, so the
         # executor must resolve them per call.
         self._timeshare = self.scheduler.timeshare
         self._fence_cost = machine.config.latency.fence

@@ -280,7 +280,8 @@ class Machine:
         to that.  Resets, in order:
 
         * any instance-level interposition on ``load``/``store``/``flush``
-          (e.g. a detection :class:`EventMonitor`) is unwrapped;
+          (a trace tap, or a wrapper installed on top of one) is
+          unwrapped;
         * every private cache, LLC data array and directory is emptied;
         * DRAM contents are dropped (cleared in place — sockets hold a
           reference to the same dict);

@@ -141,8 +141,12 @@ class TraceRecorder:
             self._sinks = self._sinks + (sink,)
 
     def unsubscribe(self, sink: TraceSink) -> None:
-        """Detach a previously subscribed sink (no-op if absent)."""
-        self._sinks = tuple(s for s in self._sinks if s is not sink)
+        """Detach a previously subscribed sink (no-op if absent).
+
+        Sinks match by equality, as in :meth:`subscribe`, so a bound
+        method (``monitor.consume``) unsubscribes by a fresh reference.
+        """
+        self._sinks = tuple(s for s in self._sinks if s != sink)
 
     def emit(
         self, ts: float, category: str, name: str, data: dict | None = None

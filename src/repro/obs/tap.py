@@ -1,13 +1,15 @@
 """Read-only machine interposition: ops and coherence transitions.
 
 :class:`MachineTap` observes a live :class:`~repro.mem.hierarchy.Machine`
-the same way the detection subsystem's
-:class:`~repro.detection.events.EventMonitor` does — by wrapping the
-``load``/``store``/``flush`` *instance* attributes (the kernel executes
-every op through attribute access, so wrappers see all traffic) — and
-additionally swaps the machine's bound interconnect registers
+by wrapping the ``load``/``store``/``flush`` *instance* attributes (the
+kernel executes every op through attribute access, so wrappers see all
+traffic) and swaps the machine's bound interconnect registers
 (``_ring_register`` / ``_qpi_register`` / ``_mem_register``) for
-pass-through wrappers that record each hop.
+pass-through wrappers that record each hop.  It is the one layer that
+interposes on a machine: the detection subsystem reads the ops it
+records (:class:`~repro.detection.events.EventMonitor` folds its
+``"flush"``/``"load"`` events) rather than wrapping the machine
+itself.
 
 Coherence-state transitions are **derived, not instrumented**: around
 each op the tap snapshots the accessed line's private-state map with
@@ -37,7 +39,10 @@ the stream is read or a live sink is subscribed.  The tap attaches
 before a session spawns its channel threads, and the channel drivers
 (:mod:`repro.sim.drivers`) hoist its wrappers at spawn: traced
 sessions run driven, and the worker's inline L1-hit path stands aside
-so the tap still records every load.
+so the tap still records every load.  Kernel-build noise workers read
+the machine's bindings once per burst, so when tracing starts on a
+built session (:meth:`~repro.channel.session.SessionBase.start_trace`)
+the tap records them from their next burst on.
 
 When tracing is disabled no tap exists and the machine's hot path is the
 unmodified code — the disabled-mode overhead gated by ``repro bench`` is
@@ -224,8 +229,8 @@ class MachineTap:
         """Stop observing, restoring every binding (idempotent).
 
         An op wrapper is only removed while it is still the outermost
-        interposition; if something else (a detection monitor, say)
-        wrapped on top of the tap, the attribute is left for
+        interposition; if something else (a second tap, or a test's
+        wrapper) wrapped on top of the tap, the attribute is left for
         :meth:`Machine.reset`'s unconditional pop, which restores the
         class methods regardless of nesting order.
         """

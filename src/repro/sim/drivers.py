@@ -30,10 +30,15 @@ the tap's ``load``/``flush`` wrappers (:func:`hoisted_bindings`) and
 issue every access through them, in the generator path's global order —
 the recorded event stream is byte-identical.  The worker's inline
 L1-hit path stands aside when ``machine.load`` is interposed.  A binding
-that changes between runs — a detection monitor, or a tap attached to
-a built session (``SessionBase.start_trace``, a second tap) — is
-re-hoisted at the next run entry (:meth:`Simulator.run`), so live
-drivers issue through it from then on.
+that changes between runs is re-hoisted at the next run entry
+(:meth:`Simulator.run`), so live drivers issue through it from then
+on.  Only channel drivers parked mid-program by a cut-short run hold
+hoisted bindings across runs, and the product changes no binding
+there; tests do (a second tap, a wrapper on top of the tap).  The
+kernel-build noise driver hoists nothing: ``Kernel._do_burst`` reads
+``machine.load``/``store`` once per burst, so a tap attached to a
+built noisy session (``SessionBase.start_trace``) records the workers
+from their next burst on, re-hoist or not.
 
 Everything else the drivers meet is read live: scheduler assignments
 (forced preemption) at every advance, translations (KSM merges and

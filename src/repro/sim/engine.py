@@ -202,9 +202,9 @@ class Simulator:
         every event as on the generator path.
 
         A ``load``/``store``/``flush`` binding attached since the drivers
-        hoisted theirs (a detection monitor, a tap attached to a built
-        session) is re-hoisted here, so live drivers issue through it
-        from the first event on.
+        hoisted theirs (a second tap or a wrapper attached while channel
+        threads are parked mid-program) is re-hoisted here, so live
+        drivers issue through it from the first event on.
         """
         if self._driver_machine is not None:
             bindings = hoisted_bindings(self._driver_machine)

@@ -14,32 +14,44 @@ from repro.detection import (
 )
 from repro.kernel.workloads import spawn_kernel_build
 from repro.mem.cacheline import LINE_SIZE
+from repro.obs import MachineTap, TraceRecorder
+
+
+def tapped_monitor(machine, **kwargs):
+    """An :class:`EventMonitor` fed live by a tap on *machine*."""
+    monitor = EventMonitor(**kwargs)
+    recorder = TraceRecorder()
+    MachineTap(machine, recorder).attach()
+    recorder.subscribe(monitor.consume)
+    return monitor
 
 
 def session_with_monitor(seed=21, **kwargs):
     session = ChannelSession(SessionConfig(
         spec=TABLE_I[0].name, seed=seed, calibration_samples=200, **kwargs
     ))
-    monitor = EventMonitor(session.machine)
-    monitor.attach()
+    monitor = EventMonitor()
+    session.start_trace().subscribe(monitor.consume)
     return session, monitor
 
 
-def test_monitor_attach_detach(machine):
-    monitor = EventMonitor(machine)
-    monitor.attach()
-    monitor.attach()  # idempotent
+def test_monitor_stops_recording_when_unsubscribed(machine):
+    monitor = EventMonitor()
+    recorder = TraceRecorder()
+    MachineTap(machine, recorder).attach()
+    recorder.subscribe(monitor.consume)
+    recorder.subscribe(monitor.consume)  # idempotent
     machine.flush(0, 0x1000, 10.0)
     machine.load(0, 0x1000, 20.0)
     assert monitor.lines[0x1000].flush_rate(20.0) > 0
-    monitor.detach()
+    assert monitor.events_seen == 2
+    recorder.unsubscribe(monitor.consume)
     machine.flush(0, 0x1000, 30.0)
     assert len(monitor.lines[0x1000].flushes) == 1  # no longer recording
 
 
 def test_monitor_only_tracks_flushed_lines(machine):
-    monitor = EventMonitor(machine)
-    monitor.attach()
+    monitor = tapped_monitor(machine)
     machine.load(0, 0x2000, 10.0)   # never flushed: not tracked
     machine.flush(0, 0x3000, 10.0)
     machine.load(0, 0x3000, 20.0)
@@ -48,8 +60,7 @@ def test_monitor_only_tracks_flushed_lines(machine):
 
 
 def test_monitor_records_downgrades(machine):
-    monitor = EventMonitor(machine)
-    monitor.attach()
+    monitor = tapped_monitor(machine)
     addr = 0x4000
     machine.flush(0, addr, 0.0)
     machine.load(1, addr, 10.0)       # E on core 1
@@ -60,8 +71,7 @@ def test_monitor_records_downgrades(machine):
 
 
 def test_window_pruning(machine):
-    monitor = EventMonitor(machine, window=1_000.0)
-    monitor.attach()
+    monitor = tapped_monitor(machine, window=1_000.0)
     machine.flush(0, 0x5000, 0.0)
     assert monitor.lines[0x5000].flush_rate(10_000.0) == 0.0
 
@@ -94,8 +104,7 @@ def test_detection_identifies_involved_cores():
 
 def test_benign_noise_workload_not_flagged(kernel_env):
     machine, sim, kernel = kernel_env
-    monitor = EventMonitor(machine)
-    monitor.attach()
+    monitor = tapped_monitor(machine)
     spawn_kernel_build(kernel, 4, avoid_cores={0})
 
     def waiter(cpu):
@@ -111,8 +120,7 @@ def test_benign_noise_workload_not_flagged(kernel_env):
 def test_benign_producer_consumer_not_flagged(kernel_env):
     """Ordinary shared-memory communication must not trip the detector."""
     machine, sim, kernel = kernel_env
-    monitor = EventMonitor(machine)
-    monitor.attach()
+    monitor = tapped_monitor(machine)
     process = kernel.create_process("app")
     buf = process.mmap(1)
 
@@ -134,8 +142,7 @@ def test_benign_producer_consumer_not_flagged(kernel_env):
 
 
 def test_flush_storm_detector_thresholds(machine):
-    monitor = EventMonitor(machine, window=1_000_000.0)
-    monitor.attach()
+    monitor = tapped_monitor(machine, window=1_000_000.0)
     addr = 0x9000
     for i in range(10):
         machine.flush(0, addr, float(i * 1000))
@@ -312,8 +319,7 @@ def test_channel_detector_flag_threshold_boundary():
 
 
 def test_ping_pong_detector_needs_small_core_set(machine):
-    monitor = EventMonitor(machine, window=1e6)
-    monitor.attach()
+    monitor = tapped_monitor(machine, window=1e6)
     addr = 0xA000
     machine.flush(0, addr, 0.0)
     now = 0.0

@@ -264,8 +264,8 @@ def _obfuscate(session):
 
 
 def _interpose(session):
-    # Detection monitors interpose by binding wrappers into the
-    # machine's instance dict; run entry must re-hoist the binding.
+    # An op wrapper binds into the machine's instance dict; run entry
+    # must re-hoist the binding.
     machine = session.machine
     load = machine.load
     calls = []
@@ -279,11 +279,23 @@ def _interpose(session):
 
 
 def _attach_monitor(session):
-    from repro.detection.events import EventMonitor
+    # An external monitor wrapping both load and flush on top of the
+    # tap; run entry must re-hoist both bindings.
+    machine = session.machine
+    load, flush = machine.load, machine.flush
+    calls = {"load": 0, "flush": 0}
 
-    monitor = EventMonitor(session.machine)
-    monitor.attach()
-    return lambda: monitor.events_seen
+    def counted_load(core_id, paddr, now=0.0):
+        calls["load"] += 1
+        return load(core_id, paddr, now)
+
+    def counted_flush(core_id, paddr, now=0.0):
+        calls["flush"] += 1
+        return flush(core_id, paddr, now)
+
+    machine.load = counted_load
+    machine.flush = counted_flush
+    return lambda: dict(calls)
 
 
 def _attach_second_tap(session):
@@ -485,7 +497,7 @@ def test_stand_down_rebuilds_parked_workers(reason, prepare):
                          ids=["monitor", "second-tap"])
 def test_late_interposition_stands_traced_session_down(attach):
     """A traced session's drivers hoisted the tap's wrappers at spawn.
-    A monitor or a second tap attached after a cut-short run is
+    A load/flush wrapper or a second tap attached after a cut-short run is
     re-hoisted at run entry — the inline L1 path must not skip it — so
     it sees what it sees on the generator path, and the first tap still
     records the generator path's stream."""
@@ -499,6 +511,46 @@ def test_late_interposition_stands_traced_session_down(attach):
     )
     assert driven_seen == generator_seen
     assert_same_run(driven, generator)
+
+
+def test_trace_started_on_a_built_noisy_session_records_the_noise():
+    """``start_trace()`` on a built session whose kernel-build noise
+    workers were spawned driven, untraced: their bursts read the tap's
+    bindings, so the recording holds the workers' loads and stores and
+    equals, like the result, that of a session traced from
+    construction."""
+    def noisy(trace):
+        session = ChannelSession(SessionConfig(
+            spec="mesi-es", seed=11, calibration_samples=120,
+            noise_threads=2, trace=trace,
+        ))
+        assert [t.driver is not None for t in session.noise_threads] == [
+            True, True,
+        ]
+        recorder = session.start_trace()
+        # From here on both recordings must see the same stream.
+        recorder.clear()
+        return session, session.transmit(list(PAYLOAD))
+
+    late, late_result = on_path(True, noisy, False)
+    early, early_result = on_path(True, noisy, True)
+    noise_cores = {thread.core_id for thread in late.noise_threads}
+    assert [t.name.split("-")[0] for t in late.noise_threads] == [
+        "kbuild", "kbuild",
+    ]
+    assert not noise_cores & set(late.reserved_cores())
+    for category in ("load", "store"):
+        seen = {
+            event.data["core"] for event in late.recorder.select(category)
+        }
+        assert noise_cores <= seen, category
+    assert late.recorder.dropped == early.recorder.dropped == 0
+    assert late.recorder.digest() == early.recorder.digest()
+    assert transmission_digest(late_result) == transmission_digest(
+        early_result
+    )
+    assert (pickle.dumps(replace(late_result, manifest=None))
+            == pickle.dumps(replace(early_result, manifest=None)))
 
 
 def _transmission_cut_short(prepare, trace):

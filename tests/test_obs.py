@@ -344,7 +344,7 @@ def test_machine_reset_detaches_tap():
 
 
 def test_tap_detach_respects_outer_interposition():
-    """A monitor wrapped on top of the tap survives tap.detach()."""
+    """An op wrapper installed on top of the tap survives tap.detach()."""
     machine = Machine(MachineConfig(), RngStreams(0))
     tap = MachineTap(machine, TraceRecorder())
     tap.attach()

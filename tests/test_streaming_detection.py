@@ -5,9 +5,9 @@ behavior-preserving refactor of the offline one, with bounded state:
 
 * **Live equivalence** — a :class:`StreamingDetector` subscribed to a
   traced session's recorder produces exactly the detections and raw
-  scores an offline :class:`ChannelDetector` over an attached
-  :class:`EventMonitor` produces on the same run, across the MESI,
-  MOESI O-state and directory-backend scenarios.
+  scores an offline :class:`ChannelDetector` produces over an
+  :class:`EventMonitor` folded in one batch over the recorded feed,
+  across the MESI, MOESI O-state and directory-backend scenarios.
 * **Replay equivalence** — feeding the recorded event stream back one
   event at a time (or in arbitrary chunks) reproduces the live
   detector's scans, scores and alarm log bit-for-bit.
@@ -52,6 +52,7 @@ from repro.obs.recorder import TraceEvent
 from repro.runner import ExperimentSpec, Point, Runner
 from repro.sim import drivers
 from repro.sim.rng import RngStreams
+from tests.test_detection import tapped_monitor
 
 #: One scenario per distinct protocol path: flush-based MESI, the MOESI
 #: O-state channel, and the home-node directory backend.
@@ -78,11 +79,12 @@ def _monitor_state(monitor):
 
 @pytest.fixture(scope="module", params=SCENARIOS)
 def live_run(request):
-    """One traced transmission observed three ways at once.
+    """One traced transmission scored live and offline.
 
     The recorder is cleared right after construction so the retained
     stream is exactly what the subscribed sink saw (calibration runs
-    inside ``__init__``, before anyone observes).
+    inside ``__init__``, before anyone observes).  The offline monitor
+    is a batch scan over that recorded stream after the run.
     """
     session = ChannelSession(SessionConfig(
         spec=request.param, seed=11, trace=True,
@@ -90,11 +92,12 @@ def live_run(request):
     session.recorder.clear()
     streaming = StreamingDetector(scan_interval=SCAN_INTERVAL)
     session.recorder.subscribe(streaming)
-    offline = EventMonitor(session.machine)
-    offline.attach()
     session.transmit(list(PAYLOAD))
     session.recorder.unsubscribe(streaming)
-    offline.detach()
+    assert session.recorder.dropped == 0
+    offline = EventMonitor()
+    for event in session.recorder.events():
+        offline.consume(event)
     return session, streaming, offline
 
 
@@ -315,8 +318,7 @@ def test_monitor_memory_stays_bounded_on_a_long_feed(machine):
     length until someone queried a rate; this pins the fix.
     """
     window = 1_000.0
-    monitor = EventMonitor(machine, window=window, idle_windows=2.0)
-    monitor.attach()
+    monitor = tapped_monitor(machine, window=window, idle_windows=2.0)
     hot, cold = 0x10000, 0x20000
     # One early touch on the cold line, then it goes idle forever.
     machine.flush(1, cold, 0.0)
@@ -343,12 +345,10 @@ def test_monitor_memory_stays_bounded_on_a_long_feed(machine):
     assert cold not in monitor.lines
     machine.load(1, cold, now + 1.0)
     assert cold not in monitor.lines
-    monitor.detach()
 
 
 def test_evict_idle_is_verdict_neutral(machine):
-    monitor = EventMonitor(machine, window=1_000.0, idle_windows=2.0)
-    monitor.attach()
+    monitor = tapped_monitor(machine, window=1_000.0, idle_windows=2.0)
     machine.flush(0, 0x30000, 10.0)
     machine.load(0, 0x30000, 20.0)
     now = 10_000.0
@@ -356,7 +356,6 @@ def test_evict_idle_is_verdict_neutral(machine):
     evicted = monitor.evict_idle(now)
     assert evicted == 1
     assert ChannelDetector(monitor).scan(now) == before == []
-    monitor.detach()
 
 
 # -- TraceSink hook ----------------------------------------------------
