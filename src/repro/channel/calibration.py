@@ -21,12 +21,12 @@ round through the ``Machine`` API:
   first round that starts where the previous one started (usually the
   second or third), the rounds repeat one state transition.
   :func:`_measure` runs rounds for real until then, and afterwards
-  replays the recorded round's timing model alone: the same
-  interconnect registrations, queueing and jitter draws, and stats
-  counters.  A machine something interposes on (a trace tap, an op
-  wrapper, an obfuscation policy, a directory hook, a home-agent hop)
-  runs every round for real; :func:`_per_op_reason` names why, and the
-  bands' ``provenance`` records it.
+  :func:`_replay` runs the recorded round's timing model alone, in one
+  flat loop: the same interconnect registrations, queueing and jitter
+  draws, and stats counters.  A machine something interposes on (a
+  trace tap, an op wrapper, an obfuscation policy, a directory hook, a
+  home-agent hop) runs every round for real; :func:`_per_op_reason`
+  names why, and the bands' ``provenance`` records it.
 * Calibration is a pure function of the machine configuration, the root
   seed, and the sampling parameters — every point of a Figure 8/9 grid
   that shares those re-derives the exact same bands.
@@ -276,24 +276,22 @@ def _measure(
 
     Once a round starts in the state the round before it started in
     (:func:`_round_state`), every later round repeats that round's
-    coherence transitions, so only its timing model runs: the same
-    interconnect registrations at the same clock, the same queueing and
-    jitter draws in the same order, and its stats-counter deltas, added
-    once at the end.  Each real round records that plan — per op, the
-    registers it called and :meth:`Machine.base_latency` — unless
-    :func:`_per_op_reason` names a reason to run every round real.
+    coherence transitions, so only its timing model runs
+    (:func:`_replay`), and its stats-counter deltas are added once at
+    the end.  Each real round records that plan — per op, whether it
+    queues, :meth:`Machine.base_latency` and the registers it called —
+    unless :func:`_per_op_reason` names a reason to run every round
+    real.
     """
     out = np.empty(samples, dtype=float)
     last = len(ops) - 1
     base = paddr & ~63
     replayable = _per_op_reason(machine) is None
     stats = machine.stats
-    queueing, jitter = machine._queueing, machine._jitter
     log: list = []
     steps: list = []
     deltas: dict[str, int] = {}
-    plan = state = None
-    real = samples
+    state = None
 
     def real_step(j: int, now: float) -> float:
         op, core = ops[j]
@@ -305,37 +303,73 @@ def _measure(
             steps.append((queued, base_latency, tuple(log)))
         return latency
 
-    def replay_step(j: int, now: float) -> float:
-        queued, latency, registers = plan[j]
-        contention = 0.0
-        for register in registers:
-            contention += register(now)
-        if queued:
-            latency += queueing(contention)
-        return jitter(latency)
-
     now = 0.0
     for i in range(samples):
-        if plan is None and replayable:
-            previous, state = state, _round_state(machine, base)
-            if state == previous:
-                # The last real round started where this one does.
-                plan, real = tuple(steps), i
-        if plan is not None:
-            now, out[i] = _round(replay_step, last, now)
-        elif not replayable:
+        if not replayable:
             now, out[i] = _round(real_step, last, now)
-        else:
-            steps.clear()
-            before = stats.counters()
-            with _logged_registers(machine, log):
-                now, out[i] = _round(real_step, last, now)
-            deltas = {name: value - before.get(name, 0)
-                      for name, value in stats.counters().items()}
-    if plan is not None:
-        for name, delta in deltas.items():
-            stats.counter_handle(name).value += delta * (samples - real)
-    return out, real
+            continue
+        previous, state = state, _round_state(machine, base)
+        if state == previous:
+            # The last real round started where this one does.
+            _replay(machine, tuple(steps), now, out, i)
+            for name, delta in deltas.items():
+                stats.counter_handle(name).value += delta * (samples - i)
+            return out, i
+        steps.clear()
+        before = stats.counters()
+        with _logged_registers(machine, log):
+            now, out[i] = _round(real_step, last, now)
+        deltas = {name: value - before.get(name, 0)
+                  for name, value in stats.counters().items()}
+    return out, samples
+
+
+def _replay(
+    machine: Machine, plan: tuple[tuple[bool, float, tuple], ...],
+    now: float, out: np.ndarray, start: int,
+) -> None:
+    """Fill ``out[start:]`` with rounds of *plan* run by timing alone.
+
+    Per op of the plan, ``(queued, base, registers)``: the same
+    interconnect registrations at the same clock as :func:`_round`
+    places them, then the queueing and jitter draws of
+    :meth:`Machine._queueing` and :meth:`Machine._jitter` in the same
+    order, on the same values.  One flat loop with the draws hoisted,
+    as the worker driver's inline L1 hit does: a replayed pair runs a
+    few hundred rounds, and the per-op calls cost about as much as the
+    registrations they wrapped.
+    """
+    noise = machine._noise
+    rng = machine._jitter_rng
+    gamma, normal, uniform, exponential = (
+        rng.gamma, rng.standard_normal, rng.random, rng.exponential)
+    noisy, sigma = noise.enabled, noise.sigma
+    tail_p, tail_s = noise.tail_probability, noise.tail_scale
+    last = len(plan) - 1
+    for i in range(start, len(out)):
+        elapsed = 0.0
+        for j, (queued, latency, registers) in enumerate(plan):
+            if j == last:
+                now += elapsed
+                elapsed = 0.0
+            t = now + elapsed
+            contention = 0.0
+            for register in registers:
+                contention += register(t)
+            if queued and contention > 0:
+                latency += gamma(2.0, contention / 2.0)
+            if noisy:
+                latency = latency + sigma * normal()
+                if uniform() < tail_p:
+                    latency += exponential(tail_s)
+            latency = latency if latency > 1.0 else 1.0
+            if j == 0:
+                now += latency
+            elif j < last:
+                elapsed += latency
+            else:
+                now += latency
+                out[i] = latency
 
 
 def measure_pair(

@@ -198,7 +198,8 @@ class TransmissionResult:
 #: machine-config fingerprint -> constructed Machine.  Process-local:
 #: each pool worker grows its own, and sequential grid points whose
 #: structural parameters match reuse the topology via Machine.reset()
-#: instead of rebuilding ~10k cache sets per point.
+#: instead of rebuilding it (cache sets are allocated on first fill, so
+#: a rebuild costs about what a reset does).
 _MACHINE_POOL: dict[str, Machine] = {}
 
 

@@ -5,6 +5,15 @@ A single generic container is used for every level: private L1/L2 hold
 holds :class:`~repro.mem.cacheline.LlcLine` records.  The container only
 implements geometry, lookup and LRU; all coherence-state manipulation
 lives in :mod:`repro.mem.coherence`.
+
+Sets are allocated on first fill.  A machine has 11,008 sets (12 cores x
+(64 + 512) private sets plus 2 x 2,048 LLC sets) and a covert-channel
+point touches a few dozen of them, so every untouched set is
+:data:`EMPTY_SET`, one shared bucket that nothing ever mutates: a
+lookup or removal on it finds nothing, and :meth:`SetAssocCache.insert`
+swaps in a set of its own before the first write.  Building a cache,
+clearing it and restoring a checkpoint then cost one list of references
+instead of one ``OrderedDict`` per set.
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ from repro.errors import ConfigError
 from repro.mem.cacheline import LINE_SHIFT, line_addr
 
 LineT = TypeVar("LineT")
+
+#: The bucket every unfilled set points at.  Nothing may write to it:
+#: :meth:`SetAssocCache.insert` allocates a set's own bucket first.
+EMPTY_SET: OrderedDict = OrderedDict()
 
 
 class SetAssocCache(Generic[LineT]):
@@ -43,10 +56,10 @@ class SetAssocCache(Generic[LineT]):
         self.n_sets = n_sets
         self.assoc = assoc
         self._set_mask = n_sets - 1
-        # set index -> (line base addr -> line record), insertion order = LRU order
-        self._sets: list[OrderedDict[int, LineT]] = [
-            OrderedDict() for _ in range(n_sets)
-        ]
+        # set index -> (line base addr -> line record), insertion order =
+        # LRU order; EMPTY_SET until the set's first fill.  The list itself
+        # is never replaced: a worker driver holds it across a run.
+        self._sets: list[OrderedDict[int, LineT]] = [EMPTY_SET] * n_sets
 
     @property
     def capacity_lines(self) -> int:
@@ -78,8 +91,11 @@ class SetAssocCache(Generic[LineT]):
         for handling write-back / back-invalidation before discarding it.
         """
         base = addr & ~63
-        bucket = self._sets[(base >> 6) & self._set_mask]
-        if base in bucket:
+        index = (base >> 6) & self._set_mask
+        bucket = self._sets[index]
+        if bucket is EMPTY_SET:
+            bucket = self._sets[index] = OrderedDict()
+        elif base in bucket:
             bucket[base] = record
             bucket.move_to_end(base)
             return None
@@ -105,9 +121,15 @@ class SetAssocCache(Generic[LineT]):
         return sum(len(bucket) for bucket in self._sets)
 
     def clear(self) -> None:
-        """Drop every line without write-back (test helper)."""
-        for bucket in self._sets:
-            bucket.clear()
+        """Drop every line without write-back (machine reset)."""
+        self._sets[:] = [EMPTY_SET] * self.n_sets
+
+    def restore(self, sets: list[list[tuple[int, LineT]]]) -> None:
+        """Replace every set with *sets*' ``(addr, line)`` pairs, each
+        list in LRU order (a checkpoint's capture of ``_sets``)."""
+        self._sets[:] = [
+            OrderedDict(entries) if entries else EMPTY_SET for entries in sets
+        ]
 
     def __contains__(self, addr: int) -> bool:
         return self.lookup(addr, touch=False) is not None

@@ -271,18 +271,19 @@ class Machine:
         """Restore pristine post-construction state, keeping the topology.
 
         The warm-worker path reuses one constructed machine across grid
-        points whose structural parameters match: building the object
-        graph (12 cores x 2 private caches, per-socket LLC + directory,
-        interconnect resources, bound counters) costs far more than
-        wiping it.  After ``reset`` the machine must be observationally
-        identical to ``Machine(self.config, rng)`` — the golden
-        determinism digests and the warm-vs-fresh equality tests hold it
-        to that.  Resets, in order:
+        points whose structural parameters match.  Since cache sets are
+        allocated on first fill (:mod:`repro.mem.cache`), building the
+        object graph costs about what wiping it does (0.14 vs 0.12 ms on
+        the default machine).  After ``reset`` the machine must be
+        observationally identical to ``Machine(self.config, rng)`` — the
+        golden determinism digests and the warm-vs-fresh equality tests
+        hold it to that.  Resets, in order:
 
         * any instance-level interposition on ``load``/``store``/``flush``
           (a trace tap, or a wrapper installed on top of one) is
           unwrapped;
-        * every private cache, LLC data array and directory is emptied;
+        * every private cache and LLC data array points each set back at
+          the shared empty bucket, and every directory is emptied;
         * DRAM contents are dropped (cleared in place — sockets hold a
           reference to the same dict);
         * the interconnect windows and the stats registry are cleared in
@@ -377,7 +378,8 @@ class Machine:
         """Overwrite all mutable state with a :meth:`snapshot_state`.
 
         Everything is restored *in place* (the containers themselves
-        survive, like :meth:`reset`), so bound counter handles, the
+        survive, like :meth:`reset`; a cache set gets a fresh bucket, or
+        the shared empty one), so bound counter handles, the
         sockets' shared reference to ``dram`` and the bound interconnect
         register methods all stay valid.  RNG streams are restored
         separately through :class:`~repro.sim.rng.RngStreams` — the
@@ -386,16 +388,10 @@ class Machine:
         self.dram.clear()
         self.dram.update(state["dram"])
         for core, (l1_sets, l2_sets) in zip(self.cores, state["cores"]):
-            for bucket, entries in zip(core.l1._sets, l1_sets):
-                bucket.clear()
-                bucket.update(entries)
-            for bucket, entries in zip(core.l2._sets, l2_sets):
-                bucket.clear()
-                bucket.update(entries)
+            core.l1.restore(l1_sets)
+            core.l2.restore(l2_sets)
         for domain, (llc_sets, directory) in zip(self.sockets, state["sockets"]):
-            for bucket, entries in zip(domain.data_array._sets, llc_sets):
-                bucket.clear()
-                bucket.update(entries)
+            domain.data_array.restore(llc_sets)
             domain.directory.clear()
             domain.directory.update(directory)
         self.home_directory.clear()

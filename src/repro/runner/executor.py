@@ -37,7 +37,8 @@ all-or-nothing:
   the sweep;
 * a killed worker (``BrokenProcessPool``) no longer poisons the run —
   the pool is respawned and only the in-flight points are re-dispatched,
-  each charged one attempt (in-process there is no worker to kill, so an
+  each alone from then on, so a crash is charged only to the point that
+  crashed by itself (in-process there is no worker to kill, so an
   injected ``worker_kill`` is shipped as a ``transient`` fault);
 * with ``keep_going`` the sweep runs to completion and failed points
   become typed error outcomes in the :class:`RunReport` instead of an
@@ -348,6 +349,11 @@ class PointPolicy:
     injector: Any = None  #: a :class:`repro.faults.FaultInjector`
     #: Attempts started, per grid index.
     attempts: Counter = field(default_factory=Counter)
+    #: Attempts a pool crash took beside other points, held against no
+    #: retry budget until the point crashes alone (:meth:`crashed`).
+    lost: Counter = field(default_factory=Counter)
+    #: Points a pool crash took: they run alone from then on.
+    quarantined: set = field(default_factory=set)
 
     def submit(self, executor: Executor, indices: list[int]) -> Future:
         """Charge each point an attempt and submit them as one chunk.
@@ -407,8 +413,26 @@ class PointPolicy:
         error.__cause__ = exc
         return error
 
+    def crashed(self, index: int, alone: bool) -> PointExecutionError | None:
+        """A broken pool lost *index*'s attempt; the error to charge, or
+        None to re-run the point without a charge.
+
+        *alone* says whether no other point was in the pool.  Then the
+        crash is the point's own: every attempt it lost counts against
+        its budget.  Beside other points, any of them may have killed
+        the worker, so none is charged yet.  Either way the point is
+        quarantined: it runs alone from now on, so its next crash is
+        unambiguous and takes no bystander with it.
+        """
+        self.quarantined.add(index)
+        if alone:
+            self.lost[index] = 0
+            return self.error(index)
+        self.lost[index] += 1
+        return None
+
     def retriable(self, index: int) -> bool:
-        return self.attempts[index] <= self.policy.retries
+        return self.attempts[index] - self.lost[index] <= self.policy.retries
 
     def backoff(self, index: int, error: PointExecutionError) -> float:
         """Emit the ``retry`` event; seconds to wait before re-dispatch."""
@@ -599,10 +623,12 @@ class Runner:
 
         Chunks go from a queue to the executor while fewer than ``depth``
         futures are in flight, each attempt through a :class:`PointPolicy`.
-        The loop itself respawns a broken pool, stores values, settles
-        single-flight waits and aborts: a point out of retries without
-        ``keep_going`` stops taking chunks from the queue and lets the
-        in-flight ones finish and cache.
+        A quarantined point (one a pool crash took) waits in ``solo``
+        until nothing is in flight and then runs alone.  The loop itself
+        respawns a broken pool, stores values, settles single-flight
+        waits and aborts: a point out of retries without ``keep_going``
+        stops taking chunks from the queue and lets the in-flight ones
+        finish and cache.
         """
         if self.jobs == 1:
             # One point at a time in spec order: a failure is seen
@@ -620,6 +646,8 @@ class Runner:
                              self.injector)
         futures: dict[Any, list[int]] = {}  # future -> chunk grid indices
         misfired: list[int] = []  # dispatches that hit an already-broken pool
+        solo: deque[int] = deque()  # quarantined points waiting to run
+        isolated = False  # a quarantined point is in flight, alone
         first_error: PointExecutionError | None = None
         aborting = False
         executor = make_executor()
@@ -650,6 +678,7 @@ class Runner:
             # the re-run resumes), but start nothing still queued.
             aborting = True
             queue.clear()
+            solo.clear()
 
         def failed(
             index: int,
@@ -662,8 +691,12 @@ class Runner:
                 terminal(index, error)
 
         try:
-            while queue or futures or misfired or waiting:
-                while queue and len(futures) < depth and not misfired:
+            while queue or futures or misfired or waiting or solo:
+                if solo and not futures and not misfired:
+                    submit([solo.popleft()])
+                    isolated = True
+                while (queue and len(futures) < depth and not misfired
+                       and not solo and not isolated):
                     submit(queue.popleft())
                 if futures:
                     # With dedupe waits outstanding, poll instead of
@@ -698,8 +731,9 @@ class Runner:
                         )
                 if crashed:
                     # The pool is broken: every in-flight dispatch is
-                    # lost.  Charge each lost point one attempt, respawn
-                    # the pool, and re-dispatch only those points.
+                    # lost.  Respawn the pool and re-dispatch only those
+                    # points, each alone; only a point lost by itself is
+                    # charged the crash.
                     for indices in futures.values():
                         crashed.extend(indices)
                     futures.clear()
@@ -708,7 +742,15 @@ class Runner:
                     self._emit("pool-respawn", lost=sorted(crashed))
                     executor = make_executor()
                     for index in sorted(crashed):
-                        failed(index, policy.error(index), retry)
+                        error = policy.crashed(index, len(crashed) == 1)
+                        if error is not None:
+                            failed(index, error, retry)
+                        elif aborting:
+                            terminal(index, policy.error(index))
+                        else:
+                            solo.append(index)
+                if not futures:
+                    isolated = False
                 # Resubmits happen only after crash handling, so a retry
                 # can never be dispatched to a pool that just broke.
                 # Retries go out as singleton chunks: the point already
@@ -719,7 +761,10 @@ class Runner:
                         terminal(index, error)
                         continue
                     time.sleep(policy.backoff(index, error))
-                    submit([index])
+                    if index in policy.quarantined:
+                        solo.append(index)
+                    else:
+                        submit([index])
                 if aborting:
                     # Abandoned waits hold no reservation; just stop
                     # watching them so the drain loop can exit.

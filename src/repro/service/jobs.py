@@ -8,9 +8,10 @@ wrapping, the retry decision and the deterministic backoff are written
 once, and a point executes under the service with exactly the
 semantics it has under ``repro fig8 --jobs N``.  What stays here is the
 service's own: waiting with ``asyncio.sleep``, publishing or releasing
-the point's reservation, and respawning the shared pool once per crash
-however many points saw it.  A job always keeps going: a point out of
-retries is recorded as failed.
+the point's reservation, respawning the shared pool once per crash
+however many points saw it, and keeping the pool to itself for a
+quarantined point (one a crash took), across jobs.  A job always keeps
+going: a point out of retries is recorded as failed.
 
 What the manager adds is *cross-job* scheduling:
 
@@ -164,6 +165,15 @@ class JobManager:
         self._next_job = 0
         self._pool: ProcessPoolExecutor | None = None
         self._pool_generation = 0
+        #: Points submitted to the current pool and not yet collected.
+        self._in_pool = 0
+        #: Whether the one point in the pool is quarantined.
+        self._alone = False
+        #: Quarantined points waiting for the pool to empty.
+        self._solo_waiting = 0
+        self._pool_free = asyncio.Event()
+        #: pool generation -> points in that pool when it broke.
+        self._crash_sizes: dict[int, int] = {}
         self._slots = asyncio.Semaphore(self.workers)
         self._wake = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
@@ -358,6 +368,7 @@ class JobManager:
         policy = job.policy
         try:
             while True:
+                await self._enter_pool(point_index in policy.quarantined)
                 generation = self._pool_generation
                 try:
                     future = asyncio.wrap_future(
@@ -369,9 +380,14 @@ class JobManager:
                     )
                 except BrokenExecutor:
                     self._respawn(generation)
-                    ok, payload = False, policy.error(point_index)
+                    ok, payload = False, policy.crashed(
+                        point_index, self._crash_sizes[generation] == 1)
+                finally:
+                    self._leave_pool()
                 if ok:
                     break
+                if payload is None:
+                    continue  # lost beside other points: re-run alone
                 if not policy.retriable(point_index):
                     self.index.release(key, owner)
                     self._record(job, point_index, error=payload)
@@ -396,10 +412,36 @@ class JobManager:
             self._slots.release()
             self._wake.set()
 
+    async def _enter_pool(self, solo: bool) -> None:
+        """Wait for a turn on the pool: a quarantined (*solo*) point
+        waits until the pool is empty and keeps it to itself; any other
+        point waits while one runs or waits."""
+        if solo:
+            self._solo_waiting += 1
+        try:
+            while self._alone or (
+                self._in_pool if solo else self._solo_waiting
+            ):
+                self._pool_free.clear()
+                await self._pool_free.wait()
+        finally:
+            if solo:
+                self._solo_waiting -= 1
+        self._in_pool += 1
+        self._alone = solo
+
+    def _leave_pool(self) -> None:
+        self._in_pool -= 1
+        self._alone = False
+        self._pool_free.set()
+
     def _respawn(self, generation: int) -> None:
         """Replace a broken pool exactly once per crash."""
         if generation != self._pool_generation:
             return  # a concurrent point already respawned it
+        # Every point still counted in the pool was submitted to the
+        # broken one: none of them has left it yet.
+        self._crash_sizes[generation] = self._in_pool
         self._pool_generation += 1
         self.pool_respawns += 1
         broken = self._pool

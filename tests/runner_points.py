@@ -51,6 +51,13 @@ def kill_worker(*, x, tripwire):
     return x * 1000
 
 
+def kill_every_worker(*, x):
+    """Hard-exit every worker that runs it."""
+    import os
+
+    os._exit(17)
+
+
 def slow_point(*, x, seconds):
     """Sleep long enough to trip a per-point timeout."""
     import time

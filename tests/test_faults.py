@@ -39,12 +39,14 @@ from repro.runner import (
     Runner,
     RunReport,
 )
+from repro.runner.executor import PointPolicy
 
 SQUARE = "tests.runner_points:square"
 RECORD = "tests.runner_points:record"
 BOOM = "tests.runner_points:boom"
 FLAKY = "tests.runner_points:flaky"
 KILL = "tests.runner_points:kill_worker"
+KILL_EVERY = "tests.runner_points:kill_every_worker"
 SLOW = "tests.runner_points:slow_point"
 
 PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0] * 4
@@ -398,6 +400,37 @@ def test_killed_worker_keep_going_survivors_byte_identical(tmp_path):
     for index in (0, 1, 3):
         assert pickle.dumps(survivors[index]) == pickle.dumps(clean[index])
     assert survivors[2] is None
+
+
+def test_crash_is_charged_only_to_a_point_lost_alone():
+    """A crash that loses several points charges none of them; each is
+    quarantined, and its next crash, alone, charges every lost attempt."""
+    policy = PointPolicy(square_spec(3), fast_policy(retries=1),
+                         lambda *args, **kwargs: None, "pool")
+    policy.attempts.update({0: 1, 1: 1})
+    assert policy.crashed(0, alone=False) is None
+    assert policy.crashed(1, alone=False) is None
+    assert policy.quarantined == {0, 1}
+    assert policy.retriable(0) and policy.retriable(1)
+    policy.attempts[0] += 1  # re-run alone
+    error = policy.crashed(0, alone=True)
+    assert isinstance(error.cause, WorkerCrashError)
+    assert not policy.retriable(0)  # both attempts count now
+    assert policy.retriable(1)
+
+
+def test_point_killing_every_worker_takes_no_bystander():
+    spec = ExperimentSpec(experiment="toy", points=(
+        Point(fn=KILL_EVERY, params={"x": 1}, label="killer"),
+        *(Point(fn=SQUARE, params={"x": x}, label=f"x={x}")
+          for x in range(2, 6)),
+    ))
+    report = Runner(jobs=2, policy=fast_policy(retries=1, keep_going=True)
+                    ).run(spec)
+    (error,) = report.errors
+    assert error.index == 0 and isinstance(error.error.cause,
+                                           WorkerCrashError)
+    assert report.padded_values()[1:] == [4, 9, 16, 25]
 
 
 # -- crash-resume from the cache ------------------------------------------

@@ -1,10 +1,17 @@
 """Tests for the set-associative LRU cache container."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
+from repro.channel.session import ChannelSession, SessionConfig, clear_warm_state
+from repro.checkpoint.core import capture, restore
 from repro.errors import ConfigError
-from repro.mem.cache import SetAssocCache
+from repro.mem.cache import EMPTY_SET, SetAssocCache
 from repro.mem.cacheline import LINE_SIZE, line_addr
+from repro.mem.hierarchy import Machine, MachineConfig
+from repro.sim.rng import RngStreams
 
 
 def make_cache(n_sets=4, assoc=2):
@@ -115,3 +122,96 @@ def test_set_index_within_range():
     cache = make_cache(n_sets=16, assoc=2)
     for addr in range(0, 65536, 4096 + LINE_SIZE):
         assert 0 <= cache.set_index(addr) < 16
+
+
+# -- sets allocated on first fill ----------------------------------------
+
+PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0]
+
+
+def allocated_sets(machine: Machine) -> int:
+    """How many of *machine*'s cache sets hold a bucket of their own."""
+    caches = [cache for core in machine.cores for cache in (core.l1, core.l2)]
+    caches += [domain.data_array for domain in machine.sockets]
+    return sum(bucket is not EMPTY_SET
+               for cache in caches for bucket in cache._sets)
+
+
+@pytest.fixture
+def cold():
+    clear_warm_state()
+    yield
+    clear_warm_state()
+
+
+def test_unfilled_sets_share_the_empty_bucket():
+    cache = make_cache(n_sets=4, assoc=2)
+    assert all(bucket is EMPTY_SET for bucket in cache._sets)
+    assert cache.lookup(0) is None and cache.remove(0) is None
+    cache.insert(addr_for_set(cache, 1, 0), "a")
+    assert [bucket is EMPTY_SET for bucket in cache._sets] == [
+        True, False, True, True]
+    assert len(EMPTY_SET) == 0
+    sets = cache._sets
+    cache.clear()
+    assert cache._sets is sets  # drivers hold the list across a run
+    assert all(bucket is EMPTY_SET for bucket in cache._sets)
+
+
+def test_restore_puts_empty_sets_back_on_the_shared_bucket():
+    cache = make_cache(n_sets=2, assoc=2)
+    cache.restore([[], [(LINE_SIZE, "b"), (3 * LINE_SIZE, "d")]])
+    assert cache._sets[0] is EMPTY_SET
+    assert list(cache._sets[1].items()) == [(LINE_SIZE, "b"),
+                                            (3 * LINE_SIZE, "d")]
+    assert cache.insert(5 * LINE_SIZE, "f") == "b"  # LRU order kept
+    assert len(EMPTY_SET) == 0
+
+
+def test_fresh_machine_allocates_no_set():
+    assert allocated_sets(Machine(MachineConfig())) == 0
+
+
+@pytest.mark.parametrize("spec", ["mesi-es", "dir-es"])
+def test_noisy_session_leaves_the_empty_bucket_empty(spec, cold):
+    """A noisy session fills sets on every level of both backends; after
+    it and after ``Machine.reset``, the shared bucket is still empty,
+    and the reset machine's caches and directories are a fresh one's."""
+    session = ChannelSession(SessionConfig(
+        spec=spec, seed=5, calibration_samples=120, noise_threads=2,
+    ))
+    session.transmit(list(PAYLOAD))
+    machine = session.machine
+    assert allocated_sets(machine) > 0
+    assert len(EMPTY_SET) == 0
+
+    machine.reset(RngStreams(9))
+    assert len(EMPTY_SET) == 0
+    assert allocated_sets(machine) == 0
+    fresh = Machine(machine.config, RngStreams(9)).snapshot_state()
+    state = machine.snapshot_state()
+    for part in ("cores", "sockets", "dram", "home_directory"):
+        assert state[part] == fresh[part], part
+
+
+def test_checkpoint_round_trip_leaves_the_empty_bucket_empty(cold):
+    session = ChannelSession(SessionConfig(
+        spec="mesi-es", seed=5, calibration_samples=120, noise_threads=1,
+    ))
+    checkpoints = []
+
+    def pause_capture_finish(ctx):
+        session.sim.run(pause_at=session.sim.global_clock + 30_000.0)
+        checkpoints.append(capture(session, ctx))
+        session.sim.run()
+
+    session._run_transmission = pause_capture_finish
+    reference = session.transmit(list(PAYLOAD))
+    restored, ctx = restore(checkpoints[0])
+    assert len(EMPTY_SET) == 0
+    machine = pickle.loads(checkpoints[0].state)["machine"]
+    assert restored.machine.snapshot_state()["cores"] == machine["cores"]
+    resumed = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)
+    assert len(EMPTY_SET) == 0
+    assert (pickle.dumps(replace(resumed, manifest=None))
+            == pickle.dumps(replace(reference, manifest=None)))

@@ -42,6 +42,7 @@ RECORD = "tests.runner_points:record"
 BOOM = "tests.runner_points:boom"
 FLAKY = "tests.runner_points:flaky"
 KILL = "tests.runner_points:kill_worker"
+KILL_EVERY = "tests.runner_points:kill_every_worker"
 SLOW = "tests.runner_points:slow_point"
 
 KEY_A = "ab" * 32
@@ -418,12 +419,31 @@ def test_job_survives_a_killed_worker(service, tmp_path):
     assert manifest["status"] == "done"
     rows = manifest["points"]
     assert [row["status"] for row in rows] == ["ok"] * 3
-    # A square in flight on the other worker when the pool broke is
-    # charged a crash attempt too, so only the killed point's count is
+    # A square in flight on the other worker when the pool broke re-runs
+    # too (its lost attempt counts), so only the killed point's count is
     # fixed.
     assert rows[0]["attempts"] == 2
     assert client.values(job_id) == [1000, 4, 9]
     assert client.stats()["jobs"]["pool_respawns"] == 1
+    client.close()
+
+
+def test_point_killing_every_worker_takes_no_bystander(service):
+    """Squares lost beside a point that kills every worker re-run alone,
+    uncharged; only the killer runs out of retries."""
+    client = ServiceClient(service.base_url)
+    spec = ExperimentSpec(experiment="svc", points=(
+        Point(fn=KILL_EVERY, params={"x": 1}),
+        *(Point(fn=SQUARE, params={"x": x}) for x in (2, 3, 4, 5)),
+    ))
+    job_id = client.submit_spec(spec, retries=1)
+    manifest = client.wait(job_id, timeout=120)
+    rows = manifest["points"]
+    assert [row["status"] for row in rows] == ["failed"] + ["ok"] * 4
+    assert rows[0]["error"] == "WorkerCrashError"
+    assert [client.point_value(job_id, k) for k in range(1, 5)] == [
+        4, 9, 16, 25]
+    assert service.stats()["in_flight"] == 0
     client.close()
 
 
