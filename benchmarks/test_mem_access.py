@@ -6,15 +6,23 @@ first two or three rounds go through ``Machine.load``/``store``/
 ``flush``, and the rest replay the steady-state round's timing.  A noisy
 point runs Fig. 9's kernel-build bursts through the same calls.  These
 benchmarks time one calibration round per backend and pair through
-those calls, and one 256-access burst, so the per-access cost is
-tracked on its own.  Nothing here asserts a time."""
+those calls, one 256-access burst, and one whole 400-sample pair
+measurement (two real rounds, then the replay, which keeps the
+interconnect windows itself), so the per-access and the replayed-round
+costs are tracked on their own.  Nothing here asserts a time."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.channel.calibration import _run_op, _round, _round_ops
-from repro.channel.config import ALL_PAIRS
+from repro.channel.calibration import (
+    DEFAULT_CALIBRATION_SAMPLES,
+    _round,
+    _round_ops,
+    _run_op,
+    measure_pair,
+)
+from repro.channel.config import ALL_PAIRS, REXCL
 from repro.channel.scenarios import scenario_spec_by_name
 from repro.kernel.syscalls import Kernel
 from repro.kernel.workloads import (
@@ -52,6 +60,20 @@ def test_calibration_round(benchmark, cell, pair):
         clock[0], _latency = _round(step, len(ops) - 1, clock[0])
 
     benchmark(one_round)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_measure_pair_400(benchmark, cell):
+    machine = Machine(scenario_spec_by_name(cell).machine_config(),
+                      RngStreams(7))
+
+    def one_pair():
+        # Fresh windows per pair, as calibrate() gives each pair.
+        machine.interconnect.reset()
+        measure_pair(machine, REXCL, PROBE, DEFAULT_CALIBRATION_SAMPLES,
+                     SPY, LOCAL, REMOTE)
+
+    benchmark(one_pair)
 
 
 @pytest.mark.parametrize("cell", CELLS)

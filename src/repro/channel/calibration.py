@@ -23,10 +23,14 @@ round through the ``Machine`` API:
   :func:`_measure` runs rounds for real until then, and afterwards
   :func:`_replay` runs the recorded round's timing model alone, in one
   flat loop: the same interconnect registrations, queueing and jitter
-  draws, and stats counters.  A machine something interposes on (a
-  trace tap, an op wrapper, an obfuscation policy, a directory hook, a
-  home-agent hop) runs every round for real; :func:`_per_op_reason`
-  names why, and the bands' ``provenance`` records it.
+  draws, and stats counters.  A registration on a window that is in
+  time order and behind the clock is kept by the loop itself, on the
+  resource's own delay table, with no ``Resource.register`` call; a
+  window out of order at the start goes through ``register``.  A
+  machine something interposes on (a trace tap, an op wrapper, an
+  obfuscation policy, a directory hook, a home-agent hop) runs every
+  round for real; :func:`_per_op_reason` names why, and the bands'
+  ``provenance`` records it.
 * Calibration is a pure function of the machine configuration, the root
   seed, and the sampling parameters — every point of a Figure 8/9 grid
   that shares those re-derives the exact same bands.
@@ -324,6 +328,46 @@ def _measure(
     return out, samples
 
 
+def _replay_steps(
+    plan: tuple[tuple[bool, float, tuple], ...], now: float,
+) -> tuple[tuple, dict]:
+    """*plan* with each op's registers turned into replay slots, and
+    the in-order resources the replay keeps windows for, with their
+    registrations per round.
+
+    A slot is ``(register, window, width, delays, top)``.  A resource
+    whose retained events are in time order and no later than *now*
+    sees every replayed registration arrive in order at or after its
+    newest event, so its load is its window's length and its slot has
+    ``register`` ``None``: the replay keeps the window itself, on the
+    resource's own delay table.  Any other resource (traffic retained
+    out of order, or registered ahead of the clock) keeps its bound
+    ``register`` in the slot.
+    """
+    slots: dict = {}
+    counts: dict = {}
+    steps = []
+    for queued, latency, registers in plan:
+        op = []
+        for register in registers:
+            resource = register.__self__
+            if resource not in slots:
+                events = resource._events
+                in_order = (list(events) == resource._times[resource._tpos:]
+                            and (not events or events[-1] <= now))
+                slots[resource] = (
+                    (None, events, resource.window, resource._delays,
+                     len(resource._delays) - 1)
+                    if in_order else (register, None, 0.0, None, 0))
+                if in_order:
+                    counts[resource] = 0
+            if resource in counts:
+                counts[resource] += 1
+            op.append(slots[resource])
+        steps.append((queued, latency, tuple(op)))
+    return tuple(steps), counts
+
+
 def _replay(
     machine: Machine, plan: tuple[tuple[bool, float, tuple], ...],
     now: float, out: np.ndarray, start: int,
@@ -336,8 +380,13 @@ def _replay(
     :meth:`Machine._queueing` and :meth:`Machine._jitter` in the same
     order, on the same values.  One flat loop with the draws hoisted,
     as the worker driver's inline L1 hit does: a replayed pair runs a
-    few hundred rounds, and the per-op calls cost about as much as the
-    registrations they wrapped.
+    few hundred rounds, and a call per op or per registration costs
+    about as much as the work it wraps.  So the loop keeps each
+    in-order resource's sliding window as its deque
+    (:func:`_replay_steps`), reads the delay at the window's length
+    from the resource's own table, and writes the sorted index and the
+    traffic total back at the end; only a resource out of order at the
+    start calls ``register``.
     """
     noise = machine._noise
     rng = machine._jitter_rng
@@ -345,17 +394,27 @@ def _replay(
         rng.gamma, rng.standard_normal, rng.random, rng.exponential)
     noisy, sigma = noise.enabled, noise.sigma
     tail_p, tail_s = noise.tail_probability, noise.tail_scale
-    last = len(plan) - 1
+    steps, counts = _replay_steps(plan, now)
+    last = len(steps) - 1
     for i in range(start, len(out)):
         elapsed = 0.0
-        for j, (queued, latency, registers) in enumerate(plan):
+        for j, (queued, latency, registrations) in enumerate(steps):
             if j == last:
                 now += elapsed
                 elapsed = 0.0
             t = now + elapsed
             contention = 0.0
-            for register in registers:
-                contention += register(t)
+            for register, window, width, delays, top in registrations:
+                if register is None:
+                    # Appended first, t itself ends the expired prefix.
+                    window.append(t)
+                    cutoff = t - width
+                    while window[0] < cutoff:
+                        window.popleft()
+                    load = len(window) - 1
+                    contention += delays[load if load < top else top]
+                else:
+                    contention += register(t)
             if queued and contention > 0:
                 latency += gamma(2.0, contention / 2.0)
             if noisy:
@@ -370,6 +429,11 @@ def _replay(
             else:
                 now += latency
                 out[i] = latency
+    rounds = len(out) - start
+    for resource, count in counts.items():
+        resource._times = list(resource._events)
+        resource._tpos = 0
+        resource.total_traffic += float(rounds * count)
 
 
 def measure_pair(

@@ -44,8 +44,9 @@ from repro.errors import CheckpointError
 #: allocated bytes (an untouched frame carries none); v5 stores LLC
 #: core-valid bits as an int mask and each interconnect resource as
 #: (times, sorted times, head offset, total traffic); v6 drops the
-#: spy's per-poll samples from its result.
-CHECKPOINT_VERSION = 6
+#: spy's per-poll samples from its result; v7 stores a resource as
+#: (times, total traffic) and rebuilds its sorted index on restore.
+CHECKPOINT_VERSION = 7
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
 BLOB_MAGIC = b"RCKP"

@@ -328,8 +328,11 @@ class Machine:
         — inclusive by object sharing — and between each socket's
         directory dict and LLC data array).  Cache sets are captured as
         (addr, line) pair lists in insertion order, which *is* the LRU
-        order; interconnect resources keep their whole sliding-window
-        index so contention delays resume bit-identically.
+        order.  An interconnect resource is its retained events in
+        insertion order and its traffic total: the sorted index is
+        rebuilt from them on restore (its evicted head is garbage
+        awaiting compaction), so contention delays resume bit-identically
+        and two machines with equal windows snapshot equal.
 
         Only valid on an uninstrumented machine: obfuscation policies and
         trace taps interpose unpicklable closures, so sessions running
@@ -357,10 +360,7 @@ class Machine:
         ic = self.interconnect
         resources = {}
         for res in (*ic.rings, ic.qpi, *ic.mems):
-            resources[res.name] = (
-                list(res._events), list(res._times), res._tpos,
-                res.total_traffic,
-            )
+            resources[res.name] = (list(res._events), res.total_traffic)
         return {
             "dram": dict(self.dram),
             "cores": cores,
@@ -398,11 +398,11 @@ class Machine:
         self.home_directory.update(state["home_directory"])
         ic = self.interconnect
         for res in (*ic.rings, ic.qpi, *ic.mems):
-            events, times, tpos, total = state["resources"][res.name]
+            events, total = state["resources"][res.name]
             res._events.clear()
             res._events.extend(events)
-            res._times = list(times)
-            res._tpos = tpos
+            res._times = sorted(events)
+            res._tpos = 0
             res.total_traffic = total
         self.stats.reset()
         for name, value in state["counters"].items():

@@ -12,6 +12,13 @@ only its expired *prefix*, so mildly out-of-order events from batched
 bursts are retained; the load is the number of retained events with
 ``cutoff <= t <= time``.  A time-sorted index of the retained events
 answers that count with two bisections instead of a scan of the window.
+
+The mean delay at each load is precomputed once per resource
+(``Resource._delays``), so the M/M/1 arithmetic has one copy: the
+calibration replay (:func:`repro.channel.calibration._replay`) reads the
+same table when it keeps an in-order window itself, as a deque whose
+length is the load, instead of calling :meth:`Resource.register` per
+replayed op.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ class Resource:
 
     __slots__ = (
         "name", "window", "saturation", "service_cycles", "total_traffic",
-        "_events", "_times", "_tpos",
+        "_events", "_times", "_tpos", "_delays",
     )
 
     def __init__(
@@ -75,6 +82,17 @@ class Resource:
         #: before it holds evicted slots awaiting compaction.
         self._times: list[float] = []
         self._tpos = 0
+        #: Mean delay per load: entry *k* is the delay at load *k*, up to
+        #: the first load whose utilization is clamped; every larger
+        #: load reads the last entry.
+        self._delays: list[float] = []
+        load = 0
+        while True:
+            rho = min(load / saturation, self.RHO_CAP)
+            self._delays.append(service_cycles * rho / (1.0 - rho))
+            if rho >= self.RHO_CAP:
+                break
+            load += 1
 
     def register(self, time: float) -> float:
         """Record one unit of traffic at *time*.
@@ -109,12 +127,8 @@ class Resource:
             times.append(time)
         else:
             insort(times, time, tpos)
-        if not load:
-            return 0.0
-        rho = load / self.saturation
-        if rho > self.RHO_CAP:
-            rho = self.RHO_CAP
-        return self.service_cycles * rho / (1.0 - rho)
+        delays = self._delays
+        return delays[load] if load < len(delays) else delays[-1]
 
     def current_load(self, time: float) -> int:
         """Traffic units inside the window ending at *time*.
@@ -132,6 +146,7 @@ class Resource:
         self._events.clear()
         self._times = []
         self._tpos = 0
+        self.total_traffic = 0.0
 
 
 class Interconnect:

@@ -28,9 +28,15 @@ from repro.channel.scenarios import scenario_spec_by_name
 from repro.channel.session import ChannelSession, SessionConfig, clear_warm_state
 from repro.errors import CalibrationError
 from repro.experiments.arena import live_cells
+from repro.kernel.syscalls import Kernel
+from repro.kernel.workloads import kernel_build_program
+from repro.mem.cacheline import LINE_SIZE
 from repro.mem.hierarchy import Machine, MachineConfig
+from repro.mem.interconnect import Resource
 from repro.mem.latency import NoiseModel, ObfuscationPolicy
 from repro.obs import MachineTap, RunManifest, TraceRecorder
+from repro.sim.engine import Simulator
+from repro.sim.events import Burst
 from repro.sim.rng import RngStreams
 
 
@@ -167,6 +173,20 @@ def counting_ops():
         yield counts
 
 
+@contextmanager
+def counting_registers():
+    """Count ``Resource.register`` calls per resource name with a
+    class-level patch; build the machine inside, since it binds each
+    resource's ``register`` when it is constructed."""
+    counts: Counter = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        def counted(self, time, _register=Resource.register):
+            counts[self.name] += 1
+            return _register(self, time)
+        mp.setattr(Resource, "register", counted)
+        yield counts
+
+
 def calibrate_fresh(config, seed=5, samples=200, real=False,
                     prepare=None, **kwargs):
     """Calibrate a fresh machine; returns (bands, raw, RNG snapshot,
@@ -291,6 +311,60 @@ def test_replay_matches_every_round_real_behind_future_traffic(pair):
     assert state == ref_state
 
 
+def _noisy_windows(machine):
+    """After every interconnect reset, two kernel-build bursts on
+    socket 0 land on the fresh windows before the round clock starts:
+    the later one registers first, so ``ring0`` and the home memory
+    controller retain their traffic out of time order, none of it
+    ahead of the clock.  The earlier burst's traffic expires behind the
+    later one's while the replayed rounds run, so a window that counted
+    every retained event would read a higher load than ``register``."""
+    kernel = Kernel(machine, Simulator(machine.stats), machine.rng)
+    process = kernel.create_process("kbuild")
+    region = process.mmap(4)
+    threads = [
+        kernel.spawn(process, f"kbuild-{k}",
+                     kernel_build_program(region, 4, machine.rng.get("w")),
+                     core, daemon=True)
+        for k, core in enumerate((3, 4))
+    ]
+    ic = machine.interconnect
+    reset = ic.reset
+
+    def noisy_reset():
+        reset()
+        for thread, offset, start in ((threads[0], 0, -600.0),
+                                      (threads[1], 2048, -1700.0)):
+            kernel._do_burst(thread, Burst(region + offset, 8, LINE_SIZE,
+                                           0.0, 4.0), start)
+
+    ic.reset = noisy_reset
+
+
+def test_replay_matches_every_round_real_behind_out_of_order_noise():
+    """A noisy burst left ``ring0`` out of order but behind the clock:
+    the replay calls ``register`` on it, keeps the windows of the
+    resources still in order itself, and ends where the all-real loop
+    does."""
+    probe = Machine(MachineConfig(), RngStreams(5))
+    _noisy_windows(probe)
+    probe.interconnect.reset()
+    ring0 = probe.interconnect.rings[0]
+    assert list(ring0._events) != sorted(ring0._events)
+    assert max(ring0._events) <= 0.0
+
+    assert_replay_exact(MachineConfig(), samples=400, prepare=_noisy_windows)
+    with counting_registers() as counts:
+        calibrate_fresh(MachineConfig(), samples=400, prepare=_noisy_windows)
+    with counting_registers() as real_counts, every_round_real():
+        calibrate_fresh(MachineConfig(), samples=3, prepare=_noisy_windows)
+    # ring0's replayed rounds called register; the in-order windows
+    # were kept by the replay, so only real rounds called it.
+    assert counts["ring0"] > 400 > real_counts["ring0"]
+    for name in ("ring1", "qpi", "mem1"):
+        assert counts[name] <= real_counts[name], name
+
+
 def _tap(machine):
     MachineTap(machine, TraceRecorder()).attach()
 
@@ -356,6 +430,24 @@ def test_clean_calibration_runs_at_most_three_rounds_per_pair(
     assert sum(counts.values()) <= sum(3 * len(ops) for ops in per_pair) + 1
     real = int(bands.provenance.removeprefix("replayed:"))
     assert counts["flush"] == real + 1
+
+
+@pytest.mark.parametrize("config, extra_pairs", [
+    (MachineConfig(), ()),
+    (MachineConfig(protocol="moesi"), (LOWNED,)),
+    (MachineConfig(coherence="directory"), ()),
+])
+def test_clean_calibration_registers_only_in_real_rounds(config, extra_pairs):
+    """A structural guard: the replay keeps every window of a clean
+    calibration itself, so ``Resource.register`` is called no more
+    often than three real rounds per pair call it."""
+    with counting_registers() as counts:
+        calibrate(Machine(config, RngStreams(5)), samples=400,
+                  extra_pairs=extra_pairs)
+    with counting_registers() as real_counts, every_round_real():
+        calibrate(Machine(config, RngStreams(5)), samples=3,
+                  extra_pairs=extra_pairs)
+    assert 0 < sum(counts.values()) <= sum(real_counts.values())
 
 
 def _session(config, interpose=None):

@@ -249,8 +249,8 @@ def test_noisy_two_socket_capture_restores_to_same_result(seg_cache):
     assert all(isinstance(mask, int) for mask in masks)
     socket1 = sum(1 << core for core in range(6, 12))
     assert any(mask & socket1 for mask in masks)
-    events, times, tpos, total = machine["resources"]["ring0"]
-    assert events and sorted(events) == times[tpos:] and total > 0
+    events, total = machine["resources"]["ring0"]
+    assert events and total > 0
 
     restored, ctx = restore(checkpoints[0])
     resumed = restored.transmit(ctx.payload, _resume=ctx, _label=ctx.label)

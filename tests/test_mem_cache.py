@@ -176,7 +176,8 @@ def test_fresh_machine_allocates_no_set():
 def test_noisy_session_leaves_the_empty_bucket_empty(spec, cold):
     """A noisy session fills sets on every level of both backends; after
     it and after ``Machine.reset``, the shared bucket is still empty,
-    and the reset machine's caches and directories are a fresh one's."""
+    and the reset machine's caches, directories and interconnect windows
+    are a fresh one's."""
     session = ChannelSession(SessionConfig(
         spec=spec, seed=5, calibration_samples=120, noise_threads=2,
     ))
@@ -190,7 +191,7 @@ def test_noisy_session_leaves_the_empty_bucket_empty(spec, cold):
     assert allocated_sets(machine) == 0
     fresh = Machine(machine.config, RngStreams(9)).snapshot_state()
     state = machine.snapshot_state()
-    for part in ("cores", "sockets", "dram", "home_directory"):
+    for part in ("cores", "sockets", "dram", "home_directory", "resources"):
         assert state[part] == fresh[part], part
 
 

@@ -1,12 +1,15 @@
 """Tests for the interconnect contention model."""
 
+import pickle
 import random
 from collections import deque
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.mem.hierarchy import Machine, MachineConfig
 from repro.mem.interconnect import Interconnect, Resource
+from repro.sim.rng import RngStreams
 
 
 class SeedResource:
@@ -186,3 +189,58 @@ def test_rings_are_independent():
     for i in range(100):
         ic.rings[0].register(float(i))
     assert ic.rings[1].current_load(50.0) == pytest.approx(0.0)
+
+
+_IC = Interconnect(2)
+
+
+@pytest.mark.parametrize("resource", [
+    Resource("default"), _IC.rings[0], _IC.qpi, _IC.mems[0],
+], ids=["default", "ring", "qpi", "mem"])
+def test_delay_table_is_the_closed_form(resource):
+    """Entry *k* of ``_delays`` is the M/M/1 delay at load *k*, bit for
+    bit, and every load past the first clamped one reads the last."""
+    table = resource._delays
+    cap = Resource.RHO_CAP
+    assert len(table) - 1 == min(
+        k for k in range(10 * int(resource.saturation) + 2)
+        if k / resource.saturation >= cap)
+    for load in range(int(4 * resource.saturation) + 1):
+        rho = min(load / resource.saturation, cap)
+        closed = resource.service_cycles * rho / (1.0 - rho)
+        entry = table[min(load, len(table) - 1)]
+        assert entry.hex() == closed.hex(), load
+
+
+def test_out_of_order_window_survives_a_snapshot():
+    """Retained events out of insertion order and an uncompacted sorted
+    index restore to a window that returns the original's delays."""
+    rng = random.Random(6)
+    machine = Machine(MachineConfig(), RngStreams(6))
+    ring = machine.interconnect.rings[0]
+    now = 0.0
+    for _ in range(400):
+        now += rng.expovariate(0.05)
+        ring.register(now + (rng.uniform(0.0, 300.0)
+                             if rng.random() < 0.2 else 0.0))
+    assert list(ring._events) != sorted(ring._events)
+    assert 0 < ring._tpos < Resource._COMPACT_THRESHOLD
+
+    state = pickle.loads(pickle.dumps(machine.snapshot_state()))
+    copy = Machine(MachineConfig(), RngStreams(6))
+    copy.restore_state(state)
+    twin = copy.interconnect.rings[0]
+    assert twin.total_traffic == ring.total_traffic == 400.0
+    for _ in range(1_000):
+        now += rng.expovariate(0.05)
+        t = now + (rng.uniform(0.0, 300.0) if rng.random() < 0.2 else 0.0)
+        assert twin.register(t) == ring.register(t)
+    assert copy.snapshot_state()["resources"] == (
+        machine.snapshot_state()["resources"])
+
+
+def test_reset_zeroes_total_traffic():
+    res = Resource("r")
+    res.register(0.0)
+    res.reset()
+    assert res.total_traffic == 0.0
