@@ -378,10 +378,11 @@ def _replay(
     interconnect registrations at the same clock as :func:`_round`
     places them, then the queueing and jitter draws of
     :meth:`Machine._queueing` and :meth:`Machine._jitter` in the same
-    order, on the same values.  One flat loop with the draws hoisted,
-    as the worker driver's inline L1 hit does: a replayed pair runs a
-    few hundred rounds, and a call per op or per registration costs
-    about as much as the work it wraps.  So the loop keeps each
+    order, on the same values: the stream's ``gamma`` and its fused
+    ``jitter``, bound once, as the worker driver's inline L1 hit binds
+    ``jitter``.  One flat loop: a replayed pair runs a few hundred
+    rounds, and a call per op or per registration costs about as much
+    as the work it wraps.  So the loop keeps each
     in-order resource's sliding window as its deque
     (:func:`_replay_steps`), reads the delay at the window's length
     from the resource's own table, and writes the sorted index and the
@@ -390,8 +391,7 @@ def _replay(
     """
     noise = machine._noise
     rng = machine._jitter_rng
-    gamma, normal, uniform, exponential = (
-        rng.gamma, rng.standard_normal, rng.random, rng.exponential)
+    gamma, jitter = rng.gamma, rng.jitter
     noisy, sigma = noise.enabled, noise.sigma
     tail_p, tail_s = noise.tail_probability, noise.tail_scale
     steps, counts = _replay_steps(plan, now)
@@ -418,10 +418,9 @@ def _replay(
             if queued and contention > 0:
                 latency += gamma(2.0, contention / 2.0)
             if noisy:
-                latency = latency + sigma * normal()
-                if uniform() < tail_p:
-                    latency += exponential(tail_s)
-            latency = latency if latency > 1.0 else 1.0
+                latency = jitter(latency, sigma, tail_p, tail_s)
+            else:
+                latency = latency if latency > 1.0 else 1.0
             if j == 0:
                 now += latency
             elif j < last:

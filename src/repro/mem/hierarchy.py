@@ -961,16 +961,19 @@ class Machine:
         return self._jitter(latency)
 
     def _jitter(self, latency: float) -> float:
-        # Inlined NoiseModel.sample (one call per executed memory op);
-        # draw order, draw values and clamping match the model exactly.
+        """*latency* with :meth:`NoiseModel.sample`'s jitter, clamped to
+        at least 1 cycle: one call per executed memory op.
+
+        :meth:`RngStream.jitter <repro.sim.rng.RngStream.jitter>` is the
+        one copy of the draw sequence (normal, uniform, rare
+        exponential); the worker driver's inline L1 hit and
+        calibration's replay call it too.
+        """
         noise = self._noise
         if not noise.enabled:
             return latency if latency > 1.0 else 1.0
-        rng = self._jitter_rng
-        value = latency + noise.sigma * rng.standard_normal()
-        if rng.random() < noise.tail_probability:
-            value += rng.exponential(noise.tail_scale)
-        return value if value > 1.0 else 1.0
+        return self._jitter_rng.jitter(
+            latency, noise.sigma, noise.tail_probability, noise.tail_scale)
 
     # ------------------------------------------------------------------
     # introspection (tests / experiments)

@@ -55,7 +55,13 @@ class Frame:
 
 
 class PhysicalMemory:
-    """A fixed pool of page frames with a free list.
+    """A fixed pool of page frames.
+
+    Frames never handed out come from a counter, in ascending order; the
+    free list holds only returned frames, which are reused last in,
+    first out before any fresh one.  A new pool (one per kernel) is two
+    ints and an empty list, and a checkpoint pickles only the frames in
+    circulation.
 
     Parameters
     ----------
@@ -68,7 +74,10 @@ class PhysicalMemory:
             raise ConfigError("n_frames must be positive")
         self.n_frames = n_frames
         self._frames: dict[int, Frame] = {}
-        self._free: list[int] = list(range(n_frames - 1, -1, -1))
+        #: The lowest frame number never allocated.
+        self._fresh = 0
+        #: Returned frames, reused last in, first out.
+        self._free: list[int] = []
 
     @property
     def frames_allocated(self) -> int:
@@ -78,13 +87,17 @@ class PhysicalMemory:
     @property
     def frames_free(self) -> int:
         """Number of free frames remaining."""
-        return len(self._free)
+        return len(self._free) + self.n_frames - self._fresh
 
     def alloc(self) -> Frame:
         """Allocate one zeroed frame; raises OutOfMemoryError when empty."""
-        if not self._free:
+        if self._free:
+            pfn = self._free.pop()
+        elif self._fresh < self.n_frames:
+            pfn = self._fresh
+            self._fresh += 1
+        else:
             raise OutOfMemoryError("physical memory exhausted")
-        pfn = self._free.pop()
         frame = Frame(pfn)
         self._frames[pfn] = frame
         return frame

@@ -215,9 +215,8 @@ class _WorkerDriver:
         self._hoist = (
             buckets, set_mask, hit_base, hit_counter,
             noise.enabled, noise.sigma, noise.tail_probability,
-            noise.tail_scale, rng.standard_normal, rng.random,
-            rng.exponential,
-            machine.load, kernel._do_store, reload_period, spin, backoff,
+            noise.tail_scale, rng.jitter, machine.load, kernel._do_store,
+            reload_period, spin, backoff,
             params.adaptive_backoff, params.worker_refill_floor,
             self.role.location, self.role.index, owned, needed,
             kernel._timeshare, kernel._sched_rng, thread.tid,
@@ -231,7 +230,7 @@ class _WorkerDriver:
         control = self.control
 
         (buckets, set_mask, hit_base, hit_counter, noise_on, sigma,
-         tail_p, tail_s, standard_normal, random, exponential, mload,
+         tail_p, tail_s, jitter, mload,
          do_store, reload_period, spin, backoff, adaptive, refill_floor,
          role_location, role_index, owned, needed, timeshare, sched_rng,
          tid, process, core_id, va, pair_actions, pair_refs) = self._hoist
@@ -294,16 +293,11 @@ class _WorkerDriver:
                         bucket = buckets[(base >> 6) & set_mask]
                         line = bucket.get(base)
                         if line is not None:
-                            # Inline L1 hit: LRU touch + the exact
-                            # Machine._jitter draw sequence.
+                            # Inline L1 hit: LRU touch + Machine._jitter.
                             bucket.move_to_end(base)
                             if noise_on:
-                                sample = hit_base + sigma * standard_normal()
-                                if random() < tail_p:
-                                    sample += exponential(tail_s)
-                                latency = (
-                                    sample if sample > 1.0 else 1.0
-                                )
+                                latency = jitter(hit_base, sigma, tail_p,
+                                                 tail_s)
                             else:
                                 latency = (
                                     hit_base if hit_base > 1.0 else 1.0

@@ -6,14 +6,32 @@ child stream derived from a single root seed.  Two runs with the same root
 seed therefore produce bit-identical results regardless of the order in
 which components are constructed, and adding a new consumer does not
 perturb the draws seen by existing consumers.
+
+Each stream is an :class:`RngStream`: numpy's ``default_rng`` draw for
+draw, with the scalar draws the simulator makes per memory access served
+from blocks.  A numpy scalar call costs about half a microsecond,
+nearly all of it call overhead, and the jitter of every simulated access
+makes two of them.  A stream instead takes up to :data:`BLOCK_WORDS`
+raw PCG64 words at once and decodes every word in numpy both ways
+numpy itself would: as a ``random()`` uniform and as the fast path of
+``standard_normal()``'s ziggurat.  A draw then reads one decoded entry per
+word, in stream order, so the values and the stream position are
+exactly numpy's.  Whatever the decode does not cover (the ziggurat's
+slow path, about 1.5% of normal draws, and every other distribution)
+is handed to the wrapped numpy ``Generator`` after moving it to the
+stream's logical position.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 
 import numpy as np
+
+from repro.sim import _ziggurat
 
 
 def derive_seed(root: int, *components: int | float | str | bool) -> int:
@@ -39,8 +57,288 @@ def derive_seed(root: int, *components: int | float | str | bool) -> int:
     return int.from_bytes(digest[:4], "little") & 0x7FFF_FFFF
 
 
+#: Most raw words a stream draws and decodes at once.  A block holds
+#: two arrays of doubles, 16 KB for 1,024 words; a stream's first
+#: block is :data:`_FIRST_BLOCK` words and each refill doubles it up
+#: to this bound, so a stream that draws a handful of values never
+#: decodes a full block.
+BLOCK_WORDS = 1024
+_FIRST_BLOCK = 64
+
+#: PCG64's 128-bit LCG: ``state' = state * _PCG64_MULT + inc``.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: numpy's ziggurat tables indexed by a word's low 9 bits: the layer
+#: ``idx`` and the sign bit.  The signed ``_WI`` entry gives the signed
+#: value (IEEE multiplication is sign-symmetric, so ``rabs * -w`` is
+#: exactly ``-(rabs * w)``, as numpy computes it).
+_WI = np.concatenate([_ziggurat.WI, np.negative(_ziggurat.WI)])
+_KI = np.array(_ziggurat.KI * 2, dtype=np.int64)
+_DOUBLE_53 = 1.0 / 9007199254740992.0
+_EMPTY = memoryview(np.empty(0))
+
+
+@functools.cache
+def _jumps() -> list[tuple[int, int]]:
+    """``(a, c)`` per word count k ≤ :data:`BLOCK_WORDS`: k LCG steps
+    take ``state`` to ``(a * state + c * inc) mod 2**128``."""
+    table = [(1, 0)]
+    for _ in range(BLOCK_WORDS):
+        a, c = table[-1]
+        table.append(((a * _PCG64_MULT) & _MASK128,
+                      (c * _PCG64_MULT + 1) & _MASK128))
+    return table
+
+
+def _decode(words: np.ndarray) -> tuple[memoryview, memoryview]:
+    """Each raw word as numpy's ``standard_normal()`` fast path would
+    return it (NaN where the ziggurat rejects it) and as ``random()``.
+
+    Memoryviews, not lists: indexing one makes the Python float a draw
+    returns, so a block holds 16 KB of doubles instead of 2,048 float
+    objects, and no float is built for an entry nothing reads.
+    """
+    low = (words & 0x1FF).view(np.int64)
+    rabs = words >> 9
+    rabs &= 0xF_FFFF_FFFF_FFFF
+    rabs = rabs.view(np.int64)
+    normals = rabs.astype(np.float64)
+    normals *= _WI.take(low)
+    normals[rabs >= _KI.take(low)] = np.nan
+    uniforms = (words >> 11).view(np.int64).astype(np.float64)
+    uniforms *= _DOUBLE_53
+    return memoryview(normals), memoryview(uniforms)
+
+
+class RngStream:
+    """One named stream: a numpy ``default_rng`` generator, drawn in blocks.
+
+    ``standard_normal()``, ``random()``, ``gamma(shape > 1, scale > 0)``
+    and the fused :meth:`jitter` read the decoded block; every other
+    method and argument form goes to the wrapped ``Generator``
+    (:meth:`_numpy`), as does ``bit_generator.state``.  Either way the
+    values, the order and the state dicts are numpy's own.  The class
+    wraps rather than subclasses ``Generator``: an inherited C method
+    would read the bit generator, which runs a block ahead of the
+    stream's logical position.
+
+    The logical position is word ``_i`` of the current block, whose
+    first word follows the LCG state ``_base``.  ``_synced`` is the
+    block index the real bit generator sits at, so moving it costs a
+    state set only when draws happened since it last moved.
+    """
+
+    __slots__ = (
+        "_gen", "_bitgen", "bit_generator", "_inc", "_base", "_has32",
+        "_u32", "_i", "_n", "_normals", "_uniforms", "_synced", "_size",
+        "_gamma", "fallbacks",
+    )
+
+    def __init__(self, generator: np.random.Generator):
+        self._gen = generator
+        self._bitgen = generator.bit_generator
+        self.bit_generator = _StreamState(self)
+        self._size = _FIRST_BLOCK
+        self._gamma = (None, 0.0, 0.0)
+        #: Draws handed to numpy's scalar path (slow paths included).
+        self.fallbacks = 0
+        self._adopt()
+
+    # -- served from the block -------------------------------------------
+    # The decoded views hold exactly the block's words, so an index
+    # past the end raises IndexError: the bounds check costs nothing
+    # until the block runs out.
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        """``Generator.random``."""
+        if size is None and out is None and dtype is np.float64:
+            i = self._i
+            try:
+                u = self._uniforms[i]
+            except IndexError:
+                self._refill()
+                i, u = 0, self._uniforms[0]
+            self._i = i + 1
+            return u
+        return self._numpy(self._gen.random, size, dtype, out)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        """``Generator.standard_normal``."""
+        if size is None and out is None and dtype is np.float64:
+            i = self._i
+            try:
+                x = self._normals[i]
+            except IndexError:
+                self._refill()
+                i, x = 0, self._normals[0]
+            if x == x:
+                self._i = i + 1
+                return x
+        return self._numpy(self._gen.standard_normal, size, dtype, out)
+
+    def jitter(self, latency: float, sigma: float, tail_p: float,
+               tail_scale: float) -> float:
+        """One access's jittered latency, clamped to at least 1 cycle.
+
+        ``latency + sigma * standard_normal()``, plus
+        ``exponential(tail_scale)`` when the following ``random()`` is
+        below *tail_p*: the draw sequence of
+        :meth:`~repro.mem.latency.NoiseModel.sample` in one call.
+        """
+        i = self._i
+        try:
+            x = self._normals[i]
+            u = self._uniforms[i + 1]
+        except IndexError:
+            x = math.nan
+        if x == x:
+            self._i = i + 2
+        else:
+            x = self.standard_normal()
+            u = self.random()
+        value = latency + sigma * x
+        if u < tail_p:
+            value += self._numpy(self._gen.exponential, tail_scale)
+        return value if value > 1.0 else 1.0
+
+    def gamma(self, shape, scale=1.0, size=None):
+        """``Generator.gamma``; for ``shape > 1`` numpy's Marsaglia–Tsang
+        loop runs here, in numpy's expression order."""
+        if (size is None and type(shape) is float and type(scale) is float
+                and shape > 1.0 and scale > 0.0):
+            cached, b, c = self._gamma
+            if cached != shape:
+                b = shape - 1.0 / 3.0
+                c = 1.0 / math.sqrt(9 * b)
+                self._gamma = (shape, b, c)
+            while True:
+                i = self._i
+                try:
+                    x = self._normals[i]
+                    u = self._uniforms[i + 1]
+                except IndexError:
+                    x = math.nan
+                if x == x:
+                    v = 1.0 + c * x
+                    if v <= 0.0:
+                        self._i = i + 1
+                        continue
+                    self._i = i + 2
+                else:
+                    x = self.standard_normal()
+                    v = 1.0 + c * x
+                    if v <= 0.0:
+                        continue
+                    u = self.random()
+                v = v * v * v
+                xx = x * x
+                if u < 1.0 - 0.0331 * xx * xx:
+                    return scale * (b * v)
+                # log(0) is -inf in C; math.log raises instead.
+                log_u = math.log(u) if u > 0.0 else -math.inf
+                if log_u < 0.5 * x * x + b * (1.0 - v + math.log(v)):
+                    return scale * (b * v)
+        return self._numpy(self._gen.gamma, shape, scale, size)
+
+    # -- everything else: numpy at the logical position ------------------
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        attr = getattr(self._gen, name)
+        return functools.partial(self._numpy, attr) if callable(attr) else attr
+
+    def _numpy(self, method, *args, **kwargs):
+        """Call a ``Generator`` *method* from the stream's logical
+        position, then step the cursor past the words it consumed."""
+        i = self._i
+        state = self._lcg(i)
+        bitgen = self._bitgen
+        if self._synced != i:
+            bitgen.state = self._state_dict(state)
+        self.fallbacks += 1
+        try:
+            return method(*args, **kwargs)
+        finally:
+            # Also after a raise: the cursor follows the bit generator.
+            after = bitgen.state
+            self._has32 = after["has_uint32"]
+            self._u32 = after["uinteger"]
+            target = after["state"]["state"]
+            inc, n = self._inc, self._n
+            while state != target and i < n:
+                state = (state * _PCG64_MULT + inc) & _MASK128
+                i += 1
+            if state == target:
+                self._i = self._synced = i
+            else:
+                # Consumed past the block: drop it; the next starts here.
+                self._base = target
+                self._i = self._n = self._synced = 0
+                self._normals = self._uniforms = _EMPTY
+
+    # -- block and state bookkeeping -------------------------------------
+
+    def _lcg(self, k: int) -> int:
+        """The LCG state after word *k* of the current block."""
+        a, c = _jumps()[k]
+        return (a * self._base + c * self._inc) & _MASK128
+
+    def _state_dict(self, state: int) -> dict:
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": self._inc},
+            "has_uint32": self._has32, "uinteger": self._u32,
+        }
+
+    def _refill(self) -> None:
+        """Draw and decode the block after the current one, which the
+        cursor has reached the end of."""
+        n = self._n
+        base = self._lcg(n)
+        if self._synced != n:
+            self._bitgen.state = self._state_dict(base)
+        size = self._size
+        self._normals, self._uniforms = _decode(self._bitgen.random_raw(size))
+        self._base, self._i, self._n, self._synced = base, 0, size, size
+        self._size = min(2 * size, BLOCK_WORDS)
+
+    def _adopt(self) -> None:
+        """Take the bit generator's own state as the logical position."""
+        state = self._bitgen.state
+        self._base = state["state"]["state"]
+        self._inc = state["state"]["inc"]
+        self._has32 = state["has_uint32"]
+        self._u32 = state["uinteger"]
+        self._i = self._n = self._synced = 0
+        self._normals = self._uniforms = _EMPTY
+
+
+class _StreamState:
+    """``RngStream.bit_generator``: numpy's PCG64 state dict at the
+    stream's logical position, for snapshots, restores and checkpoints."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: RngStream):
+        self._stream = stream
+
+    @property
+    def state(self) -> dict:
+        stream = self._stream
+        return stream._state_dict(stream._lcg(stream._i))
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        # numpy validates and normalises the dict.
+        stream = self._stream
+        stream._bitgen.state = value
+        stream._adopt()
+
+
 class RngStreams:
-    """A registry of named, independently-seeded numpy generators.
+    """A registry of named, independently-seeded :class:`RngStream` objects.
 
     Parameters
     ----------
@@ -54,17 +352,20 @@ class RngStreams:
         if not isinstance(seed, int):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self._seed = seed
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, RngStream] = {}
+        #: :attr:`fallbacks` of the registry a checkpoint restored this
+        #: one from, so a resumed run counts the whole run's draws.
+        self.carried_fallbacks = 0
 
     @property
     def seed(self) -> int:
         """The root seed this registry was created with."""
         return self._seed
 
-    def get(self, name: str) -> np.random.Generator:
-        """Return the generator for *name*, creating it on first use.
+    def get(self, name: str) -> RngStream:
+        """Return the stream for *name*, creating it on first use.
 
-        The same name always returns the same generator object, so
+        The same name always returns the same stream object, so
         consumers may call :meth:`get` eagerly or lazily with identical
         results.
         """
@@ -78,9 +379,15 @@ class RngStreams:
             seq = np.random.SeedSequence(
                 entropy=self._seed, spawn_key=(int(name_digest), len(name))
             )
-            stream = np.random.default_rng(seq)
+            stream = RngStream(np.random.default_rng(seq))
             self._streams[name] = stream
         return stream
+
+    @property
+    def fallbacks(self) -> int:
+        """Draws every stream so far handed to numpy's scalar path."""
+        return self.carried_fallbacks + sum(
+            stream.fallbacks for stream in self._streams.values())
 
     def snapshot(self) -> dict[str, dict]:
         """Capture the exact state of every stream created so far.

@@ -91,6 +91,35 @@ def test_counts():
     assert phys.frames_free == 3
 
 
+def test_allocation_order_is_ascending_fresh_then_lifo_reuse():
+    phys = PhysicalMemory(n_frames=6)
+    first = [phys.alloc().pfn for _ in range(4)]
+    assert first == [0, 1, 2, 3]
+    phys.put_ref(1)
+    phys.put_ref(3)
+    assert phys.frames_free == 4
+    again = [phys.alloc().pfn for _ in range(4)]
+    assert again == [3, 1, 4, 5]
+    assert phys.frames_free == 0
+    with pytest.raises(OutOfMemoryError):
+        phys.alloc()
+
+
+def test_pickle_holds_only_frames_in_circulation():
+    """A pool with 40 frames in use pickles to a few KB, not a list of
+    every free frame number."""
+    phys = PhysicalMemory(n_frames=16_384)
+    for _ in range(50):
+        phys.alloc()
+    for pfn in range(10):
+        phys.put_ref(pfn)
+    size = len(pickle.dumps(phys, protocol=pickle.HIGHEST_PROTOCOL))
+    assert size < 4_000
+    clone = pickle.loads(pickle.dumps(phys))
+    assert clone.frames_free == phys.frames_free == 16_384 - 40
+    assert clone.alloc().pfn == 9
+
+
 def test_invalid_config():
     with pytest.raises(ConfigError):
         PhysicalMemory(n_frames=0)
