@@ -47,8 +47,7 @@ from repro.errors import CheckpointError
 #: spy's per-poll samples from its result; v7 stores a resource as
 #: (times, total traffic) and rebuilds its sorted index on restore;
 #: v8 stores physical memory as a fresh-frame counter plus the frames
-#: returned to it, not a list of every free frame, and the RNG
-#: registry's fallback count.
+#: returned to it, not a list of every free frame.
 CHECKPOINT_VERSION = 8
 
 #: Magic prefix identifying an exported checkpoint blob on disk.
@@ -198,7 +197,6 @@ def capture(session, ctx: TransmitContext | None = None,
         "config": session.config,
         "machine": session.machine.snapshot_state(),
         "rng": session.rng.snapshot(),
-        "rng_fallbacks": session.rng.fallbacks,
         "clock": sim.global_clock,
         "kernel": {
             "phys": kernel.phys,
@@ -281,7 +279,6 @@ def restore(blob: bytes | Checkpoint):
     # burst, workload streams) bind to these same generator objects.
     rng = RngStreams(config.seed)
     rng.restore(state["rng"])
-    rng.carried_fallbacks = state["rng_fallbacks"]
 
     if config.reuse_machine:
         machine = _acquire_machine(config.machine, rng)

@@ -10,9 +10,8 @@ as the paper does, without a cycle-accurate context-switch model.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
+from repro.sim.rng import RngStream
 
 
 class Scheduler:
@@ -70,7 +69,7 @@ class Scheduler:
         return min(socket_cores, key=lambda c: (self.load(c), c))
 
     def timeshare(
-        self, tid: int, rng: np.random.Generator
+        self, tid: int, rng: RngStream
     ) -> tuple[float, float]:
         """Return (slowdown_factor, extra_penalty_cycles) for one op."""
         core = self._thread_core.get(tid)

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator
 
-import numpy as np
-
 from repro.checkpoint.spec import ProgramSpec, RngRef
 from repro.kernel.process import Process
 from repro.kernel.syscalls import Kernel
 from repro.mem.cacheline import LINE_SIZE
 from repro.mem.physical import PAGE_SIZE
+from repro.sim.rng import RngStream
 from repro.sim.thread import Cpu, SimThread
 
 #: Pages in each kernel-build worker's private working set; sized ~3x a
@@ -41,7 +40,7 @@ KERNEL_BUILD_MLP = 4.0
 def kernel_build_program(
     region_base: int,
     region_pages: int,
-    rng: np.random.Generator,
+    rng: RngStream,
     write_ratio: float = KERNEL_BUILD_WRITE_RATIO,
     think_time: tuple[float, float] = KERNEL_BUILD_THINK,
     mlp: float = KERNEL_BUILD_MLP,
@@ -149,7 +148,7 @@ def pointer_chase_program(
     process: Process,
     region_base: int,
     region_pages: int,
-    rng: np.random.Generator,
+    rng: RngStream,
 ) -> Callable[[Cpu], Generator]:
     """A latency-bound random walker (one dependent load at a time)."""
     n_lines = region_pages * PAGE_SIZE // LINE_SIZE

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.sim.events import AccessPath
+from repro.sim.rng import RngStream
 
 #: Clock frequency of the modeled Xeon X5650, used to convert cycles to
 #: seconds when reporting bandwidths the way the paper does.
@@ -90,16 +89,13 @@ class NoiseModel:
     tail_scale: float = 60.0
     enabled: bool = True
 
-    def sample(self, base: float, rng: np.random.Generator) -> float:
-        """Return *base* perturbed by jitter (never below 1 cycle)."""
+    def sample(self, base: float, rng: RngStream) -> float:
+        """Return *base* perturbed by jitter (never below 1 cycle): the
+        draw sequence of :meth:`RngStream.jitter`."""
         if not self.enabled:
-            return max(1.0, base)
-        # sigma * z is the value normal(0, sigma) returns for the same
-        # draw, at a cheaper call.
-        value = base + self.sigma * rng.standard_normal()
-        if rng.random() < self.tail_probability:
-            value += rng.exponential(self.tail_scale)
-        return max(1.0, value)
+            return base if base > 1.0 else 1.0
+        return rng.jitter(base, self.sigma, self.tail_probability,
+                          self.tail_scale)
 
 
 @dataclass
@@ -120,7 +116,7 @@ class ObfuscationPolicy:
         """Whether this core's timing is being obfuscated."""
         return core_id in self.suspicious_cores
 
-    def obfuscate(self, rng: np.random.Generator) -> float:
+    def obfuscate(self, rng: RngStream) -> float:
         """Draw an obfuscated latency."""
         return float(rng.uniform(self.lo, self.hi))
 

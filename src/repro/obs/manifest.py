@@ -59,15 +59,6 @@ class RunManifest:
     #: instance (``faulted``), a home-agent hop (``home-agent``) or a
     #: directory hook (``dir-trace``).
     calibration: str = ""
-    #: Draws the session's RNG streams handed to numpy's scalar path
-    #: (:meth:`RngStreams.fallbacks <repro.sim.rng.RngStreams.fallbacks>`)
-    #: rather than reading them from a decoded block: ziggurat slow
-    #: paths, exponential tails and every other distribution; a run
-    #: resumed from a checkpoint counts the draws before it too.  How
-    #: the draws were served, not what they were, so it is left out of
-    #: equality, and it is no stats counter (their names feed the
-    #: op-stream pins).
-    rng_fallbacks: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         """Plain-dict form (JSON-safe; inverse of :meth:`from_json`)."""
@@ -108,7 +99,6 @@ class RunManifest:
             resumed_from=store.resumed_from if store is not None else None,
             engine=session.sim.engine_path,
             calibration=session.bands.provenance,
-            rng_fallbacks=session.rng.fallbacks,
         )
 
 

@@ -11,12 +11,12 @@ Each stream is an :class:`RngStream`: numpy's ``default_rng`` draw for
 draw, with the scalar draws the simulator makes per memory access served
 from blocks.  A numpy scalar call costs about half a microsecond,
 nearly all of it call overhead, and the jitter of every simulated access
-makes two of them.  A stream instead takes up to :data:`BLOCK_WORDS`
-raw PCG64 words at once and decodes every word in numpy both ways
-numpy itself would: as a ``random()`` uniform and as the fast path of
-``standard_normal()``'s ziggurat.  A draw then reads one decoded entry per
-word, in stream order, so the values and the stream position are
-exactly numpy's.  Whatever the decode does not cover (the ziggurat's
+makes two of them.  A stream instead takes :data:`BLOCK_WORDS` raw
+PCG64 words at once, on its first draw and whenever it reads past
+them, and decodes every word in numpy both ways numpy itself would: as
+a ``random()`` uniform and as the fast path of ``standard_normal()``'s
+ziggurat.  A draw then reads one decoded entry per word, in stream
+order, so the values and the stream position are exactly numpy's.  Whatever the decode does not cover (the ziggurat's
 slow path, about 1.5% of normal draws, and every other distribution)
 is handed to the wrapped numpy ``Generator`` after moving it to the
 stream's logical position.
@@ -57,13 +57,9 @@ def derive_seed(root: int, *components: int | float | str | bool) -> int:
     return int.from_bytes(digest[:4], "little") & 0x7FFF_FFFF
 
 
-#: Most raw words a stream draws and decodes at once.  A block holds
-#: two arrays of doubles, 16 KB for 1,024 words; a stream's first
-#: block is :data:`_FIRST_BLOCK` words and each refill doubles it up
-#: to this bound, so a stream that draws a handful of values never
-#: decodes a full block.
+#: Raw words a stream draws and decodes at once.  A block holds two
+#: arrays of doubles, 16 KB for 1,024 words.
 BLOCK_WORDS = 1024
-_FIRST_BLOCK = 64
 
 #: PCG64's 128-bit LCG: ``state' = state * _PCG64_MULT + inc``.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -79,16 +75,22 @@ _DOUBLE_53 = 1.0 / 9007199254740992.0
 _EMPTY = memoryview(np.empty(0))
 
 
-@functools.cache
-def _jumps() -> list[tuple[int, int]]:
-    """``(a, c)`` per word count k ≤ :data:`BLOCK_WORDS`: k LCG steps
-    take ``state`` to ``(a * state + c * inc) mod 2**128``."""
+def _jumps(step: tuple[int, int], count: int) -> list[tuple[int, int]]:
+    """``(a, c)`` for 0 to *count* repeats of the jump *step*: a jump
+    ``(a, c)`` takes ``state`` to ``(a * state + c * inc) mod 2**128``."""
     table = [(1, 0)]
-    for _ in range(BLOCK_WORDS):
+    for _ in range(count):
         a, c = table[-1]
-        table.append(((a * _PCG64_MULT) & _MASK128,
-                      (c * _PCG64_MULT + 1) & _MASK128))
+        table.append(((a * step[0]) & _MASK128,
+                      (c * step[0] + step[1]) & _MASK128))
     return table
+
+
+#: Jumps of k and of 32 * k LCG steps, which together reach every
+#: word of a block: two tables of 33 entries, not one of 1,025 (136 KB
+#: of 128-bit ints).
+_JUMPS = _jumps((_PCG64_MULT, 1), 32)
+_JUMPS_32 = _jumps(_JUMPS[32], BLOCK_WORDS // 32)
 
 
 def _decode(words: np.ndarray) -> tuple[memoryview, memoryview]:
@@ -131,15 +133,14 @@ class RngStream:
 
     __slots__ = (
         "_gen", "_bitgen", "bit_generator", "_inc", "_base", "_has32",
-        "_u32", "_i", "_n", "_normals", "_uniforms", "_synced", "_size",
-        "_gamma", "fallbacks",
+        "_u32", "_i", "_n", "_normals", "_uniforms", "_synced", "_gamma",
+        "fallbacks",
     )
 
     def __init__(self, generator: np.random.Generator):
         self._gen = generator
         self._bitgen = generator.bit_generator
         self.bit_generator = _StreamState(self)
-        self._size = _FIRST_BLOCK
         self._gamma = (None, 0.0, 0.0)
         #: Draws handed to numpy's scalar path (slow paths included).
         self.fallbacks = 0
@@ -183,8 +184,10 @@ class RngStream:
 
         ``latency + sigma * standard_normal()``, plus
         ``exponential(tail_scale)`` when the following ``random()`` is
-        below *tail_p*: the draw sequence of
-        :meth:`~repro.mem.latency.NoiseModel.sample` in one call.
+        below *tail_p*, in one call.  This is the one copy of the jitter
+        draw sequence: :meth:`~repro.mem.latency.NoiseModel.sample`,
+        ``Machine._jitter``, the worker driver's inline L1 hit and
+        calibration's replay all call it.
         """
         i = self._i
         try:
@@ -282,8 +285,11 @@ class RngStream:
 
     def _lcg(self, k: int) -> int:
         """The LCG state after word *k* of the current block."""
-        a, c = _jumps()[k]
-        return (a * self._base + c * self._inc) & _MASK128
+        inc = self._inc
+        a, c = _JUMPS[k & 31]
+        state = (a * self._base + c * inc) & _MASK128
+        a, c = _JUMPS_32[k >> 5]
+        return (a * state + c * inc) & _MASK128
 
     def _state_dict(self, state: int) -> dict:
         return {
@@ -299,10 +305,10 @@ class RngStream:
         base = self._lcg(n)
         if self._synced != n:
             self._bitgen.state = self._state_dict(base)
-        size = self._size
-        self._normals, self._uniforms = _decode(self._bitgen.random_raw(size))
-        self._base, self._i, self._n, self._synced = base, 0, size, size
-        self._size = min(2 * size, BLOCK_WORDS)
+        self._normals, self._uniforms = _decode(
+            self._bitgen.random_raw(BLOCK_WORDS))
+        self._base, self._i = base, 0
+        self._n = self._synced = BLOCK_WORDS
 
     def _adopt(self) -> None:
         """Take the bit generator's own state as the logical position."""
@@ -353,9 +359,6 @@ class RngStreams:
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self._seed = seed
         self._streams: dict[str, RngStream] = {}
-        #: :attr:`fallbacks` of the registry a checkpoint restored this
-        #: one from, so a resumed run counts the whole run's draws.
-        self.carried_fallbacks = 0
 
     @property
     def seed(self) -> int:
@@ -382,12 +385,6 @@ class RngStreams:
             stream = RngStream(np.random.default_rng(seq))
             self._streams[name] = stream
         return stream
-
-    @property
-    def fallbacks(self) -> int:
-        """Draws every stream so far handed to numpy's scalar path."""
-        return self.carried_fallbacks + sum(
-            stream.fallbacks for stream in self._streams.values())
 
     def snapshot(self) -> dict[str, dict]:
         """Capture the exact state of every stream created so far.

@@ -15,6 +15,7 @@ from repro.mem.latency import (
     kbps,
 )
 from repro.sim.events import AccessPath
+from repro.sim.rng import RngStream
 
 
 def test_default_profile_matches_paper_reference_points():
@@ -50,19 +51,19 @@ def test_for_path_rejects_uncached():
 
 def test_noise_disabled_returns_base():
     model = NoiseModel(enabled=False)
-    rng = np.random.default_rng(0)
+    rng = RngStream(np.random.default_rng(0))
     assert model.sample(100.0, rng) == 100.0
 
 
 def test_noise_never_below_one_cycle():
     model = NoiseModel(sigma=1000.0)
-    rng = np.random.default_rng(0)
+    rng = RngStream(np.random.default_rng(0))
     assert all(model.sample(2.0, rng) >= 1.0 for _ in range(100))
 
 
 def test_noise_centered_on_base():
     model = NoiseModel(sigma=2.5, tail_probability=0.0)
-    rng = np.random.default_rng(0)
+    rng = RngStream(np.random.default_rng(0))
     samples = [model.sample(100.0, rng) for _ in range(2000)]
     assert abs(np.mean(samples) - 100.0) < 0.5
     assert 1.5 < np.std(samples) < 3.5
@@ -70,9 +71,21 @@ def test_noise_centered_on_base():
 
 def test_noise_tail_creates_outliers():
     model = NoiseModel(sigma=0.1, tail_probability=0.5, tail_scale=100.0)
-    rng = np.random.default_rng(0)
+    rng = RngStream(np.random.default_rng(0))
     samples = [model.sample(100.0, rng) for _ in range(500)]
     assert max(samples) > 150.0
+
+
+def test_noise_sample_is_numpy_draw_sequence():
+    model = NoiseModel(sigma=2.5, tail_probability=0.3, tail_scale=60.0)
+    rng = RngStream(np.random.default_rng(5))
+    gen = np.random.default_rng(5)
+    for _ in range(500):
+        value = 100.0 + 2.5 * gen.standard_normal()
+        if gen.random() < 0.3:
+            value += gen.exponential(60.0)
+        assert model.sample(100.0, rng) == max(1.0, value)
+    assert rng.bit_generator.state == gen.bit_generator.state
 
 
 def test_obfuscation_policy_scope():
@@ -83,7 +96,7 @@ def test_obfuscation_policy_scope():
 
 def test_obfuscation_range():
     policy = ObfuscationPolicy(suspicious_cores={0}, lo=90.0, hi=250.0)
-    rng = np.random.default_rng(1)
+    rng = RngStream(np.random.default_rng(1))
     draws = [policy.obfuscate(rng) for _ in range(200)]
     assert min(draws) >= 90.0
     assert max(draws) <= 250.0
