@@ -3,7 +3,8 @@
 Every simulated access draws its latency jitter (a standard normal, a
 uniform and, rarely, an exponential), and every queued coherence
 transaction a ``gamma(2, s)`` delay.  :class:`~repro.sim.rng.RngStream`
-serves both from blocks of decoded PCG64 words; numpy's ``Generator``
+serves these, and ``exponential`` and ``uniform`` on their own, from
+blocks of PCG64 words, slow paths included; numpy's ``Generator``
 serves each draw with its own C call.  Each benchmark times 20,000
 draws from a freshly seeded source, one side per parameter, and then
 asserts that both sides drew exactly the same values.  Nothing here
@@ -49,6 +50,21 @@ def _gamma(source) -> list[float]:
     return [gamma(2.0, 7.5) for _ in range(DRAWS)]
 
 
+def _normal(source) -> list[float]:
+    normal = source.standard_normal
+    return [normal() for _ in range(DRAWS)]
+
+
+def _exponential(source) -> list[float]:
+    exponential = source.exponential
+    return [exponential(25.0) for _ in range(DRAWS)]
+
+
+def _uniform(source) -> list[float]:
+    uniform = source.uniform
+    return [uniform(0.5, 2.0) for _ in range(DRAWS)]
+
+
 SOURCES = {
     "stream": lambda: RngStream(np.random.default_rng(SEED)),
     "numpy": lambda: np.random.default_rng(SEED),
@@ -72,3 +88,11 @@ def test_jitter_draw(benchmark, side):
 def test_gamma_draw(benchmark, side):
     values = _timed(benchmark, _gamma, side)
     assert values == _gamma(SOURCES["numpy"]()) == _gamma(SOURCES["stream"]())
+
+
+@pytest.mark.parametrize("draw", [_normal, _exponential, _uniform],
+                         ids=["standard_normal", "exponential", "uniform"])
+@pytest.mark.parametrize("side", sorted(SOURCES))
+def test_scalar_draw(benchmark, side, draw):
+    values = _timed(benchmark, draw, side)
+    assert values == draw(SOURCES["numpy"]()) == draw(SOURCES["stream"]())

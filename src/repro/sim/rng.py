@@ -16,10 +16,14 @@ PCG64 words at once, on its first draw and whenever it reads past
 them, and decodes every word in numpy both ways numpy itself would: as
 a ``random()`` uniform and as the fast path of ``standard_normal()``'s
 ziggurat.  A draw then reads one decoded entry per word, in stream
-order, so the values and the stream position are exactly numpy's.  Whatever the decode does not cover (the ziggurat's
-slow path, about 1.5% of normal draws, and every other distribution)
-is handed to the wrapped numpy ``Generator`` after moving it to the
-stream's logical position.
+order, so the values and the stream position are exactly numpy's.
+The rarer branches of numpy's C algorithms (the normal ziggurat's
+wedges and tail, about 1.5% of normal draws, and ``exponential``'s
+ziggurat) run per word on the block's raw words, with numpy's tables
+(:mod:`repro.sim._ziggurat`), expression order and libm.  Only a draw
+that would read past the block's end, an argument form the block does
+not serve, and the other distributions are handed to the wrapped numpy
+``Generator`` after moving it to the stream's logical position.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -57,8 +62,8 @@ def derive_seed(root: int, *components: int | float | str | bool) -> int:
     return int.from_bytes(digest[:4], "little") & 0x7FFF_FFFF
 
 
-#: Raw words a stream draws and decodes at once.  A block holds two
-#: arrays of doubles, 16 KB for 1,024 words.
+#: Raw words a stream draws and decodes at once.  A block holds the
+#: words and two arrays of doubles, 24 KB for 1,024 words.
 BLOCK_WORDS = 1024
 
 #: PCG64's 128-bit LCG: ``state' = state * _PCG64_MULT + inc``.
@@ -71,7 +76,14 @@ _MASK128 = (1 << 128) - 1
 #: exactly ``-(rabs * w)``, as numpy computes it).
 _WI = np.concatenate([_ziggurat.WI, np.negative(_ziggurat.WI)])
 _KI = np.array(_ziggurat.KI * 2, dtype=np.int64)
+#: The tables the per-word slow paths index, as tuples of Python numbers.
+_WI_ABS, _FI = _ziggurat.WI, _ziggurat.FI
+_WE, _KE, _FE = _ziggurat.WE, _ziggurat.KE, _ziggurat.FE
+_NOR_R, _NOR_INV_R, _EXP_R = (
+    _ziggurat.NOR_R, _ziggurat.NOR_INV_R, _ziggurat.EXP_R)
+_REAL = (float, int)
 _DOUBLE_53 = 1.0 / 9007199254740992.0
+_FLOAT_MAX = sys.float_info.max
 _EMPTY = memoryview(np.empty(0))
 
 
@@ -93,13 +105,15 @@ _JUMPS = _jumps((_PCG64_MULT, 1), 32)
 _JUMPS_32 = _jumps(_JUMPS[32], BLOCK_WORDS // 32)
 
 
-def _decode(words: np.ndarray) -> tuple[memoryview, memoryview]:
+def _decode(words: np.ndarray) -> tuple[memoryview, memoryview, memoryview]:
     """Each raw word as numpy's ``standard_normal()`` fast path would
-    return it (NaN where the ziggurat rejects it) and as ``random()``.
+    return it (NaN where the ziggurat rejects it), as ``random()``, and
+    as itself for the draws that decode one word at a time.
 
-    Memoryviews, not lists: indexing one makes the Python float a draw
-    returns, so a block holds 16 KB of doubles instead of 2,048 float
-    objects, and no float is built for an entry nothing reads.
+    Memoryviews, not lists: indexing one makes the Python float (or
+    int) a draw reads, so a block holds 24 KB of machine words instead
+    of 3,072 Python objects, and no object is built for an entry
+    nothing reads.
     """
     low = (words & 0x1FF).view(np.int64)
     rabs = words >> 9
@@ -110,17 +124,20 @@ def _decode(words: np.ndarray) -> tuple[memoryview, memoryview]:
     normals[rabs >= _KI.take(low)] = np.nan
     uniforms = (words >> 11).view(np.int64).astype(np.float64)
     uniforms *= _DOUBLE_53
-    return memoryview(normals), memoryview(uniforms)
+    return memoryview(normals), memoryview(uniforms), memoryview(words)
 
 
 class RngStream:
     """One named stream: a numpy ``default_rng`` generator, drawn in blocks.
 
-    ``standard_normal()``, ``random()``, ``gamma(shape > 1, scale > 0)``
-    and the fused :meth:`jitter` read the decoded block; every other
-    method and argument form goes to the wrapped ``Generator``
-    (:meth:`_numpy`), as does ``bit_generator.state``.  Either way the
-    values, the order and the state dicts are numpy's own.  The class
+    The scalar ``standard_normal()``, ``random()``,
+    ``exponential(scale > 0)``, ``uniform(low <= high)`` over a finite
+    range, ``gamma(shape > 1, scale > 0)`` and the fused :meth:`jitter`
+    read the block, slow paths included.  A draw that would read past
+    the block's end, every other method and argument form, and
+    ``bit_generator.state`` go to the wrapped ``Generator``
+    (:meth:`_numpy`).  Either way the values, the order and the state
+    dicts are numpy's own.  The class
     wraps rather than subclasses ``Generator``: an inherited C method
     would read the bit generator, which runs a block ahead of the
     stream's logical position.
@@ -133,8 +150,8 @@ class RngStream:
 
     __slots__ = (
         "_gen", "_bitgen", "bit_generator", "_inc", "_base", "_has32",
-        "_u32", "_i", "_n", "_normals", "_uniforms", "_synced", "_gamma",
-        "fallbacks",
+        "_u32", "_i", "_n", "_normals", "_uniforms", "_raw", "_synced",
+        "_gamma", "fallbacks", "refills",
     )
 
     def __init__(self, generator: np.random.Generator):
@@ -142,8 +159,10 @@ class RngStream:
         self._bitgen = generator.bit_generator
         self.bit_generator = _StreamState(self)
         self._gamma = (None, 0.0, 0.0)
-        #: Draws handed to numpy's scalar path (slow paths included).
+        #: Draws handed to the wrapped ``Generator``.
         self.fallbacks = 0
+        #: Blocks drawn.
+        self.refills = 0
         self._adopt()
 
     # -- served from the block -------------------------------------------
@@ -176,7 +195,90 @@ class RngStream:
             if x == x:
                 self._i = i + 1
                 return x
+            return self._normal_slow(i)
         return self._numpy(self._gen.standard_normal, size, dtype, out)
+
+    def _normal_slow(self, i: int) -> float:
+        """``standard_normal()`` from word *i*, which the ziggurat's fast
+        path rejects: numpy's wedge test, or its tail sampler on layer
+        0, then the next word if the wedge rejects too."""
+        raw, normals, uniforms = self._raw, self._normals, self._uniforms
+        try:
+            while True:
+                w = raw[i]
+                idx = w & 0xFF
+                rabs = (w >> 9) & 0xF_FFFF_FFFF_FFFF
+                if idx == 0:
+                    while True:
+                        xx = -_NOR_INV_R * math.log1p(-uniforms[i + 1])
+                        yy = -math.log1p(-uniforms[i + 2])
+                        i += 2
+                        if yy + yy > xx * xx:
+                            self._i = i + 1
+                            x = _NOR_R + xx
+                            return -x if (rabs >> 8) & 1 else x
+                x = rabs * _WI_ABS[idx]
+                if w & 0x100:
+                    x = -x
+                f = _FI[idx]
+                if (_FI[idx - 1] - f) * uniforms[i + 1] + f < math.exp(
+                        -0.5 * x * x):
+                    self._i = i + 2
+                    return x
+                i += 2
+                x = normals[i]
+                if x == x:
+                    self._i = i + 1
+                    return x
+        except IndexError:
+            return self._numpy(self._gen.standard_normal)
+
+    def exponential(self, scale=1.0, size=None):
+        """``Generator.exponential``: numpy's exponential ziggurat on the
+        block's raw words, ``scale`` applied last."""
+        if size is None and type(scale) is float and scale > 0.0:
+            i = self._i
+            raw = self._raw
+            try:
+                w = raw[i]
+            except IndexError:
+                self._refill()
+                i, raw = 0, self._raw
+                w = raw[0]
+            try:
+                while True:
+                    ri = w >> 11
+                    idx = (w >> 3) & 0xFF
+                    x = ri * _WE[idx]
+                    if ri < _KE[idx]:
+                        self._i = i + 1
+                        return scale * x
+                    if idx == 0:
+                        x = _EXP_R - math.log1p(-self._uniforms[i + 1])
+                        self._i = i + 2
+                        return scale * x
+                    f = _FE[idx]
+                    if (_FE[idx - 1] - f) * self._uniforms[i + 1] + f < (
+                            math.exp(-x)):
+                        self._i = i + 2
+                        return scale * x
+                    i += 2
+                    w = raw[i]
+            except IndexError:
+                pass
+        return self._numpy(self._gen.exponential, scale, size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """``Generator.uniform``: ``low + (high - low) * random()``."""
+        if (size is None and type(low) in _REAL and type(high) in _REAL
+                and abs(low) <= _FLOAT_MAX and abs(high) <= _FLOAT_MAX):
+            start = float(low)
+            span = float(high) - start
+            # numpy raises OverflowError on an infinite range and
+            # ValueError on a negative one, -0.0 included.
+            if math.isfinite(span) and math.copysign(1.0, span) > 0.0:
+                return start + span * self.random()
+        return self._numpy(self._gen.uniform, low, high, size)
 
     def jitter(self, latency: float, sigma: float, tail_p: float,
                tail_scale: float) -> float:
@@ -202,7 +304,7 @@ class RngStream:
             u = self.random()
         value = latency + sigma * x
         if u < tail_p:
-            value += self._numpy(self._gen.exponential, tail_scale)
+            value += self.exponential(tail_scale)
         return value if value > 1.0 else 1.0
 
     def gamma(self, shape, scale=1.0, size=None):
@@ -279,7 +381,7 @@ class RngStream:
                 # Consumed past the block: drop it; the next starts here.
                 self._base = target
                 self._i = self._n = self._synced = 0
-                self._normals = self._uniforms = _EMPTY
+                self._normals = self._uniforms = self._raw = _EMPTY
 
     # -- block and state bookkeeping -------------------------------------
 
@@ -305,8 +407,9 @@ class RngStream:
         base = self._lcg(n)
         if self._synced != n:
             self._bitgen.state = self._state_dict(base)
-        self._normals, self._uniforms = _decode(
+        self._normals, self._uniforms, self._raw = _decode(
             self._bitgen.random_raw(BLOCK_WORDS))
+        self.refills += 1
         self._base, self._i = base, 0
         self._n = self._synced = BLOCK_WORDS
 
@@ -318,7 +421,7 @@ class RngStream:
         self._has32 = state["has_uint32"]
         self._u32 = state["uinteger"]
         self._i = self._n = self._synced = 0
-        self._normals = self._uniforms = _EMPTY
+        self._normals = self._uniforms = self._raw = _EMPTY
 
 
 class _StreamState:
