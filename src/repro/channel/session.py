@@ -295,10 +295,16 @@ class SessionBase:
         resolves true calls it at construction, before calibration, so
         its trace holds every phase.  Called on a built session, the
         trace starts at the next op: calibration has already run (from
-        the memo where usable).  Threads spawned from then on hoist the
-        tap's wrappers at spawn, and noise workers already spawned read
+        the memo where usable).
+
+        Call it before a cohort spawns, as ``__init__``, ``arena`` and
+        ``detection_roc`` do: a channel driver reads the machine's
+        ``load``/``store``/``flush`` bindings once, at spawn, and
+        :meth:`MachineTap.attach` is the only ``src/`` code that
+        installs such bindings.  Noise workers already spawned read
         them at their next burst (``Kernel._do_burst`` looks the
-        bindings up per burst).
+        bindings up per burst), and an obfuscation policy is read live
+        inside ``machine.load``.
         """
         if self.recorder is None:
             self.recorder = TraceRecorder()

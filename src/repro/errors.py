@@ -146,10 +146,6 @@ class SyncTimeoutError(ChannelError):
     """Trojan/spy synchronization did not complete within its deadline."""
 
 
-class DecodeError(ChannelError):
-    """The spy-side decoder could not interpret the received samples."""
-
-
 class CalibrationError(ChannelError):
     """Latency-band calibration produced unusable (overlapping) bands."""
 

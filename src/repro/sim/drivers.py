@@ -24,21 +24,20 @@ the ``==`` case the same way), the global interleaving of machine
 mutations, RNG draws, event counts and clock updates is **bit-identical**
 to the generator path — ``tests/test_engine_paths.py`` pins this.
 
-Traced sessions run driven too: the session attaches its
-:class:`~repro.obs.MachineTap` before any spawn, so the drivers hoist
-the tap's ``load``/``flush`` wrappers (:func:`hoisted_bindings`) and
-issue every access through them, in the generator path's global order —
-the recorded event stream is byte-identical.  The worker's inline
-L1-hit path stands aside when ``machine.load`` is interposed.  A binding
-that changes between runs is re-hoisted at the next run entry
-(:meth:`Simulator.run`), so live drivers issue through it from then
-on.  Only channel drivers parked mid-program by a cut-short run hold
-hoisted bindings across runs, and the product changes no binding
-there; tests do (a second tap, a wrapper on top of the tap).  The
-kernel-build noise driver hoists nothing: ``Kernel._do_burst`` reads
-``machine.load``/``store`` once per burst, so a tap attached to a
-built noisy session (``SessionBase.start_trace``) records the workers
-from their next burst on, re-hoist or not.
+A driver reads the machine's ``load``/``store``/``flush`` bindings once,
+when its thread spawns, and issues through them for the thread's life.
+:meth:`repro.obs.MachineTap.attach` is the only ``src/`` code that
+installs such bindings, and every caller attaches the tap before a
+cohort spawns: :class:`~repro.channel.session.SessionBase` at
+construction, ``start_trace()`` on a built session (``arena``,
+``detection_roc``) and ``arena.run_benign``.  So traced sessions run
+driven, and every access goes through the tap in the generator path's
+global order — the recorded event stream is byte-identical.  The
+worker's inline L1-hit path stands aside when ``machine.load`` is
+interposed.  The kernel-build noise driver holds no binding:
+``Kernel._do_burst`` reads ``machine.load``/``store`` once per burst, so
+a tap attached to a built noisy session (``SessionBase.start_trace``)
+records the workers from their next burst on.
 
 Everything else the drivers meet is read live: scheduler assignments
 (forced preemption) at every advance, translations (KSM merges and
@@ -48,10 +47,9 @@ serves.  A driver's position is also the only form a checkpoint knows:
 the handful of plain fields each class lists in ``POSITION``, which
 :func:`repro.checkpoint.core.capture` stores and ``restore`` applies to
 a fresh driver built from the thread's spec.  Nothing else of a driver
-is pickled: its ``sim``/``thread``/``kernel`` links and the hoisted
-bindings (whose ``pair_actions`` cache is keyed by ``id()``) are
-rebuilt by :meth:`hoist` at spawn, and a noise worker's RNG stream is
-looked up again by name.
+is pickled: its ``sim``/``thread``/``kernel`` links and the bindings
+(whose ``pair_actions`` cache is keyed by ``id()``) are rebuilt at
+spawn, and a noise worker's RNG stream is looked up again by name.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ _DONE = ThreadState.DONE
 _FAILED = ThreadState.FAILED
 _INF = float("inf")
 
-__all__ = ["DRIVERS", "driver_for", "hoisted_bindings"]
+__all__ = ["DRIVERS", "driver_for"]
 
 
 class _Ineligible(Exception):
@@ -173,16 +171,7 @@ class _WorkerDriver:
         #: next), 2 = after the load (backoff/spin decision next).
         self.state = 0
         self.load_latency = 0.0
-        self.hoist()
-
-    def hoist(self) -> None:
-        """Freeze what :meth:`advance` reads from the machine and kernel.
-
-        Called at spawn and again by :meth:`Simulator.run` when the
-        machine's ``load``/``store``/``flush`` bindings changed.
-        """
-        thread = self.thread
-        kernel = self.kernel
+        # Freeze what advance() reads from the machine and kernel.
         params = self.params
         machine = kernel.machine
         l1 = machine.cores[thread.core_id].l1
@@ -421,16 +410,9 @@ class _SpyDriver:
         self.load_latency = 0.0
         self.load_timestamp = 0.0
         self.load_path: Any = None
-        self.hoist()
-
-    def hoist(self) -> None:
-        """Freeze what :meth:`advance` reads (see :meth:`_WorkerDriver.hoist`).
-
-        The probed block's translation stays per-access: in KSM mode the
-        shared page can be remapped by a merge or unmerge mid-run.
-        """
-        thread = self.thread
-        kernel = self.kernel
+        # Freeze what advance() reads.  The probed block's translation
+        # stays per-access: in KSM mode the shared page can be remapped
+        # by a merge or unmerge mid-run.
         params = self.params
         machine = kernel.machine
         _, _, sample_cls = _channel_consts()
@@ -690,10 +672,6 @@ class _ControllerDriver:
         self.index = 0
         self.pending_bit: int | None = None
 
-    def hoist(self) -> None:
-        """Nothing to freeze: :meth:`advance` reads ``machine.flush``
-        afresh each time."""
-
     def advance(self, bound: float, rt: _Runtime) -> None:
         thread = self.thread
         kernel = self.kernel
@@ -835,9 +813,6 @@ class _NoiseDriver:
             w.KERNEL_BUILD_MLP,
         )
 
-    def hoist(self) -> None:
-        """Nothing to freeze: the burst reads the machine per access."""
-
     def advance(self, bound: float, rt: _Runtime) -> None:
         thread = self.thread
         kernel = self.kernel
@@ -925,16 +900,4 @@ def driver_for(sim: "Simulator", thread: SimThread, executor: Any,
         return factory(sim, thread, kernel, spec)
     except _Ineligible:
         return None
-
-
-def hoisted_bindings(machine: Any) -> tuple:
-    """The ``load``/``store``/``flush`` instance bindings of *machine*.
-
-    ``None`` where the class method stands.  A driver spawned now hoists
-    these (a trace tap attached before the spawn is simply driven
-    through), and :meth:`Simulator.run` re-hoists on any change; the
-    kernel's store path reads ``machine.store`` per op.
-    """
-    instance = machine.__dict__
-    return (instance.get("load"), instance.get("store"), instance.get("flush"))
 

@@ -30,7 +30,7 @@ from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import DeadlockError, SimulationError, ThreadProgramError
-from repro.sim.drivers import _Runtime, driver_for, hoisted_bindings
+from repro.sim.drivers import _Runtime, driver_for
 from repro.sim.events import Op
 from repro.sim.stats import StatsRegistry
 from repro.sim.thread import Cpu, Executor, SimThread, ThreadState
@@ -63,11 +63,8 @@ class Simulator:
         self._live_count = 0
         self._by_name: dict[str, SimThread] = {}
         self._events_counter = self.stats.counter_handle("engine.events")
-        #: Machine of the first driven thread, and the ``load``/``store``/
-        #: ``flush`` bindings the live drivers hoisted: run entry
-        #: re-hoists on any other.  ``None`` until a driver is attached.
-        self._driver_machine: Any = None
-        self._driver_bindings: tuple = ()
+        #: Whether any thread was ever spawned with a driver.
+        self._driven = False
         self._rt = _Runtime()
 
     def spawn(
@@ -100,8 +97,8 @@ class Simulator:
             Cycle at which the thread becomes runnable; defaults to the
             current global clock.
         daemon:
-            Daemon threads do not keep :meth:`run` alive; they are killed
-            once every non-daemon thread has finished.
+            Daemon threads do not keep :meth:`run` alive; they stay
+            parked when it returns, for the next run on this simulator.
         process:
             Optional owning process object (used by the kernel layer).
         spec:
@@ -138,9 +135,7 @@ class Simulator:
         driver = driver_for(self, thread, executor, spec)
         if driver is not None:
             thread.driver = driver
-            if self._driver_machine is None:
-                self._driver_machine = driver.kernel.machine
-                self._driver_bindings = hoisted_bindings(self._driver_machine)
+            self._driven = True
         return thread
 
     @property
@@ -150,7 +145,7 @@ class Simulator:
         ``"driven"`` once a driver was attached, ``"generator"`` when no
         thread ever had one.
         """
-        return "driven" if self._driver_machine is not None else "generator"
+        return "driven" if self._driven else "generator"
 
     def _thread_exited(self, thread: SimThread) -> None:
         """Exit hook fired exactly once per thread (done/killed/failed)."""
@@ -164,8 +159,6 @@ class Simulator:
         self,
         max_cycles: float | None = None,
         max_events: int | None = 50_000_000,
-        stop_when: Callable[["Simulator"], bool] | None = None,
-        kill_daemons: bool = False,
         pause_at: float | None = None,
     ) -> bool:
         """Run until every non-daemon thread finishes.
@@ -180,13 +173,6 @@ class Simulator:
             passes this value — a guard against runaway programs.
         max_events:
             Abort after this many executed ops.
-        stop_when:
-            Optional predicate checked after every event; return True to
-            stop early (e.g. when a decoder has seen enough samples).
-        kill_daemons:
-            Kill surviving daemon threads on return.  Leave False when
-            daemons (noise workloads, the KSM scanner) must persist
-            across multiple :meth:`run` calls on the same simulator.
         pause_at:
             Pause (without error) once the global clock reaches this
             cycle: every thread is parked between ops, which is the
@@ -197,22 +183,8 @@ class Simulator:
         A driven thread popping off the heap takes an *inline run*: its
         driver keeps executing ops while each completion stays strictly
         below both the next heap entry's clock and ``pause_at``, and the
-        pause is checked after the run.  Under ``stop_when`` every
-        advance executes exactly one op instead, so the predicate sees
-        every event as on the generator path.
-
-        A ``load``/``store``/``flush`` binding attached since the drivers
-        hoisted theirs (a second tap or a wrapper attached while channel
-        threads are parked mid-program) is re-hoisted here, so live
-        drivers issue through it from the first event on.
+        pause is checked after the run.
         """
-        if self._driver_machine is not None:
-            bindings = hoisted_bindings(self._driver_machine)
-            if bindings != self._driver_bindings:
-                self._driver_bindings = bindings
-                for thread in self.threads:
-                    if thread.driver is not None:
-                        thread.driver.hoist()
         events = 0
         paused = False
         # Hoisted hot-loop state: bound methods, the heap list and the
@@ -231,7 +203,6 @@ class Simulator:
         event_limit = float("inf") if max_events is None else max_events
         cycle_limit = float("inf") if max_cycles is None else max_cycles
         pause_limit = float("inf") if pause_at is None else pause_at
-        stepwise = stop_when is not None
         rt = self._rt
         rt.event_limit = event_limit
         rt.cycle_limit = cycle_limit
@@ -255,13 +226,10 @@ class Simulator:
                     # The driver checks the event and cycle limits
                     # itself.  An advance that ends the thread executed
                     # no op at or past its bound, so like a StopIteration
-                    # below it skips the pause and stop checks.
-                    if stepwise:
-                        bound = -_INF
-                    else:
-                        bound = heap[0][0] if heap else _INF
-                        if pause_limit < bound:
-                            bound = pause_limit
+                    # below it skips the pause check.
+                    bound = heap[0][0] if heap else _INF
+                    if pause_limit < bound:
+                        bound = pause_limit
                     rt.events = events
                     rt.global_clock = global_clock
                     try:
@@ -277,8 +245,6 @@ class Simulator:
                     heappush(heap, (thread.clock, seq_next(), thread))
                     if global_clock >= pause_limit:
                         paused = True
-                        break
-                    if stepwise and stop_when(self):
                         break
                     continue
                 # -- advance the program to its next op ----------------
@@ -328,8 +294,6 @@ class Simulator:
                 if global_clock >= pause_limit:
                     paused = True
                     break
-                if stop_when is not None and stop_when(self):
-                    break
             else:
                 if self._live_count > 0:
                     raise DeadlockError(
@@ -337,15 +301,7 @@ class Simulator:
                     )
         finally:
             self._events_counter.value += events
-        if kill_daemons:
-            self.kill_daemons()
         return paused
-
-    def kill_daemons(self) -> None:
-        """Kill every surviving daemon thread (final cleanup)."""
-        for thread in self.threads:
-            if thread.daemon and not thread.done:
-                thread.kill()
 
     def live_run_order(self) -> list[SimThread]:
         """Live threads in the order the event loop would pop them next.

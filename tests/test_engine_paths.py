@@ -12,12 +12,13 @@ path; these tests pin fixed cases on the driver path alone:
   noisy ``matrix_cold`` point shape transmit identically on both paths
   (result pickles equal once ``manifest.engine`` is normalised);
 * the multi-bit symbol channel and every driver class actually run;
-* a run cut short and resumed under ``stop_when``/``pause_at`` carries
-  on from where the drivers parked, as the generators do, and a
+* a run cut short and resumed by ``run()`` or ``pause_at`` carries on
+  from where the drivers parked, as the generators do, and a
   ``pause_at`` run still advances the drivers inline;
-* traced, faulted, obfuscated, late-interposed, resynced and segmented
-  sessions run driven and identically — a binding attached after a
-  cut-short run is re-hoisted, under the inline L1 path too;
+* traced, faulted, obfuscated, interposed, resynced and segmented
+  sessions run driven and identically — a binding attached before the
+  cohort spawns is read at spawn, under the inline L1 path too, and an
+  obfuscation policy attached while the cohort is parked is read live;
 * a checkpoint stores each driver's position: restored drivers resume
   mid-FSM bit-identically, and a driven record cannot restore without
   a driver.
@@ -175,7 +176,8 @@ def test_every_driver_advances(monkeypatch):
 
 def _interrupted(resume):
     """Prepare a session whose transmission run is cut at 3,000 events
-    and then resumed with a per-event check (*resume* names which)."""
+    and then resumed by one plain run or by ``pause_at`` segments
+    (*resume* names which)."""
     def before(session):
         sim = session.sim
         run = sim.run
@@ -183,8 +185,8 @@ def _interrupted(resume):
         def interrupted_run(**kwargs):
             with pytest.raises(SimulationError, match="max_events=3000"):
                 run(max_events=3000)
-            if resume == "stop_when":
-                return run(stop_when=lambda s: False)
+            if resume == "run":
+                return run()
             while run(pause_at=sim.global_clock + 5000.0):
                 pass
             return False
@@ -194,9 +196,9 @@ def _interrupted(resume):
     return before
 
 
-@pytest.mark.parametrize("resume", ["stop_when", "pause_at"])
+@pytest.mark.parametrize("resume", ["run", "pause_at"])
 def test_resumed_run_continues_driven_threads(resume):
-    """Resuming with ``stop_when``/``pause_at`` must carry on the driven
+    """Resuming with ``run()``/``pause_at`` must carry on the driven
     threads, not restart their never-advanced generators."""
     payload = payload_bits(12, seed=3)
     _, plain = on_path(False, transmit, "mesi-es", seed=3, payload=payload)
@@ -253,8 +255,10 @@ def test_pause_at_run_advances_drivers_inline(monkeypatch):
 # -- one engine path, decided at build -------------------------------------
 #
 # The machine changes below return what they observe, so a test can
-# check that a binding attached after the drivers spawned really sees
-# every access the generator path issues through it.
+# check that a binding the drivers read at spawn really sees every
+# access the generator path issues through it.  Obfuscation is the one
+# change a parked cohort reads live (inside ``machine.load``); the
+# bindings attach before the cohort spawns, as the trace tap does.
 
 
 def _obfuscate(session):
@@ -264,8 +268,8 @@ def _obfuscate(session):
 
 
 def _interpose(session):
-    # An op wrapper binds into the machine's instance dict; run entry
-    # must re-hoist the binding.
+    # An op wrapper binds into the machine's instance dict, which the
+    # drivers read at spawn.
     machine = session.machine
     load = machine.load
     calls = []
@@ -280,7 +284,7 @@ def _interpose(session):
 
 def _attach_monitor(session):
     # An external monitor wrapping both load and flush on top of the
-    # tap; run entry must re-hoist both bindings.
+    # tap, read by the drivers at spawn.
     machine = session.machine
     load, flush = machine.load, machine.flush
     calls = {"load": 0, "flush": 0}
@@ -412,7 +416,7 @@ def test_simulation_faults_stand_down_at_build():
     assert_same(driven, generator)
 
 
-RUN_ENTRY_REASONS = [
+MACHINE_CHANGES = [
     pytest.param("obfuscation", _obfuscate, id="obfuscation"),
     pytest.param("interposition", _interpose, id="interposition"),
 ]
@@ -423,7 +427,7 @@ def observed(observe):
     return None if observe is None else observe()
 
 
-@pytest.mark.parametrize("reason, prepare", RUN_ENTRY_REASONS)
+@pytest.mark.parametrize("reason, prepare", MACHINE_CHANGES)
 def test_run_entry_stands_down(reason, prepare):
     """A second transmission on a driven session finds the machine
     changed (*reason*) and still runs driven, identically."""
@@ -450,8 +454,9 @@ def _parked(session):
 
 def _cohort_cut_short(prepare, **config):
     """Spawn one transmission's cohort by hand — driven workers, the
-    controller and spy as spec-less generators — run it for 40,000
-    cycles, apply *prepare* and finish the run.
+    controller and spy as spec-less generators — pause it at 40,000
+    cycles and finish the run.  *prepare* applies before the spawn, or
+    at the pause when it is :func:`_obfuscate`.
 
     Returns the session, the threads parked driven at the cut, and the
     spy's samples with what *prepare*'s observer saw.
@@ -463,6 +468,8 @@ def _cohort_cut_short(prepare, **config):
     control = TrojanControl()
     decoder = BitDecoder(session.bands, cfg.scenario, cfg.params)
     spy_result = SpyResult()
+    live = prepare is _obfuscate
+    observe = None if live else prepare(session)
     session.spawn_workers(worker_roles(cfg.scenario), control, 0)
     session.spawn_controller(controller_program(
         control, cfg.scenario, cfg.params, session.trojan_va,
@@ -473,18 +480,20 @@ def _cohort_cut_short(prepare, **config):
         spy_program(spy_result, decoder, cfg.params, session.spy_va),
         core_id=cfg.spy_core,
     )
-    session.sim.run(stop_when=lambda sim: sim.global_clock > 40_000.0)
+    assert session.sim.run(pause_at=40_000.0)
     parked = _parked(session)
-    observe = prepare(session)
-    session.sim.run()
+    if live:
+        observe = prepare(session)
+    assert not session.sim.run()
     samples = [(s.timestamp, s.latency) for s in spy_result.samples]
     return session, parked, (samples, observed(observe))
 
 
-@pytest.mark.parametrize("reason, prepare", RUN_ENTRY_REASONS)
+@pytest.mark.parametrize("reason, prepare", MACHINE_CHANGES)
 def test_stand_down_rebuilds_parked_workers(reason, prepare):
-    """Workers parked mid-loop by a cut-short run stay driven when the
-    machine changes (*reason*) before the run resumes."""
+    """Workers parked mid-loop by a paused run stay driven and resume
+    identically on a changed machine (*reason*): obfuscation attached
+    at the pause, an interposed load before the spawn."""
     driven, parked, driven_seen = on_path(True, _cohort_cut_short, prepare)
     assert_driven(driven)
     assert parked and all(name.startswith("trojan-L") for name in parked)
@@ -496,11 +505,12 @@ def test_stand_down_rebuilds_parked_workers(reason, prepare):
 @pytest.mark.parametrize("attach", [_attach_monitor, _attach_second_tap],
                          ids=["monitor", "second-tap"])
 def test_late_interposition_stands_traced_session_down(attach):
-    """A traced session's drivers hoisted the tap's wrappers at spawn.
-    A load/flush wrapper or a second tap attached after a cut-short run is
-    re-hoisted at run entry — the inline L1 path must not skip it — so
-    it sees what it sees on the generator path, and the first tap still
-    records the generator path's stream."""
+    """A traced session's drivers read the tap's wrappers at spawn.  A
+    load/flush wrapper or a second tap attached on top before the spawn
+    is read with them — the inline L1 path must not skip it — so
+    through a paused and resumed run it sees what it sees on the
+    generator path, and the first tap still records the generator
+    path's stream."""
     driven, parked, driven_seen = on_path(
         True, _cohort_cut_short, attach, trace=True,
     )
@@ -554,24 +564,29 @@ def test_trace_started_on_a_built_noisy_session_records_the_noise():
 
 
 def _transmission_cut_short(prepare, trace):
-    """One transmission whose run stops 40,000 cycles in, with every
-    channel thread parked mid-program, before *prepare* changes the
-    session and the run finishes.
+    """One transmission whose run pauses 40,000 cycles in, with every
+    channel thread parked mid-program, and then finishes.  *prepare*
+    changes the session before the cohort spawns, or at the pause when
+    it is :func:`_obfuscate`.
 
     Returns the session, its result, the threads parked driven at the
     cut and what *prepare*'s observer saw.
     """
     parked, observers = [], []
 
+    live = prepare is _obfuscate
+
     def before(session):
         sim = session.sim
         run = sim.run
+        if not live:
+            observers.append(prepare(session))
 
         def cut_then_changed(**kwargs):
-            start = sim.global_clock
-            run(stop_when=lambda s: s.global_clock > start + 40_000.0)
+            assert run(pause_at=sim.global_clock + 40_000.0)
             parked.extend(_parked(session))
-            observers.append(prepare(session))
+            if live:
+                observers.append(prepare(session))
             return run(**kwargs)
 
         sim.run = cut_then_changed
@@ -588,7 +603,8 @@ def _transmission_cut_short(prepare, trace):
 ])
 def test_cut_short_transmission_then_changed(trace, prepare):
     """The whole cohort driven — workers, controller and spy all parked
-    mid-program — through a machine change between two runs."""
+    mid-program by a pause — on a changed machine: obfuscation
+    attached at the pause, the bindings before the spawn."""
     session, driven, parked, driven_seen = on_path(
         True, _transmission_cut_short, prepare, trace,
     )

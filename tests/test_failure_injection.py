@@ -62,18 +62,16 @@ def test_trojan_workers_killed_mid_transmission():
         spy_program(spy_result, decoder, cfg.params, session.spy_va),
         core_id=0,
     )
-    kill_after = 30_000.0
-
-    def assassin(simulator):
-        if simulator.global_clock > kill_after:
-            for thread in simulator.threads:
-                if thread.name.startswith("trojan-L") or \
-                        thread.name.startswith("trojan-R"):
-                    thread.kill()
-            return False
-        return False
-
-    session.sim.run(stop_when=assassin)
+    assert session.sim.run(pause_at=30_000.0)
+    workers = [
+        thread for thread in session.sim.threads
+        if thread.name.startswith(("trojan-L", "trojan-R"))
+        and not thread.done
+    ]
+    assert workers
+    for thread in workers:
+        thread.kill()
+    assert not session.sim.run()
     report = decoder.decode(spy_result.samples)
     # the spy got a prefix at best; the stack stayed coherent
     assert len(report.bits) < len(PAYLOAD)

@@ -84,23 +84,6 @@ def test_daemon_does_not_block_run():
     assert not daemon.done  # still alive for a follow-up run
 
 
-def test_kill_daemons_on_request():
-    sim = Simulator()
-
-    def forever(cpu):
-        while True:
-            yield from cpu.delay(10)
-
-    def short(cpu):
-        yield from cpu.delay(50)
-
-    daemon = sim.spawn("d", forever, core_id=0, executor=unit_executor(),
-                       daemon=True)
-    sim.spawn("s", short, core_id=1, executor=unit_executor())
-    sim.run(kill_daemons=True)
-    assert daemon.state is ThreadState.KILLED
-
-
 def test_max_events_guard():
     sim = Simulator()
 
@@ -125,16 +108,28 @@ def test_max_cycles_guard():
         sim.run(max_cycles=10_000)
 
 
-def test_stop_when_predicate():
-    sim = Simulator()
-
-    def forever(cpu):
-        while True:
+def test_pause_at_then_run_matches_uninterrupted_run():
+    """``pause_at`` parks the run at the first event at or past the
+    boundary, and a plain ``run()`` then ends where an uninterrupted
+    run does, with the same event count."""
+    def loop(cpu):
+        for _ in range(50):
             yield from cpu.delay(10)
 
-    sim.spawn("t", forever, core_id=0, executor=unit_executor())
-    sim.run(stop_when=lambda s: s.global_clock > 200)
-    assert 200 < sim.global_clock < 400
+    def simulator():
+        sim = Simulator()
+        sim.spawn("t", loop, core_id=0, executor=unit_executor())
+        return sim
+
+    sim = simulator()
+    assert sim.run(pause_at=200) is True
+    assert 200 <= sim.global_clock < 210
+    assert sim.run() is False
+    plain = simulator()
+    assert plain.run() is False
+    assert sim.global_clock == plain.global_clock == 500.0
+    assert (sim.stats.counters()["engine.events"]
+            == plain.stats.counters()["engine.events"] == 50)
 
 
 def test_invalid_yield_raises():
